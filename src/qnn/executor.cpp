@@ -123,8 +123,8 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
   // Readout flips are applied per shot inside the samplers.
   double p;
   if (plan_ != nullptr && options_.batched_forward) {
-    // Trajectory-batched sampler: evolves trajectory blocks through one
-    // BatchedStatevector with a batch-invariant pre-drawn RNG schedule.
+    // Plan trajectory sampler: a pre-drawn RNG schedule, one noise-free
+    // trunk, and a branch column only per trajectory a Pauli hits.
     auto ws = batched_workspaces_.acquire();
     p = simulator_.sampled_probability_of_one(*plan_, params, readout_qubit_,
                                               opts, rng, *ws);

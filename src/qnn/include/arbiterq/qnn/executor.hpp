@@ -52,7 +52,7 @@ struct ExecutorOptions {
   /// Route multi-sample plan work through the sample-batched forward
   /// (sim/batched.hpp): dataset losses and adjoint gradients evaluate
   /// kBatchBlock samples per register sweep, and sampled_probability
-  /// evolves trajectory blocks through one BatchedStatevector. Under
+  /// takes the plan trajectory sampler (trunk plus Pauli branches). Under
   /// strict reproducibility results are bit-identical to the unbatched
   /// plan path (the trajectory sampler has its own — batch-invariant —
   /// RNG schedule). No effect when use_plan is false.

@@ -6,6 +6,7 @@
 #include "arbiterq/sim/batched.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -67,44 +68,31 @@ void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
          "amplitude storage must honor kAmpAlignment");
 }
 
-void BatchedStatevector::apply_mat2_all(const Mat2& m, int q) {
-  const std::size_t bit = std::size_t{1} << q;
+void BatchedStatevector::apply_mat2_all(const Mat2& m, int q,
+                                        std::size_t width) {
+  assert(width <= batch_);
   if (is_diag2(m)) {
-    const Complex d0 = m[0];
-    const Complex d1 = m[3];
-    for (std::size_t i = 0; i < dim_; ++i) {
-      kernels::batched_scale(row(i), (i & bit) ? d1 : d0, batch_);
-    }
+    const Complex d[2] = {m[0], m[3]};
+    kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d, 0,
+                                std::size_t{1} << q);
     return;
   }
-  for (std::size_t p = 0; p < dim_ >> 1; ++p) {
-    const std::size_t i0 = insert_zero_bit(p, q);
-    kernels::batched_mat2(row(i0), row(i0 | bit), m, batch_);
-  }
+  kernels::batched_apply_mat2(amps_.data(), dim_, batch_, width, m, q);
 }
 
-void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa) {
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
+void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa,
+                                        std::size_t width) {
+  assert(width <= batch_);
   if (is_diag4(m)) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    for (std::size_t i = 0; i < dim_; ++i) {
-      const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-      kernels::batched_scale(row(i), d[sel], batch_);
-    }
+    kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d,
+                                std::size_t{1} << qb, std::size_t{1} << qa);
     return;
   }
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
-  for (std::size_t g = 0; g < dim_ >> 2; ++g) {
-    const std::size_t i00 = insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-    kernels::batched_mat4(row(i00), row(i00 | bit_a), row(i00 | bit_b),
-                          row(i00 | bit_b | bit_a), m, batch_);
-  }
+  kernels::batched_apply_mat4(amps_.data(), dim_, batch_, width, m, qb, qa);
 }
 
 void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
-  const std::size_t bit = std::size_t{1} << q;
   diag_scratch_.resize(2 * batch_);
   // Diagonal dispatch is per-matrix (an RZ column sits next to an RX
   // column): partition the batch into maximal runs of equal dispatch so
@@ -116,31 +104,23 @@ void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
     while (e < batch_ && is_diag2(mats[e]) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
-      Complex* const d0s = diag_scratch_.data();
-      Complex* const d1s = diag_scratch_.data() + batch_;
+      Complex* const ds[2] = {diag_scratch_.data(),
+                              diag_scratch_.data() + batch_};
       for (std::size_t k = 0; k < count; ++k) {
-        d0s[k] = mats[b + k][0];
-        d1s[k] = mats[b + k][3];
+        ds[0][k] = mats[b + k][0];
+        ds[1][k] = mats[b + k][3];
       }
-      for (std::size_t i = 0; i < dim_; ++i) {
-        kernels::batched_scale_each(row(i) + b, (i & bit) ? d1s : d0s, count);
-      }
+      kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_, count,
+                                       ds, 0, std::size_t{1} << q);
     } else {
-      for (std::size_t p = 0; p < dim_ >> 1; ++p) {
-        const std::size_t i0 = insert_zero_bit(p, q);
-        kernels::batched_mat2_each(row(i0) + b, row(i0 | bit) + b, mats + b,
-                                   count);
-      }
+      kernels::batched_apply_mat2_each(amps_.data() + b, dim_, batch_, count,
+                                       mats + b, q);
     }
     b = e;
   }
 }
 
 void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
   diag_scratch_.resize(4 * batch_);
   std::size_t b = 0;
   while (b < batch_) {
@@ -160,19 +140,12 @@ void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
         ds[2][k] = m[10];
         ds[3][k] = m[15];
       }
-      for (std::size_t i = 0; i < dim_; ++i) {
-        const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-        kernels::batched_scale_each(row(i) + b, ds[sel], count);
-      }
+      kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_, count,
+                                       ds, std::size_t{1} << qb,
+                                       std::size_t{1} << qa);
     } else {
-      for (std::size_t g = 0; g < dim_ >> 2; ++g) {
-        const std::size_t i00 =
-            insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-        kernels::batched_mat4_each(row(i00) + b, row(i00 | bit_a) + b,
-                                   row(i00 | bit_b) + b,
-                                   row(i00 | bit_b | bit_a) + b, mats + b,
-                                   count);
-      }
+      kernels::batched_apply_mat4_each(amps_.data() + b, dim_, batch_, count,
+                                       mats + b, qb, qa);
     }
     b = e;
   }
@@ -216,6 +189,10 @@ void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
     default:
       throw std::invalid_argument("apply_pauli_col: pauli must be 1, 2 or 3");
   }
+}
+
+void BatchedStatevector::copy_col(std::size_t src, std::size_t dst) noexcept {
+  for (std::size_t i = 0; i < dim_; ++i) row(i)[dst] = row(i)[src];
 }
 
 void BatchedStatevector::probability_of_one_all(int q, double* out) const {
@@ -390,7 +367,8 @@ void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
 }
 
 // ---------------------------------------------------------------------------
-// Plan-based, trajectory-batched marginal sampler
+// Plan-based trajectory sampler: one noise-free trunk, a branch per
+// trajectory that a Pauli hits
 
 std::uint64_t StatevectorSimulator::sample_marginal_ones(
     const ExecPlan& plan, std::span<const double> params, int qubit,
@@ -401,112 +379,151 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
   }
   AQ_TRACE_SPAN("sim.sample.marginal");
   AQ_COUNTER_ADD("sim.sample.shots", static_cast<std::uint64_t>(opts.shots));
+  using Fired = BatchedWorkspace::Trajectories::Fired;
+  using Branch = BatchedWorkspace::Trajectories::Branch;
+  BatchedWorkspace::Trajectories& tr = ws.traj;
   const auto n_traj =
       static_cast<std::size_t>(std::min(opts.trajectories, opts.shots));
   const auto& table = plan.gate_table();
   const bool noisy = noise_.enabled();
-
-  // Shot allotment per trajectory: the circuit-walking sampler's
-  // deterministic remaining / (n - t) spread.
-  std::vector<int> shots_of(n_traj);
-  int remaining = opts.shots;
-  for (std::size_t t = 0; t < n_traj; ++t) {
-    shots_of[t] = remaining / static_cast<int>(n_traj - t);
-    remaining -= shots_of[t];
-  }
-
-  // Noise sites: one per (gate with depolarizing error, involved qubit),
-  // in gate order — the exact draw order of run_trajectory.
-  struct Site {
-    std::size_t gate;
-    int qubit;
-    double error;
-  };
-  std::vector<Site> sites;
-  if (noisy) {
-    for (std::size_t k = 0; k < table.size(); ++k) {
-      const GateEntry& e = table[k];
-      if (e.error <= 0.0) continue;
-      sites.push_back({k, e.q0, e.error});
-      if (e.arity == 2) sites.push_back({k, e.q1, e.error});
-    }
-  }
+  const std::span<const NoiseSite> sites =
+      noisy ? std::span<const NoiseSite>(plan.noise_sites())
+            : std::span<const NoiseSite>();
   const double p01 = noisy ? noise_.readout_p01(qubit) : 0.0;
   const double p10 = noisy ? noise_.readout_p10(qubit) : 0.0;
   const bool flips = noisy && (p01 > 0.0 || p10 > 0.0);
 
+  // Shot allotment per trajectory: the circuit-walking sampler's
+  // deterministic remaining / (n - t) spread.
+  tr.shots_of.resize(n_traj);
+  int remaining = opts.shots;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    tr.shots_of[t] = remaining / static_cast<int>(n_traj - t);
+    remaining -= tr.shots_of[t];
+  }
+
   // Every random decision is pre-drawn here, trajectory by trajectory,
   // so the RNG stream — and therefore every outcome — is independent of
-  // how trajectories are later grouped into evolution blocks. Pauli
-  // decisions use run_trajectory's per-site bernoulli-then-choice
-  // consumption; shot draws consume one readout-flip uniform per shot
-  // whenever readout noise is configured, a value-independent schedule
-  // (the circuit-walking sampler draws the flip conditionally on the
-  // outcome, which would tie the stream to amplitude values).
-  std::vector<std::uint8_t> decision(n_traj * sites.size(), 0);
-  std::vector<double> u_out(static_cast<std::size_t>(opts.shots));
-  std::vector<double> u_flip(flips ? u_out.size() : 0);
+  // how trajectories are later evolved. Pauli decisions use
+  // run_trajectory's per-site bernoulli-then-choice consumption; shot
+  // draws consume one readout-flip uniform per shot whenever readout
+  // noise is configured, a value-independent schedule (the
+  // circuit-walking sampler draws the flip conditionally on the
+  // outcome, which would tie the stream to amplitude values). Only the
+  // few Paulis that fire are recorded.
+  tr.fired.clear();
+  tr.u_out.resize(static_cast<std::size_t>(opts.shots));
+  tr.u_flip.resize(flips ? tr.u_out.size() : 0);
   {
     std::size_t si = 0;
     for (std::size_t t = 0; t < n_traj; ++t) {
       for (std::size_t s = 0; s < sites.size(); ++s) {
         if (rng.bernoulli(sites[s].error)) {
-          decision[t * sites.size() + s] =
-              static_cast<std::uint8_t>(1 + rng.uniform_int(3));
+          tr.fired.push_back(
+              {static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(s),
+               static_cast<std::uint8_t>(1 + rng.uniform_int(3))});
         }
       }
-      for (int s = 0; s < shots_of[t]; ++s, ++si) {
-        u_out[si] = rng.uniform();
-        if (flips) u_flip[si] = rng.uniform();
+      for (int s = 0; s < tr.shots_of[t]; ++s, ++si) {
+        tr.u_out[si] = rng.uniform();
+        if (flips) tr.u_flip[si] = rng.uniform();
       }
     }
   }
+
+  // A trajectory no Pauli hits is bitwise the noise-free evolution, so
+  // those all read one trunk column. Each fired trajectory becomes a
+  // branch, forked from the trunk just before its first Pauli; ordering
+  // branches by first fired site keeps the active columns a prefix.
+  tr.branches.clear();
+  for (std::size_t i = 0; i < tr.fired.size(); ++i) {
+    const auto idx = static_cast<std::uint32_t>(i);
+    if (i == 0 || tr.fired[i].traj != tr.fired[i - 1].traj) {
+      tr.branches.push_back({tr.fired[i].traj, idx, idx});
+    }
+    tr.branches.back().end = idx + 1;
+  }
+  std::sort(tr.branches.begin(), tr.branches.end(),
+            [&](const Branch& a, const Branch& b) {
+              const std::uint32_t sa = tr.fired[a.next].site;
+              const std::uint32_t sb = tr.fired[b.next].site;
+              return sa != sb ? sa < sb : a.traj < b.traj;
+            });
 
   // One bind serves every trajectory: gate matrices depend only on the
   // shared params; trajectories differ only in their Pauli insertions.
   plan.bind_gates(params, ws.gates);
 
-  std::uint64_t ones = 0;
-  std::vector<double> p1(kBatchBlock);
-  std::size_t si = 0;
-  for (std::size_t t0 = 0; t0 < n_traj; t0 += kBatchBlock) {
-    const std::size_t cur = std::min(kBatchBlock, n_traj - t0);
-    BatchedStatevector& st = ws.state();
-    st.configure(plan.num_qubits(), cur);
-    std::size_t site_idx = 0;
+  // Blocks of up to kBatchBlock - 1 branches share one walk with the
+  // trunk, which each block re-walks. Only the first block keeps the
+  // trunk pure, and only when silent trajectories read it; otherwise
+  // the block's last branch to fork evolves in the trunk's column in
+  // place — so a lone trajectory always walks a single column.
+  const std::size_t n_branch = tr.branches.size();
+  const bool any_silent = n_branch < n_traj;
+  tr.p1.resize(n_traj);
+  std::array<double, kBatchBlock> col_p1{};
+  BatchedStatevector& st = ws.state();
+  std::size_t b0 = 0;
+  do {
+    const std::size_t nb = std::min(kBatchBlock - 1, n_branch - b0);
+    Branch* const block = tr.branches.data() + b0;
+    const bool keep_trunk = b0 == 0 && any_silent;
+    auto col_of = [&](std::size_t j) {
+      return !keep_trunk && j + 1 == nb ? std::size_t{0} : j + 1;
+    };
+    st.configure(plan.num_qubits(), keep_trunk ? nb + 1 : nb);
+    std::size_t width = 1;
+    std::size_t forked = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
       const GateEntry& e = table[k];
       const auto idx = static_cast<std::size_t>(e.index);
       if (e.arity == 1) {
         st.apply_mat2_all(
-            e.dynamic ? ws.gates.dyn1q[idx] : plan.table_mat2(e.index), e.q0);
+            e.dynamic ? ws.gates.dyn1q[idx] : plan.table_mat2(e.index), e.q0,
+            width);
       } else {
         st.apply_mat4_all(
             e.dynamic ? ws.gates.dyn2q[idx] : plan.table_mat4(e.index), e.q0,
-            e.q1);
+            e.q1, width);
       }
-      // Sparse per-trajectory Pauli insertions: a site fires on a few
-      // percent of columns, so the fired columns take a scalar
-      // single-column walk instead of dragging the whole block through
-      // a per-sample kernel. (Per-column application also keeps -0.0
-      // signs exact — a broadcast identity multiply on non-fired
-      // columns would not.)
-      for (; site_idx < sites.size() && sites[site_idx].gate == k;
-           ++site_idx) {
-        const Site& site = sites[site_idx];
-        for (std::size_t c = 0; c < cur; ++c) {
-          const std::uint8_t d = decision[(t0 + c) * sites.size() + site_idx];
-          if (d != 0) st.apply_pauli_col(d, site.qubit, c);
+      // Fork every branch whose first Pauli follows this gate before
+      // any Pauli lands, so each copy is the trunk right after gate k.
+      while (forked < nb &&
+             sites[tr.fired[block[forked].next].site].gate == k) {
+        const std::size_t col = col_of(forked);
+        if (col != 0) {
+          st.copy_col(0, col);
+          width = col + 1;
+        }
+        ++forked;
+      }
+      // Per-column application keeps -0.0 signs exact; a broadcast
+      // identity multiply on the other columns would not.
+      for (std::size_t j = 0; j < forked; ++j) {
+        Branch& br = block[j];
+        for (; br.next < br.end && sites[tr.fired[br.next].site].gate == k;
+             ++br.next) {
+          const Fired& f = tr.fired[br.next];
+          st.apply_pauli_col(f.pauli, sites[f.site].qubit, col_of(j));
         }
       }
     }
-    st.probability_of_one_all(qubit, p1.data());
-    for (std::size_t c = 0; c < cur; ++c) {
-      for (int s = 0; s < shots_of[t0 + c]; ++s, ++si) {
-        bool one = u_out[si] < p1[c];
-        if (flips && u_flip[si] < (one ? p10 : p01)) one = !one;
-        if (one) ++ones;
-      }
+    st.probability_of_one_all(qubit, col_p1.data());
+    if (keep_trunk) std::fill(tr.p1.begin(), tr.p1.end(), col_p1[0]);
+    for (std::size_t j = 0; j < nb; ++j) {
+      tr.p1[block[j].traj] = col_p1[col_of(j)];
+    }
+    b0 += nb;
+  } while (b0 < n_branch);
+
+  std::uint64_t ones = 0;
+  std::size_t si = 0;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    for (int s = 0; s < tr.shots_of[t]; ++s, ++si) {
+      bool one = tr.u_out[si] < tr.p1[t];
+      if (flips && tr.u_flip[si] < (one ? p10 : p01)) one = !one;
+      if (one) ++ones;
     }
   }
   return ones;

@@ -216,6 +216,14 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         ++fused_gates_;
       }
     }
+    // Noise sites: one per (gate with depolarizing error, involved
+    // qubit), in gate order — the draw order of run_trajectory.
+    if (entry.error > 0.0) {
+      sites_.push_back({table_.size(), entry.q0, entry.error});
+      if (entry.arity == 2) {
+        sites_.push_back({table_.size(), entry.q1, entry.error});
+      }
+    }
     table_.push_back(std::move(entry));
   }
   for (int q = 0; q < num_qubits_; ++q) flush(q);

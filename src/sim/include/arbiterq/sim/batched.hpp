@@ -60,8 +60,18 @@ class BatchedStatevector {
 
   /// Apply one matrix to every column (broadcast mini-GEMM), with the
   /// same diagonal fast path as Statevector::apply_mat2/apply_mat4.
-  void apply_mat2_all(const circuit::Mat2& m, int q);
-  void apply_mat4_all(const circuit::Mat4& m, int qb, int qa);
+  void apply_mat2_all(const circuit::Mat2& m, int q) {
+    apply_mat2_all(m, q, batch_);
+  }
+  void apply_mat4_all(const circuit::Mat4& m, int qb, int qa) {
+    apply_mat4_all(m, qb, qa, batch_);
+  }
+  /// Active-width forms: only columns [0, width) evolve; columns at or
+  /// past `width` are left untouched and the row stride stays batch().
+  /// Per-column results do not depend on `width`.
+  void apply_mat2_all(const circuit::Mat2& m, int q, std::size_t width);
+  void apply_mat4_all(const circuit::Mat4& m, int qb, int qa,
+                      std::size_t width);
 
   /// Apply mats[b] to column b. The diagonal dispatch is per-matrix, so
   /// columns are partitioned into maximal runs of equal dispatch and
@@ -73,6 +83,8 @@ class BatchedStatevector {
   /// per-trajectory Pauli insertions).
   void apply_mat2_col(const circuit::Mat2& m, int q, std::size_t col);
   void apply_pauli_col(int pauli, int q, std::size_t col);
+  /// Overwrite column `dst` with column `src`.
+  void copy_col(std::size_t src, std::size_t dst) noexcept;
 
   /// out[b] = P(qubit q reads 1) for column b, accumulated in basis
   /// order — the exact association of Statevector::probability_of_one.
@@ -129,6 +141,35 @@ class BatchedWorkspace {
   std::vector<std::unique_ptr<Workspace>> col_gates;
   std::vector<circuit::Mat2> mat2_scratch;
   std::vector<circuit::Mat4> mat4_scratch;
+
+  /// Trajectory-sampler scratch (StatevectorSimulator::
+  /// sample_marginal_ones on a plan), reused so a steady-state call
+  /// does not allocate.
+  struct Trajectories {
+    /// A Pauli the pre-drawn schedule inserts: trajectory, index into
+    /// ExecPlan::noise_sites(), and the Pauli (1 = X, 2 = Y, 3 = Z).
+    /// Recorded in draw order, so trajectory-major and site-ascending.
+    struct Fired {
+      std::uint32_t traj = 0;
+      std::uint32_t site = 0;
+      std::uint8_t pauli = 0;
+    };
+    /// A trajectory with at least one Pauli: its fired Paulis are
+    /// fired[next, end); `next` advances as the walk applies them.
+    struct Branch {
+      std::uint32_t traj = 0;
+      std::uint32_t next = 0;
+      std::uint32_t end = 0;
+    };
+    std::vector<int> shots_of;
+    std::vector<Fired> fired;
+    std::vector<Branch> branches;
+    std::vector<double> u_out;
+    std::vector<double> u_flip;
+    /// P(readout qubit = 1) per trajectory.
+    std::vector<double> p1;
+  };
+  Trajectories traj;
 
  private:
   BatchedStatevector state_;

@@ -218,6 +218,14 @@ struct GateEntry {
   double error = 0.0;
 };
 
+/// A depolarizing noise site of a trajectory walk: after gate-table
+/// entry `gate`, a Pauli hits `qubit` with probability `error`.
+struct NoiseSite {
+  std::size_t gate = 0;
+  int qubit = 0;
+  double error = 0.0;
+};
+
 /// A circuit compiled against one noise model (and one kernel policy):
 /// static gates pre-fused and pre-folded, parameterized gates reduced to
 /// bind slots, survival probability and depth cached.
@@ -278,6 +286,11 @@ class ExecPlan {
                              BatchedWorkspace& ws, double* out) const;
 
   const std::vector<GateEntry>& gate_table() const noexcept { return table_; }
+  /// Every noise site of the gate table, in gate order (gate, then q0
+  /// before q1). Empty for a noiseless plan.
+  const std::vector<NoiseSite>& noise_sites() const noexcept {
+    return sites_;
+  }
   const circuit::Mat2& table_mat2(int i) const {
     return table1q_[static_cast<std::size_t>(i)];
   }
@@ -316,6 +329,7 @@ class ExecPlan {
   std::vector<Bound2qSlot> bound2q_;
 
   std::vector<GateEntry> table_;
+  std::vector<NoiseSite> sites_;
   std::vector<circuit::Mat2> table1q_;
   std::vector<circuit::Mat2> table1q_adj_;
   std::vector<circuit::Mat4> table2q_;

@@ -2,7 +2,7 @@
 // Gate-application kernels behind a runtime CPU-dispatch layer.
 //
 // Every statevector butterfly (1q/2q, diagonal fast paths, the adjoint
-// bracket reductions, and the sample-batched row kernels) funnels
+// bracket reductions, and the sample-batched register gates) funnels
 // through the free functions below. Each call selects one of three
 // arms, cached after first use:
 //
@@ -101,28 +101,40 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat4& m, int qb, int qa);
 
 // ---------------------------------------------------------------------------
-// Sample-batched row kernels
+// Sample-batched register gates
 //
-// A batched register stores one contiguous row of `count` amplitudes
-// per basis index (structure of arrays); each kernel applies one
-// butterfly to every sample column at once. Per-column arithmetic is
-// identical to the unbatched kernels, so under strict reproducibility
-// the batched forward is bit-identical to evaluating samples one at a
-// time.
+// A batched register stores one row of amplitudes per basis index,
+// one column per sample (structure of arrays): row i starts at
+// amps + i * stride. One call applies one gate to columns [0, count)
+// of every row (count may be below stride — an active-width walk).
+// The arm is resolved once per gate and the row loop runs inside the
+// arm, so at QNN register sizes (a handful of rows per gate) dispatch
+// is not paid per row. Per-column arithmetic is identical to the
+// unbatched kernels, so under strict reproducibility a batched walk is
+// bit-identical to evaluating samples one at a time.
 
-/// Broadcast 1q butterfly: rows r0/r1 hold the two amplitudes of one
-/// butterfly group for `count` samples, all sharing matrix m.
-void batched_mat2(Complex* r0, Complex* r1, const Mat2& m, std::size_t count);
-/// Per-sample matrices: mats[b] applies to column b.
-void batched_mat2_each(Complex* r0, Complex* r1, const Mat2* mats,
-                       std::size_t count);
-/// Diagonal scale of one row by a shared factor / per-sample factors.
-void batched_scale(Complex* row, Complex d, std::size_t count);
-void batched_scale_each(Complex* row, const Complex* ds, std::size_t count);
-/// Broadcast / per-sample 2q butterflies over four rows.
-void batched_mat4(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                  const Mat4& m, std::size_t count);
-void batched_mat4_each(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                       const Mat4* mats, std::size_t count);
+/// General 1q butterfly on qubit q, one matrix for every column.
+void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat2& m, int q);
+/// mats[b] applies to column b.
+void batched_apply_mat2_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat2* mats, int q);
+/// General 2q butterfly on (qb, qa), one matrix for every column.
+void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat4& m, int qb, int qa);
+void batched_apply_mat4_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat4* mats, int qb, int qa);
+/// Diagonal gate: row i is scaled by d[sel], sel = (i & bit_b ? 2 : 0)
+/// | (i & bit_a ? 1 : 0). A 1q diagonal passes bit_b = 0, d = {d0, d1}.
+void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Complex* d,
+                        std::size_t bit_b, std::size_t bit_a);
+/// Per-column diagonal: ds[sel][b] scales column b of row i.
+void batched_apply_diag_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Complex* const* ds, std::size_t bit_b,
+                             std::size_t bit_a);
 
 }  // namespace arbiterq::sim::kernels

@@ -110,11 +110,12 @@ class StatevectorSimulator {
                                     const ShotOptions& opts,
                                     math::Rng& rng) const;
 
-  /// Plan-based, trajectory-batched marginal sampler (batched.cpp):
-  /// trajectories evolve kBatchBlock at a time through a
-  /// BatchedStatevector, with every random decision pre-drawn in
-  /// trajectory order so results are bit-identical for every block
-  /// size. The draw schedule is value-independent (one flip uniform per
+  /// Plan-based trajectory sampler (batched.cpp). Every random
+  /// decision is pre-drawn in trajectory order; then one noise-free
+  /// trunk column serves every trajectory no Pauli hits, and only the
+  /// hit trajectories evolve as branch columns of a BatchedStatevector,
+  /// forked from the trunk at their first Pauli. Each trajectory's
+  /// bits are those of its own one-column walk. The draw schedule is value-independent (one flip uniform per
   /// shot whenever readout noise is configured), so it differs from the
   /// circuit-walking sampler's stream — same distribution, different
   /// bits for a given seed.

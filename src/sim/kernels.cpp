@@ -223,6 +223,67 @@ void batched_mat4_each_scalar(Complex* r00, Complex* r01, Complex* r10,
   }
 }
 
+// Scalar register-level batched gates: the row walks of kernels_impl.hpp
+// over the scalar row kernels.
+
+void batched_apply_mat2_scalar(Complex* amps, std::size_t dim,
+                               std::size_t stride, std::size_t count,
+                               const Mat2& m, int q) {
+  detail::for_each_row_pair(amps, dim, stride, q,
+                            [&](Complex* r0, Complex* r1) {
+                              batched_mat2_scalar(r0, r1, m, count);
+                            });
+}
+
+void batched_apply_mat2_each_scalar(Complex* amps, std::size_t dim,
+                                    std::size_t stride, std::size_t count,
+                                    const Mat2* mats, int q) {
+  detail::for_each_row_pair(amps, dim, stride, q,
+                            [&](Complex* r0, Complex* r1) {
+                              batched_mat2_each_scalar(r0, r1, mats, count);
+                            });
+}
+
+void batched_apply_mat4_scalar(Complex* amps, std::size_t dim,
+                               std::size_t stride, std::size_t count,
+                               const Mat4& m, int qb, int qa) {
+  detail::for_each_row_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        batched_mat4_scalar(r00, r01, r10, r11, m, count);
+      });
+}
+
+void batched_apply_mat4_each_scalar(Complex* amps, std::size_t dim,
+                                    std::size_t stride, std::size_t count,
+                                    const Mat4* mats, int qb, int qa) {
+  detail::for_each_row_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        batched_mat4_each_scalar(r00, r01, r10, r11, mats, count);
+      });
+}
+
+void batched_apply_diag_scalar(Complex* amps, std::size_t dim,
+                               std::size_t stride, std::size_t count,
+                               const Complex* d, std::size_t bit_b,
+                               std::size_t bit_a) {
+  detail::for_each_row_sel(amps, dim, stride, bit_b, bit_a,
+                           [&](Complex* row, unsigned sel) {
+                             batched_scale_scalar(row, d[sel], count);
+                           });
+}
+
+void batched_apply_diag_each_scalar(Complex* amps, std::size_t dim,
+                                    std::size_t stride, std::size_t count,
+                                    const Complex* const* ds,
+                                    std::size_t bit_b, std::size_t bit_a) {
+  detail::for_each_row_sel(amps, dim, stride, bit_b, bit_a,
+                           [&](Complex* row, unsigned sel) {
+                             batched_scale_each_scalar(row, ds[sel], count);
+                           });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -285,9 +346,11 @@ const char* arch_name(KernelArch arch) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatchers. The arch is re-read per call (two relaxed atomic loads);
-// against thousands of amplitude operations per kernel call this is
-// noise, and it keeps the kill-switch effective mid-process.
+// Dispatchers. The arch is re-read per call, which keeps the kill-switch
+// effective mid-process. The read is not free: three out-of-line flag
+// checks, against a kernel that at QNN register sizes may do only one
+// or two butterflies. Hot loops over a batched register therefore call
+// the register-level entries, which resolve the arm once per gate.
 
 #if defined(ARBITERQ_SIMD_AVX2)
 #define AQ_DISPATCH(fn_avx2, fn_scalar, ...)          \
@@ -352,36 +415,45 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
   return bracket_2q_scalar(lam, psi, n, m, qb, qa);
 }
 
-void batched_mat2(Complex* r0, Complex* r1, const Mat2& m,
-                  std::size_t count) {
-  AQ_DISPATCH(batched_mat2_avx2, batched_mat2_scalar, r0, r1, m, count);
+void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat2& m, int q) {
+  AQ_DISPATCH(batched_apply_mat2_avx2, batched_apply_mat2_scalar, amps, dim,
+              stride, count, m, q);
 }
 
-void batched_mat2_each(Complex* r0, Complex* r1, const Mat2* mats,
-                       std::size_t count) {
-  AQ_DISPATCH(batched_mat2_each_avx2, batched_mat2_each_scalar, r0, r1, mats,
-              count);
+void batched_apply_mat2_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat2* mats, int q) {
+  AQ_DISPATCH(batched_apply_mat2_each_avx2, batched_apply_mat2_each_scalar,
+              amps, dim, stride, count, mats, q);
 }
 
-void batched_scale(Complex* row, Complex d, std::size_t count) {
-  AQ_DISPATCH(batched_scale_avx2, batched_scale_scalar, row, d, count);
+void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Mat4& m, int qb, int qa) {
+  AQ_DISPATCH(batched_apply_mat4_avx2, batched_apply_mat4_scalar, amps, dim,
+              stride, count, m, qb, qa);
 }
 
-void batched_scale_each(Complex* row, const Complex* ds, std::size_t count) {
-  AQ_DISPATCH(batched_scale_each_avx2, batched_scale_each_scalar, row, ds,
-              count);
+void batched_apply_mat4_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat4* mats, int qb, int qa) {
+  AQ_DISPATCH(batched_apply_mat4_each_avx2, batched_apply_mat4_each_scalar,
+              amps, dim, stride, count, mats, qb, qa);
 }
 
-void batched_mat4(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                  const Mat4& m, std::size_t count) {
-  AQ_DISPATCH(batched_mat4_avx2, batched_mat4_scalar, r00, r01, r10, r11, m,
-              count);
+void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,
+                        std::size_t count, const Complex* d,
+                        std::size_t bit_b, std::size_t bit_a) {
+  AQ_DISPATCH(batched_apply_diag_avx2, batched_apply_diag_scalar, amps, dim,
+              stride, count, d, bit_b, bit_a);
 }
 
-void batched_mat4_each(Complex* r00, Complex* r01, Complex* r10, Complex* r11,
-                       const Mat4* mats, std::size_t count) {
-  AQ_DISPATCH(batched_mat4_each_avx2, batched_mat4_each_scalar, r00, r01, r10,
-              r11, mats, count);
+void batched_apply_diag_each(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Complex* const* ds, std::size_t bit_b,
+                             std::size_t bit_a) {
+  AQ_DISPATCH(batched_apply_diag_each_avx2, batched_apply_diag_each_scalar,
+              amps, dim, stride, count, ds, bit_b, bit_a);
 }
 
 #undef AQ_DISPATCH

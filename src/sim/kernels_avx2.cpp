@@ -798,6 +798,72 @@ void batched_mat4_each_avx2(Complex* r00, Complex* r01, Complex* r10,
 }
 
 // ---------------------------------------------------------------------------
+// Register-level batched gates: the row walk runs inside this arm, so a
+// gate resolves its arm once rather than once per row.
+
+template <bool Fma>
+void batched_apply_mat2_avx2(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat2& m, int q) {
+  for_each_row_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    batched_mat2_avx2<Fma>(r0, r1, m, count);
+  });
+}
+
+template <bool Fma>
+void batched_apply_mat2_each_avx2(Complex* amps, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Mat2* mats, int q) {
+  for_each_row_pair(amps, dim, stride, q, [&](Complex* r0, Complex* r1) {
+    batched_mat2_each_avx2<Fma>(r0, r1, mats, count);
+  });
+}
+
+template <bool Fma>
+void batched_apply_mat4_avx2(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat4& m, int qb, int qa) {
+  for_each_row_quad(amps, dim, stride, qb, qa,
+                    [&](Complex* r00, Complex* r01, Complex* r10,
+                        Complex* r11) {
+                      batched_mat4_avx2<Fma>(r00, r01, r10, r11, m, count);
+                    });
+}
+
+template <bool Fma>
+void batched_apply_mat4_each_avx2(Complex* amps, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Mat4* mats, int qb, int qa) {
+  for_each_row_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        batched_mat4_each_avx2<Fma>(r00, r01, r10, r11, mats, count);
+      });
+}
+
+template <bool Fma>
+void batched_apply_diag_avx2(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Complex* d, std::size_t bit_b,
+                             std::size_t bit_a) {
+  for_each_row_sel(amps, dim, stride, bit_b, bit_a,
+                   [&](Complex* row, unsigned sel) {
+                     scale_run<Fma>(row, d[sel], count);
+                   });
+}
+
+template <bool Fma>
+void batched_apply_diag_each_avx2(Complex* amps, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Complex* const* ds, std::size_t bit_b,
+                                  std::size_t bit_a) {
+  for_each_row_sel(amps, dim, stride, bit_b, bit_a,
+                   [&](Complex* row, unsigned sel) {
+                     batched_scale_each_avx2<Fma>(row, ds[sel], count);
+                   });
+}
+
+// ---------------------------------------------------------------------------
 // Explicit instantiations: Fma = false is the strict (bit-identical)
 // arm, Fma = true the fast arm.
 
@@ -817,29 +883,45 @@ template void diag4_range_avx2<false>(Complex*, const Complex*, std::size_t,
                                       std::size_t, std::size_t, std::size_t);
 template void diag4_range_avx2<true>(Complex*, const Complex*, std::size_t,
                                      std::size_t, std::size_t, std::size_t);
-template void batched_mat2_avx2<false>(Complex*, Complex*, const Mat2&,
-                                       std::size_t);
-template void batched_mat2_avx2<true>(Complex*, Complex*, const Mat2&,
-                                      std::size_t);
-template void batched_mat2_each_avx2<false>(Complex*, Complex*, const Mat2*,
-                                            std::size_t);
-template void batched_mat2_each_avx2<true>(Complex*, Complex*, const Mat2*,
-                                           std::size_t);
-template void batched_scale_avx2<false>(Complex*, Complex, std::size_t);
-template void batched_scale_avx2<true>(Complex*, Complex, std::size_t);
-template void batched_scale_each_avx2<false>(Complex*, const Complex*,
+
+template void batched_apply_mat2_avx2<false>(Complex*, std::size_t,
+                                             std::size_t, std::size_t,
+                                             const Mat2&, int);
+template void batched_apply_mat2_avx2<true>(Complex*, std::size_t, std::size_t,
+                                            std::size_t, const Mat2&, int);
+template void batched_apply_mat2_each_avx2<false>(Complex*, std::size_t,
+                                                  std::size_t, std::size_t,
+                                                  const Mat2*, int);
+template void batched_apply_mat2_each_avx2<true>(Complex*, std::size_t,
+                                                 std::size_t, std::size_t,
+                                                 const Mat2*, int);
+template void batched_apply_mat4_avx2<false>(Complex*, std::size_t,
+                                             std::size_t, std::size_t,
+                                             const Mat4&, int, int);
+template void batched_apply_mat4_avx2<true>(Complex*, std::size_t, std::size_t,
+                                            std::size_t, const Mat4&, int,
+                                            int);
+template void batched_apply_mat4_each_avx2<false>(Complex*, std::size_t,
+                                                  std::size_t, std::size_t,
+                                                  const Mat4*, int, int);
+template void batched_apply_mat4_each_avx2<true>(Complex*, std::size_t,
+                                                 std::size_t, std::size_t,
+                                                 const Mat4*, int, int);
+template void batched_apply_diag_avx2<false>(Complex*, std::size_t,
+                                             std::size_t, std::size_t,
+                                             const Complex*, std::size_t,
                                              std::size_t);
-template void batched_scale_each_avx2<true>(Complex*, const Complex*,
-                                            std::size_t);
-template void batched_mat4_avx2<false>(Complex*, Complex*, Complex*, Complex*,
-                                       const Mat4&, std::size_t);
-template void batched_mat4_avx2<true>(Complex*, Complex*, Complex*, Complex*,
-                                      const Mat4&, std::size_t);
-template void batched_mat4_each_avx2<false>(Complex*, Complex*, Complex*,
-                                            Complex*, const Mat4*,
-                                            std::size_t);
-template void batched_mat4_each_avx2<true>(Complex*, Complex*, Complex*,
-                                           Complex*, const Mat4*, std::size_t);
+template void batched_apply_diag_avx2<true>(Complex*, std::size_t, std::size_t,
+                                            std::size_t, const Complex*,
+                                            std::size_t, std::size_t);
+template void batched_apply_diag_each_avx2<false>(Complex*, std::size_t,
+                                                  std::size_t, std::size_t,
+                                                  const Complex* const*,
+                                                  std::size_t, std::size_t);
+template void batched_apply_diag_each_avx2<true>(Complex*, std::size_t,
+                                                 std::size_t, std::size_t,
+                                                 const Complex* const*,
+                                                 std::size_t, std::size_t);
 
 }  // namespace arbiterq::sim::kernels::detail
 

@@ -10,10 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arbiterq/core/trainers.hpp"
@@ -206,8 +210,218 @@ TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   EXPECT_THROW(st.apply_pauli_col(0, 0, 0), std::invalid_argument);
 }
 
+TEST(BatchedStatevectorTest, ActiveWidthLeavesTrailingColumnsUntouched) {
+  // Columns [0, w) of a width-w application must carry the bits of a
+  // full-width application; columns >= w must keep their old bits.
+  constexpr std::size_t kBatch = 5;
+  math::Rng rng(41);
+  BatchedStatevector base;
+  base.configure(3, kBatch);
+  for (int q = 0; q < 3; ++q) {
+    std::vector<circuit::Mat2> mats;
+    for (std::size_t b = 0; b < kBatch; ++b) {
+      mats.push_back(circuit::gate_matrix_1q(
+          GateKind::kU3, {rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
+                          rng.uniform(-3.0, 3.0)}));
+    }
+    base.apply_mat2_each(mats.data(), q);
+  }
+  base.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCX, {}), 0, 2);
+
+  using Apply = void (*)(BatchedStatevector&, std::size_t);
+  const std::vector<std::pair<const char*, Apply>> gates = {
+      {"u3", [](BatchedStatevector& st, std::size_t w) {
+         st.apply_mat2_all(
+             circuit::gate_matrix_1q(GateKind::kU3, {0.7, -0.3, 1.1}), 1, w);
+       }},
+      {"rz (diagonal)", [](BatchedStatevector& st, std::size_t w) {
+         st.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kRZ, {0.9}), 2,
+                           w);
+       }},
+      {"crx", [](BatchedStatevector& st, std::size_t w) {
+         st.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCRX, {0.4}), 2,
+                           0, w);
+       }},
+      {"crz (diagonal)", [](BatchedStatevector& st, std::size_t w) {
+         st.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCRZ, {-1.3}),
+                           0, 1, w);
+       }},
+  };
+  for (const auto& [name, apply] : gates) {
+    BatchedStatevector full = base;
+    apply(full, kBatch);
+    for (std::size_t w = 1; w < kBatch; ++w) {
+      BatchedStatevector part = base;
+      apply(part, w);
+      for (std::size_t i = 0; i < base.dim(); ++i) {
+        for (std::size_t b = 0; b < kBatch; ++b) {
+          EXPECT_EQ(part.row(i)[b], b < w ? full.row(i)[b] : base.row(i)[b])
+              << name << " width " << w << " row " << i << " col " << b;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Trajectory-batched sampler
+
+/// What the reference replay saw: the count it returns plus how many
+/// trajectories no Pauli hit and how many were hit at noise site 0.
+struct ReferenceDraws {
+  std::uint64_t ones = 0;
+  std::size_t silent = 0;
+  std::size_t hit_at_site0 = 0;
+};
+
+/// Test-only reference for the plan sampler: replays the same pre-drawn
+/// schedule (sites from the gate table, bernoulli-then-uniform_int per
+/// site, the remaining / (n - t) shot allotment, one or two uniforms
+/// per shot), then walks every trajectory through its own one-column
+/// register with its Paulis applied in place — no trunk, no branches.
+ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
+                                       const NoiseModel& noise,
+                                       std::span<const double> params,
+                                       int qubit, const ShotOptions& opts,
+                                       math::Rng& rng) {
+  const auto& table = plan.gate_table();
+  const bool noisy = noise.enabled();
+  struct Site {
+    std::size_t gate;
+    int qubit;
+    double error;
+  };
+  std::vector<Site> sites;
+  if (noisy) {
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      if (table[k].error <= 0.0) continue;
+      sites.push_back({k, table[k].q0, table[k].error});
+      if (table[k].arity == 2) sites.push_back({k, table[k].q1, table[k].error});
+    }
+  }
+  const double p01 = noisy ? noise.readout_p01(qubit) : 0.0;
+  const double p10 = noisy ? noise.readout_p10(qubit) : 0.0;
+  const bool flips = noisy && (p01 > 0.0 || p10 > 0.0);
+  const auto n_traj =
+      static_cast<std::size_t>(std::min(opts.trajectories, opts.shots));
+  std::vector<int> shots_of(n_traj);
+  int remaining = opts.shots;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    shots_of[t] = remaining / static_cast<int>(n_traj - t);
+    remaining -= shots_of[t];
+  }
+  std::vector<std::vector<int>> pauli(n_traj,
+                                      std::vector<int>(sites.size(), 0));
+  std::vector<double> u_out;
+  std::vector<double> u_flip;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+      if (rng.bernoulli(sites[s].error)) {
+        pauli[t][s] = 1 + static_cast<int>(rng.uniform_int(3));
+      }
+    }
+    for (int s = 0; s < shots_of[t]; ++s) {
+      u_out.push_back(rng.uniform());
+      if (flips) u_flip.push_back(rng.uniform());
+    }
+  }
+
+  Workspace gates;
+  plan.bind_gates(params, gates);
+  ReferenceDraws out;
+  BatchedStatevector st;
+  std::size_t si = 0;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    bool hit = false;
+    st.configure(plan.num_qubits(), 1);
+    std::size_t s = 0;
+    for (std::size_t k = 0; k < table.size(); ++k) {
+      const GateEntry& e = table[k];
+      const auto idx = static_cast<std::size_t>(e.index);
+      if (e.arity == 1) {
+        st.apply_mat2_all(
+            e.dynamic ? gates.dyn1q[idx] : plan.table_mat2(e.index), e.q0);
+      } else {
+        st.apply_mat4_all(
+            e.dynamic ? gates.dyn2q[idx] : plan.table_mat4(e.index), e.q0,
+            e.q1);
+      }
+      for (; s < sites.size() && sites[s].gate == k; ++s) {
+        if (pauli[t][s] == 0) continue;
+        if (!hit && s == 0) ++out.hit_at_site0;
+        hit = true;
+        st.apply_pauli_col(pauli[t][s], sites[s].qubit, 0);
+      }
+    }
+    if (!hit) ++out.silent;
+    double p1 = 0.0;
+    st.probability_of_one_all(qubit, &p1);
+    for (int k = 0; k < shots_of[t]; ++k, ++si) {
+      bool one = u_out[si] < p1;
+      if (flips && u_flip[si] < (one ? p10 : p01)) one = !one;
+      if (one) ++out.ones;
+    }
+  }
+  return out;
+}
+
+TEST(BatchedSampler, MatchesOneColumnPerTrajectoryReplayBitwise) {
+  // The trunk/branch walk must return exactly the count of walking every
+  // trajectory alone: across block boundaries (31 branches fill a block
+  // beside the trunk), with sparse noise, with every trajectory hit
+  // (some at the very first site), and with no noise at all.
+  const Circuit c = full_gate_circuit();
+  math::Rng prng(71);
+  std::vector<double> params(static_cast<std::size_t>(c.num_params()));
+  for (double& v : params) v = prng.uniform(-1.5, 1.5);
+  NoiseModel heavy(3);
+  for (int q = 0; q < 3; ++q) {
+    heavy.set_depolarizing_1q(q, 0.6);
+    heavy.set_readout_error(q, 0.05, 0.1);
+  }
+  heavy.set_depolarizing_2q(0, 1, 0.7);
+  heavy.set_depolarizing_2q(1, 2, 0.7);
+  struct Setting {
+    const char* name;
+    NoiseModel noise;
+  };
+  const Setting settings[] = {
+      {"rich", rich_noise(3)}, {"heavy", heavy}, {"noiseless", NoiseModel()}};
+  for (const Setting& setting : settings) {
+    const StatevectorSimulator sim(setting.noise);
+    const ExecPlan plan = sim.make_plan(c);
+    BatchedWorkspace ws;
+    std::size_t silent = 0;
+    std::size_t hit_at_site0 = 0;
+    for (const int n_traj : {1, 2, 16, 31, 32, 33, 50}) {
+      for (const int qubit : {0, 2}) {
+        ShotOptions opts;
+        opts.shots = 300;
+        opts.trajectories = n_traj;
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(n_traj);
+        math::Rng a(seed);
+        math::Rng b(seed);
+        const std::uint64_t got =
+            sim.sample_marginal_ones(plan, params, qubit, opts, a, ws);
+        const ReferenceDraws want =
+            reference_marginal_ones(plan, setting.noise, params, qubit, opts, b);
+        EXPECT_EQ(got, want.ones) << setting.name << " trajectories "
+                                  << n_traj << " qubit " << qubit;
+        // Both consumed the same schedule.
+        EXPECT_EQ(a.next_u64(), b.next_u64()) << setting.name;
+        silent += want.silent;
+        hit_at_site0 += want.hit_at_site0;
+      }
+    }
+    // The settings cover what they claim to.
+    if (std::string(setting.name) == "heavy") {
+      EXPECT_EQ(silent, 0U);
+      EXPECT_GT(hit_at_site0, 0U);
+    } else {
+      EXPECT_GT(silent, 0U) << setting.name;
+    }
+  }
+}
 
 TEST(BatchedSampler, DeterministicGivenRngState) {
   const Circuit c = full_gate_circuit();

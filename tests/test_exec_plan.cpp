@@ -22,7 +22,9 @@
 #include "arbiterq/qnn/executor.hpp"
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/simulator.hpp"
+#include "arbiterq/telemetry/metrics.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every default-aligned heap allocation in this
@@ -440,6 +442,40 @@ TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "steady-state adjoint evaluations allocated";
+}
+
+TEST(ExecPlanWorkspace, SteadyStateTrajectorySamplerIsAllocationFree) {
+  // The sampler keeps its schedule, branches and per-trajectory
+  // probabilities in the BatchedWorkspace. Its scratch grows with the
+  // number of Paulis a call fires, so the warm-up replays the very
+  // seeds the measured window uses. The sampler's trace span records
+  // into the global trace buffer (which allocates), so the window runs
+  // with runtime telemetry off.
+  const Circuit c = full_gate_circuit();
+  const StatevectorSimulator sim(rich_noise(3));
+  const ExecPlan plan = sim.make_plan(c);
+  BatchedWorkspace ws;
+  const std::vector<double> params(static_cast<std::size_t>(c.num_params()),
+                                   0.4);
+  ShotOptions opts;
+  opts.shots = 200;
+  opts.trajectories = 40;
+  std::uint64_t ones = 0;
+  auto window = [&] {
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+      math::Rng rng(seed);
+      ones += sim.sample_marginal_ones(plan, params, 1, opts, rng, ws);
+    }
+  };
+  const bool telemetry_was_on = telemetry::telemetry_runtime_enabled();
+  telemetry::set_telemetry_runtime_enabled(false);
+  window();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  window();
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  telemetry::set_telemetry_runtime_enabled(telemetry_was_on);
+  EXPECT_EQ(after, before) << "steady-state sampler calls allocated";
+  EXPECT_GT(ones, 0U);
 }
 
 TEST(WorkspacePoolTest, RecyclesWorkspacesAndCopiesStartFresh) {

@@ -2,7 +2,7 @@
 // (sim/kernels.hpp): every SIMD arm against the scalar reference, over
 // the full gate set (including noise-biased angles and fully random
 // matrices), adjoint brackets, 1..8-qubit registers, partial dispatch
-// ranges, and the sample-batched row kernels at batch sizes
+// ranges, and the sample-batched register gates at batch widths
 // 1 / 2 / odd / wider than a cache block. Under strict reproducibility
 // (the default) the comparison is bitwise; with strict relaxed the FMA
 // arm is held to a tight ULP-scale bound.
@@ -294,81 +294,143 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
   }
 }
 
-TEST_P(KernelEquivalence, BatchedRowKernelsMatchPerColumnScalar) {
+TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
+  // Every register-level batched gate against the scalar unbatched
+  // kernels applied column by column, on every qubit and qubit pair, at
+  // widths 1 / 2 / odd / wider than a cache block. The register carries
+  // one column past the width, which must stay untouched.
   math::Rng rng(107);
+  constexpr std::size_t kDim = 8;  // three qubits
   for (const std::size_t count : {std::size_t{1}, std::size_t{2},
                                   std::size_t{5}, std::size_t{40}}) {
-    // Four rows of `count` columns — one 2q butterfly group, batched.
-    std::vector<AmpVector> rows(4);
-    for (auto& r : rows) {
-      r.resize(count);
-      for (Complex& a : r) {
-        a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-      }
+    const std::size_t stride = count + 1;
+    AmpVector base(kDim * stride);
+    for (Complex& a : base) {
+      a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
     }
     const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
     const Mat4 m4 =
         circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
     std::vector<Mat2> m2s;
     std::vector<Mat4> m4s;
-    std::vector<Complex> ds;
     for (std::size_t b = 0; b < count; ++b) {
       m2s.push_back(circuit::gate_matrix_1q(
           b % 3 == 0 ? GateKind::kRZ : GateKind::kU3, random_angles(rng)));
       m4s.push_back(circuit::gate_matrix_2q(GateKind::kCRZ,
                                             random_angles(rng)));
-      ds.push_back({rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
     }
-
-    // Scalar per-column reference: one-group unbatched butterflies.
-    auto ref_rows = rows;
-    kernels::set_simd_runtime_enabled(false);
-    for (std::size_t b = 0; b < count; ++b) {
-      Complex pair[2] = {ref_rows[0][b], ref_rows[1][b]};
-      kernels::apply_mat2_range(pair, m2, 0, 0, 1);
-      ref_rows[0][b] = pair[0];
-      ref_rows[1][b] = pair[1];
-      Complex quad[4] = {ref_rows[0][b], ref_rows[1][b], ref_rows[2][b],
-                         ref_rows[3][b]};
-      kernels::apply_mat4_range(quad, m4, 1, 0, 0, 1);
-      for (int i = 0; i < 4; ++i) ref_rows[static_cast<std::size_t>(i)][b] =
-          quad[i];
-      Complex pair2[2] = {ref_rows[2][b], ref_rows[3][b]};
-      kernels::apply_mat2_range(pair2, m2s[b], 0, 0, 1);
-      ref_rows[2][b] = pair2[0];
-      ref_rows[3][b] = pair2[1];
-      Complex quad2[4] = {ref_rows[0][b], ref_rows[1][b], ref_rows[2][b],
-                          ref_rows[3][b]};
-      kernels::apply_mat4_range(quad2, m4s[b], 1, 0, 0, 1);
-      for (int i = 0; i < 4; ++i) ref_rows[static_cast<std::size_t>(i)][b] =
-          quad2[i];
-      ref_rows[1][b] *= ds[b];
-      ref_rows[0][b] *= ds[0];
+    Complex d[4];
+    for (Complex& c : d) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    std::vector<Complex> ds_store(4 * count);
+    for (Complex& c : ds_store) {
+      c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
     }
+    const Complex* ds[4] = {ds_store.data(), ds_store.data() + count,
+                            ds_store.data() + 2 * count,
+                            ds_store.data() + 3 * count};
 
-    auto got_rows = rows;
-    kernels::set_simd_runtime_enabled(true);
-    kernels::batched_mat2(got_rows[0].data(), got_rows[1].data(), m2, count);
-    kernels::batched_mat4(got_rows[0].data(), got_rows[1].data(),
-                          got_rows[2].data(), got_rows[3].data(), m4, count);
-    kernels::batched_mat2_each(got_rows[2].data(), got_rows[3].data(),
-                               m2s.data(), count);
-    kernels::batched_mat4_each(got_rows[0].data(), got_rows[1].data(),
-                               got_rows[2].data(), got_rows[3].data(),
-                               m4s.data(), count);
-    kernels::batched_scale_each(got_rows[1].data(), ds.data(), count);
-    kernels::batched_scale(got_rows[0].data(), ds[0], count);
-
-    for (int r = 0; r < 4; ++r) {
-      const auto& ref = ref_rows[static_cast<std::size_t>(r)];
-      const auto& got = got_rows[static_cast<std::size_t>(r)];
+    // Runs `batched` on a copy of base and `per_column(col, b)` on each
+    // of its first `count` columns under the scalar arm, then compares.
+    auto check = [&](const char* what, auto&& batched, auto&& per_column) {
+      AmpVector got = base;
+      batched(got.data());
+      AmpVector ref = base;
+      kernels::set_simd_runtime_enabled(false);
+      AmpVector col(kDim);
       for (std::size_t b = 0; b < count; ++b) {
-        if (strict()) {
-          EXPECT_EQ(got[b], ref[b]) << "row " << r << " col " << b;
+        for (std::size_t i = 0; i < kDim; ++i) col[i] = ref[i * stride + b];
+        per_column(col.data(), b);
+        for (std::size_t i = 0; i < kDim; ++i) ref[i * stride + b] = col[i];
+      }
+      kernels::set_simd_runtime_enabled(true);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (strict() || i % stride == count) {
+          EXPECT_EQ(got[i], ref[i]) << what << " width " << count << " row "
+                                    << i / stride << " col " << i % stride;
         } else {
-          EXPECT_NEAR(std::abs(got[b] - ref[b]), 0.0, kTol)
-              << "row " << r << " col " << b;
+          EXPECT_NEAR(std::abs(got[i] - ref[i]), 0.0, kTol)
+              << what << " width " << count << " row " << i / stride
+              << " col " << i % stride;
         }
+      }
+    };
+
+    for (int q = 0; q < 3; ++q) {
+      const std::size_t bit = std::size_t{1} << q;
+      check(
+          "mat2",
+          [&](Complex* amps) {
+            kernels::batched_apply_mat2(amps, kDim, stride, count, m2, q);
+          },
+          [&](Complex* c, std::size_t) {
+            kernels::apply_mat2_range(c, m2, q, 0, kDim / 2);
+          });
+      check(
+          "mat2_each",
+          [&](Complex* amps) {
+            kernels::batched_apply_mat2_each(amps, kDim, stride, count,
+                                             m2s.data(), q);
+          },
+          [&](Complex* c, std::size_t b) {
+            kernels::apply_mat2_range(c, m2s[b], q, 0, kDim / 2);
+          });
+      check(
+          "diag 1q",
+          [&](Complex* amps) {
+            kernels::batched_apply_diag(amps, kDim, stride, count, d, 0, bit);
+          },
+          [&](Complex* c, std::size_t) {
+            kernels::apply_diag2_range(c, d[0], d[1], bit, 0, kDim);
+          });
+      check(
+          "diag_each 1q",
+          [&](Complex* amps) {
+            kernels::batched_apply_diag_each(amps, kDim, stride, count, ds, 0,
+                                             bit);
+          },
+          [&](Complex* c, std::size_t b) {
+            kernels::apply_diag2_range(c, ds[0][b], ds[1][b], bit, 0, kDim);
+          });
+      for (int qa = 0; qa < 3; ++qa) {
+        if (qa == q) continue;
+        const std::size_t bit_a = std::size_t{1} << qa;
+        check(
+            "mat4",
+            [&](Complex* amps) {
+              kernels::batched_apply_mat4(amps, kDim, stride, count, m4, q,
+                                          qa);
+            },
+            [&](Complex* c, std::size_t) {
+              kernels::apply_mat4_range(c, m4, q, qa, 0, kDim / 4);
+            });
+        check(
+            "mat4_each",
+            [&](Complex* amps) {
+              kernels::batched_apply_mat4_each(amps, kDim, stride, count,
+                                               m4s.data(), q, qa);
+            },
+            [&](Complex* c, std::size_t b) {
+              kernels::apply_mat4_range(c, m4s[b], q, qa, 0, kDim / 4);
+            });
+        check(
+            "diag 2q",
+            [&](Complex* amps) {
+              kernels::batched_apply_diag(amps, kDim, stride, count, d, bit,
+                                          bit_a);
+            },
+            [&](Complex* c, std::size_t) {
+              kernels::apply_diag4_range(c, d, bit, bit_a, 0, kDim);
+            });
+        check(
+            "diag_each 2q",
+            [&](Complex* amps) {
+              kernels::batched_apply_diag_each(amps, kDim, stride, count, ds,
+                                               bit, bit_a);
+            },
+            [&](Complex* c, std::size_t b) {
+              const Complex db[4] = {ds[0][b], ds[1][b], ds[2][b], ds[3][b]};
+              kernels::apply_diag4_range(c, db, bit, bit_a, 0, kDim);
+            });
       }
     }
   }
