@@ -18,7 +18,6 @@
 #include "arbiterq/sim/simulator.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/trace.hpp"
-#include "kernels_impl.hpp"
 
 namespace arbiterq::sim {
 
@@ -26,25 +25,10 @@ namespace {
 
 using circuit::Mat2;
 using circuit::Mat4;
-using kernels::detail::insert_zero_bit;
+using kernels::Shape;
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
-
-inline bool is_diag2(const Mat2& m) noexcept {
-  return is_zero(m[1]) && is_zero(m[2]);
-}
-
-inline bool is_diag4(const Mat4& m) noexcept {
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        return false;
-      }
-    }
-  }
-  return true;
+inline bool is_diag(const Mat2& m) noexcept {
+  return kernels::classify(m).shape == Shape::kDiagonal;
 }
 
 }  // namespace
@@ -71,22 +55,35 @@ void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
 void BatchedStatevector::apply_mat2_all(const Mat2& m, int q,
                                         std::size_t width) {
   assert(width <= batch_);
-  if (is_diag2(m)) {
+  apply_mat2_cols(m, q, 0, width);
+}
+
+void BatchedStatevector::apply_mat2_cols(const Mat2& m, int q,
+                                         std::size_t first,
+                                         std::size_t count) {
+  if (is_diag(m)) {
     const Complex d[2] = {m[0], m[3]};
-    kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d, 0,
-                                std::size_t{1} << q);
+    kernels::batched_apply_diag(amps_.data() + first, dim_, batch_, count, d,
+                                0, std::size_t{1} << q);
     return;
   }
-  kernels::batched_apply_mat2(amps_.data(), dim_, batch_, width, m, q);
+  kernels::batched_apply_mat2(amps_.data() + first, dim_, batch_, count, m,
+                              q);
 }
 
 void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa,
                                         std::size_t width) {
   assert(width <= batch_);
-  if (is_diag4(m)) {
+  const auto shape = kernels::classify(m);
+  if (shape.shape == Shape::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d,
                                 std::size_t{1} << qb, std::size_t{1} << qa);
+    return;
+  }
+  if (shape.shape == Shape::kPermutation) {
+    kernels::batched_apply_perm4(amps_.data(), dim_, batch_, width, shape.src,
+                                 qb, qa);
     return;
   }
   kernels::batched_apply_mat4(amps_.data(), dim_, batch_, width, m, qb, qa);
@@ -99,9 +96,9 @@ void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
   // every column takes exactly the kernel it would take unbatched.
   std::size_t b = 0;
   while (b < batch_) {
-    const bool diag = is_diag2(mats[b]);
+    const bool diag = is_diag(mats[b]);
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag2(mats[e]) == diag) ++e;
+    while (e < batch_ && is_diag(mats[e]) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
       Complex* const ds[2] = {diag_scratch_.data(),
@@ -124,67 +121,55 @@ void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
   diag_scratch_.resize(4 * batch_);
   std::size_t b = 0;
   while (b < batch_) {
-    const bool diag = is_diag4(mats[b]);
+    // Runs share a shape and, for permutations, the same moves.
+    const auto shape = kernels::classify(mats[b]);
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag4(mats[e]) == diag) ++e;
+    while (e < batch_ && kernels::classify(mats[e]) == shape) ++e;
     const std::size_t count = e - b;
-    if (diag) {
-      Complex* ds[4];
-      for (unsigned s = 0; s < 4; ++s) {
-        ds[s] = diag_scratch_.data() + s * batch_;
+    switch (shape.shape) {
+      case Shape::kDiagonal: {
+        Complex* ds[4];
+        for (unsigned s = 0; s < 4; ++s) {
+          ds[s] = diag_scratch_.data() + s * batch_;
+        }
+        for (std::size_t k = 0; k < count; ++k) {
+          const Mat4& m = mats[b + k];
+          ds[0][k] = m[0];
+          ds[1][k] = m[5];
+          ds[2][k] = m[10];
+          ds[3][k] = m[15];
+        }
+        kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_,
+                                         count, ds, std::size_t{1} << qb,
+                                         std::size_t{1} << qa);
+        break;
       }
-      for (std::size_t k = 0; k < count; ++k) {
-        const Mat4& m = mats[b + k];
-        ds[0][k] = m[0];
-        ds[1][k] = m[5];
-        ds[2][k] = m[10];
-        ds[3][k] = m[15];
-      }
-      kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_, count,
-                                       ds, std::size_t{1} << qb,
-                                       std::size_t{1} << qa);
-    } else {
-      kernels::batched_apply_mat4_each(amps_.data() + b, dim_, batch_, count,
-                                       mats + b, qb, qa);
+      case Shape::kPermutation:
+        kernels::batched_apply_perm4(amps_.data() + b, dim_, batch_, count,
+                                     shape.src, qb, qa);
+        break;
+      case Shape::kDense:
+        kernels::batched_apply_mat4_each(amps_.data() + b, dim_, batch_,
+                                         count, mats + b, qb, qa);
+        break;
     }
     b = e;
-  }
-}
-
-void BatchedStatevector::apply_mat2_col(const Mat2& m, int q,
-                                        std::size_t col) {
-  const std::size_t bit = std::size_t{1} << q;
-  if (is_diag2(m)) {
-    const Complex d0 = m[0];
-    const Complex d1 = m[3];
-    for (std::size_t i = 0; i < dim_; ++i) {
-      row(i)[col] *= (i & bit) ? d1 : d0;
-    }
-    return;
-  }
-  for (std::size_t p = 0; p < dim_ >> 1; ++p) {
-    const std::size_t i0 = insert_zero_bit(p, q);
-    const std::size_t i1 = i0 | bit;
-    const Complex a0 = row(i0)[col];
-    const Complex a1 = row(i1)[col];
-    row(i0)[col] = m[0] * a0 + m[1] * a1;
-    row(i1)[col] = m[2] * a0 + m[3] * a1;
   }
 }
 
 void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
   switch (pauli) {
     case 1:
-      apply_mat2_col(circuit::gate_matrix_1q(circuit::GateKind::kX, {}), q,
-                     col);
+      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kX, {}), q,
+                      col, 1);
       break;
     case 2:
-      apply_mat2_col(circuit::gate_matrix_1q(circuit::GateKind::kY, {}), q,
-                     col);
+      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kY, {}), q,
+                      col, 1);
       break;
     case 3:
-      apply_mat2_col(circuit::gate_matrix_1q(circuit::GateKind::kZ, {}), q,
-                     col);
+      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kZ, {}), q,
+                      col, 1);
       break;
     default:
       throw std::invalid_argument("apply_pauli_col: pauli must be 1, 2 or 3");

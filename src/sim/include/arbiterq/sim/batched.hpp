@@ -59,7 +59,7 @@ class BatchedStatevector {
   }
 
   /// Apply one matrix to every column (broadcast mini-GEMM), with the
-  /// same diagonal fast path as Statevector::apply_mat2/apply_mat4.
+  /// same shape dispatch as Statevector::apply_mat2/apply_mat4.
   void apply_mat2_all(const circuit::Mat2& m, int q) {
     apply_mat2_all(m, q, batch_);
   }
@@ -73,15 +73,14 @@ class BatchedStatevector {
   void apply_mat4_all(const circuit::Mat4& m, int qb, int qa,
                       std::size_t width);
 
-  /// Apply mats[b] to column b. The diagonal dispatch is per-matrix, so
+  /// Apply mats[b] to column b. The shape dispatch is per-matrix, so
   /// columns are partitioned into maximal runs of equal dispatch and
   /// each run takes the kernel its matrices would take unbatched.
   void apply_mat2_each(const circuit::Mat2* mats, int q);
   void apply_mat4_each(const circuit::Mat4* mats, int qb, int qa);
 
-  /// Apply one matrix to a single column (scalar walk; used for sparse
-  /// per-trajectory Pauli insertions).
-  void apply_mat2_col(const circuit::Mat2& m, int q, std::size_t col);
+  /// Apply a Pauli to a single column (sparse per-trajectory
+  /// insertions).
   void apply_pauli_col(int pauli, int q, std::size_t col);
   /// Overwrite column `dst` with column `src`.
   void copy_col(std::size_t src, std::size_t dst) noexcept;
@@ -91,6 +90,10 @@ class BatchedStatevector {
   void probability_of_one_all(int q, double* out) const;
 
  private:
+  /// apply_mat2_all over columns [first, first + count).
+  void apply_mat2_cols(const circuit::Mat2& m, int q, std::size_t first,
+                       std::size_t count);
+
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
   std::size_t batch_ = 0;

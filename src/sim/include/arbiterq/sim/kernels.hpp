@@ -1,10 +1,10 @@
 #pragma once
 // Gate-application kernels behind a runtime CPU-dispatch layer.
 //
-// Every statevector butterfly (1q/2q, diagonal fast paths, the adjoint
-// bracket reductions, and the sample-batched register gates) funnels
-// through the free functions below. Each call selects one of three
-// arms, cached after first use:
+// Every statevector butterfly (1q/2q, diagonal and permutation fast
+// paths, the adjoint bracket reductions, and the sample-batched
+// register gates) funnels through the free functions below. Each call
+// selects one of three arms, cached after first use:
 //
 //  * scalar    — portable reference loops, the exact arithmetic the
 //                simulator has always used. Always compiled.
@@ -23,17 +23,28 @@
 //  * ARBITERQ_SIMD=OFF (env) or set_simd_runtime_enabled(false) forces
 //    the scalar arm — field regressions stay bisectable.
 //  * ARBITERQ_STRICT_REPRO=0 (env) or set_strict_reproducibility(false)
-//    opts into the FMA arm and vectorized bracket reductions. The
+//    opts into the FMA arm and its lane-accumulated brackets. The
 //    default is strict: every public result is bit-identical to the
 //    scalar build.
 //
-// Reduction caveat: the bracket kernels accumulate over amplitude
-// indices, so a vector accumulator changes the summation association.
-// Under strict reproducibility brackets therefore run scalar; the FMA
-// arm carries lane accumulators and a documented ULP bound instead.
+// Reductions: the bracket kernels accumulate over amplitude indices.
+// The strict arms (scalar and AVX2) add every product into a single
+// [re, im] accumulator in amplitude-index order, so they agree bit for
+// bit; only the FMA arm carries lane accumulators, which reassociate
+// the sum, and a documented ULP bound instead.
+//
+// Shape dispatch: classify() sorts each gate matrix into diagonal, unit
+// permutation or dense, and every apply and bracket site branches on
+// its answer. A unit permutation (CX, SWAP) moves amplitudes and does
+// no arithmetic. For finite amplitudes the dense kernel computes the
+// same values — 1·x plus exact ±0 terms — and can differ only in the
+// sign of an amplitude that is exactly zero, which compares equal and
+// cannot change any nonzero product or sum.
 
+#include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 #include "arbiterq/circuit/unitary.hpp"
 
@@ -70,6 +81,82 @@ KernelArch active_arch() noexcept;
 const char* arch_name(KernelArch arch) noexcept;
 
 // ---------------------------------------------------------------------------
+// Matrix shape
+
+enum class Shape : std::uint8_t { kDense, kDiagonal, kPermutation };
+
+/// Output row r of a butterfly group takes input row src[r].
+using Perm4 = std::array<std::uint8_t, 4>;
+
+template <std::size_t N>
+struct MatShape {
+  Shape shape = Shape::kDense;
+  /// Source rows of a kPermutation; all zero for the other shapes.
+  std::array<std::uint8_t, N> src{};
+  bool operator==(const MatShape&) const = default;
+};
+
+/// The one shape test of the kernel layer. Diagonal: every off-diagonal
+/// entry is exactly zero (this wins for the identity). Unit permutation:
+/// every row holds exactly one nonzero entry, that entry is exactly
+/// (1, 0), and no two rows pick the same column. The 1q sites use only
+/// the diagonal answer, so X, the one 1q permutation, runs dense.
+/// It runs once per gate application, so it stops as soon as the
+/// answer is settled: the first nonzero off-diagonal entry rules out
+/// the diagonal and, unless it is (1, 0), the permutation; rows above
+/// it are already known to be zero off the diagonal.
+template <std::size_t K>
+MatShape<K == 4 ? 2 : 4> classify(const std::array<Complex, K>& m) noexcept {
+  static_assert(K == 4 || K == 16, "classify takes a Mat2 or a Mat4");
+  constexpr std::size_t n = K == 4 ? 2 : 4;
+  const auto zero = [](const Complex& v) {
+    return v.real() == 0.0 && v.imag() == 0.0;
+  };
+  const auto unit = [](const Complex& v) {
+    return v.real() == 1.0 && v.imag() == 0.0;
+  };
+  if constexpr (n == 2) {
+    if (zero(m[1]) && zero(m[2])) return {Shape::kDiagonal, {}};
+    if (unit(m[1]) && unit(m[2]) && zero(m[0]) && zero(m[3])) {
+      return {Shape::kPermutation, {1, 0}};
+    }
+    return {};
+  }
+  std::size_t first = K;  // flat index of the first nonzero off-diagonal
+  for (std::size_t r = 0; r < n && first == K; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c != r && !zero(m[r * n + c])) {
+        first = r * n + c;
+        break;
+      }
+    }
+  }
+  if (first == K) return {Shape::kDiagonal, {}};
+  if (!unit(m[first])) return {};
+  MatShape<n> out;
+  unsigned columns = 0;  // columns picked so far
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t picked = r;
+    if (r >= first / n) {
+      picked = n;
+      for (std::size_t c = 0; c < n; ++c) {
+        const Complex& v = m[r * n + c];
+        if (zero(v)) continue;
+        if (picked != n || !unit(v)) return {};
+        picked = c;
+      }
+    } else if (!unit(m[r * n + r])) {
+      return {};
+    }
+    if (picked == n || (columns >> picked & 1U) != 0) return {};
+    columns |= 1U << picked;
+    out.src[r] = static_cast<std::uint8_t>(picked);
+  }
+  out.shape = Shape::kPermutation;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // Unbatched statevector kernels
 //
 // The range kernels cover butterfly groups (or raw amplitude indices
@@ -82,19 +169,23 @@ const char* arch_name(KernelArch arch) noexcept;
 /// amplitude pair (insert_zero_bit(p, q), | 1<<q).
 void apply_mat2_range(Complex* amps, const Mat2& m, int q, std::size_t lo,
                       std::size_t hi);
-/// Diagonal 1q fast path over amplitude indices [lo, hi).
-void apply_diag2_range(Complex* amps, Complex d0, Complex d1, std::size_t bit,
-                       std::size_t lo, std::size_t hi);
 /// General 2q butterfly over groups [lo, hi).
 void apply_mat4_range(Complex* amps, const Mat4& m, int qb, int qa,
                       std::size_t lo, std::size_t hi);
-/// Diagonal 2q fast path over amplitude indices [lo, hi); d holds the
-/// four diagonal entries selected by (bit_b, bit_a).
-void apply_diag4_range(Complex* amps, const Complex* d, std::size_t bit_b,
-                       std::size_t bit_a, std::size_t lo, std::size_t hi);
+/// Diagonal fast path over amplitude indices [lo, hi): amplitude i is
+/// scaled by d[sel], sel = (i & bit_b ? 2 : 0) | (i & bit_a ? 1 : 0). A
+/// 1q diagonal passes bit_b = 0, d = {d0, d1}.
+void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
+                      std::size_t bit_a, std::size_t lo, std::size_t hi);
+
+/// Unit-permutation 2q gate over groups [lo, hi): moves amplitudes,
+/// no arithmetic, so one arch-independent function serves every arm.
+void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
+                       std::size_t lo, std::size_t hi);
 
 /// <lambda| M |psi> accumulated in amplitude-index order, including the
 /// diagonal dispatch of apply_mat2 (see adjoint.cpp for the contract).
+/// A permutation M takes the dense reduction: the values agree.
 Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat2& m, int q);
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
@@ -126,6 +217,9 @@ void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
 void batched_apply_mat4_each(Complex* amps, std::size_t dim,
                              std::size_t stride, std::size_t count,
                              const Mat4* mats, int qb, int qa);
+/// Unit-permutation 2q gate: swaps `count`-wide row ranges.
+void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Perm4& src, int qb, int qa);
 /// Diagonal gate: row i is scaled by d[sel], sel = (i & bit_b ? 2 : 0)
 /// | (i & bit_a ? 1 : 0). A 1q diagonal passes bit_b = 0, d = {d0, d1}.
 void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,

@@ -5,10 +5,10 @@
 //
 // Gate kernels enumerate exactly the dim/2 (1q) or dim/4 (2q) butterfly
 // groups by stride arithmetic — no skipped indices — with diagonal fast
-// paths for phase-type gates. Above a size threshold the index space is
-// split across the shared thread pool (see set_exec_policy); every task
-// writes a disjoint slice, so results are bit-identical to the serial
-// schedule for any thread count.
+// paths for phase-type gates and amplitude moves for CX/SWAP. Above a
+// size threshold the index space is split across the shared thread pool
+// (see set_exec_policy); every task writes a disjoint slice, so results
+// are bit-identical to the serial schedule for any thread count.
 
 #include <complex>
 #include <cstddef>

@@ -1,7 +1,10 @@
 #include "arbiterq/sim/kernels.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -43,8 +46,25 @@ bool flag_slow(std::atomic<signed char>& state, const char* env,
   return value;
 }
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
+/// In-place swaps of group rows (0..3) that realize a unit permutation:
+/// row r ends up holding input row src[r]. At most three; one for CX
+/// and SWAP.
+struct RowSwaps {
+  std::size_t n = 0;
+  std::array<std::array<std::uint8_t, 2>, 3> rows{};
+};
+
+RowSwaps row_swaps(const Perm4& src) noexcept {
+  Perm4 at = {0, 1, 2, 3};  // at[p]: the input row now held by row p
+  RowSwaps out;
+  for (std::uint8_t r = 0; r < 4; ++r) {
+    if (at[r] == src[r]) continue;
+    auto p = static_cast<std::uint8_t>(r + 1);
+    while (at[p] != src[r]) ++p;
+    std::swap(at[r], at[p]);
+    out.rows[out.n++] = {r, p};
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -64,11 +84,6 @@ void mat2_range_scalar(Complex* amps, const Mat2& m, int q, std::size_t lo,
     amps[i0] = m0 * a0 + m1 * a1;
     amps[i1] = m2 * a0 + m3 * a1;
   }
-}
-
-void diag2_range_scalar(Complex* amps, Complex d0, Complex d1,
-                        std::size_t bit, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) amps[i] *= (i & bit) ? d1 : d0;
 }
 
 void mat4_range_scalar(Complex* amps, const Mat4& m, int qb, int qa,
@@ -93,8 +108,8 @@ void mat4_range_scalar(Complex* amps, const Mat4& m, int qb, int qa,
   }
 }
 
-void diag4_range_scalar(Complex* amps, const Complex* d, std::size_t bit_b,
-                        std::size_t bit_a, std::size_t lo, std::size_t hi) {
+void diag_range_scalar(Complex* amps, const Complex* d, std::size_t bit_b,
+                       std::size_t bit_a, std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) {
     const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
     amps[i] *= d[sel];
@@ -105,7 +120,7 @@ Complex bracket_1q_scalar(const Complex* lam, const Complex* psi,
                           std::size_t n, const Mat2& m, int q) {
   const std::size_t bit = std::size_t{1} << q;
   Complex acc{0.0, 0.0};
-  if (is_zero(m[1]) && is_zero(m[2])) {
+  if (classify(m).shape == Shape::kDiagonal) {
     const Complex d0 = m[0], d1 = m[3];
     for (std::size_t i = 0; i < n; ++i) {
       acc += std::conj(lam[i]) * (psi[i] * ((i & bit) ? d1 : d0));
@@ -125,17 +140,8 @@ Complex bracket_2q_scalar(const Complex* lam, const Complex* psi,
                           std::size_t n, const Mat4& m, int qb, int qa) {
   const std::size_t bit_b = std::size_t{1} << qb;
   const std::size_t bit_a = std::size_t{1} << qa;
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
   Complex acc{0.0, 0.0};
-  if (diagonal) {
+  if (classify(m).shape == Shape::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     for (std::size_t i = 0; i < n; ++i) {
       const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
@@ -357,18 +363,16 @@ const char* arch_name(KernelArch arch) noexcept {
   do {                                                \
     switch (active_arch()) {                          \
       case KernelArch::kAvx2:                         \
-        detail::fn_avx2<false>(__VA_ARGS__);          \
-        return;                                       \
+        return detail::fn_avx2<false>(__VA_ARGS__);   \
       case KernelArch::kAvx2Fma:                      \
-        detail::fn_avx2<true>(__VA_ARGS__);           \
-        return;                                       \
+        return detail::fn_avx2<true>(__VA_ARGS__);    \
       case KernelArch::kScalar:                       \
         break;                                        \
     }                                                 \
-    fn_scalar(__VA_ARGS__);                           \
+    return fn_scalar(__VA_ARGS__);                    \
   } while (0)
 #else
-#define AQ_DISPATCH(fn_avx2, fn_scalar, ...) fn_scalar(__VA_ARGS__)
+#define AQ_DISPATCH(fn_avx2, fn_scalar, ...) return fn_scalar(__VA_ARGS__)
 #endif
 
 void apply_mat2_range(Complex* amps, const Mat2& m, int q, std::size_t lo,
@@ -376,43 +380,51 @@ void apply_mat2_range(Complex* amps, const Mat2& m, int q, std::size_t lo,
   AQ_DISPATCH(mat2_range_avx2, mat2_range_scalar, amps, m, q, lo, hi);
 }
 
-void apply_diag2_range(Complex* amps, Complex d0, Complex d1, std::size_t bit,
-                       std::size_t lo, std::size_t hi) {
-  AQ_DISPATCH(diag2_range_avx2, diag2_range_scalar, amps, d0, d1, bit, lo,
-              hi);
-}
-
 void apply_mat4_range(Complex* amps, const Mat4& m, int qb, int qa,
                       std::size_t lo, std::size_t hi) {
   AQ_DISPATCH(mat4_range_avx2, mat4_range_scalar, amps, m, qb, qa, lo, hi);
 }
 
-void apply_diag4_range(Complex* amps, const Complex* d, std::size_t bit_b,
-                       std::size_t bit_a, std::size_t lo, std::size_t hi) {
-  AQ_DISPATCH(diag4_range_avx2, diag4_range_scalar, amps, d, bit_b, bit_a, lo,
+void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
+                      std::size_t bit_a, std::size_t lo, std::size_t hi) {
+  AQ_DISPATCH(diag_range_avx2, diag_range_scalar, amps, d, bit_b, bit_a, lo,
               hi);
 }
 
-// Brackets are reductions: the strict arm stays scalar (a vector
-// accumulator would reassociate the sum), the fast arm vectorizes.
+void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
+                       std::size_t lo, std::size_t hi) {
+  const RowSwaps sw = row_swaps(src);
+  const std::size_t bit_b = std::size_t{1} << qb;
+  const std::size_t bit_a = std::size_t{1} << qa;
+  const std::size_t off[4] = {0, bit_a, bit_b, bit_b | bit_a};
+  const int q_lo = qb < qa ? qb : qa;
+  const int q_hi = qb < qa ? qa : qb;
+  // Groups inside one 2^q_lo block have consecutive base indices, so
+  // each swap moves a whole run at once.
+  const std::size_t run = std::size_t{1} << q_lo;
+  for (std::size_t g = lo; g < hi;) {
+    const std::size_t len = std::min(hi - g, run - (g & (run - 1)));
+    Complex* const base =
+        amps + insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
+    for (std::size_t k = 0; k < sw.n; ++k) {
+      Complex* const r0 = base + off[sw.rows[k][0]];
+      std::swap_ranges(r0, r0 + len, base + off[sw.rows[k][1]]);
+    }
+    g += len;
+  }
+}
+
+// Brackets are reductions: every strict arm accumulates in amplitude-
+// index order into one [re, im] pair, so the AVX2 arm is bit-identical
+// to scalar; the FMA arm reassociates into lane accumulators.
 Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat2& m, int q) {
-#if defined(ARBITERQ_SIMD_AVX2)
-  if (active_arch() == KernelArch::kAvx2Fma) {
-    return detail::bracket_1q_avx2(lam, psi, n, m, q);
-  }
-#endif
-  return bracket_1q_scalar(lam, psi, n, m, q);
+  AQ_DISPATCH(bracket_1q_avx2, bracket_1q_scalar, lam, psi, n, m, q);
 }
 
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat4& m, int qb, int qa) {
-#if defined(ARBITERQ_SIMD_AVX2)
-  if (active_arch() == KernelArch::kAvx2Fma) {
-    return detail::bracket_2q_avx2(lam, psi, n, m, qb, qa);
-  }
-#endif
-  return bracket_2q_scalar(lam, psi, n, m, qb, qa);
+  AQ_DISPATCH(bracket_2q_avx2, bracket_2q_scalar, lam, psi, n, m, qb, qa);
 }
 
 void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
@@ -439,6 +451,20 @@ void batched_apply_mat4_each(Complex* amps, std::size_t dim,
                              const Mat4* mats, int qb, int qa) {
   AQ_DISPATCH(batched_apply_mat4_each_avx2, batched_apply_mat4_each_scalar,
               amps, dim, stride, count, mats, qb, qa);
+}
+
+void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Perm4& src, int qb, int qa) {
+  const RowSwaps sw = row_swaps(src);
+  detail::for_each_row_quad(
+      amps, dim, stride, qb, qa,
+      [&](Complex* r00, Complex* r01, Complex* r10, Complex* r11) {
+        Complex* const rows[4] = {r00, r01, r10, r11};
+        for (std::size_t k = 0; k < sw.n; ++k) {
+          Complex* const r0 = rows[sw.rows[k][0]];
+          std::swap_ranges(r0, r0 + count, rows[sw.rows[k][1]]);
+        }
+      });
 }
 
 void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,

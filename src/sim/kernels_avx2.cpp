@@ -37,10 +37,6 @@ namespace arbiterq::sim::kernels::detail {
 
 namespace {
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
-
 inline __m256d bc(double v) noexcept { return _mm256_set1_pd(v); }
 
 /// Two-rounding scalar complex multiply for the tail/fallback loops.
@@ -97,21 +93,101 @@ inline __m256d dup2(const double* a, const double* b) noexcept {
   return _mm256_set_m128d(_mm_loaddup_pd(b), _mm_loaddup_pd(a));
 }
 
-/// conj(l) * v per complex lane (fast-arm bracket reductions only).
+/// conj(l) * v per complex lane: [lr*vr + li*vi, lr*vi - li*vr]. The
+/// strict arm lowers it as addsub(lr*v, (-li)*swap(v)), which is the
+/// rounding sequence of std::complex's conj(l) * v, with the product
+/// pinned as in cmul.
+template <bool Fma>
 inline __m256d cconjmul(__m256d l, __m256d v) noexcept {
   const __m256d lr = _mm256_movedup_pd(l);
   const __m256d li = _mm256_permute_pd(l, 0xF);
-  const __m256d t = _mm256_mul_pd(li, _mm256_permute_pd(v, 0x5));
-  return _mm256_fmsubadd_pd(lr, v, t);
+  const __m256d sw = _mm256_permute_pd(v, 0x5);
+  if constexpr (Fma) {
+    return _mm256_fmsubadd_pd(lr, v, _mm256_mul_pd(li, sw));
+  }
+  __m256d pr = _mm256_mul_pd(lr, v);
+  asm("" : "+x"(pr));
+  const __m256d neg_li = _mm256_xor_pd(li, bc(-0.0));
+  return _mm256_addsub_pd(pr, _mm256_mul_pd(neg_li, sw));
 }
 
-/// Fold a vector accumulator's two complex lanes into one value.
-inline Complex hsum(__m256d acc) noexcept {
-  const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
-                               _mm256_extractf128_pd(acc, 1));
-  alignas(16) double out[2];
-  _mm_store_pd(out, s);
-  return Complex{out[0], out[1]};
+/// [a, a] and [b, b] from the two complex lanes of v = [a, b].
+inline __m256d dup_lo(__m256d v) noexcept {
+  return _mm256_permute2f128_pd(v, v, 0x00);
+}
+inline __m256d dup_hi(__m256d v) noexcept {
+  return _mm256_permute2f128_pd(v, v, 0x11);
+}
+
+/// Running sum of conj(lambda_j) * mu_j over lane pairs (j, j+1). The
+/// strict arm adds each complex lane into one [re, im] accumulator in
+/// amplitude-index order — the scalar association, so the result is
+/// bitwise the scalar bracket. The FMA arm keeps two lane accumulators
+/// and folds them once at the end.
+template <bool Fma>
+class BracketSum {
+ public:
+  void add(__m256d lam, __m256d mu) noexcept {
+    const __m256d p = cconjmul<Fma>(lam, mu);
+    if constexpr (Fma) {
+      lanes_ = _mm256_add_pd(lanes_, p);
+    } else {
+      acc_ = _mm_add_pd(acc_, _mm256_castpd256_pd128(p));
+      acc_ = _mm_add_pd(acc_, _mm256_extractf128_pd(p, 1));
+    }
+  }
+
+  Complex result() const noexcept {
+    __m128d s = acc_;
+    if constexpr (Fma) {
+      s = _mm_add_pd(_mm256_castpd256_pd128(lanes_),
+                     _mm256_extractf128_pd(lanes_, 1));
+    }
+    alignas(16) double out[2];
+    _mm_store_pd(out, s);
+    return Complex{out[0], out[1]};
+  }
+
+ private:
+  __m256d lanes_ = _mm256_setzero_pd();
+  __m128d acc_ = _mm_setzero_pd();
+};
+
+/// The one bracket walk: visits amplitudes in index order, two per
+/// vector. mu_j = sum_k row(j)[k] * input_k(j), summed left to right as
+/// the scalar brackets do. Over each aligned run of `run` indices the
+/// two lanes' rows are fixed, row_of(i) and row_of(i + 1) at the run
+/// start; load(j, a) fills the K inputs of lanes (j, j+1). Registers
+/// hold a power-of-two n >= 2 amplitudes and every run is even, so a
+/// lane pair never straddles two runs.
+template <bool Fma, std::size_t K, class RowOf, class Load>
+Complex bracket_walk(const Complex* lam, std::size_t n, std::size_t run,
+                     RowOf&& row_of, Load&& load) {
+  const double* lp = reinterpret_cast<const double*>(lam);
+  BracketSum<Fma> sum;
+  for (std::size_t i = 0; i < n; i += run) {
+    const Complex* r0 = row_of(i);
+    const Complex* r1 = row_of(i + 1);
+    __m256d cr[K];
+    __m256d ci[K];
+    for (std::size_t k = 0; k < K; ++k) {
+      const __m256d rows = _mm256_set_m128d(
+          _mm_loadu_pd(reinterpret_cast<const double*>(r1 + k)),
+          _mm_loadu_pd(reinterpret_cast<const double*>(r0 + k)));
+      cr[k] = _mm256_movedup_pd(rows);
+      ci[k] = _mm256_permute_pd(rows, 0xF);
+    }
+    for (std::size_t j = i; j < i + run; j += 2) {
+      __m256d a[K];
+      load(j, a);
+      __m256d mu = cmul<Fma>(cr[0], ci[0], a[0]);
+      for (std::size_t k = 1; k < K; ++k) {
+        mu = _mm256_add_pd(mu, cmul<Fma>(cr[k], ci[k], a[k]));
+      }
+      sum.add(_mm256_loadu_pd(lp + 2 * j), mu);
+    }
+  }
+  return sum.result();
 }
 
 /// row[0..count) *= d, two amplitudes per vector.
@@ -188,38 +264,6 @@ void mat2_range_avx2(Complex* amps, const Mat2& m, int q, std::size_t lo,
       scalar_group(p);
       ++p;
     }
-  }
-}
-
-template <bool Fma>
-void diag2_range_avx2(Complex* amps, Complex d0, Complex d1, std::size_t bit,
-                      std::size_t lo, std::size_t hi) {
-  double* const base = reinterpret_cast<double*>(amps);
-  if (bit == 1) {
-    // The factor alternates [d0, d1] per amplitude pair.
-    std::size_t i = lo;
-    if ((i & 1) != 0 && i < hi) {
-      amps[i] = csmul(amps[i], d1);
-      ++i;
-    }
-    const __m256d dr =
-        _mm256_setr_pd(d0.real(), d0.real(), d1.real(), d1.real());
-    const __m256d di =
-        _mm256_setr_pd(d0.imag(), d0.imag(), d1.imag(), d1.imag());
-    for (; i + 2 <= hi; i += 2) {
-      double* p = base + 2 * i;
-      _mm256_storeu_pd(p, cmul<Fma>(dr, di, _mm256_loadu_pd(p)));
-    }
-    if (i < hi) amps[i] = csmul(amps[i], d0);
-    return;
-  }
-  // Runs of `bit` consecutive indices share one factor.
-  std::size_t i = lo;
-  while (i < hi) {
-    const Complex d = (i & bit) ? d1 : d0;
-    const std::size_t run_end = std::min(hi, (i | (bit - 1)) + 1);
-    scale_run<Fma>(amps + i, d, run_end - i);
-    i = run_end;
   }
 }
 
@@ -329,16 +373,18 @@ void mat4_range_avx2(Complex* amps, const Mat4& m, int qb, int qa,
 }
 
 template <bool Fma>
-void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
-                      std::size_t bit_a, std::size_t lo, std::size_t hi) {
-  const std::size_t bit_min = bit_a < bit_b ? bit_a : bit_b;
-  const std::size_t bit_max = bit_a < bit_b ? bit_b : bit_a;
+void diag_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
+                     std::size_t bit_a, std::size_t lo, std::size_t hi) {
+  // A 1q diagonal has bit_b == 0: its one bit is both bit_min and the
+  // only bit, and no other bit ever ends a run.
+  const std::size_t bit_min = bit_b == 0 || bit_a < bit_b ? bit_a : bit_b;
+  const std::size_t bit_other = bit_a ^ bit_b ^ bit_min;
   auto sel_of = [&](std::size_t i) {
     return ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
   };
   if (bit_min >= 2) {
-    // Runs of bit_min consecutive indices share one selector (bit_max
-    // runs are unions of bit_min runs).
+    // Runs of bit_min consecutive indices share one selector (runs of
+    // the other bit are unions of bit_min runs).
     std::size_t i = lo;
     while (i < hi) {
       const std::size_t run_end = std::min(hi, (i | (bit_min - 1)) + 1);
@@ -348,7 +394,7 @@ void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
     return;
   }
   // One of the qubits is 0: the selector alternates per amplitude, the
-  // other bit holds over runs of bit_max.
+  // other bit holds over runs of bit_other.
   const unsigned low_contrib = bit_a == 1 ? 1U : 2U;
   double* const base = reinterpret_cast<double*>(amps);
   std::size_t i = lo;
@@ -364,7 +410,8 @@ void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
         _mm256_setr_pd(e0.real(), e0.real(), e1.real(), e1.real());
     const __m256d di =
         _mm256_setr_pd(e0.imag(), e0.imag(), e1.imag(), e1.imag());
-    const std::size_t run_end = std::min(hi, (i | (bit_max - 1)) + 1);
+    const std::size_t run_end =
+        bit_other == 0 ? hi : std::min(hi, (i | (bit_other - 1)) + 1);
     std::size_t j = i;
     for (; j + 2 <= run_end; j += 2) {
       double* p = base + 2 * j;
@@ -376,257 +423,86 @@ void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
 }
 
 // ---------------------------------------------------------------------------
-// Fast-arm bracket reductions. Lane accumulators hold two partial
-// complex sums that are folded once at the end, so the summation
-// association differs from the scalar bracket — these run only when
-// strict reproducibility is off (ULP bounds tested in test_kernels).
+// Bracket reductions: the scalar brackets' index-order sums over
+// bracket_walk. A diagonal M is the K = 1 walk over psi itself, its
+// diagonal entry (m[3 * sel] or m[5 * sel]) the row; psi[i] * d
+// commutes bitwise to d * psi[i].
 
+template <bool Fma>
 Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat2& m, int q) {
   const std::size_t bit = std::size_t{1} << q;
-  const double* lp = reinterpret_cast<const double*>(lam);
   const double* pp = reinterpret_cast<const double*>(psi);
-  __m256d acc = _mm256_setzero_pd();
-  Complex tail{0.0, 0.0};
-  if (is_zero(m[1]) && is_zero(m[2])) {
-    const Complex d0 = m[0], d1 = m[3];
-    if (bit == 1) {
-      const __m256d dr =
-          _mm256_setr_pd(d0.real(), d0.real(), d1.real(), d1.real());
-      const __m256d di =
-          _mm256_setr_pd(d0.imag(), d0.imag(), d1.imag(), d1.imag());
-      std::size_t i = 0;
-      for (; i + 2 <= n; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < n; ++i) tail += std::conj(lam[i]) * (psi[i] * d0);
-      return hsum(acc) + tail;
-    }
-    std::size_t i = 0;
-    while (i < n) {
-      const Complex dv = (i & bit) ? d1 : d0;
-      const __m256d dr = bc(dv.real());
-      const __m256d di = bc(dv.imag());
-      const std::size_t run_end = std::min(n, (i | (bit - 1)) + 1);
-      for (; i + 2 <= run_end; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * dv);
-    }
-    return hsum(acc) + tail;
+  // Lanes (j, j+1) sit on one side of the butterfly unless q == 0.
+  const std::size_t run = bit >= 2 ? bit : n;
+  const auto side = [bit](std::size_t i) { return (i & bit) ? 1U : 0U; };
+  if (classify(m).shape == Shape::kDiagonal) {
+    return bracket_walk<Fma, 1>(
+        lam, n, run, [&](std::size_t i) { return &m[3 * side(i)]; },
+        [&](std::size_t j, __m256d* a) { a[0] = _mm256_loadu_pd(pp + 2 * j); });
   }
-  const std::size_t n_groups = n >> 1;
+  const auto row_of = [&](std::size_t i) { return &m[2 * side(i)]; };
   if (bit == 1) {
-    // Lanes hold one group's (i0, i1); both arms need both inputs, so
-    // pair each lane with its 128-bit-swapped sibling.
-    const __m256d mar = _mm256_setr_pd(m[0].real(), m[0].real(), m[3].real(),
-                                       m[3].real());
-    const __m256d mai = _mm256_setr_pd(m[0].imag(), m[0].imag(), m[3].imag(),
-                                       m[3].imag());
-    const __m256d mbr = _mm256_setr_pd(m[1].real(), m[1].real(), m[2].real(),
-                                       m[2].real());
-    const __m256d mbi = _mm256_setr_pd(m[1].imag(), m[1].imag(), m[2].imag(),
-                                       m[2].imag());
-    for (std::size_t p = 0; p < n_groups; ++p) {
-      const __m256d v = _mm256_loadu_pd(pp + 4 * p);
-      const __m256d vs = _mm256_permute2f128_pd(v, v, 0x01);
-      const __m256d mu = _mm256_add_pd(cmul<true>(mar, mai, v),
-                                       cmul<true>(mbr, mbi, vs));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 4 * p), mu));
-    }
-    return hsum(acc);
+    return bracket_walk<Fma, 2>(lam, n, run, row_of,
+                                [&](std::size_t j, __m256d* a) {
+                                  const __m256d v = _mm256_loadu_pd(pp + 2 * j);
+                                  a[0] = dup_lo(v);
+                                  a[1] = dup_hi(v);
+                                });
   }
-  std::size_t p = 0;
-  while (p < n_groups) {
-    if (p + 1 < n_groups && (p & (bit - 1)) != bit - 1) {
-      const std::size_t i0 = insert_zero_bit(p, q);
-      const std::size_t i1 = i0 | bit;
-      const __m256d v0 = _mm256_loadu_pd(pp + 2 * i0);
-      const __m256d v1 = _mm256_loadu_pd(pp + 2 * i1);
-      const __m256d mu0 =
-          _mm256_add_pd(cmulc<true>(m[0], v0), cmulc<true>(m[1], v1));
-      const __m256d mu1 =
-          _mm256_add_pd(cmulc<true>(m[2], v0), cmulc<true>(m[3], v1));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i0), mu0));
-      acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i1), mu1));
-      p += 2;
-    } else {
-      const std::size_t i0 = insert_zero_bit(p, q);
-      const std::size_t i1 = i0 | bit;
-      tail += std::conj(lam[i0]) * (m[0] * psi[i0] + m[1] * psi[i1]);
-      tail += std::conj(lam[i1]) * (m[2] * psi[i0] + m[3] * psi[i1]);
-      ++p;
-    }
-  }
-  return hsum(acc) + tail;
+  return bracket_walk<Fma, 2>(lam, n, run, row_of,
+                              [&](std::size_t j, __m256d* a) {
+                                const std::size_t j0 = j & ~bit;
+                                a[0] = _mm256_loadu_pd(pp + 2 * j0);
+                                a[1] = _mm256_loadu_pd(pp + 2 * (j0 | bit));
+                              });
 }
 
+template <bool Fma>
 Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat4& m, int qb, int qa) {
   const std::size_t bit_b = std::size_t{1} << qb;
   const std::size_t bit_a = std::size_t{1} << qa;
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
-  const double* lp = reinterpret_cast<const double*>(lam);
+  const std::size_t bit_min = bit_a < bit_b ? bit_a : bit_b;
+  const std::size_t bit_max = bit_a < bit_b ? bit_b : bit_a;
+  const std::size_t mask = bit_b | bit_a;
   const double* pp = reinterpret_cast<const double*>(psi);
-  __m256d acc = _mm256_setzero_pd();
-  Complex tail{0.0, 0.0};
-  if (diagonal) {
-    const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    // Reuse the diag4 run decomposition, accumulating instead of
-    // scaling.
-    const std::size_t bit_min = bit_a < bit_b ? bit_a : bit_b;
-    const std::size_t bit_max = bit_a < bit_b ? bit_b : bit_a;
-    auto sel_of = [&](std::size_t i) {
-      return ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
-    };
-    std::size_t i = 0;
-    if (bit_min >= 2) {
-      while (i < n) {
-        const Complex dv = d[sel_of(i)];
-        const __m256d dr = bc(dv.real());
-        const __m256d di = bc(dv.imag());
-        const std::size_t run_end = std::min(n, (i | (bit_min - 1)) + 1);
-        for (; i + 2 <= run_end; i += 2) {
-          const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-          acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-        }
-        for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * dv);
-      }
-      return hsum(acc) + tail;
-    }
-    const unsigned low_contrib = bit_a == 1 ? 1U : 2U;
-    while (i < n) {
-      const unsigned s0 = sel_of(i);
-      const Complex e0 = d[s0];
-      const Complex e1 = d[s0 | low_contrib];
-      const __m256d dr =
-          _mm256_setr_pd(e0.real(), e0.real(), e1.real(), e1.real());
-      const __m256d di =
-          _mm256_setr_pd(e0.imag(), e0.imag(), e1.imag(), e1.imag());
-      const std::size_t run_end = std::min(n, (i | (bit_max - 1)) + 1);
-      for (; i + 2 <= run_end; i += 2) {
-        const __m256d mu = cmul<true>(dr, di, _mm256_loadu_pd(pp + 2 * i));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i), mu));
-      }
-      for (; i < run_end; ++i) tail += std::conj(lam[i]) * (psi[i] * d[sel_of(i)]);
-    }
-    return hsum(acc) + tail;
-  }
-  // General: walk butterfly groups (two per vector when contiguous),
-  // computing all four row brackets per group.
-  const int q_lo = qb < qa ? qb : qa;
-  const int q_hi = qb < qa ? qa : qb;
-  const std::size_t low_lo = (std::size_t{1} << q_lo) - 1;
-  const std::size_t low_hi = (std::size_t{1} << q_hi) - 1;
-  const std::size_t n_groups = n >> 2;
-  auto row4 = [&](const Complex* r, __m256d a00, __m256d a01, __m256d a10,
-                  __m256d a11) {
-    __m256d s = cmulc<true>(r[0], a00);
-    s = _mm256_add_pd(s, cmulc<true>(r[1], a01));
-    s = _mm256_add_pd(s, cmulc<true>(r[2], a10));
-    s = _mm256_add_pd(s, cmulc<true>(r[3], a11));
-    return s;
+  // Lanes (j, j+1) share a row unless one qubit is 0; then they share
+  // it with their partners over runs of the other bit.
+  const std::size_t run = bit_min >= 2 ? bit_min : bit_max;
+  const auto sel = [=](std::size_t i) {
+    return ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
   };
-  auto scalar_group = [&](std::size_t g) {
-    const std::size_t i00 = insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-    const std::size_t idx[4] = {i00, i00 | bit_a, i00 | bit_b,
-                                i00 | bit_b | bit_a};
-    const Complex a00 = psi[idx[0]];
-    const Complex a01 = psi[idx[1]];
-    const Complex a10 = psi[idx[2]];
-    const Complex a11 = psi[idx[3]];
-    for (unsigned r = 0; r < 4; ++r) {
-      const Complex* row = &m[static_cast<std::size_t>(4 * r)];
-      tail += std::conj(lam[idx[r]]) *
-              (row[0] * a00 + row[1] * a01 + row[2] * a10 + row[3] * a11);
-    }
-  };
-  std::size_t g = 0;
-  if (q_lo >= 1) {
-    while (g < n_groups) {
-      const std::size_t j = insert_zero_bit(g, q_lo);
-      if (g + 1 < n_groups && (g & low_lo) != low_lo &&
-          (j & low_hi) != low_hi) {
-        const std::size_t i00 = insert_zero_bit(j, q_hi);
-        const std::size_t i01 = i00 | bit_a;
-        const std::size_t i10 = i00 | bit_b;
-        const std::size_t i11 = i00 | bit_b | bit_a;
-        const __m256d a00 = _mm256_loadu_pd(pp + 2 * i00);
-        const __m256d a01 = _mm256_loadu_pd(pp + 2 * i01);
-        const __m256d a10 = _mm256_loadu_pd(pp + 2 * i10);
-        const __m256d a11 = _mm256_loadu_pd(pp + 2 * i11);
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i00),
-                                          row4(&m[0], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i01),
-                                          row4(&m[4], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i10),
-                                          row4(&m[8], a00, a01, a10, a11)));
-        acc = _mm256_add_pd(acc, cconjmul(_mm256_loadu_pd(lp + 2 * i11),
-                                          row4(&m[12], a00, a01, a10, a11)));
-        g += 2;
-      } else {
-        scalar_group(g);
-        ++g;
-      }
-    }
-    return hsum(acc) + tail;
+  if (classify(m).shape == Shape::kDiagonal) {
+    return bracket_walk<Fma, 1>(
+        lam, n, run, [&](std::size_t i) { return &m[5 * sel(i)]; },
+        [&](std::size_t j, __m256d* a) { a[0] = _mm256_loadu_pd(pp + 2 * j); });
   }
-  const std::size_t bit_hi = std::size_t{1} << q_hi;
-  while (g < n_groups) {
-    const std::size_t j = insert_zero_bit(g, 0);
-    if (g + 1 < n_groups && (j & low_hi) != low_hi - 1) {
-      const std::size_t i00 = insert_zero_bit(j, q_hi);
-      const double* p_lo = pp + 2 * i00;
-      const double* p_hi = pp + 2 * (i00 | bit_hi);
-      const double* l_lo = lp + 2 * i00;
-      const double* l_hi = lp + 2 * (i00 | bit_hi);
-      const __m256d va = _mm256_loadu_pd(p_lo);
-      const __m256d vb = _mm256_loadu_pd(p_lo + 4);
-      const __m256d vc = _mm256_loadu_pd(p_hi);
-      const __m256d vd = _mm256_loadu_pd(p_hi + 4);
-      const __m256d w0 = _mm256_permute2f128_pd(va, vb, 0x20);
-      const __m256d w1 = _mm256_permute2f128_pd(va, vb, 0x31);
-      const __m256d y0 = _mm256_permute2f128_pd(vc, vd, 0x20);
-      const __m256d y1 = _mm256_permute2f128_pd(vc, vd, 0x31);
-      const __m256d a00 = w0;
-      const __m256d a01 = bit_a == 1 ? w1 : y0;
-      const __m256d a10 = bit_a == 1 ? y0 : w1;
-      const __m256d a11 = y1;
-      const __m256d la = _mm256_loadu_pd(l_lo);
-      const __m256d lb = _mm256_loadu_pd(l_lo + 4);
-      const __m256d lc = _mm256_loadu_pd(l_hi);
-      const __m256d ld = _mm256_loadu_pd(l_hi + 4);
-      const __m256d lw0 = _mm256_permute2f128_pd(la, lb, 0x20);
-      const __m256d lw1 = _mm256_permute2f128_pd(la, lb, 0x31);
-      const __m256d ly0 = _mm256_permute2f128_pd(lc, ld, 0x20);
-      const __m256d ly1 = _mm256_permute2f128_pd(lc, ld, 0x31);
-      const __m256d l00 = lw0;
-      const __m256d l01 = bit_a == 1 ? lw1 : ly0;
-      const __m256d l10 = bit_a == 1 ? ly0 : lw1;
-      const __m256d l11 = ly1;
-      acc = _mm256_add_pd(acc, cconjmul(l00, row4(&m[0], a00, a01, a10, a11)));
-      acc = _mm256_add_pd(acc, cconjmul(l01, row4(&m[4], a00, a01, a10, a11)));
-      acc =
-          _mm256_add_pd(acc, cconjmul(l10, row4(&m[8], a00, a01, a10, a11)));
-      acc =
-          _mm256_add_pd(acc, cconjmul(l11, row4(&m[12], a00, a01, a10, a11)));
-      g += 2;
-    } else {
-      scalar_group(g);
-      ++g;
-    }
+  const auto row_of = [&](std::size_t i) { return &m[4 * sel(i)]; };
+  if (bit_min == 1) {
+    // Both lanes read the same four inputs: the qubit-0 pairs at base
+    // and base | bit_max, each broadcast to both lanes.
+    return bracket_walk<Fma, 4>(
+        lam, n, run, row_of, [&](std::size_t j, __m256d* a) {
+          const std::size_t base = j & ~mask;
+          const __m256d lo = _mm256_loadu_pd(pp + 2 * base);
+          const __m256d hi = _mm256_loadu_pd(pp + 2 * (base | bit_max));
+          const __m256d at_min = dup_hi(lo);  // input at base | 1
+          const __m256d at_max = dup_lo(hi);  // input at base | bit_max
+          a[0] = dup_lo(lo);
+          a[1] = bit_a == 1 ? at_min : at_max;
+          a[2] = bit_a == 1 ? at_max : at_min;
+          a[3] = dup_hi(hi);
+        });
   }
-  return hsum(acc) + tail;
+  return bracket_walk<Fma, 4>(lam, n, run, row_of,
+                              [&](std::size_t j, __m256d* a) {
+                                const std::size_t base = j & ~mask;
+                                a[0] = _mm256_loadu_pd(pp + 2 * base);
+                                a[1] = _mm256_loadu_pd(pp + 2 * (base | bit_a));
+                                a[2] = _mm256_loadu_pd(pp + 2 * (base | bit_b));
+                                a[3] = _mm256_loadu_pd(pp + 2 * (base | mask));
+                              });
 }
 
 // ---------------------------------------------------------------------------
@@ -871,18 +747,23 @@ template void mat2_range_avx2<false>(Complex*, const Mat2&, int, std::size_t,
                                      std::size_t);
 template void mat2_range_avx2<true>(Complex*, const Mat2&, int, std::size_t,
                                     std::size_t);
-template void diag2_range_avx2<false>(Complex*, Complex, Complex, std::size_t,
-                                      std::size_t, std::size_t);
-template void diag2_range_avx2<true>(Complex*, Complex, Complex, std::size_t,
-                                     std::size_t, std::size_t);
 template void mat4_range_avx2<false>(Complex*, const Mat4&, int, int,
                                      std::size_t, std::size_t);
 template void mat4_range_avx2<true>(Complex*, const Mat4&, int, int,
                                     std::size_t, std::size_t);
-template void diag4_range_avx2<false>(Complex*, const Complex*, std::size_t,
-                                      std::size_t, std::size_t, std::size_t);
-template void diag4_range_avx2<true>(Complex*, const Complex*, std::size_t,
+template void diag_range_avx2<false>(Complex*, const Complex*, std::size_t,
                                      std::size_t, std::size_t, std::size_t);
+template void diag_range_avx2<true>(Complex*, const Complex*, std::size_t,
+                                    std::size_t, std::size_t, std::size_t);
+
+template Complex bracket_1q_avx2<false>(const Complex*, const Complex*,
+                                        std::size_t, const Mat2&, int);
+template Complex bracket_1q_avx2<true>(const Complex*, const Complex*,
+                                       std::size_t, const Mat2&, int);
+template Complex bracket_2q_avx2<false>(const Complex*, const Complex*,
+                                        std::size_t, const Mat4&, int, int);
+template Complex bracket_2q_avx2<true>(const Complex*, const Complex*,
+                                       std::size_t, const Mat4&, int, int);
 
 template void batched_apply_mat2_avx2<false>(Complex*, std::size_t,
                                              std::size_t, std::size_t,

@@ -70,19 +70,16 @@ template <bool Fma>
 void mat2_range_avx2(Complex* amps, const Mat2& m, int q, std::size_t lo,
                      std::size_t hi);
 template <bool Fma>
-void diag2_range_avx2(Complex* amps, Complex d0, Complex d1, std::size_t bit,
-                      std::size_t lo, std::size_t hi);
-template <bool Fma>
 void mat4_range_avx2(Complex* amps, const Mat4& m, int qb, int qa,
                      std::size_t lo, std::size_t hi);
 template <bool Fma>
-void diag4_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
-                      std::size_t bit_a, std::size_t lo, std::size_t hi);
+void diag_range_avx2(Complex* amps, const Complex* d, std::size_t bit_b,
+                     std::size_t bit_a, std::size_t lo, std::size_t hi);
 
-/// Fast-arm only: lane accumulators reassociate the reduction, so the
-/// strict arm never calls these (it takes the scalar bracket instead).
+template <bool Fma>
 Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat2& m, int q);
+template <bool Fma>
 Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat4& m, int qb, int qa);
 

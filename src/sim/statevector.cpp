@@ -18,10 +18,6 @@ namespace {
 /// bandwidth beats dispatch and the stride loop runs inline.
 constexpr std::size_t kKernelGrain = std::size_t{1} << 12;
 
-inline bool is_zero(const Complex& c) noexcept {
-  return c.real() == 0.0 && c.imag() == 0.0;
-}
-
 }  // namespace
 
 template <typename Body>
@@ -55,16 +51,15 @@ void Statevector::load_strided(const Complex* src, std::size_t stride) {
 
 void Statevector::apply_mat2(const circuit::Mat2& m, int q) {
   AQ_COUNTER_ADD("sim.apply.gate1q", 1);
-  const std::size_t bit = std::size_t{1} << q;
   const std::size_t n = amps_.size();
   Complex* const amps = amps_.data();
   // Diagonal fast path (RZ/S/Z...): pure per-amplitude phases, no
   // butterfly — these dominate basis-gate streams after transpilation.
-  if (is_zero(m[1]) && is_zero(m[2])) {
-    const Complex d0 = m[0];
-    const Complex d1 = m[3];
+  if (kernels::classify(m).shape == kernels::Shape::kDiagonal) {
+    const Complex d[2] = {m[0], m[3]};
+    const std::size_t bit = std::size_t{1} << q;
     dispatch(n, [=](std::size_t lo, std::size_t hi) {
-      kernels::apply_diag2_range(amps, d0, d1, bit, lo, hi);
+      kernels::apply_diag_range(amps, d, 0, bit, lo, hi);
     });
     return;
   }
@@ -75,25 +70,24 @@ void Statevector::apply_mat2(const circuit::Mat2& m, int q) {
 
 void Statevector::apply_mat4(const circuit::Mat4& m, int qb, int qa) {
   AQ_COUNTER_ADD("sim.apply.gate2q", 1);
-  const std::size_t bit_b = std::size_t{1} << qb;
-  const std::size_t bit_a = std::size_t{1} << qa;
   const std::size_t n = amps_.size();
   Complex* const amps = amps_.data();
-  bool diagonal = true;
-  for (int r = 0; r < 4 && diagonal; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      if (r != c && !is_zero(m[static_cast<std::size_t>(4 * r + c)])) {
-        diagonal = false;
-        break;
-      }
-    }
-  }
+  const auto shape = kernels::classify(m);
   // Diagonal fast path (CZ/CRZ/CPhase): one multiply per amplitude,
   // selected by the two qubit bits — no butterfly gathering at all.
-  if (diagonal) {
+  if (shape.shape == kernels::Shape::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
+    const std::size_t bit_b = std::size_t{1} << qb;
+    const std::size_t bit_a = std::size_t{1} << qa;
     dispatch(n, [=](std::size_t lo, std::size_t hi) {
-      kernels::apply_diag4_range(amps, d, bit_b, bit_a, lo, hi);
+      kernels::apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
+    });
+    return;
+  }
+  // Permutation fast path (CX/SWAP): amplitude moves only.
+  if (shape.shape == kernels::Shape::kPermutation) {
+    dispatch(n >> 2, [=](std::size_t lo, std::size_t hi) {
+      kernels::apply_perm4_range(amps, shape.src, qb, qa, lo, hi);
     });
     return;
   }

@@ -5,7 +5,8 @@
 // ranges, and the sample-batched register gates at batch widths
 // 1 / 2 / odd / wider than a cache block. Under strict reproducibility
 // (the default) the comparison is bitwise; with strict relaxed the FMA
-// arm is held to a tight ULP-scale bound.
+// arm is held to a tight ULP-scale bound. The unit-permutation path
+// (CX, SWAP) is checked against the dense kernel it replaces.
 
 #include "arbiterq/sim/kernels.hpp"
 
@@ -18,6 +19,7 @@
 
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/math/rng.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/statevector.hpp"
 
 namespace arbiterq::sim {
@@ -177,11 +179,11 @@ TEST_P(KernelEquivalence, Diag2AllBits) {
   for (int nq = 1; nq <= 8; ++nq) {
     const AmpVector init = random_state(nq, rng);
     for (int q = 0; q < nq; ++q) {
-      const Complex d0{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-      const Complex d1{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      const Complex d[2] = {{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
+                            {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}};
       compare_arms(init, strict(), kTol, [&](Complex* amps) {
-        kernels::apply_diag2_range(amps, d0, d1, std::size_t{1} << q, 0,
-                                   init.size());
+        kernels::apply_diag_range(amps, d, 0, std::size_t{1} << q, 0,
+                                  init.size());
       });
     }
   }
@@ -217,8 +219,8 @@ TEST_P(KernelEquivalence, Diag4AllBitPairs) {
           c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
         }
         compare_arms(init, strict(), kTol, [&](Complex* amps) {
-          kernels::apply_diag4_range(amps, d, std::size_t{1} << qb,
-                                     std::size_t{1} << qa, 0, init.size());
+          kernels::apply_diag_range(amps, d, std::size_t{1} << qb,
+                                    std::size_t{1} << qa, 0, init.size());
         });
       }
     }
@@ -242,9 +244,10 @@ TEST_P(KernelEquivalence, PartialRangesExerciseHeadsAndTails) {
       kernels::apply_mat2_range(amps, m, q, lo, hi);
     });
     const std::size_t dlo = rng.uniform_int(init.size());
+    const Complex d[2] = {{0.6, -0.8}, {0.0, 1.0}};
     compare_arms(init, strict(), kTol, [&](Complex* amps) {
-      kernels::apply_diag2_range(amps, Complex{0.6, -0.8}, Complex{0.0, 1.0},
-                                 std::size_t{1} << q, dlo, init.size());
+      kernels::apply_diag_range(amps, d, 0, std::size_t{1} << q, dlo,
+                                init.size());
     });
   }
 }
@@ -380,7 +383,7 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
             kernels::batched_apply_diag(amps, kDim, stride, count, d, 0, bit);
           },
           [&](Complex* c, std::size_t) {
-            kernels::apply_diag2_range(c, d[0], d[1], bit, 0, kDim);
+            kernels::apply_diag_range(c, d, 0, bit, 0, kDim);
           });
       check(
           "diag_each 1q",
@@ -389,7 +392,8 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
                                              bit);
           },
           [&](Complex* c, std::size_t b) {
-            kernels::apply_diag2_range(c, ds[0][b], ds[1][b], bit, 0, kDim);
+            const Complex db[2] = {ds[0][b], ds[1][b]};
+            kernels::apply_diag_range(c, db, 0, bit, 0, kDim);
           });
       for (int qa = 0; qa < 3; ++qa) {
         if (qa == q) continue;
@@ -419,7 +423,7 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
                                           bit_a);
             },
             [&](Complex* c, std::size_t) {
-              kernels::apply_diag4_range(c, d, bit, bit_a, 0, kDim);
+              kernels::apply_diag_range(c, d, bit, bit_a, 0, kDim);
             });
         check(
             "diag_each 2q",
@@ -429,7 +433,7 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
             },
             [&](Complex* c, std::size_t b) {
               const Complex db[4] = {ds[0][b], ds[1][b], ds[2][b], ds[3][b]};
-              kernels::apply_diag4_range(c, db, bit, bit_a, 0, kDim);
+              kernels::apply_diag_range(c, db, bit, bit_a, 0, kDim);
             });
       }
     }
@@ -478,6 +482,176 @@ TEST_P(KernelEquivalence, FullCircuitEvolutionViaStatevector) {
         EXPECT_NEAR(std::abs(got.amplitudes()[i] - ref.amplitudes()[i]), 0.0,
                     1e-10)
             << "amp " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unit-permutation fast path
+
+Mat4 perm_matrix(const kernels::Perm4& src) {
+  Mat4 m{};
+  for (std::size_t r = 0; r < 4; ++r) m[4 * r + src[r]] = 1.0;
+  return m;
+}
+
+/// CX (control qb), CX the other way round (control qa), SWAP, and a
+/// non-involutive 4-cycle.
+std::vector<Mat4> unit_permutations() {
+  return {circuit::gate_matrix_2q(GateKind::kCX, {}), perm_matrix({0, 3, 2, 1}),
+          circuit::gate_matrix_2q(GateKind::kSwap, {}),
+          perm_matrix({1, 2, 3, 0})};
+}
+
+/// A random state, |0...0>, and the H-product state (real amplitudes
+/// whose imaginary parts are exact zeros).
+std::vector<AmpVector> permutation_states(int nq, math::Rng& rng) {
+  const std::size_t dim = std::size_t{1} << nq;
+  AmpVector zero(dim);
+  zero[0] = 1.0;
+  return {random_state(nq, rng), zero,
+          AmpVector(dim, Complex{std::pow(2.0, -0.5 * nq), 0.0})};
+}
+
+TEST(PermutationKernels, ClassifierShapes) {
+  for (const Mat4& m : unit_permutations()) {
+    EXPECT_EQ(kernels::classify(m).shape, kernels::Shape::kPermutation);
+  }
+  EXPECT_EQ(kernels::classify(perm_matrix({1, 2, 3, 0})).src,
+            (kernels::Perm4{1, 2, 3, 0}));
+  EXPECT_EQ(kernels::classify(perm_matrix({0, 1, 2, 3})).shape,
+            kernels::Shape::kDiagonal);
+  EXPECT_EQ(kernels::classify(circuit::gate_matrix_2q(GateKind::kCZ, {})).shape,
+            kernels::Shape::kDiagonal);
+  EXPECT_EQ(
+      kernels::classify(circuit::gate_matrix_2q(GateKind::kCRX, {0.3, 0, 0}))
+          .shape,
+      kernels::Shape::kDense);
+  for (const Complex entry : {Complex{0.0, 1.0}, Complex{1.0, 0.5}}) {
+    Mat4 scaled = perm_matrix({1, 0, 3, 2});
+    scaled[1] = entry;  // not exactly (1, 0)
+    EXPECT_EQ(kernels::classify(scaled).shape, kernels::Shape::kDense);
+  }
+  Mat4 doubled = perm_matrix({1, 0, 3, 2});
+  doubled[4 * 1 + 1] = 1.0;  // two nonzeros in one row
+  EXPECT_EQ(kernels::classify(doubled).shape, kernels::Shape::kDense);
+  EXPECT_EQ(kernels::classify(perm_matrix({1, 1, 3, 2})).shape,
+            kernels::Shape::kDense);  // a repeated column
+  EXPECT_EQ(kernels::classify(circuit::gate_matrix_1q(GateKind::kRZ, {0.4}))
+                .shape,
+            kernels::Shape::kDiagonal);
+  const auto x = kernels::classify(circuit::gate_matrix_1q(GateKind::kX, {}));
+  EXPECT_EQ(x.shape, kernels::Shape::kPermutation);
+  EXPECT_EQ(x.src, (std::array<std::uint8_t, 2>{1, 0}));
+  EXPECT_EQ(kernels::classify(circuit::gate_matrix_1q(GateKind::kY, {})).shape,
+            kernels::Shape::kDense);
+}
+
+TEST(PermutationKernels, StatevectorMatchesDenseKernel) {
+  math::Rng rng(301);
+  for (int nq = 2; nq <= 8; ++nq) {
+    for (const AmpVector& init : permutation_states(nq, rng)) {
+      for (int qb = 0; qb < nq; ++qb) {
+        for (int qa = 0; qa < nq; ++qa) {
+          if (qa == qb) continue;
+          for (const Mat4& m : unit_permutations()) {
+            AmpVector want = init;
+            kernels::apply_mat4_range(want.data(), m, qb, qa, 0,
+                                      init.size() >> 2);
+            Statevector sv(nq);
+            sv.load_strided(init.data(), 1);
+            sv.apply_mat4(m, qb, qa);
+            expect_bitwise(sv.amplitudes(), want);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PermutationKernels, ThreadSplitStatevectorMatchesDenseKernel) {
+  // 2^15 amplitudes: twice the default grain of 2q groups, so dispatch
+  // hands the permutation kernel two chunks on a 2-thread policy.
+  constexpr int kQubits = 15;
+  math::Rng rng(302);
+  const AmpVector init = random_state(kQubits, rng);
+  for (const auto& [qb, qa] : {std::pair{0, 1}, std::pair{1, 0},
+                               std::pair{0, 14}, std::pair{14, 3},
+                               std::pair{7, 8}}) {
+    for (const Mat4& m : unit_permutations()) {
+      AmpVector want = init;
+      kernels::apply_mat4_range(want.data(), m, qb, qa, 0, init.size() >> 2);
+      Statevector sv(kQubits);
+      sv.set_exec_policy(exec::ExecPolicy{2, 0});
+      sv.load_strided(init.data(), 1);
+      sv.apply_mat4(m, qb, qa);
+      expect_bitwise(sv.amplitudes(), want);
+    }
+  }
+}
+
+TEST(PermutationKernels, BatchedMatchesDenseKernelPerColumn) {
+  // (batch, width): widths 1 / 2 / odd / above kBatchBlock, and a width
+  // below the batch whose trailing columns must stay untouched.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {2, 2}, {5, 5}, {kBatchBlock + 8, kBatchBlock + 8}, {7, 3}};
+  math::Rng rng(303);
+  for (int nq = 2; nq <= 8; ++nq) {
+    const std::size_t dim = std::size_t{1} << nq;
+    for (const auto& [batch, width] : shapes) {
+      // Column b starts in one of the three permutation states.
+      std::vector<AmpVector> cols;
+      for (std::size_t b = 0; b < batch; ++b) {
+        cols.push_back(permutation_states(nq, rng)[b % 3]);
+      }
+      auto load = [&](BatchedStatevector& st) {
+        st.configure(nq, batch);
+        for (std::size_t i = 0; i < dim; ++i) {
+          for (std::size_t b = 0; b < batch; ++b) st.row(i)[b] = cols[b][i];
+        }
+      };
+      auto expect_cols = [&](const BatchedStatevector& st,
+                             const std::vector<const Mat4*>& per_col, int qb,
+                             int qa) {
+        for (std::size_t b = 0; b < batch; ++b) {
+          AmpVector want = cols[b];
+          if (b < per_col.size()) {
+            kernels::apply_mat4_range(want.data(), *per_col[b], qb, qa, 0,
+                                      dim >> 2);
+          }
+          for (std::size_t i = 0; i < dim; ++i) {
+            EXPECT_EQ(st.row(i)[b], want[i])
+                << "nq " << nq << " batch " << batch << " width " << width
+                << " col " << b << " amp " << i;
+          }
+        }
+      };
+      const std::vector<Mat4> perms = unit_permutations();
+      BatchedStatevector st;
+      for (int qb = 0; qb < nq; ++qb) {
+        for (int qa = 0; qa < nq; ++qa) {
+          if (qa == qb) continue;
+          for (const Mat4& m : perms) {
+            load(st);
+            st.apply_mat4_all(m, qb, qa, width);
+            expect_cols(st, std::vector<const Mat4*>(width, &m), qb, qa);
+          }
+          if (width != batch) continue;
+          // Per-column matrices: runs of one permutation, a switch to
+          // another, and a dense column between them.
+          const Mat4 crx =
+              circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
+          std::vector<Mat4> mats;
+          std::vector<const Mat4*> refs;
+          for (std::size_t b = 0; b < batch; ++b) {
+            mats.push_back(b % 5 == 4 ? crx : perms[(b / 2) % perms.size()]);
+          }
+          for (const Mat4& m : mats) refs.push_back(&m);
+          load(st);
+          st.apply_mat4_each(mats.data(), qb, qa);
+          expect_cols(st, refs, qb, qa);
+        }
       }
     }
   }
