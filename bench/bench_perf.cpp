@@ -52,6 +52,7 @@
 #include "arbiterq/serve/runtime.hpp"
 #include "arbiterq/serve/trafficgen.hpp"
 #include "arbiterq/sim/adjoint.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/density_matrix.hpp"
 #include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
@@ -259,6 +260,100 @@ void BM_FleetEpochThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetEpochThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// Per-qubit gate-kernel times: one gate of each kernel shape applied to
+// one register, per target qubit (q_lo for the 2q shapes, which act on
+// (q + 1, q): control above target for CX), on 4- and 10-qubit
+// registers. Width 0 is the unbatched Statevector (classifier and
+// dispatch included, as the simulator pays them); widths 1 and 4 are
+// the sample-batched register walks. Brackets are unbatched only.
+// Args: {shape, qubits, q, width}.
+enum GateKernelShape : int {
+  kDiag1q,
+  kDense1q,
+  kCx,
+  kDiag2q,
+  kDiagBracket,
+  kDenseBracket,
+  kNumGateKernelShapes
+};
+
+void BM_GateKernel(benchmark::State& state) {
+  static const char* const kNames[] = {"diag1q",       "dense1q", "cx",
+                                       "diag2q",       "diag_bracket",
+                                       "dense_bracket"};
+  const auto shape = static_cast<GateKernelShape>(state.range(0));
+  const int nq = static_cast<int>(state.range(1));
+  const int q = static_cast<int>(state.range(2));
+  const auto width = static_cast<std::size_t>(state.range(3));
+  const std::size_t dim = std::size_t{1} << nq;
+  const bool dense = shape == kDense1q || shape == kDenseBracket;
+  const circuit::Mat2 m2 = circuit::gate_matrix_1q(
+      dense ? circuit::GateKind::kSX : circuit::GateKind::kRZ, {0.37, 0, 0});
+  const circuit::Mat4 m4 = circuit::gate_matrix_2q(
+      shape == kCx ? circuit::GateKind::kCX : circuit::GateKind::kCRZ,
+      {0.41, 0, 0});
+  math::Rng rng(17);
+  sim::AmpVector init(dim);
+  for (sim::Complex& a : init) {
+    a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  }
+  state.SetLabel(std::string(kNames[shape]) + " q" + std::to_string(nq) +
+                 " on " + std::to_string(q) +
+                 (width == 0 ? std::string(" unbatched")
+                             : " w" + std::to_string(width)));
+  const bool two_qubit = shape == kCx || shape == kDiag2q;
+  if (shape == kDiagBracket || shape == kDenseBracket) {
+    const sim::AmpVector lam = init;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          sim::kernels::bracket_1q(lam.data(), init.data(), dim, m2, q));
+    }
+    return;
+  }
+  if (width == 0) {
+    sim::Statevector sv(nq);
+    sv.load_strided(init.data(), 1);
+    for (auto _ : state) {
+      if (two_qubit) {
+        sv.apply_mat4(m4, q + 1, q);
+      } else {
+        sv.apply_mat2(m2, q);
+      }
+      benchmark::ClobberMemory();
+    }
+    return;
+  }
+  sim::BatchedStatevector st;
+  st.configure(nq, width);
+  for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t b = 0; b < width; ++b) st.row(i)[b] = init[i];
+  }
+  for (auto _ : state) {
+    if (two_qubit) {
+      st.apply_mat4_all(m4, q + 1, q, width);
+    } else {
+      st.apply_mat2_all(m2, q, width);
+    }
+    benchmark::ClobberMemory();
+  }
+}
+
+void gate_kernel_args(benchmark::internal::Benchmark* b) {
+  for (int shape = 0; shape < kNumGateKernelShapes; ++shape) {
+    const bool bracket = shape == kDiagBracket || shape == kDenseBracket;
+    const bool two_qubit = shape == kCx || shape == kDiag2q;
+    for (const int nq : {4, 10}) {
+      for (int q = 0; q + (two_qubit ? 1 : 0) < nq; ++q) {
+        for (const int width : {0, 1, 4}) {
+          if (bracket && width != 0) continue;
+          b->Args({shape, nq, q, width});
+        }
+      }
+    }
+  }
+}
+BENCHMARK(BM_GateKernel)->Apply(gate_kernel_args);
 
 // ---------------------------------------------------------------------------
 // Thread-scaling mode (`--threads N`): wall-clock the two workloads the

@@ -53,6 +53,10 @@ Complex bracket_2q(const Statevector& lambda, const Statevector& psi,
                              psi.amplitudes().data(), psi.dim(), m, qb, qa);
 }
 
+bool is_diagonal(const Mat2& m) noexcept {
+  return kernels::classify(m).shape == kernels::Shape::kDiagonal;
+}
+
 /// The reverse half of the plan adjoint: psi holds U|0>, ws holds the
 /// matrices bind_gates built for this binding. Writes num_params
 /// gradient entries to `grad`. Shared by the unbatched and batched
@@ -74,6 +78,19 @@ void reverse_sweep(const ExecPlan& plan, Workspace& ws, Statevector& psi,
       const Mat2& md = e.dynamic
                            ? ws.dyn1q_adj[static_cast<std::size_t>(e.index)]
                            : plan.table_mat2_adjoint(e.index);
+      if (e.grads.size() == 1 && is_diagonal(md) &&
+          is_diagonal(ws.dgrad1q[static_cast<std::size_t>(
+              e.grads.front().dindex)])) {
+        // RZ: the two applies and the bracket in one walk, same values.
+        const GateEntry::GradTerm& t = e.grads.front();
+        AQ_COUNTER_ADD("sim.apply.gate1q", 2);
+        const Complex ip = kernels::adjoint_step_diag_1q(
+            lambda.data(), psi.data(), psi.dim(), md,
+            ws.dgrad1q[static_cast<std::size_t>(t.dindex)], e.q0);
+        grad[static_cast<std::size_t>(t.param_index)] +=
+            2.0 * t.coeff * ip.real();
+        continue;
+      }
       psi.apply_mat2(md, e.q0);
       for (const GateEntry::GradTerm& t : e.grads) {
         const Complex ip = bracket_1q(

@@ -19,6 +19,18 @@
 //                test_kernels.cpp). Enabled only when strict
 //                reproducibility is turned off.
 //
+// Within an arm an amplitude's arithmetic does not depend on where a
+// walk puts it: range-edge groups and the odd column of a batched row
+// take the vector lanes' operations (on the FMA arm, std::fma in the
+// order of _mm256_fmaddsub_pd). So every arm, the FMA arm included, is
+// bit-identical to itself across thread splits, batch widths and
+// column positions.
+//
+// Walks are setup-free: each gate splats its coefficients once, and
+// where a selector holds over runs of only 2-8 amplitudes (qubits 1-3)
+// the diagonal, bracket and permutation walks unroll the run instead
+// of setting it up one run at a time.
+//
 // Dispatch controls, mirroring the telemetry kill-switch:
 //  * ARBITERQ_SIMD=OFF (env) or set_simd_runtime_enabled(false) forces
 //    the scalar arm — field regressions stay bisectable.
@@ -180,6 +192,7 @@ void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
 
 /// Unit-permutation 2q gate over groups [lo, hi): moves amplitudes,
 /// no arithmetic, so one arch-independent function serves every arm.
+/// Runs of 1-4 groups (q_lo <= 2) swap in a fixed-length loop.
 void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
                        std::size_t lo, std::size_t hi);
 
@@ -191,6 +204,15 @@ Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat4& m, int qb, int qa);
 
+/// One reverse-sweep step of the adjoint for a diagonal 1q gate with one
+/// diagonal derivative (RZ): psi <- md psi, then <lambda| dm |psi>, then
+/// lambda <- md lambda, in one walk over both registers. Bit-identical on
+/// every arm to apply_diag_range on psi, bracket_1q and apply_diag_range
+/// on lambda in that order; fused, the two applies run in the slack of
+/// the bracket's serial index-order sum.
+Complex adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t n,
+                             const Mat2& md, const Mat2& dm, int q);
+
 // ---------------------------------------------------------------------------
 // Sample-batched register gates
 //
@@ -200,7 +222,12 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
 // of every row (count may be below stride — an active-width walk).
 // The arm is resolved once per gate and the row loop runs inside the
 // arm, so at QNN register sizes (a handful of rows per gate) dispatch
-// is not paid per row. Per-column arithmetic is identical to the
+// is not paid per row, and neither are coefficient broadcasts: a shared
+// matrix is splatted once per gate, per-column matrices once per block
+// of columns, and an odd last column runs in a 128-bit lane. A
+// full-width walk (count == stride) with a power-of-two stride has no
+// rows at all: it is the unbatched kernel on a register of
+// log2(stride) more qubits. Per-column arithmetic is identical to the
 // unbatched kernels, so under strict reproducibility a batched walk is
 // bit-identical to evaluating samples one at a time.
 

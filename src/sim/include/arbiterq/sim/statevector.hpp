@@ -42,6 +42,9 @@ class Statevector {
   int num_qubits() const noexcept { return num_qubits_; }
   std::size_t dim() const noexcept { return amps_.size(); }
   const AmpVector& amplitudes() const noexcept { return amps_; }
+  /// In-place access for kernels that update the register directly (the
+  /// adjoint's fused diagonal step).
+  Complex* data() noexcept { return amps_.data(); }
 
   /// Kernel-splitting policy for apply_mat2/apply_mat4 (default: serial).
   /// A grain of 0 selects a cache-friendly minimum chunk so small states

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <cstdlib>
@@ -65,6 +66,40 @@ RowSwaps row_swaps(const Perm4& src) noexcept {
     out.rows[out.n++] = {r, p};
   }
   return out;
+}
+
+/// Swaps the amplitudes at offsets o0 and o1 of every group in [lo, hi),
+/// for R = 2^q_lo and R-aligned lo and hi. The R groups of a run have
+/// consecutive base indices and the next run starts 2R further on, up
+/// to the end of a 2^q_hi block, so the walk steps its base pointer and
+/// each swap moves R adjacent amplitudes. Swapping one row pair over
+/// the whole range before the next keeps every group's result, since
+/// groups touch disjoint amplitudes.
+template <std::size_t R>
+void swap_runs(Complex* amps, std::size_t o0, std::size_t o1, int q_lo,
+               int q_hi, std::size_t lo, std::size_t hi) noexcept {
+  const std::size_t step = 2 * R;
+  const std::size_t block = std::size_t{1} << (q_hi - 1);  // groups
+  for (std::size_t g = lo; g < hi;) {
+    const std::size_t end = std::min(hi, (g | (block - 1)) + 1);
+    Complex* base = amps + insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
+    for (; g < end; g += R, base += step) {
+      for (std::size_t r = 0; r < R; ++r) {
+        std::swap(base[o0 + r], base[o1 + r]);
+      }
+    }
+  }
+}
+
+/// A batched register walked at full width (count == stride) with a
+/// power-of-two stride is an unbatched register of log2(stride) more
+/// qubits whose low qubits index the columns: amplitude (row i, column
+/// b) sits at i * stride + b, so a gate on qubit q is the same gate on
+/// qubit q + log2(stride) there, with the same per-amplitude arithmetic.
+/// Returns that shift, or -1 when the gate must walk row by row.
+int flat_shift(std::size_t stride, std::size_t count) noexcept {
+  if (count != stride || !std::has_single_bit(stride)) return -1;
+  return std::countr_zero(stride);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +197,16 @@ Complex bracket_2q_scalar(const Complex* lam, const Complex* psi,
                                 row[3] * a11);
   }
   return acc;
+}
+
+Complex adjoint_step_diag_1q_scalar(Complex* lam, Complex* psi, std::size_t n,
+                                    const Mat2& md, const Mat2& dm, int q) {
+  const Complex d[2] = {md[0], md[3]};
+  const std::size_t bit = std::size_t{1} << q;
+  diag_range_scalar(psi, d, 0, bit, 0, n);
+  const Complex ip = bracket_1q_scalar(lam, psi, n, dm, q);
+  diag_range_scalar(lam, d, 0, bit, 0, n);
+  return ip;
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +401,9 @@ const char* arch_name(KernelArch arch) noexcept {
 // effective mid-process. The read is not free: three out-of-line flag
 // checks, against a kernel that at QNN register sizes may do only one
 // or two butterflies. Hot loops over a batched register therefore call
-// the register-level entries, which resolve the arm once per gate.
+// the register-level entries, which resolve the arm once per gate, and
+// every arm then splats its coefficients once per gate rather than per
+// run or row (kernels_avx2.cpp, "Setup-free walks").
 
 #if defined(ARBITERQ_SIMD_AVX2)
 #define AQ_DISPATCH(fn_avx2, fn_scalar, ...)          \
@@ -402,21 +449,46 @@ void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
   // Groups inside one 2^q_lo block have consecutive base indices, so
   // each swap moves a whole run at once.
   const std::size_t run = std::size_t{1} << q_lo;
-  for (std::size_t g = lo; g < hi;) {
-    const std::size_t len = std::min(hi - g, run - (g & (run - 1)));
-    Complex* const base =
-        amps + insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
-    for (std::size_t k = 0; k < sw.n; ++k) {
-      Complex* const r0 = base + off[sw.rows[k][0]];
-      std::swap_ranges(r0, r0 + len, base + off[sw.rows[k][1]]);
+  auto swap_by_run = [&](std::size_t from, std::size_t to) {
+    for (std::size_t g = from; g < to;) {
+      const std::size_t len = std::min(to - g, run - (g & (run - 1)));
+      Complex* const base =
+          amps + insert_zero_bit(insert_zero_bit(g, q_lo), q_hi);
+      for (std::size_t k = 0; k < sw.n; ++k) {
+        Complex* const r0 = base + off[sw.rows[k][0]];
+        std::swap_ranges(r0, r0 + len, base + off[sw.rows[k][1]]);
+      }
+      g += len;
     }
-    g += len;
+  };
+  if (run > 4) {
+    swap_by_run(lo, hi);
+    return;
   }
+  // Runs of 1-4 groups: whole runs go through the fixed-length walk, the
+  // range's partial runs at either end through swap_by_run.
+  const std::size_t body_lo = std::min(hi, (lo + run - 1) & ~(run - 1));
+  const std::size_t body_hi = std::max(body_lo, hi & ~(run - 1));
+  swap_by_run(lo, body_lo);
+  for (std::size_t k = 0; k < sw.n; ++k) {
+    const std::size_t o0 = off[sw.rows[k][0]];
+    const std::size_t o1 = off[sw.rows[k][1]];
+    if (run == 1) {
+      swap_runs<1>(amps, o0, o1, q_lo, q_hi, body_lo, body_hi);
+    } else if (run == 2) {
+      swap_runs<2>(amps, o0, o1, q_lo, q_hi, body_lo, body_hi);
+    } else {
+      swap_runs<4>(amps, o0, o1, q_lo, q_hi, body_lo, body_hi);
+    }
+  }
+  swap_by_run(body_hi, hi);
 }
 
 // Brackets are reductions: every strict arm accumulates in amplitude-
 // index order into one [re, im] pair, so the AVX2 arm is bit-identical
-// to scalar; the FMA arm reassociates into lane accumulators.
+// to scalar; the FMA arm reassociates into lane accumulators. The AVX2
+// walk unrolls the selector period of qubits 1-3 without changing that
+// order.
 Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat2& m, int q) {
   AQ_DISPATCH(bracket_1q_avx2, bracket_1q_scalar, lam, psi, n, m, q);
@@ -427,8 +499,17 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
   AQ_DISPATCH(bracket_2q_avx2, bracket_2q_scalar, lam, psi, n, m, qb, qa);
 }
 
+Complex adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t n,
+                             const Mat2& md, const Mat2& dm, int q) {
+  AQ_DISPATCH(adjoint_step_diag_1q_avx2, adjoint_step_diag_1q_scalar, lam, psi,
+              n, md, dm, q);
+}
+
 void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
                         std::size_t count, const Mat2& m, int q) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return apply_mat2_range(amps, m, q + s, 0, (dim * stride) >> 1);
+  }
   AQ_DISPATCH(batched_apply_mat2_avx2, batched_apply_mat2_scalar, amps, dim,
               stride, count, m, q);
 }
@@ -442,6 +523,9 @@ void batched_apply_mat2_each(Complex* amps, std::size_t dim,
 
 void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
                         std::size_t count, const Mat4& m, int qb, int qa) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return apply_mat4_range(amps, m, qb + s, qa + s, 0, (dim * stride) >> 2);
+  }
   AQ_DISPATCH(batched_apply_mat4_avx2, batched_apply_mat4_scalar, amps, dim,
               stride, count, m, qb, qa);
 }
@@ -455,6 +539,9 @@ void batched_apply_mat4_each(Complex* amps, std::size_t dim,
 
 void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
                          std::size_t count, const Perm4& src, int qb, int qa) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return apply_perm4_range(amps, src, qb + s, qa + s, 0, (dim * stride) >> 2);
+  }
   const RowSwaps sw = row_swaps(src);
   detail::for_each_row_quad(
       amps, dim, stride, qb, qa,
@@ -470,6 +557,9 @@ void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
 void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,
                         std::size_t count, const Complex* d,
                         std::size_t bit_b, std::size_t bit_a) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return apply_diag_range(amps, d, bit_b << s, bit_a << s, 0, dim * stride);
+  }
   AQ_DISPATCH(batched_apply_diag_avx2, batched_apply_diag_scalar, amps, dim,
               stride, count, d, bit_b, bit_a);
 }

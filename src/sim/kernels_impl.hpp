@@ -82,6 +82,9 @@ Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
 template <bool Fma>
 Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat4& m, int qb, int qa);
+template <bool Fma>
+Complex adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi, std::size_t n,
+                                  const Mat2& md, const Mat2& dm, int q);
 
 template <bool Fma>
 void batched_apply_mat2_avx2(Complex* amps, std::size_t dim,

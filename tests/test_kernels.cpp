@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "arbiterq/circuit/unitary.hpp"
@@ -118,6 +120,21 @@ void compare_arms(const AmpVector& init, bool strict, double tol,
   }
 }
 
+/// The whole range [0, items) plus slices that start and end inside a
+/// period of `period` items — mid-run, the way Statevector::dispatch
+/// chunks can cut a walk.
+std::vector<std::pair<std::size_t, std::size_t>> mid_period_ranges(
+    std::size_t items, std::size_t period) {
+  std::vector<std::pair<std::size_t, std::size_t>> out = {{0, items}};
+  const std::size_t half = std::max<std::size_t>(period / 2, 1);
+  for (const std::size_t lo : {std::size_t{1}, half + 1, period + half - 1}) {
+    for (const std::size_t back : {std::size_t{1}, half, period + 1}) {
+      if (back < items && lo < items - back) out.emplace_back(lo, items - back);
+    }
+  }
+  return out;
+}
+
 TEST(KernelDispatch, KillSwitchForcesScalar) {
   FlagGuard guard;
   kernels::set_simd_runtime_enabled(false);
@@ -176,7 +193,7 @@ TEST_P(KernelEquivalence, Mat2AllQubitsAndKinds) {
 
 TEST_P(KernelEquivalence, Diag2AllBits) {
   math::Rng rng(102);
-  for (int nq = 1; nq <= 8; ++nq) {
+  for (int nq = 1; nq <= 10; ++nq) {
     const AmpVector init = random_state(nq, rng);
     for (int q = 0; q < nq; ++q) {
       const Complex d[2] = {{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
@@ -209,7 +226,7 @@ TEST_P(KernelEquivalence, Mat4AllQubitPairsAndKinds) {
 
 TEST_P(KernelEquivalence, Diag4AllBitPairs) {
   math::Rng rng(104);
-  for (int nq = 2; nq <= 8; ++nq) {
+  for (int nq = 2; nq <= 10; ++nq) {
     const AmpVector init = random_state(nq, rng);
     for (int qb = 0; qb < nq; ++qb) {
       for (int qa = 0; qa < nq; ++qa) {
@@ -252,12 +269,84 @@ TEST_P(KernelEquivalence, PartialRangesExerciseHeadsAndTails) {
   }
 }
 
+TEST_P(KernelEquivalence, DiagonalWalksMidPeriodRanges) {
+  // Every 1q diagonal (qb = -1) and 2q diagonal on 1-10 qubits over
+  // [lo, hi) slices that start and end inside a selector period, as
+  // Statevector::dispatch chunks may: against scalar, and on the active
+  // arm a split walk must equal the whole walk bit for bit.
+  math::Rng rng(109);
+  for (int nq = 1; nq <= 10; ++nq) {
+    const AmpVector init = random_state(nq, rng);
+    const std::size_t dim = init.size();
+    Complex d[4];
+    for (Complex& c : d) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    for (int qb = -1; qb < nq; ++qb) {
+      for (int qa = 0; qa < nq; ++qa) {
+        if (qa == qb) continue;
+        const std::size_t bit_b = qb < 0 ? 0 : std::size_t{1} << qb;
+        const std::size_t bit_a = std::size_t{1} << qa;
+        const std::size_t bit_min =
+            bit_b == 0 ? bit_a : std::min(bit_a, bit_b);
+        for (const auto& [lo, hi] : mid_period_ranges(dim, 2 * bit_min)) {
+          compare_arms(init, strict(), kTol, [&](Complex* amps) {
+            kernels::apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
+          });
+          AmpVector whole = init;
+          kernels::apply_diag_range(whole.data(), d, bit_b, bit_a, 0, dim);
+          AmpVector split = init;
+          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, 0, lo);
+          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, lo, hi);
+          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, hi, dim);
+          expect_bitwise(split, whole);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, ButterflySplitsMatchWholeWalk) {
+  // The FMA arm's range-edge groups take the vector lanes' arithmetic:
+  // a 1q or 2q butterfly walked in two pieces equals one whole walk on
+  // the active arm bit for bit, on every qubit and pair.
+  math::Rng rng(112);
+  for (int nq = 1; nq <= 8; ++nq) {
+    const AmpVector init = random_state(nq, rng);
+    const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
+    const Mat4 m4 = circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
+    for (int qb = 0; qb < nq; ++qb) {
+      const std::size_t groups = init.size() >> 1;
+      for (const auto& [lo, hi] : mid_period_ranges(groups, 2)) {
+        AmpVector whole = init;
+        kernels::apply_mat2_range(whole.data(), m2, qb, 0, groups);
+        AmpVector split = init;
+        kernels::apply_mat2_range(split.data(), m2, qb, 0, lo);
+        kernels::apply_mat2_range(split.data(), m2, qb, lo, hi);
+        kernels::apply_mat2_range(split.data(), m2, qb, hi, groups);
+        expect_bitwise(split, whole);
+      }
+      for (int qa = 0; qa < nq; ++qa) {
+        if (qa == qb) continue;
+        const std::size_t groups4 = init.size() >> 2;
+        for (const auto& [lo, hi] : mid_period_ranges(groups4, 2)) {
+          AmpVector whole = init;
+          kernels::apply_mat4_range(whole.data(), m4, qb, qa, 0, groups4);
+          AmpVector split = init;
+          kernels::apply_mat4_range(split.data(), m4, qb, qa, 0, lo);
+          kernels::apply_mat4_range(split.data(), m4, qb, qa, lo, hi);
+          kernels::apply_mat4_range(split.data(), m4, qb, qa, hi, groups4);
+          expect_bitwise(split, whole);
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
   math::Rng rng(106);
   // The FMA bracket reassociates an n-term reduction into vector lanes;
   // the bound scales with the register, hence the looser tolerance.
   const double tol = 1e-10;
-  for (int nq = 1; nq <= 8; ++nq) {
+  for (int nq = 1; nq <= 10; ++nq) {
     const AmpVector lam = random_state(nq, rng);
     const AmpVector psi = random_state(nq, rng);
     for (int q = 0; q < nq; ++q) {
@@ -298,143 +387,229 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
 }
 
 TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
-  // Every register-level batched gate against the scalar unbatched
-  // kernels applied column by column, on every qubit and qubit pair, at
-  // widths 1 / 2 / odd / wider than a cache block. The register carries
-  // one column past the width, which must stay untouched.
+  // Every register-level batched gate against the unbatched kernels
+  // applied column by column, on every qubit and qubit pair of 1-10
+  // qubit registers, at widths 1-5, 31-33 (around a 128-bit odd lane
+  // and a splat-table block) and 40. The register carries two columns
+  // past the width, which must stay untouched. Scalar per-column runs
+  // bound the arm (bitwise when strict); per-column runs on the active
+  // arm itself must match bit for bit on every arm.
   math::Rng rng(107);
-  constexpr std::size_t kDim = 8;  // three qubits
-  for (const std::size_t count : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{5}, std::size_t{40}}) {
-    const std::size_t stride = count + 1;
-    AmpVector base(kDim * stride);
-    for (Complex& a : base) {
-      a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    }
-    const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
-    const Mat4 m4 =
-        circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
-    std::vector<Mat2> m2s;
-    std::vector<Mat4> m4s;
-    for (std::size_t b = 0; b < count; ++b) {
-      m2s.push_back(circuit::gate_matrix_1q(
-          b % 3 == 0 ? GateKind::kRZ : GateKind::kU3, random_angles(rng)));
-      m4s.push_back(circuit::gate_matrix_2q(GateKind::kCRZ,
-                                            random_angles(rng)));
-    }
-    Complex d[4];
-    for (Complex& c : d) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    std::vector<Complex> ds_store(4 * count);
-    for (Complex& c : ds_store) {
-      c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    }
-    const Complex* ds[4] = {ds_store.data(), ds_store.data() + count,
-                            ds_store.data() + 2 * count,
-                            ds_store.data() + 3 * count};
+  const std::size_t widths[] = {1, 2, 3, 4, 5, 31, 32, 33, 40};
+  for (int nq = 1; nq <= 10; ++nq) {
+    const std::size_t dim = std::size_t{1} << nq;
+    for (const std::size_t count : widths) {
+      // Wide registers only on small qubit counts: the walks are the
+      // same, and a 10-qubit register at width 40 adds only time.
+      if (nq > 6 && count > 5 && count != 32 && count != 33) continue;
+      if (nq > 8 && count != 1 && count != 4 && count != 5) continue;
+      // Full width (a power-of-two stride walks the register as one
+      // unbatched register) and two untouched trailing columns.
+      for (const std::size_t stride : {count, count + 2}) {
+        AmpVector base(dim * stride);
+        for (Complex& a : base) {
+          a = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        }
+        const Mat2 m2 =
+            circuit::gate_matrix_1q(GateKind::kU3, random_angles(rng));
+        const Mat4 m4 =
+            circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
+        std::vector<Mat2> m2s;
+        std::vector<Mat4> m4s;
+        for (std::size_t b = 0; b < count; ++b) {
+          m2s.push_back(circuit::gate_matrix_1q(
+              b % 3 == 0 ? GateKind::kRZ : GateKind::kU3, random_angles(rng)));
+          m4s.push_back(circuit::gate_matrix_2q(
+              b % 2 == 0 ? GateKind::kCRZ : GateKind::kCRX,
+              random_angles(rng)));
+        }
+        Complex d[4];
+        for (Complex& c : d) {
+          c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        }
+        std::vector<Complex> ds_store(4 * count);
+        for (Complex& c : ds_store) {
+          c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+        }
+        const Complex* ds[4] = {ds_store.data(), ds_store.data() + count,
+                                ds_store.data() + 2 * count,
+                                ds_store.data() + 3 * count};
 
-    // Runs `batched` on a copy of base and `per_column(col, b)` on each
-    // of its first `count` columns under the scalar arm, then compares.
-    auto check = [&](const char* what, auto&& batched, auto&& per_column) {
-      AmpVector got = base;
-      batched(got.data());
-      AmpVector ref = base;
-      kernels::set_simd_runtime_enabled(false);
-      AmpVector col(kDim);
-      for (std::size_t b = 0; b < count; ++b) {
-        for (std::size_t i = 0; i < kDim; ++i) col[i] = ref[i * stride + b];
-        per_column(col.data(), b);
-        for (std::size_t i = 0; i < kDim; ++i) ref[i * stride + b] = col[i];
-      }
-      kernels::set_simd_runtime_enabled(true);
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        if (strict() || i % stride == count) {
-          EXPECT_EQ(got[i], ref[i]) << what << " width " << count << " row "
-                                    << i / stride << " col " << i % stride;
-        } else {
-          EXPECT_NEAR(std::abs(got[i] - ref[i]), 0.0, kTol)
-              << what << " width " << count << " row " << i / stride
-              << " col " << i % stride;
+        // Runs `per_column(col, b)` on each of the first `count` columns
+        // of a copy of base, column by column.
+        auto per_column_ref = [&](auto&& per_column) {
+          AmpVector ref = base;
+          AmpVector col(dim);
+          for (std::size_t b = 0; b < count; ++b) {
+            for (std::size_t i = 0; i < dim; ++i) col[i] = ref[i * stride + b];
+            per_column(col.data(), b);
+            for (std::size_t i = 0; i < dim; ++i) ref[i * stride + b] = col[i];
+          }
+          return ref;
+        };
+        auto check = [&](const char* what, auto&& batched, auto&& per_column) {
+          AmpVector got = base;
+          batched(got.data());
+          const AmpVector same_arm = per_column_ref(per_column);
+          kernels::set_simd_runtime_enabled(false);
+          const AmpVector ref = per_column_ref(per_column);
+          kernels::set_simd_runtime_enabled(true);
+          std::size_t bad = 0;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            const std::size_t col = i % stride;
+            const bool exact = strict() || col >= count;
+            if (got[i] == same_arm[i] &&
+                (exact ? got[i] == ref[i]
+                       : std::abs(got[i] - ref[i]) <= kTol)) {
+              continue;
+            }
+            if (bad++ == 0) {
+              ADD_FAILURE() << what << " nq " << nq << " width " << count
+                            << " stride " << stride << " row " << i / stride
+                            << " col " << col << ": got " << got[i]
+                            << " same arm " << same_arm[i] << " scalar "
+                            << ref[i];
+            }
+          }
+          EXPECT_EQ(bad, 0U) << what << " nq " << nq << " width " << count
+                             << " stride " << stride;
+        };
+
+        for (int q = 0; q < nq; ++q) {
+          const std::size_t bit = std::size_t{1} << q;
+          check(
+              "mat2",
+              [&](Complex* amps) {
+                kernels::batched_apply_mat2(amps, dim, stride, count, m2, q);
+              },
+              [&](Complex* c, std::size_t) {
+                kernels::apply_mat2_range(c, m2, q, 0, dim / 2);
+              });
+          check(
+              "mat2_each",
+              [&](Complex* amps) {
+                kernels::batched_apply_mat2_each(amps, dim, stride, count,
+                                                 m2s.data(), q);
+              },
+              [&](Complex* c, std::size_t b) {
+                kernels::apply_mat2_range(c, m2s[b], q, 0, dim / 2);
+              });
+          check(
+              "diag 1q",
+              [&](Complex* amps) {
+                kernels::batched_apply_diag(amps, dim, stride, count, d, 0,
+                                            bit);
+              },
+              [&](Complex* c, std::size_t) {
+                kernels::apply_diag_range(c, d, 0, bit, 0, dim);
+              });
+          check(
+              "diag_each 1q",
+              [&](Complex* amps) {
+                kernels::batched_apply_diag_each(amps, dim, stride, count,
+                                                 ds, 0, bit);
+              },
+              [&](Complex* c, std::size_t b) {
+                const Complex db[2] = {ds[0][b], ds[1][b]};
+                kernels::apply_diag_range(c, db, 0, bit, 0, dim);
+              });
+          for (int qa = 0; qa < nq; ++qa) {
+            if (qa == q) continue;
+            const std::size_t bit_a = std::size_t{1} << qa;
+            check(
+                "mat4",
+                [&](Complex* amps) {
+                  kernels::batched_apply_mat4(amps, dim, stride, count, m4, q,
+                                              qa);
+                },
+                [&](Complex* c, std::size_t) {
+                  kernels::apply_mat4_range(c, m4, q, qa, 0, dim / 4);
+                });
+            check(
+                "mat4_each",
+                [&](Complex* amps) {
+                  kernels::batched_apply_mat4_each(amps, dim, stride, count,
+                                                   m4s.data(), q, qa);
+                },
+                [&](Complex* c, std::size_t b) {
+                  kernels::apply_mat4_range(c, m4s[b], q, qa, 0, dim / 4);
+                });
+            check(
+                "diag 2q",
+                [&](Complex* amps) {
+                  kernels::batched_apply_diag(amps, dim, stride, count, d, bit,
+                                              bit_a);
+                },
+                [&](Complex* c, std::size_t) {
+                  kernels::apply_diag_range(c, d, bit, bit_a, 0, dim);
+                });
+            check(
+                "diag_each 2q",
+                [&](Complex* amps) {
+                  kernels::batched_apply_diag_each(amps, dim, stride, count, ds,
+                                                   bit, bit_a);
+                },
+                [&](Complex* c, std::size_t b) {
+                  const Complex db[4] = {ds[0][b], ds[1][b], ds[2][b],
+                                         ds[3][b]};
+                  kernels::apply_diag_range(c, db, bit, bit_a, 0, dim);
+                });
+          }
         }
       }
-    };
+    }
+  }
+}
 
-    for (int q = 0; q < 3; ++q) {
+TEST_P(KernelEquivalence, AdjointDiagStepMatchesSeparateKernels) {
+  // The fused reverse-sweep step of a diagonal 1q gate against the
+  // three kernels it replaces, on every qubit of 1-10 qubit registers:
+  // bitwise on the active arm (both registers and the bracket), and
+  // against scalar bitwise when strict, within the bracket bound when
+  // not.
+  math::Rng rng(113);
+  for (int nq = 1; nq <= 10; ++nq) {
+    const AmpVector lam0 = random_state(nq, rng);
+    const AmpVector psi0 = random_state(nq, rng);
+    const std::size_t n = psi0.size();
+    for (int q = 0; q < nq; ++q) {
+      const Mat2 md = circuit::mat2_adjoint(
+          circuit::gate_matrix_1q(GateKind::kRZ, random_angles(rng)));
+      const Mat2 dm = {Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
+                       Complex{0.0, 0.0}, Complex{0.0, 0.0},
+                       Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}};
+      const Complex d[2] = {md[0], md[3]};
       const std::size_t bit = std::size_t{1} << q;
-      check(
-          "mat2",
-          [&](Complex* amps) {
-            kernels::batched_apply_mat2(amps, kDim, stride, count, m2, q);
-          },
-          [&](Complex* c, std::size_t) {
-            kernels::apply_mat2_range(c, m2, q, 0, kDim / 2);
-          });
-      check(
-          "mat2_each",
-          [&](Complex* amps) {
-            kernels::batched_apply_mat2_each(amps, kDim, stride, count,
-                                             m2s.data(), q);
-          },
-          [&](Complex* c, std::size_t b) {
-            kernels::apply_mat2_range(c, m2s[b], q, 0, kDim / 2);
-          });
-      check(
-          "diag 1q",
-          [&](Complex* amps) {
-            kernels::batched_apply_diag(amps, kDim, stride, count, d, 0, bit);
-          },
-          [&](Complex* c, std::size_t) {
-            kernels::apply_diag_range(c, d, 0, bit, 0, kDim);
-          });
-      check(
-          "diag_each 1q",
-          [&](Complex* amps) {
-            kernels::batched_apply_diag_each(amps, kDim, stride, count, ds, 0,
-                                             bit);
-          },
-          [&](Complex* c, std::size_t b) {
-            const Complex db[2] = {ds[0][b], ds[1][b]};
-            kernels::apply_diag_range(c, db, 0, bit, 0, kDim);
-          });
-      for (int qa = 0; qa < 3; ++qa) {
-        if (qa == q) continue;
-        const std::size_t bit_a = std::size_t{1} << qa;
-        check(
-            "mat4",
-            [&](Complex* amps) {
-              kernels::batched_apply_mat4(amps, kDim, stride, count, m4, q,
-                                          qa);
-            },
-            [&](Complex* c, std::size_t) {
-              kernels::apply_mat4_range(c, m4, q, qa, 0, kDim / 4);
-            });
-        check(
-            "mat4_each",
-            [&](Complex* amps) {
-              kernels::batched_apply_mat4_each(amps, kDim, stride, count,
-                                               m4s.data(), q, qa);
-            },
-            [&](Complex* c, std::size_t b) {
-              kernels::apply_mat4_range(c, m4s[b], q, qa, 0, kDim / 4);
-            });
-        check(
-            "diag 2q",
-            [&](Complex* amps) {
-              kernels::batched_apply_diag(amps, kDim, stride, count, d, bit,
-                                          bit_a);
-            },
-            [&](Complex* c, std::size_t) {
-              kernels::apply_diag_range(c, d, bit, bit_a, 0, kDim);
-            });
-        check(
-            "diag_each 2q",
-            [&](Complex* amps) {
-              kernels::batched_apply_diag_each(amps, kDim, stride, count, ds,
-                                               bit, bit_a);
-            },
-            [&](Complex* c, std::size_t b) {
-              const Complex db[4] = {ds[0][b], ds[1][b], ds[2][b], ds[3][b]};
-              kernels::apply_diag_range(c, db, bit, bit_a, 0, kDim);
-            });
+      auto separate = [&](AmpVector& lam, AmpVector& psi) {
+        kernels::apply_diag_range(psi.data(), d, 0, bit, 0, n);
+        const Complex ip =
+            kernels::bracket_1q(lam.data(), psi.data(), n, dm, q);
+        kernels::apply_diag_range(lam.data(), d, 0, bit, 0, n);
+        return ip;
+      };
+      AmpVector lam = lam0;
+      AmpVector psi = psi0;
+      const Complex got =
+          kernels::adjoint_step_diag_1q(lam.data(), psi.data(), n, md, dm, q);
+      AmpVector lam_sep = lam0;
+      AmpVector psi_sep = psi0;
+      EXPECT_EQ(got, separate(lam_sep, psi_sep)) << "nq " << nq << " q " << q;
+      expect_bitwise(lam, lam_sep);
+      expect_bitwise(psi, psi_sep);
+      kernels::set_simd_runtime_enabled(false);
+      AmpVector lam_ref = lam0;
+      AmpVector psi_ref = psi0;
+      const Complex ref = kernels::adjoint_step_diag_1q(
+          lam_ref.data(), psi_ref.data(), n, md, dm, q);
+      kernels::set_simd_runtime_enabled(true);
+      if (strict()) {
+        EXPECT_EQ(got, ref) << "nq " << nq << " q " << q;
+        expect_bitwise(lam, lam_ref);
+        expect_bitwise(psi, psi_ref);
+      } else {
+        EXPECT_NEAR(std::abs(got - ref), 0.0, 1e-10);
+        expect_ulp_close(lam, lam_ref, kTol);
+        expect_ulp_close(psi, psi_ref, kTol);
       }
     }
   }
@@ -563,6 +738,32 @@ TEST(PermutationKernels, StatevectorMatchesDenseKernel) {
             sv.load_strided(init.data(), 1);
             sv.apply_mat4(m, qb, qa);
             expect_bitwise(sv.amplitudes(), want);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PermutationKernels, MidRunRangesMatchDenseKernel) {
+  // [lo, hi) group slices that start and end inside a run of 2^q_lo
+  // groups, on every pair of 2-10 qubit registers.
+  math::Rng rng(304);
+  for (int nq = 2; nq <= 10; ++nq) {
+    const AmpVector init = random_state(nq, rng);
+    const std::size_t groups = init.size() >> 2;
+    for (int qb = 0; qb < nq; ++qb) {
+      for (int qa = 0; qa < nq; ++qa) {
+        if (qa == qb) continue;
+        const std::size_t run = std::size_t{1} << std::min(qa, qb);
+        for (const Mat4& m : unit_permutations()) {
+          const auto src = kernels::classify(m).src;
+          for (const auto& [lo, hi] : mid_period_ranges(groups, 2 * run)) {
+            AmpVector want = init;
+            kernels::apply_mat4_range(want.data(), m, qb, qa, lo, hi);
+            AmpVector got = init;
+            kernels::apply_perm4_range(got.data(), src, qb, qa, lo, hi);
+            expect_bitwise(got, want);
           }
         }
       }
