@@ -355,6 +355,44 @@ void gate_kernel_args(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_GateKernel)->Apply(gate_kernel_args);
 
+// Per-call trajectory-sampler times: one plan-based sample_marginal_ones
+// call on the iris (2-qubit) or wine (4-qubit) Model-CRz circuit
+// compiled for Table III QPU 1, with that QPU's noise model, at the
+// (shots, trajectories) call shapes of the sampler-bound end-to-end
+// workloads: serve-admission's (32, 1), infer-torus's per-member split
+// of 256 shots (42, 16) and (77, 16). Args: {qubits, shots, trajectories}.
+void BM_Sampler(benchmark::State& state) {
+  const int nq = static_cast<int>(state.range(0));
+  const qnn::QnnModel m(qnn::Backbone::kCRz, nq, 2);
+  const device::Qpu dev = device::table3_fleet(nq)[1];
+  const transpile::CompiledCircuit compiled =
+      transpile::compile(m.circuit(), dev);
+  const sim::StatevectorSimulator simulator(dev.make_noise_model());
+  const sim::ExecPlan plan = simulator.make_plan(compiled.executable);
+  math::Rng prng(19);
+  std::vector<double> features(static_cast<std::size_t>(nq));
+  std::vector<double> weights(static_cast<std::size_t>(m.num_weights()));
+  for (double& v : features) v = prng.uniform(-1.5, 1.5);
+  for (double& v : weights) v = prng.uniform(-1.5, 1.5);
+  const std::vector<double> params = m.pack_params(features, weights);
+  sim::ShotOptions opts;
+  opts.shots = static_cast<int>(state.range(1));
+  opts.trajectories = static_cast<int>(state.range(2));
+  sim::BatchedWorkspace ws;
+  math::Rng rng(23);
+  state.SetLabel(std::string(nq == 2 ? "iris" : "wine") + " " +
+                 std::to_string(nq) + "q shots " +
+                 std::to_string(opts.shots) + " traj " +
+                 std::to_string(opts.trajectories));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.sample_marginal_ones(
+        plan, params, compiled.measure_qubit(0), opts, rng, ws));
+  }
+  state.SetItemsProcessed(state.iterations() * opts.shots);
+}
+BENCHMARK(BM_Sampler)->ArgsProduct({{2, 4}, {32}, {1}})
+    ->ArgsProduct({{2, 4}, {42, 77}, {16}});
+
 // ---------------------------------------------------------------------------
 // Thread-scaling mode (`--threads N`): wall-clock the two workloads the
 // engine accelerates and dump BENCH_perf.json.

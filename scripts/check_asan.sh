@@ -3,10 +3,11 @@
 # exercise the compiled-execution-plan hot path: the ExecPlan/Workspace
 # suite, the adjoint engine, the simulator and statevector kernels, the
 # SIMD apply/bracket kernels and the sample-batched register, the
-# parallel equivalence suite, and the time-series store (ring eviction
-# keeps handing out live window references). Guards the plan's
-# zero-allocation
-# steady-state claim — workspace reuse across bind/apply/adjoint walks
+# parallel equivalence suite, the noise-model validation that guards the
+# trajectory sampler's threshold conversion, and the time-series store
+# (ring eviction keeps handing out live window references). Guards the
+# plan's zero-allocation steady-state claim — workspace reuse across
+# bind/apply/adjoint walks
 # must not hide use-after-free, out-of-bounds table indexing, or
 # mismatched lifetimes when plans are rebuilt by recalibrate().
 #
@@ -23,8 +24,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
 targets=(test_exec_plan test_adjoint test_simulator test_statevector
-  test_kernels test_batched test_parallel_equivalence test_arbiter
-  test_trafficgen test_timeseries test_watchdog)
+  test_kernels test_batched test_noise_model test_parallel_equivalence
+  test_arbiter test_trafficgen test_timeseries test_watchdog)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 # Promote UBSan findings to hard failures; keep ASan strict about leaks.

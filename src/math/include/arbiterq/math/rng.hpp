@@ -18,8 +18,8 @@ class Rng {
   Rng split(std::string_view label) const noexcept;
   Rng split(std::uint64_t salt) const noexcept;
 
-  // The per-draw hot path (next_u64, uniform, bernoulli) is inline:
-  // trajectory sampling makes thousands of draws per call.
+  // The per-draw hot path (next_u64, uniform, uniform_int, bernoulli)
+  // is inline: trajectory sampling makes thousands of draws per call.
   std::uint64_t next_u64() noexcept {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
@@ -38,8 +38,12 @@ class Rng {
   }
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) noexcept;
-  /// Uniform integer in [0, n); n must be > 0.
-  std::uint64_t uniform_int(std::uint64_t n) noexcept;
+  /// Uniform integer in [0, n); n must be > 0. Rejection-free modulo is
+  /// fine here: n is tiny relative to 2^64 at every call site (Pauli
+  /// picks, qubit indices, shuffles), so the bias is negligible.
+  std::uint64_t uniform_int(std::uint64_t n) noexcept {
+    return next_u64() % n;
+  }
   /// Standard normal via Box-Muller.
   double normal() noexcept;
   double normal(double mean, double stddev) noexcept;

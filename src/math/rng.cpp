@@ -52,12 +52,6 @@ double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t Rng::uniform_int(std::uint64_t n) noexcept {
-  // Rejection-free modulo is fine here: n is tiny relative to 2^64 in all
-  // call sites (qubit indices, shot bucket picks), so bias is negligible.
-  return next_u64() % n;
-}
-
 double Rng::normal() noexcept {
   if (has_cached_normal_) {
     has_cached_normal_ = false;

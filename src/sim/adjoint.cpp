@@ -223,13 +223,9 @@ void adjoint_gradient_z(const ExecPlan& plan, std::span<const double> params,
   const std::vector<GateEntry>& table = plan.gate_table();
   for (const GateEntry& e : table) {
     if (e.arity == 1) {
-      psi.apply_mat2(e.dynamic ? ws.dyn1q[static_cast<std::size_t>(e.index)]
-                               : plan.table_mat2(e.index),
-                     e.q0);
+      psi.apply_mat2(plan.mat2(e, ws), e.q0);
     } else {
-      psi.apply_mat4(e.dynamic ? ws.dyn2q[static_cast<std::size_t>(e.index)]
-                               : plan.table_mat4(e.index),
-                     e.q0, e.q1);
+      psi.apply_mat4(plan.mat4(e, ws), e.q0, e.q1);
     }
   }
 
@@ -265,17 +261,20 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
   // Batched forward over the unfused gate table: static entries
   // broadcast one matrix across the block, dynamic entries gather each
   // column's bound matrix — unless every column bound the same angles
-  // (weight gates), which takes the broadcast kernel too.
+  // (weight gates), which takes the broadcast kernel too. Every matrix
+  // arrives with the shape its plan or bind classified, so no
+  // application classifies again.
   BatchedStatevector& st = ws.state();
   st.configure(plan.num_qubits(), batch);
   const std::vector<GateEntry>& table = plan.gate_table();
+  const Workspace& w0 = *ws.col_gates[0];
   for (const GateEntry& e : table) {
     bool uniform = !e.dynamic;
     if (e.dynamic) {
       const auto bi = static_cast<std::size_t>(e.bound_index);
       uniform = true;
       for (std::size_t b = 1; b < batch; ++b) {
-        if (ws.col_gates[b]->dyn_bound[bi] != ws.col_gates[0]->dyn_bound[bi]) {
+        if (ws.col_gates[b]->dyn_bound[bi] != w0.dyn_bound[bi]) {
           uniform = false;
           break;
         }
@@ -284,27 +283,34 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
     const auto ei = static_cast<std::size_t>(e.index);
     if (e.arity == 1) {
       if (uniform) {
-        st.apply_mat2_all(
-            e.dynamic ? ws.col_gates[0]->dyn1q[ei] : plan.table_mat2(e.index),
-            e.q0);
+        st.apply_mat2_all(plan.mat2(e, w0), plan.shape2(e, w0), e.q0, batch);
       } else {
         if (ws.mat2_scratch.size() < batch) ws.mat2_scratch.resize(batch);
+        if (ws.shape2_scratch.size() < batch) {
+          ws.shape2_scratch.resize(batch);
+        }
         for (std::size_t b = 0; b < batch; ++b) {
           ws.mat2_scratch[b] = ws.col_gates[b]->dyn1q[ei];
+          ws.shape2_scratch[b] = ws.col_gates[b]->dyn1q_shape[ei];
         }
-        st.apply_mat2_each(ws.mat2_scratch.data(), e.q0);
+        st.apply_mat2_each(ws.mat2_scratch.data(), ws.shape2_scratch.data(),
+                           e.q0);
       }
     } else {
       if (uniform) {
-        st.apply_mat4_all(
-            e.dynamic ? ws.col_gates[0]->dyn2q[ei] : plan.table_mat4(e.index),
-            e.q0, e.q1);
+        st.apply_mat4_all(plan.mat4(e, w0), plan.shape4(e, w0), e.q0, e.q1,
+                          batch);
       } else {
         if (ws.mat4_scratch.size() < batch) ws.mat4_scratch.resize(batch);
+        if (ws.shape4_scratch.size() < batch) {
+          ws.shape4_scratch.resize(batch);
+        }
         for (std::size_t b = 0; b < batch; ++b) {
           ws.mat4_scratch[b] = ws.col_gates[b]->dyn2q[ei];
+          ws.shape4_scratch[b] = ws.col_gates[b]->dyn2q_shape[ei];
         }
-        st.apply_mat4_each(ws.mat4_scratch.data(), e.q0, e.q1);
+        st.apply_mat4_each(ws.mat4_scratch.data(), ws.shape4_scratch.data(),
+                           e.q0, e.q1);
       }
     }
   }

@@ -25,10 +25,25 @@ namespace {
 
 using circuit::Mat2;
 using circuit::Mat4;
+using kernels::MatShape;
 using kernels::Shape;
 
-inline bool is_diag(const Mat2& m) noexcept {
-  return kernels::classify(m).shape == Shape::kDiagonal;
+inline bool is_diag(const MatShape<2>& s) noexcept {
+  return s.shape == Shape::kDiagonal;
+}
+
+/// Pauli 1 = X, 2 = Y, 3 = Z, built once. Z is the one diagonal Pauli;
+/// X and Y take the dense kernel, as Statevector::apply_pauli's
+/// classify-dispatched apply does.
+const Mat2& pauli_matrix(int pauli) {
+  if (pauli < 1 || pauli > 3) {
+    throw std::invalid_argument("pauli must be 1, 2 or 3");
+  }
+  static const std::array<Mat2, 3> kPaulis = {
+      circuit::gate_matrix_1q(circuit::GateKind::kX, {}),
+      circuit::gate_matrix_1q(circuit::GateKind::kY, {}),
+      circuit::gate_matrix_1q(circuit::GateKind::kZ, {})};
+  return kPaulis[static_cast<std::size_t>(pauli - 1)];
 }
 
 }  // namespace
@@ -52,16 +67,17 @@ void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
          "amplitude storage must honor kAmpAlignment");
 }
 
-void BatchedStatevector::apply_mat2_all(const Mat2& m, int q,
+void BatchedStatevector::apply_mat2_all(const Mat2& m,
+                                        const MatShape<2>& shape, int q,
                                         std::size_t width) {
   assert(width <= batch_);
-  apply_mat2_cols(m, q, 0, width);
+  apply_mat2_cols(m, is_diag(shape), q, 0, width);
 }
 
-void BatchedStatevector::apply_mat2_cols(const Mat2& m, int q,
+void BatchedStatevector::apply_mat2_cols(const Mat2& m, bool diagonal, int q,
                                          std::size_t first,
                                          std::size_t count) {
-  if (is_diag(m)) {
+  if (diagonal) {
     const Complex d[2] = {m[0], m[3]};
     kernels::batched_apply_diag(amps_.data() + first, dim_, batch_, count, d,
                                 0, std::size_t{1} << q);
@@ -71,10 +87,10 @@ void BatchedStatevector::apply_mat2_cols(const Mat2& m, int q,
                               q);
 }
 
-void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa,
-                                        std::size_t width) {
+void BatchedStatevector::apply_mat4_all(const Mat4& m,
+                                        const MatShape<4>& shape, int qb,
+                                        int qa, std::size_t width) {
   assert(width <= batch_);
-  const auto shape = kernels::classify(m);
   if (shape.shape == Shape::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d,
@@ -89,16 +105,18 @@ void BatchedStatevector::apply_mat4_all(const Mat4& m, int qb, int qa,
   kernels::batched_apply_mat4(amps_.data(), dim_, batch_, width, m, qb, qa);
 }
 
-void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
+template <class ShapeOf>
+void BatchedStatevector::apply_mat2_runs(const Mat2* mats, int q,
+                                         ShapeOf&& shape_of) {
   diag_scratch_.resize(2 * batch_);
   // Diagonal dispatch is per-matrix (an RZ column sits next to an RX
   // column): partition the batch into maximal runs of equal dispatch so
   // every column takes exactly the kernel it would take unbatched.
   std::size_t b = 0;
   while (b < batch_) {
-    const bool diag = is_diag(mats[b]);
+    const bool diag = is_diag(shape_of(b));
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag(mats[e]) == diag) ++e;
+    while (e < batch_ && is_diag(shape_of(e)) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
       Complex* const ds[2] = {diag_scratch_.data(),
@@ -117,14 +135,16 @@ void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
   }
 }
 
-void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
+template <class ShapeOf>
+void BatchedStatevector::apply_mat4_runs(const Mat4* mats, int qb, int qa,
+                                         ShapeOf&& shape_of) {
   diag_scratch_.resize(4 * batch_);
   std::size_t b = 0;
   while (b < batch_) {
     // Runs share a shape and, for permutations, the same moves.
-    const auto shape = kernels::classify(mats[b]);
+    const MatShape<4> shape = shape_of(b);
     std::size_t e = b + 1;
-    while (e < batch_ && kernels::classify(mats[e]) == shape) ++e;
+    while (e < batch_ && shape_of(e) == shape) ++e;
     const std::size_t count = e - b;
     switch (shape.shape) {
       case Shape::kDiagonal: {
@@ -157,27 +177,36 @@ void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
   }
 }
 
-void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
-  switch (pauli) {
-    case 1:
-      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kX, {}), q,
-                      col, 1);
-      break;
-    case 2:
-      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kY, {}), q,
-                      col, 1);
-      break;
-    case 3:
-      apply_mat2_cols(circuit::gate_matrix_1q(circuit::GateKind::kZ, {}), q,
-                      col, 1);
-      break;
-    default:
-      throw std::invalid_argument("apply_pauli_col: pauli must be 1, 2 or 3");
-  }
+void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
+  apply_mat2_runs(mats, q,
+                  [mats](std::size_t b) { return kernels::classify(mats[b]); });
 }
 
-void BatchedStatevector::copy_col(std::size_t src, std::size_t dst) noexcept {
-  for (std::size_t i = 0; i < dim_; ++i) row(i)[dst] = row(i)[src];
+void BatchedStatevector::apply_mat2_each(const Mat2* mats,
+                                         const MatShape<2>* shapes, int q) {
+  apply_mat2_runs(mats, q,
+                  [shapes](std::size_t b) -> const MatShape<2>& {
+                    return shapes[b];
+                  });
+}
+
+void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
+  apply_mat4_runs(mats, qb, qa, [mats](std::size_t b) {
+    return kernels::classify(mats[b]);
+  });
+}
+
+void BatchedStatevector::apply_mat4_each(const Mat4* mats,
+                                         const MatShape<4>* shapes, int qb,
+                                         int qa) {
+  apply_mat4_runs(mats, qb, qa,
+                  [shapes](std::size_t b) -> const MatShape<4>& {
+                    return shapes[b];
+                  });
+}
+
+void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
+  apply_mat2_cols(pauli_matrix(pauli), pauli == 3, q, col, 1);
 }
 
 void BatchedStatevector::probability_of_one_all(int q, double* out) const {
@@ -355,6 +384,113 @@ void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
 // Plan-based trajectory sampler: one noise-free trunk, a branch per
 // trajectory that a Pauli hits
 
+namespace {
+
+/// Every random decision of a sampler call, pre-drawn trajectory by
+/// trajectory so the RNG stream — and therefore every outcome — is
+/// independent of how trajectories are later evolved. Pauli decisions
+/// use run_trajectory's per-site bernoulli-then-choice consumption, the
+/// bernoulli taken as NoiseSite::fires' exact integer threshold; shot
+/// draws consume one readout-flip uniform per shot whenever readout
+/// noise is configured, a value-independent schedule (the
+/// circuit-walking sampler draws the flip conditionally on the outcome,
+/// which would tie the stream to amplitude values). Only the few Paulis
+/// that fire are recorded. tr.shots_of must already hold the allotment.
+/// Kept out of line so the draw loop has the registers to itself:
+/// inlined into the sampler, its site cursor spills to the stack.
+[[gnu::noinline]] void draw_schedule(std::span<const NoiseSite> sites,
+                                     bool flips, math::Rng& rng,
+                                     BatchedWorkspace::Trajectories& tr) {
+  std::size_t shots = 0;
+  for (const int n : tr.shots_of) shots += static_cast<std::size_t>(n);
+  tr.fired.clear();
+  tr.u_out.resize(shots);
+  tr.u_flip.resize(flips ? shots : 0);
+  // Drawing from a local copy keeps the generator state in registers
+  // (the caller's rng may alias anything the loop stores); the copy's
+  // state is handed back once every draw is taken.
+  math::Rng draw = rng;
+  double* u_out = tr.u_out.data();
+  double* u_flip = tr.u_flip.data();
+  for (std::size_t t = 0; t < tr.shots_of.size(); ++t) {
+    for (const NoiseSite& site : sites) {
+      if (site.fires(draw)) {
+        tr.fired.push_back(
+            {static_cast<std::uint32_t>(t),
+             static_cast<std::uint32_t>(&site - sites.data()),
+             static_cast<std::uint8_t>(1 + draw.uniform_int(3))});
+      }
+    }
+    for (int s = 0; s < tr.shots_of[t]; ++s) {
+      *u_out++ = draw.uniform();
+      if (flips) *u_flip++ = draw.uniform();
+    }
+  }
+  rng = draw;
+}
+
+/// Gate-table entry e on `n` contiguous amplitudes — one register, or
+/// registers stacked end to end — through the range kernel its resolved
+/// shape selects: the calls Statevector::apply_mat2 / apply_mat4 make on
+/// a serial register, without classifying the matrix again. The gate's
+/// qubits sit below a register's width, so the index bits above it (the
+/// stacked register's number) pass through every butterfly unchanged.
+void apply_entry(const kernels::RangeKernels& k, Complex* amps,
+                 std::size_t n, const ExecPlan& plan, const GateEntry& e,
+                 const Workspace& ws) {
+  if (e.arity == 1) {
+    const Mat2& m = plan.mat2(e, ws);
+    if (is_diag(plan.shape2(e, ws))) {
+      const Complex d[2] = {m[0], m[3]};
+      k.diag(amps, d, 0, std::size_t{1} << e.q0, 0, n);
+    } else {
+      k.mat2(amps, m, e.q0, 0, n >> 1);
+    }
+    return;
+  }
+  const Mat4& m = plan.mat4(e, ws);
+  const MatShape<4>& shape = plan.shape4(e, ws);
+  switch (shape.shape) {
+    case Shape::kDiagonal: {
+      const Complex d[4] = {m[0], m[5], m[10], m[15]};
+      k.diag(amps, d, std::size_t{1} << e.q0, std::size_t{1} << e.q1, 0, n);
+      return;
+    }
+    case Shape::kPermutation:
+      kernels::apply_perm4_range(amps, shape.src, e.q0, e.q1, 0, n >> 2);
+      return;
+    case Shape::kDense:
+      k.mat4(amps, m, e.q0, e.q1, 0, n >> 2);
+      return;
+  }
+}
+
+/// Statevector::apply_pauli on one register of `dim` amplitudes.
+void apply_pauli(const kernels::RangeKernels& k, Complex* amps,
+                 std::size_t dim, int pauli, int q) {
+  const Mat2& m = pauli_matrix(pauli);
+  if (pauli == 3) {
+    const Complex d[2] = {m[0], m[3]};
+    k.diag(amps, d, 0, std::size_t{1} << q, 0, dim);
+  } else {
+    k.mat2(amps, m, q, 0, dim >> 1);
+  }
+}
+
+/// Statevector::probability_of_one on one register: the same basis-order
+/// sum.
+double register_probability_of_one(const Complex* amps, std::size_t dim,
+                                  int q) {
+  const std::size_t bit = std::size_t{1} << q;
+  double p = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (i & bit) p += std::norm(amps[i]);
+  }
+  return p;
+}
+
+}  // namespace
+
 std::uint64_t StatevectorSimulator::sample_marginal_ones(
     const ExecPlan& plan, std::span<const double> params, int qubit,
     const ShotOptions& opts, math::Rng& rng, BatchedWorkspace& ws) const {
@@ -387,34 +523,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
     remaining -= tr.shots_of[t];
   }
 
-  // Every random decision is pre-drawn here, trajectory by trajectory,
-  // so the RNG stream — and therefore every outcome — is independent of
-  // how trajectories are later evolved. Pauli decisions use
-  // run_trajectory's per-site bernoulli-then-choice consumption; shot
-  // draws consume one readout-flip uniform per shot whenever readout
-  // noise is configured, a value-independent schedule (the
-  // circuit-walking sampler draws the flip conditionally on the
-  // outcome, which would tie the stream to amplitude values). Only the
-  // few Paulis that fire are recorded.
-  tr.fired.clear();
-  tr.u_out.resize(static_cast<std::size_t>(opts.shots));
-  tr.u_flip.resize(flips ? tr.u_out.size() : 0);
-  {
-    std::size_t si = 0;
-    for (std::size_t t = 0; t < n_traj; ++t) {
-      for (std::size_t s = 0; s < sites.size(); ++s) {
-        if (rng.bernoulli(sites[s].error)) {
-          tr.fired.push_back(
-              {static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(s),
-               static_cast<std::uint8_t>(1 + rng.uniform_int(3))});
-        }
-      }
-      for (int s = 0; s < tr.shots_of[t]; ++s, ++si) {
-        tr.u_out[si] = rng.uniform();
-        if (flips) tr.u_flip[si] = rng.uniform();
-      }
-    }
-  }
+  draw_schedule(sites, flips, rng, tr);
 
   // A trajectory no Pauli hits is bitwise the noise-free evolution, so
   // those all read one trunk column. Each fired trajectory becomes a
@@ -437,18 +546,27 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
 
   // One bind serves every trajectory: gate matrices depend only on the
   // shared params; trajectories differ only in their Pauli insertions.
-  plan.bind_gates(params, ws.gates);
+  // The walk applies forward matrices only, so it skips the adjoint
+  // companions.
+  plan.bind_gates_forward(params, ws.gates);
 
   // Blocks of up to kBatchBlock - 1 branches share one walk with the
-  // trunk, which each block re-walks. Only the first block keeps the
-  // trunk pure, and only when silent trajectories read it; otherwise
-  // the block's last branch to fork evolves in the trunk's column in
-  // place — so a lone trajectory always walks a single column.
+  // trunk, which each block re-walks. A block's columns are registers
+  // stacked end to end (column c starts at amplitude c * dim), so the
+  // active columns [0, width) are one contiguous register of width *
+  // dim amplitudes and each gate is one unbatched range-kernel call over
+  // it: no per-row walk, and per amplitude the arithmetic of a lone
+  // register. Until the first fork that register is the trunk alone,
+  // and a call where no Pauli fires never widens it. Only the first
+  // block keeps the trunk pure, and only when silent trajectories read
+  // it; otherwise the block's last branch to fork evolves in the
+  // trunk's column in place — so a lone trajectory always walks a
+  // single column. The kernel arm is resolved once per call.
+  const kernels::RangeKernels kern = kernels::range_kernels();
+  const std::size_t dim = std::size_t{1} << plan.num_qubits();
   const std::size_t n_branch = tr.branches.size();
   const bool any_silent = n_branch < n_traj;
   tr.p1.resize(n_traj);
-  std::array<double, kBatchBlock> col_p1{};
-  BatchedStatevector& st = ws.state();
   std::size_t b0 = 0;
   do {
     const std::size_t nb = std::min(kBatchBlock - 1, n_branch - b0);
@@ -457,28 +575,21 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
     auto col_of = [&](std::size_t j) {
       return !keep_trunk && j + 1 == nb ? std::size_t{0} : j + 1;
     };
-    st.configure(plan.num_qubits(), keep_trunk ? nb + 1 : nb);
+    tr.stack.resize((keep_trunk ? nb + 1 : nb) * dim);
+    Complex* const stack = tr.stack.data();
+    std::fill_n(stack, dim, Complex{0.0, 0.0});
+    stack[0] = 1.0;
     std::size_t width = 1;
     std::size_t forked = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
-      const GateEntry& e = table[k];
-      const auto idx = static_cast<std::size_t>(e.index);
-      if (e.arity == 1) {
-        st.apply_mat2_all(
-            e.dynamic ? ws.gates.dyn1q[idx] : plan.table_mat2(e.index), e.q0,
-            width);
-      } else {
-        st.apply_mat4_all(
-            e.dynamic ? ws.gates.dyn2q[idx] : plan.table_mat4(e.index), e.q0,
-            e.q1, width);
-      }
+      apply_entry(kern, stack, width * dim, plan, table[k], ws.gates);
       // Fork every branch whose first Pauli follows this gate before
       // any Pauli lands, so each copy is the trunk right after gate k.
       while (forked < nb &&
              sites[tr.fired[block[forked].next].site].gate == k) {
         const std::size_t col = col_of(forked);
         if (col != 0) {
-          st.copy_col(0, col);
+          std::copy_n(stack, dim, stack + col * dim);
           width = col + 1;
         }
         ++forked;
@@ -490,14 +601,18 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
         for (; br.next < br.end && sites[tr.fired[br.next].site].gate == k;
              ++br.next) {
           const Fired& f = tr.fired[br.next];
-          st.apply_pauli_col(f.pauli, sites[f.site].qubit, col_of(j));
+          apply_pauli(kern, stack + col_of(j) * dim, dim, f.pauli,
+                      sites[f.site].qubit);
         }
       }
     }
-    st.probability_of_one_all(qubit, col_p1.data());
-    if (keep_trunk) std::fill(tr.p1.begin(), tr.p1.end(), col_p1[0]);
+    if (keep_trunk) {
+      std::fill(tr.p1.begin(), tr.p1.end(),
+                register_probability_of_one(stack, dim, qubit));
+    }
     for (std::size_t j = 0; j < nb; ++j) {
-      tr.p1[block[j].traj] = col_p1[col_of(j)];
+      tr.p1[block[j].traj] =
+          register_probability_of_one(stack + col_of(j) * dim, dim, qubit);
     }
     b0 += nb;
   } while (b0 < n_branch);

@@ -1,6 +1,7 @@
 #include "arbiterq/sim/exec_plan.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +34,15 @@ std::uint64_t next_plan_id() {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// NoiseSite
+
+std::uint64_t NoiseSite::threshold_for(double p) noexcept {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return kCertain;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 // ---------------------------------------------------------------------------
 // Workspace
@@ -188,6 +198,7 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         entry.index = static_cast<int>(table1q_.size());
         table1q_.push_back(m);
         table1q_adj_.push_back(circuit::mat2_adjoint(m));
+        table1q_shape_.push_back(kernels::classify(m));
         ++run.static_count;
         if (run.tail.empty()) {
           run.prefix = circuit::mat2_multiply(m, run.prefix);
@@ -210,6 +221,7 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         entry.index = static_cast<int>(table2q_.size());
         table2q_.push_back(m);
         table2q_adj_.push_back(circuit::mat4_adjoint(m));
+        table2q_shape_.push_back(kernels::classify(m));
         stream_.push_back({StreamOp::Kind::kConst2q, g.qubits[0], g.qubits[1],
                            static_cast<int>(const2q_.size())});
         const2q_.push_back(m);
@@ -219,9 +231,10 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
     // Noise sites: one per (gate with depolarizing error, involved
     // qubit), in gate order — the draw order of run_trajectory.
     if (entry.error > 0.0) {
-      sites_.push_back({table_.size(), entry.q0, entry.error});
+      const std::uint64_t threshold = NoiseSite::threshold_for(entry.error);
+      sites_.push_back({table_.size(), entry.q0, entry.error, threshold});
       if (entry.arity == 2) {
-        sites_.push_back({table_.size(), entry.q1, entry.error});
+        sites_.push_back({table_.size(), entry.q1, entry.error, threshold});
       }
     }
     table_.push_back(std::move(entry));
@@ -334,45 +347,67 @@ double ExecPlan::expectation_z(std::span<const double> params, int qubit,
 
 void ExecPlan::bind_gates(std::span<const double> params,
                           Workspace& ws) const {
+  bind_table(params, ws, true);
+}
+
+void ExecPlan::bind_gates_forward(std::span<const double> params,
+                                  Workspace& ws) const {
+  bind_table(params, ws, false);
+}
+
+void ExecPlan::bind_table(std::span<const double> params, Workspace& ws,
+                          bool companions) const {
   check_params(params);
   // dyn_bound doubles as the memo: an entry whose angles are unchanged
-  // since the previous bind_gates on this workspace keeps its matrix
-  // (same inputs, so the retained matrix is bit-exact).
+  // since the previous bind on this workspace keeps its matrix and shape
+  // (same inputs, so the retained matrix is bit-exact). Its companions
+  // are kept only if the bind that built the matrix built them too.
   const bool warm = ws.gates_plan_id == plan_id_;
   if (!warm) {
     ws.dyn1q.resize(static_cast<std::size_t>(n_dyn1q_));
     ws.dyn2q.resize(static_cast<std::size_t>(n_dyn2q_));
+    ws.dyn1q_shape.resize(static_cast<std::size_t>(n_dyn1q_));
+    ws.dyn2q_shape.resize(static_cast<std::size_t>(n_dyn2q_));
     ws.dyn_bound.resize(static_cast<std::size_t>(n_dyn_));
     ws.dyn1q_adj.resize(static_cast<std::size_t>(n_dyn1q_));
     ws.dyn2q_adj.resize(static_cast<std::size_t>(n_dyn2q_));
     ws.dgrad1q.resize(static_cast<std::size_t>(n_grad1q_));
     ws.dgrad2q.resize(static_cast<std::size_t>(n_grad2q_));
+    ws.dyn_companions.assign(static_cast<std::size_t>(n_dyn_), 0);
     ws.gates_plan_id = plan_id_;
   }
   std::uint64_t hits = 0;
   for (const GateEntry& e : table_) {
     if (!e.dynamic) continue;
+    const auto bi = static_cast<std::size_t>(e.bound_index);
+    const auto idx = static_cast<std::size_t>(e.index);
     const auto bound = e.spec.bound(params, noisy_);
-    auto& memo = ws.dyn_bound[static_cast<std::size_t>(e.bound_index)];
-    if (warm && bound == memo) {
+    auto& memo = ws.dyn_bound[bi];
+    const bool same = warm && bound == memo;
+    if (same && (!companions || ws.dyn_companions[bi] != 0)) {
       ++hits;
       continue;
     }
-    memo = bound;
+    if (!same) {
+      memo = bound;
+      if (e.arity == 1) {
+        ws.dyn1q[idx] = circuit::gate_matrix_1q(e.kind, bound);
+        ws.dyn1q_shape[idx] = kernels::classify(ws.dyn1q[idx]);
+      } else {
+        ws.dyn2q[idx] = circuit::gate_matrix_2q(e.kind, bound);
+        ws.dyn2q_shape[idx] = kernels::classify(ws.dyn2q[idx]);
+      }
+    }
+    ws.dyn_companions[bi] = companions ? 1 : 0;
+    if (!companions) continue;
     if (e.arity == 1) {
-      const Mat2 m = circuit::gate_matrix_1q(e.kind, bound);
-      ws.dyn1q[static_cast<std::size_t>(e.index)] = m;
-      ws.dyn1q_adj[static_cast<std::size_t>(e.index)] =
-          circuit::mat2_adjoint(m);
+      ws.dyn1q_adj[idx] = circuit::mat2_adjoint(ws.dyn1q[idx]);
       for (const GateEntry::GradTerm& t : e.grads) {
         ws.dgrad1q[static_cast<std::size_t>(t.dindex)] =
             circuit::d_gate_matrix_1q(e.kind, bound, t.slot);
       }
     } else {
-      const Mat4 m = circuit::gate_matrix_2q(e.kind, bound);
-      ws.dyn2q[static_cast<std::size_t>(e.index)] = m;
-      ws.dyn2q_adj[static_cast<std::size_t>(e.index)] =
-          circuit::mat4_adjoint(m);
+      ws.dyn2q_adj[idx] = circuit::mat4_adjoint(ws.dyn2q[idx]);
       for (const GateEntry::GradTerm& t : e.grads) {
         ws.dgrad2q[static_cast<std::size_t>(t.dindex)] =
             circuit::d_gate_matrix_2q(e.kind, bound);

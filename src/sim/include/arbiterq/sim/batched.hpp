@@ -31,6 +31,7 @@
 
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/sim/exec_plan.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/statevector.hpp"
 
 namespace arbiterq::sim {
@@ -69,21 +70,37 @@ class BatchedStatevector {
   /// Active-width forms: only columns [0, width) evolve; columns at or
   /// past `width` are left untouched and the row stride stays batch().
   /// Per-column results do not depend on `width`.
-  void apply_mat2_all(const circuit::Mat2& m, int q, std::size_t width);
+  void apply_mat2_all(const circuit::Mat2& m, int q, std::size_t width) {
+    apply_mat2_all(m, kernels::classify(m), q, width);
+  }
   void apply_mat4_all(const circuit::Mat4& m, int qb, int qa,
+                      std::size_t width) {
+    apply_mat4_all(m, kernels::classify(m), qb, qa, width);
+  }
+  /// Pre-classified forms, for walks that resolve shapes once per plan
+  /// or bind instead of on every application: `shape` must be
+  /// kernels::classify(m).
+  void apply_mat2_all(const circuit::Mat2& m,
+                      const kernels::MatShape<2>& shape, int q,
+                      std::size_t width);
+  void apply_mat4_all(const circuit::Mat4& m,
+                      const kernels::MatShape<4>& shape, int qb, int qa,
                       std::size_t width);
 
   /// Apply mats[b] to column b. The shape dispatch is per-matrix, so
   /// columns are partitioned into maximal runs of equal dispatch and
-  /// each run takes the kernel its matrices would take unbatched.
+  /// each run takes the kernel its matrices would take unbatched. The
+  /// `shapes` forms take shapes[b] = kernels::classify(mats[b]).
   void apply_mat2_each(const circuit::Mat2* mats, int q);
   void apply_mat4_each(const circuit::Mat4* mats, int qb, int qa);
+  void apply_mat2_each(const circuit::Mat2* mats,
+                       const kernels::MatShape<2>* shapes, int q);
+  void apply_mat4_each(const circuit::Mat4* mats,
+                       const kernels::MatShape<4>* shapes, int qb, int qa);
 
-  /// Apply a Pauli to a single column (sparse per-trajectory
-  /// insertions).
+  /// Apply a Pauli (1 = X, 2 = Y, 3 = Z) to a single column (sparse
+  /// per-trajectory insertions).
   void apply_pauli_col(int pauli, int q, std::size_t col);
-  /// Overwrite column `dst` with column `src`.
-  void copy_col(std::size_t src, std::size_t dst) noexcept;
 
   /// out[b] = P(qubit q reads 1) for column b, accumulated in basis
   /// order — the exact association of Statevector::probability_of_one.
@@ -91,8 +108,14 @@ class BatchedStatevector {
 
  private:
   /// apply_mat2_all over columns [first, first + count).
-  void apply_mat2_cols(const circuit::Mat2& m, int q, std::size_t first,
-                       std::size_t count);
+  void apply_mat2_cols(const circuit::Mat2& m, bool diagonal, int q,
+                       std::size_t first, std::size_t count);
+  /// The _each partition, with shape_of(b) the dispatch of column b.
+  template <class ShapeOf>
+  void apply_mat2_runs(const circuit::Mat2* mats, int q, ShapeOf&& shape_of);
+  template <class ShapeOf>
+  void apply_mat4_runs(const circuit::Mat4* mats, int qb, int qa,
+                       ShapeOf&& shape_of);
 
   int num_qubits_ = 0;
   std::size_t dim_ = 0;
@@ -132,18 +155,21 @@ class BatchedWorkspace {
   std::uint64_t plan_id = 0;
   std::size_t batch = 0;
 
-  /// Unbatched workspace for walks that bind the per-gate table
-  /// (batched trajectory sampling reuses bind_gates' matrices).
+  /// Unbatched workspace for walks that bind the per-gate table (the
+  /// trajectory sampler reads bind_gates_forward's matrices from it).
   Workspace gates;
 
   /// Batched-adjoint scratch: one gate-table workspace per sample
   /// column (each keeps its own bind_gates memo, so the weight-gate
   /// rebind skip works exactly as in the unbatched path and the
   /// reverse sweep runs against that column's bound matrices), plus
-  /// column-gathered dynamic matrices for the batched forward walk.
+  /// column-gathered dynamic matrices and their shapes for the batched
+  /// forward walk.
   std::vector<std::unique_ptr<Workspace>> col_gates;
   std::vector<circuit::Mat2> mat2_scratch;
   std::vector<circuit::Mat4> mat4_scratch;
+  std::vector<kernels::MatShape<2>> shape2_scratch;
+  std::vector<kernels::MatShape<4>> shape4_scratch;
 
   /// Trajectory-sampler scratch (StatevectorSimulator::
   /// sample_marginal_ones on a plan), reused so a steady-state call
@@ -167,6 +193,9 @@ class BatchedWorkspace {
     std::vector<int> shots_of;
     std::vector<Fired> fired;
     std::vector<Branch> branches;
+    /// A block's registers, stacked end to end: column c holds
+    /// amplitudes [c * dim, (c + 1) * dim).
+    AmpVector stack;
     std::vector<double> u_out;
     std::vector<double> u_flip;
     /// P(readout qubit = 1) per trajectory.

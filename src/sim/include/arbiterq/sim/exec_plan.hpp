@@ -32,6 +32,8 @@
 #include "arbiterq/circuit/circuit.hpp"
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/exec/parallel.hpp"
+#include "arbiterq/math/rng.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/noise_model.hpp"
 #include "arbiterq/sim/statevector.hpp"
 
@@ -61,18 +63,25 @@ class Workspace {
   std::vector<circuit::Mat2> bound1q;
   std::vector<circuit::Mat4> bound2q;
   /// Bound matrices + angle values for the plan's gate table (adjoint /
-  /// trajectory walks, which need per-gate rather than fused matrices).
+  /// trajectory walks, which need per-gate rather than fused matrices),
+  /// with each matrix's kernel shape, classified when the matrix is
+  /// rebuilt rather than when it is applied.
   std::vector<circuit::Mat2> dyn1q;
   std::vector<circuit::Mat4> dyn2q;
+  std::vector<kernels::MatShape<2>> dyn1q_shape;
+  std::vector<kernels::MatShape<4>> dyn2q_shape;
   std::vector<std::array<double, 3>> dyn_bound;
   /// Adjoint-walk companions built by bind_gates alongside dyn1q/dyn2q:
   /// each dynamic matrix's adjoint and each gradient term's derivative
   /// matrix, memoized under the same angle-change detection (the trig in
   /// the derivative builders dominates small-register adjoint calls).
+  /// bind_gates_forward skips them, so dyn_companions[bound_index] is 1
+  /// only while an entry's companions match its memoized angles.
   std::vector<circuit::Mat2> dyn1q_adj;
   std::vector<circuit::Mat4> dyn2q_adj;
   std::vector<circuit::Mat2> dgrad1q;
   std::vector<circuit::Mat4> dgrad2q;
+  std::vector<std::uint8_t> dyn_companions;
   /// General caller scratch (e.g. packed circuit parameters).
   std::vector<double> params;
   std::vector<double> grad;
@@ -198,7 +207,8 @@ struct GateEntry {
   int q1 = 0;
   int arity = 1;
   bool dynamic = false;
-  /// Static: index into the plan's const pools (matrix + its adjoint).
+  /// Static: index into the plan's const pools (matrix, its adjoint and
+  /// its kernel shape).
   /// Dynamic: index into the workspace dyn1q/dyn2q arrays.
   int index = 0;
   /// Dynamic only: index into Workspace::dyn_bound (the bound angles,
@@ -219,11 +229,29 @@ struct GateEntry {
 };
 
 /// A depolarizing noise site of a trajectory walk: after gate-table
-/// entry `gate`, a Pauli hits `qubit` with probability `error`.
+/// entry `gate`, a Pauli hits `qubit` with probability `error` (> 0).
 struct NoiseSite {
+  /// The threshold of a site that fires without a draw (error >= 1).
+  static constexpr std::uint64_t kCertain = ~std::uint64_t{0};
+
   std::size_t gate = 0;
   int qubit = 0;
   double error = 0.0;
+  /// threshold_for(error), fixed when the plan is built.
+  std::uint64_t threshold = 0;
+
+  /// The integer form of `Rng::uniform() < p`: kCertain for p >= 1,
+  /// 0 for p <= 0 (or NaN), else ceil(p * 2^53). uniform() is k * 2^-53
+  /// for the integer k = next_u64() >> 11, and p * 2^53 is exact (a
+  /// power-of-two scaling, subnormal p included), so k * 2^-53 < p
+  /// holds exactly when k < ceil(p * 2^53).
+  static std::uint64_t threshold_for(double p) noexcept;
+
+  /// Rng::bernoulli(error)'s decision from the same stream: one draw,
+  /// or none when the site is certain.
+  bool fires(math::Rng& rng) const noexcept {
+    return threshold == kCertain || (rng.next_u64() >> 11) < threshold;
+  }
 };
 
 /// A circuit compiled against one noise model (and one kernel policy):
@@ -265,9 +293,15 @@ class ExecPlan {
   double expectation_z(std::span<const double> params, int qubit,
                        Workspace& ws) const;
 
-  /// Rebuild the gate table's dynamic matrices + bound angles into `ws`
-  /// (for the adjoint walk in adjoint.hpp).
+  /// Rebuild the gate table's dynamic matrices, their shapes and bound
+  /// angles, plus the adjoint and derivative companions, into `ws` (for
+  /// the adjoint walk in adjoint.hpp).
   void bind_gates(std::span<const double> params, Workspace& ws) const;
+  /// bind_gates without the companions, for walks that only apply the
+  /// forward matrices (the trajectory sampler). A later bind_gates on
+  /// the same workspace rebuilds the companions it skipped.
+  void bind_gates_forward(std::span<const double> params,
+                          Workspace& ws) const;
 
   /// Sample-batched forward (batched.hpp / batched.cpp). `params` holds
   /// `batch` parameter bindings, sample b's at [b * stride, + num
@@ -291,21 +325,39 @@ class ExecPlan {
   const std::vector<NoiseSite>& noise_sites() const noexcept {
     return sites_;
   }
-  const circuit::Mat2& table_mat2(int i) const {
-    return table1q_[static_cast<std::size_t>(i)];
-  }
   const circuit::Mat2& table_mat2_adjoint(int i) const {
     return table1q_adj_[static_cast<std::size_t>(i)];
-  }
-  const circuit::Mat4& table_mat4(int i) const {
-    return table2q_[static_cast<std::size_t>(i)];
   }
   const circuit::Mat4& table_mat4_adjoint(int i) const {
     return table2q_adj_[static_cast<std::size_t>(i)];
   }
 
+  /// Entry e's forward matrix and its kernel shape: the plan's constant
+  /// (classified once, here) for a static entry, the matrix bind_gates
+  /// left in `ws` for a dynamic one.
+  const circuit::Mat2& mat2(const GateEntry& e, const Workspace& ws) const {
+    const auto i = static_cast<std::size_t>(e.index);
+    return e.dynamic ? ws.dyn1q[i] : table1q_[i];
+  }
+  const kernels::MatShape<2>& shape2(const GateEntry& e,
+                                     const Workspace& ws) const {
+    const auto i = static_cast<std::size_t>(e.index);
+    return e.dynamic ? ws.dyn1q_shape[i] : table1q_shape_[i];
+  }
+  const circuit::Mat4& mat4(const GateEntry& e, const Workspace& ws) const {
+    const auto i = static_cast<std::size_t>(e.index);
+    return e.dynamic ? ws.dyn2q[i] : table2q_[i];
+  }
+  const kernels::MatShape<4>& shape4(const GateEntry& e,
+                                     const Workspace& ws) const {
+    const auto i = static_cast<std::size_t>(e.index);
+    return e.dynamic ? ws.dyn2q_shape[i] : table2q_shape_[i];
+  }
+
  private:
   void check_params(std::span<const double> params) const;
+  void bind_table(std::span<const double> params, Workspace& ws,
+                  bool companions) const;
 
   int num_qubits_ = 0;
   int num_params_ = 0;
@@ -332,8 +384,10 @@ class ExecPlan {
   std::vector<NoiseSite> sites_;
   std::vector<circuit::Mat2> table1q_;
   std::vector<circuit::Mat2> table1q_adj_;
+  std::vector<kernels::MatShape<2>> table1q_shape_;
   std::vector<circuit::Mat4> table2q_;
   std::vector<circuit::Mat4> table2q_adj_;
+  std::vector<kernels::MatShape<4>> table2q_shape_;
 };
 
 }  // namespace arbiterq::sim

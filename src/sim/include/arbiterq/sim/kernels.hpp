@@ -47,7 +47,14 @@
 //
 // Shape dispatch: classify() sorts each gate matrix into diagonal, unit
 // permutation or dense, and every apply and bracket site branches on
-// its answer. A unit permutation (CX, SWAP) moves amplitudes and does
+// its answer. Walks over a plan's gate table (the trajectory sampler,
+// the batched adjoint's forward sweep) classify once per plan or bind,
+// not once per application: ExecPlan stores each static entry's shape
+// when it is built and bind_gates each dynamic entry's when it rebuilds
+// the matrix, and those walks pass the stored shape to the kernel
+// (RangeKernels below, the shaped BatchedStatevector overloads). The
+// ad hoc sites (Statevector, the fused stream) still classify per
+// call. A unit permutation (CX, SWAP) moves amplitudes and does
 // no arithmetic. For finite amplitudes the dense kernel computes the
 // same values — 1·x plus exact ±0 terms — and can differ only in the
 // sign of an amplitude that is exactly zero, which compares equal and
@@ -113,10 +120,10 @@ struct MatShape {
 /// every row holds exactly one nonzero entry, that entry is exactly
 /// (1, 0), and no two rows pick the same column. The 1q sites use only
 /// the diagonal answer, so X, the one 1q permutation, runs dense.
-/// It runs once per gate application, so it stops as soon as the
-/// answer is settled: the first nonzero off-diagonal entry rules out
-/// the diagonal and, unless it is (1, 0), the permutation; rows above
-/// it are already known to be zero off the diagonal.
+/// Ad hoc apply sites run it once per gate application, so it stops as
+/// soon as the answer is settled: the first nonzero off-diagonal entry
+/// rules out the diagonal and, unless it is (1, 0), the permutation;
+/// rows above it are already known to be zero off the diagonal.
 template <std::size_t K>
 MatShape<K == 4 ? 2 : 4> classify(const std::array<Complex, K>& m) noexcept {
   static_assert(K == 4 || K == 16, "classify takes a Mat2 or a Mat4");
@@ -195,6 +202,21 @@ void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
 /// Runs of 1-4 groups (q_lo <= 2) swap in a fixed-length loop.
 void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
                        std::size_t lo, std::size_t hi);
+
+/// The arm's apply_mat2_range / apply_mat4_range / apply_diag_range,
+/// resolved once for walks that apply many small gates back to back
+/// (the trajectory sampler) and would otherwise re-read the dispatch
+/// flags on every gate. Each pointer is the function the matching entry
+/// above calls under the flags in force when range_kernels() ran.
+struct RangeKernels {
+  void (*mat2)(Complex* amps, const Mat2& m, int q, std::size_t lo,
+               std::size_t hi);
+  void (*mat4)(Complex* amps, const Mat4& m, int qb, int qa, std::size_t lo,
+               std::size_t hi);
+  void (*diag)(Complex* amps, const Complex* d, std::size_t bit_b,
+               std::size_t bit_a, std::size_t lo, std::size_t hi);
+};
+RangeKernels range_kernels() noexcept;
 
 /// <lambda| M |psi> accumulated in amplitude-index order, including the
 /// diagonal dispatch of apply_mat2 (see adjoint.cpp for the contract).

@@ -26,6 +26,9 @@ class NoiseModel {
   int num_qubits() const noexcept { return num_qubits_; }
   bool enabled() const noexcept { return enabled_; }
 
+  /// Setters throw std::out_of_range for a bad qubit and
+  /// std::invalid_argument for a probability outside [0, 1] or a
+  /// non-finite bias (NaN included).
   void set_depolarizing_1q(int q, double p);
   void set_depolarizing_2q(int a, int b, double p);
   void set_coherent_bias(int q, double radians);

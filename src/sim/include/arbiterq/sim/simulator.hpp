@@ -112,13 +112,14 @@ class StatevectorSimulator {
 
   /// Plan-based trajectory sampler (batched.cpp). Every random
   /// decision is pre-drawn in trajectory order; then one noise-free
-  /// trunk column serves every trajectory no Pauli hits, and only the
-  /// hit trajectories evolve as branch columns of a BatchedStatevector,
-  /// forked from the trunk at their first Pauli. Each trajectory's
-  /// bits are those of its own one-column walk. The draw schedule is value-independent (one flip uniform per
-  /// shot whenever readout noise is configured), so it differs from the
-  /// circuit-walking sampler's stream — same distribution, different
-  /// bits for a given seed.
+  /// trunk serves every trajectory no Pauli hits, and only the hit
+  /// trajectories evolve as branch registers, stacked after the trunk
+  /// and forked from it at their first Pauli. Each trajectory's bits
+  /// are those of its own one-register walk. The draw schedule is
+  /// value-independent (one flip uniform per shot whenever readout
+  /// noise is configured), so it differs from the circuit-walking
+  /// sampler's stream — same distribution, different bits for a given
+  /// seed.
   std::uint64_t sample_marginal_ones(const ExecPlan& plan,
                                      std::span<const double> params, int qubit,
                                      const ShotOptions& opts, math::Rng& rng,

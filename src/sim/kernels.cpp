@@ -403,7 +403,9 @@ const char* arch_name(KernelArch arch) noexcept {
 // or two butterflies. Hot loops over a batched register therefore call
 // the register-level entries, which resolve the arm once per gate, and
 // every arm then splats its coefficients once per gate rather than per
-// run or row (kernels_avx2.cpp, "Setup-free walks").
+// run or row (kernels_avx2.cpp, "Setup-free walks"). A walk of many
+// small unbatched gates takes range_kernels() once and calls the arm's
+// functions directly.
 
 #if defined(ARBITERQ_SIMD_AVX2)
 #define AQ_DISPATCH(fn_avx2, fn_scalar, ...)          \
@@ -436,6 +438,22 @@ void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
                       std::size_t bit_a, std::size_t lo, std::size_t hi) {
   AQ_DISPATCH(diag_range_avx2, diag_range_scalar, amps, d, bit_b, bit_a, lo,
               hi);
+}
+
+RangeKernels range_kernels() noexcept {
+#if defined(ARBITERQ_SIMD_AVX2)
+  switch (active_arch()) {
+    case KernelArch::kAvx2:
+      return {&detail::mat2_range_avx2<false>, &detail::mat4_range_avx2<false>,
+              &detail::diag_range_avx2<false>};
+    case KernelArch::kAvx2Fma:
+      return {&detail::mat2_range_avx2<true>, &detail::mat4_range_avx2<true>,
+              &detail::diag_range_avx2<true>};
+    case KernelArch::kScalar:
+      break;
+  }
+#endif
+  return {&mat2_range_scalar, &mat4_range_scalar, &diag_range_scalar};
 }
 
 void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,

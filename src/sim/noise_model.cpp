@@ -1,6 +1,8 @@
 #include "arbiterq/sim/noise_model.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "arbiterq/circuit/circuit.hpp"
 
@@ -25,8 +27,9 @@ void NoiseModel::check_qubit(int q) const {
 }
 
 namespace {
+// Written so NaN fails too: every comparison with NaN is false.
 void check_probability(double p, const char* what) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument(std::string(what) + ": not a probability");
   }
 }
@@ -51,6 +54,9 @@ void NoiseModel::set_depolarizing_2q(int a, int b, double p) {
 
 void NoiseModel::set_coherent_bias(int q, double radians) {
   check_qubit(q);
+  if (!std::isfinite(radians)) {
+    throw std::invalid_argument("set_coherent_bias: bias must be finite");
+  }
   bias_[static_cast<std::size_t>(q)] = radians;
   if (radians != 0.0) enabled_ = true;
 }

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -28,6 +30,7 @@
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/exec_plan.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
 
 namespace arbiterq::sim {
@@ -267,11 +270,14 @@ TEST(BatchedStatevectorTest, ActiveWidthLeavesTrailingColumnsUntouched) {
 // Trajectory-batched sampler
 
 /// What the reference replay saw: the count it returns plus how many
-/// trajectories no Pauli hit and how many were hit at noise site 0.
+/// trajectories no Pauli hit, how many were hit at noise site 0, and
+/// the earliest gate after which a trajectory's first Pauli lands (the
+/// sampler's first fork).
 struct ReferenceDraws {
   std::uint64_t ones = 0;
   std::size_t silent = 0;
   std::size_t hit_at_site0 = 0;
+  std::size_t first_fork_gate = SIZE_MAX;
 };
 
 /// Test-only reference for the plan sampler: replays the same pre-drawn
@@ -337,18 +343,15 @@ ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
     std::size_t s = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
       const GateEntry& e = table[k];
-      const auto idx = static_cast<std::size_t>(e.index);
       if (e.arity == 1) {
-        st.apply_mat2_all(
-            e.dynamic ? gates.dyn1q[idx] : plan.table_mat2(e.index), e.q0);
+        st.apply_mat2_all(plan.mat2(e, gates), e.q0);
       } else {
-        st.apply_mat4_all(
-            e.dynamic ? gates.dyn2q[idx] : plan.table_mat4(e.index), e.q0,
-            e.q1);
+        st.apply_mat4_all(plan.mat4(e, gates), e.q0, e.q1);
       }
       for (; s < sites.size() && sites[s].gate == k; ++s) {
         if (pauli[t][s] == 0) continue;
         if (!hit && s == 0) ++out.hit_at_site0;
+        if (!hit) out.first_fork_gate = std::min(out.first_fork_gate, k);
         hit = true;
         st.apply_pauli_col(pauli[t][s], sites[s].qubit, 0);
       }
@@ -420,6 +423,205 @@ TEST(BatchedSampler, MatchesOneColumnPerTrajectoryReplayBitwise) {
     } else {
       EXPECT_GT(silent, 0U) << setting.name;
     }
+  }
+}
+
+/// The sampler walk's edge cases against the one-column replay, on the
+/// strict arm (true) and the FMA arm (false: strict reproducibility
+/// off, which is the scalar arm on hosts without AVX2+FMA). Each case
+/// also checks, from the reference's statistics, that it covers what
+/// its name claims.
+class SamplerWalk : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    was_strict_ = kernels::strict_reproducibility();
+    kernels::set_strict_reproducibility(GetParam());
+  }
+  void TearDown() override {
+    kernels::set_strict_reproducibility(was_strict_);
+  }
+
+  /// Runs the sampler and the reference on the same seed for each
+  /// trajectory count and readout qubit, expects equal counts and equal
+  /// RNG consumption, and sums the reference's statistics.
+  ReferenceDraws check(const char* name, const Circuit& c,
+                       const NoiseModel& noise,
+                       std::initializer_list<int> trajectories) {
+    math::Rng prng(83);
+    std::vector<double> params(static_cast<std::size_t>(c.num_params()));
+    for (double& v : params) v = prng.uniform(-1.5, 1.5);
+    const StatevectorSimulator sim(noise);
+    const ExecPlan plan = sim.make_plan(c);
+    BatchedWorkspace ws;
+    ReferenceDraws total;
+    for (const int n_traj : trajectories) {
+      for (const int qubit : {0, c.num_qubits() - 1}) {
+        ShotOptions opts;
+        opts.shots = 300;
+        opts.trajectories = n_traj;
+        const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(n_traj);
+        math::Rng a(seed);
+        math::Rng b(seed);
+        const std::uint64_t got =
+            sim.sample_marginal_ones(plan, params, qubit, opts, a, ws);
+        const ReferenceDraws want =
+            reference_marginal_ones(plan, noise, params, qubit, opts, b);
+        EXPECT_EQ(got, want.ones)
+            << name << " trajectories " << n_traj << " qubit " << qubit;
+        EXPECT_EQ(a.next_u64(), b.next_u64()) << name;
+        total.silent += want.silent;
+        total.hit_at_site0 += want.hit_at_site0;
+        total.first_fork_gate =
+            std::min(total.first_fork_gate, want.first_fork_gate);
+      }
+    }
+    return total;
+  }
+
+  bool was_strict_ = true;
+};
+
+/// Every site of every gate fires with probability p (readout noise
+/// on, so shot draws take their flip uniforms too).
+NoiseModel uniform_noise(int nq, double p) {
+  NoiseModel m(nq);
+  for (int q = 0; q < nq; ++q) {
+    m.set_depolarizing_1q(q, p);
+    m.set_readout_error(q, 0.05, 0.1);
+    for (int r = 0; r < nq; ++r) {
+      if (r != q) m.set_depolarizing_2q(q, r, p);
+    }
+  }
+  return m;
+}
+
+TEST_P(SamplerWalk, NoBranchReadsTheTrunk) {
+  const Circuit c = full_gate_circuit();
+  // Noiseless: no sites at all. Noisy but silent: every site draws and
+  // none fires, so the call never leaves the contiguous trunk.
+  const ReferenceDraws noiseless =
+      check("noiseless", c, NoiseModel(), {1, 16, 40});
+  EXPECT_EQ(noiseless.first_fork_gate, SIZE_MAX);
+  const ReferenceDraws silent =
+      check("silent", c, uniform_noise(3, 1e-15), {1, 16, 40});
+  EXPECT_EQ(silent.first_fork_gate, SIZE_MAX);
+  EXPECT_EQ(silent.silent, 2U * (1 + 16 + 40));
+}
+
+TEST_P(SamplerWalk, FirstForkAtSiteZero) {
+  const Circuit c = full_gate_circuit();
+  NoiseModel noise = uniform_noise(3, 0.01);
+  noise.set_depolarizing_1q(0, 0.5);  // site 0 is h(0)
+  const ReferenceDraws r = check("site0", c, noise, {1, 2, 16, 33});
+  EXPECT_GT(r.hit_at_site0, 0U);
+  EXPECT_EQ(r.first_fork_gate, 0U);
+  EXPECT_GT(r.silent, 0U);
+}
+
+TEST_P(SamplerWalk, FirstForkAtTheLastGate) {
+  // Only the last gate errs: every branch forks after the whole trunk.
+  Circuit c(3, 2);
+  c.h(0);
+  c.rx(0, ParamExpr::ref(0));
+  c.cx(0, 1);
+  c.ry(1, ParamExpr::ref(1));
+  c.cz(0, 1);
+  c.h(2);
+  NoiseModel noise(3);
+  noise.set_coherent_bias(0, 0.04);
+  noise.set_depolarizing_1q(2, 0.5);
+  noise.set_readout_error(2, 0.03, 0.07);
+  const ReferenceDraws r = check("last gate", c, noise, {1, 2, 16, 40});
+  EXPECT_EQ(r.first_fork_gate, c.size() - 1);
+  EXPECT_GT(r.silent, 0U);
+}
+
+TEST_P(SamplerWalk, NoSilentTrajectory) {
+  const ReferenceDraws r = check("no silent", full_gate_circuit(),
+                                 uniform_noise(3, 0.6), {1, 2, 16, 31});
+  EXPECT_EQ(r.silent, 0U);
+  EXPECT_NE(r.first_fork_gate, SIZE_MAX);
+}
+
+TEST_P(SamplerWalk, BranchesSpanSeveralBlocks) {
+  // More than kBatchBlock - 1 branches: every trajectory hit (the trunk
+  // column is handed to a branch in every block), and some silent (the
+  // first block keeps the trunk, later ones do not).
+  const Circuit c = full_gate_circuit();
+  const ReferenceDraws all_hit =
+      check("all hit", c, uniform_noise(3, 0.6), {32, 33, 50, 64});
+  EXPECT_EQ(all_hit.silent, 0U);
+  const ReferenceDraws some_silent =
+      check("some silent", c, uniform_noise(3, 0.05), {80, 150});
+  EXPECT_GT(some_silent.silent, 0U);
+  // Four calls (two readout qubits per count): more than 4 * 31
+  // branches in all puts more than 31 in at least one of them.
+  EXPECT_GT(2U * (80 + 150) - some_silent.silent, 4U * 31);
+}
+
+TEST_P(SamplerWalk, CertainSiteFiresWithoutADraw) {
+  // p = 1 on qubit 0: bernoulli fires without drawing, and so must the
+  // plan's threshold test, or the two streams part.
+  const Circuit c = full_gate_circuit();
+  NoiseModel noise = uniform_noise(3, 0.02);
+  noise.set_depolarizing_1q(0, 1.0);
+  const ReferenceDraws r = check("certain", c, noise, {1, 16, 40});
+  EXPECT_EQ(r.silent, 0U);
+  EXPECT_EQ(r.first_fork_gate, 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(Arms, SamplerWalk, ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Strict" : "Fma";
+                         });
+
+TEST(NoiseSiteThreshold, IntegerDecisionEqualsUniformComparison) {
+  // uniform() is k * 2^-53 for k = next_u64() >> 11; the site's test is
+  // k < threshold. They must agree on both sides of every boundary,
+  // including p whose p * 2^53 is not an integer (odd multiples of
+  // 2^-54, which exist only below 0.5), the smallest subnormal and the
+  // largest double below 1.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  std::vector<double> ps = {std::numeric_limits<double>::denorm_min(),
+                            3 * std::numeric_limits<double>::denorm_min(),
+                            0x1.0p-53,
+                            0.5,
+                            std::nextafter(1.0, 0.0),
+                            0.004,
+                            0.37};
+  for (const std::uint64_t odd :
+       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{12345},
+        (std::uint64_t{1} << 40) + 1, kTop - 1}) {
+    ps.push_back(static_cast<double>(odd) * 0x1.0p-54);
+  }
+  for (const double p : ps) {
+    const std::uint64_t t = NoiseSite::threshold_for(p);
+    ASSERT_LE(t, kTop) << p;
+    for (std::uint64_t d = 0; d < 3; ++d) {
+      for (const std::uint64_t k : {t - d - 1, t + d}) {
+        if (k >= kTop) continue;  // also skips t - d - 1 wrapping below 0
+        const bool by_threshold = k < t;
+        const bool by_uniform = static_cast<double>(k) * 0x1.0p-53 < p;
+        EXPECT_EQ(by_threshold, by_uniform) << "p " << p << " k " << k;
+      }
+    }
+  }
+  EXPECT_EQ(NoiseSite::threshold_for(0.0), 0U);
+  EXPECT_EQ(NoiseSite::threshold_for(1.0), NoiseSite::kCertain);
+  EXPECT_EQ(NoiseSite::threshold_for(std::nan("")), 0U);
+}
+
+TEST(NoiseSiteThreshold, FiresConsumesTheStreamAsBernoulli) {
+  for (const double p : {0x1.0p-53, 0.004, 0.37, 0.5, 0.999, 1.0}) {
+    NoiseSite site;
+    site.error = p;
+    site.threshold = NoiseSite::threshold_for(p);
+    math::Rng a(91);
+    math::Rng b(91);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(site.fires(a), b.bernoulli(p)) << "p " << p << " draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
   }
 }
 

@@ -23,6 +23,7 @@
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/batched.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 
@@ -258,6 +259,61 @@ TEST(ExecPlanAdjoint, RandomCircuitsMatchNaive) {
       EXPECT_EQ(planned[i], naive[i]) << "seed " << seed << " param " << i;
     }
   }
+}
+
+TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
+  // Static entries are classified once when the plan is built, dynamic
+  // ones whenever bind_gates rebuilds their matrix; either way the walks
+  // must see exactly what classify() would say about the matrix.
+  const Circuit c = full_gate_circuit();
+  const ExecPlan plan = StatevectorSimulator(rich_noise(3)).make_plan(c);
+  Workspace full;
+  Workspace fwd;
+  math::Rng rng(47);
+  for (int round = 0; round < 3; ++round) {
+    auto params = some_params(c.num_params(), rng);
+    if (round == 2) params.assign(params.size(), 0.0);  // RX(0) etc.
+    plan.bind_gates(params, full);
+    plan.bind_gates_forward(params, fwd);
+    for (const Workspace* ws : {&full, &fwd}) {
+      for (const GateEntry& e : plan.gate_table()) {
+        if (e.arity == 1) {
+          EXPECT_EQ(plan.shape2(e, *ws), kernels::classify(plan.mat2(e, *ws)));
+        } else {
+          EXPECT_EQ(plan.shape4(e, *ws), kernels::classify(plan.mat4(e, *ws)));
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
+  // bind_gates_forward skips the adjoint and derivative matrices. A full
+  // bind that follows it on the same workspace — at the angles it bound,
+  // or at the ones before — must still hand the adjoint walk companions
+  // that match its angles, so gradients equal a cold workspace's.
+  const Circuit c = full_gate_circuit();
+  const ExecPlan plan = StatevectorSimulator(rich_noise(3)).make_plan(c);
+  math::Rng rng(53);
+  const auto a = some_params(c.num_params(), rng);
+  const auto b = some_params(c.num_params(), rng);
+  auto cold = [&](const std::vector<double>& p) {
+    Workspace fresh;
+    return adjoint_gradient_z(plan, p, 1, fresh);
+  };
+  Workspace ws;
+  plan.bind_gates_forward(a, ws);
+  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "cold forward";
+  plan.bind_gates_forward(b, ws);
+  EXPECT_EQ(adjoint_gradient_z(plan, b, 1, ws), cold(b)) << "forward b";
+  plan.bind_gates_forward(a, ws);
+  plan.bind_gates_forward(b, ws);
+  EXPECT_EQ(adjoint_gradient_z(plan, b, 1, ws), cold(b)) << "a, b, full b";
+  plan.bind_gates_forward(a, ws);
+  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "full b, a";
+  // A forward bind after a full one at the same angles keeps both.
+  plan.bind_gates_forward(a, ws);
+  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "full a, a";
 }
 
 TEST(SimulatorOverloads, PrecomputedSurvivalMatches) {

@@ -158,6 +158,40 @@ TEST(KernelDispatch, StrictModeNeverSelectsFma) {
   }
 }
 
+TEST(KernelDispatch, ResolvedRangeKernelsMatchTheDispatchers) {
+  // range_kernels() hands out, under each flag setting, the functions
+  // the apply_*_range entries dispatch to: bit-identical results.
+  FlagGuard guard;
+  math::Rng rng(97);
+  const AmpVector init = random_state(5, rng);
+  const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, {0.3, -1.1, 0.7});
+  const Mat4 m4 = circuit::gate_matrix_2q(GateKind::kCRY, {0.9, 0, 0});
+  const Complex d[4] = {{0.6, 0.8}, {0.0, -1.0}, {-0.28, 0.96}, {1.0, 0.0}};
+  for (const bool simd : {false, true}) {
+    for (const bool strict : {false, true}) {
+      kernels::set_simd_runtime_enabled(simd);
+      kernels::set_strict_reproducibility(strict);
+      const kernels::RangeKernels k = kernels::range_kernels();
+      for (int q = 0; q + 1 < 5; ++q) {
+        AmpVector a = init;
+        AmpVector b = init;
+        kernels::apply_mat2_range(a.data(), m2, q, 3, 13);
+        k.mat2(b.data(), m2, q, 3, 13);
+        kernels::apply_mat4_range(a.data(), m4, q + 1, q, 1, 7);
+        k.mat4(b.data(), m4, q + 1, q, 1, 7);
+        kernels::apply_diag_range(a.data(), d, std::size_t{1} << (q + 1),
+                                  std::size_t{1} << q, 2, 29);
+        k.diag(b.data(), d, std::size_t{1} << (q + 1), std::size_t{1} << q,
+               2, 29);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]) << "simd " << simd << " strict " << strict
+                                << " q " << q << " amp " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDispatch, ArchNamesAreStable) {
   EXPECT_STREQ(kernels::arch_name(kernels::KernelArch::kScalar), "scalar");
 }

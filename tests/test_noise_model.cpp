@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "arbiterq/circuit/circuit.hpp"
 
 namespace arbiterq::sim {
@@ -29,6 +32,32 @@ TEST(NoiseModel, ConstructionAndValidation) {
   EXPECT_THROW(m.set_depolarizing_1q(0, 1.5), std::invalid_argument);
   EXPECT_THROW(m.set_depolarizing_2q(0, 1, -0.1), std::invalid_argument);
   EXPECT_THROW(m.set_readout_error(0, 2.0, 0.0), std::invalid_argument);
+}
+
+TEST(NoiseModel, RejectsNonFiniteValues) {
+  // NaN compares false against every bound, so a range test written as
+  // `p < 0 || p > 1` would let it through and leave the model disabled.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  NoiseModel m(2);
+  EXPECT_THROW(m.set_depolarizing_1q(0, nan), std::invalid_argument);
+  EXPECT_THROW(m.set_depolarizing_1q(0, inf), std::invalid_argument);
+  EXPECT_THROW(m.set_depolarizing_2q(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(m.set_depolarizing_2q(0, 1, -inf), std::invalid_argument);
+  EXPECT_THROW(m.set_readout_error(0, nan, 0.0), std::invalid_argument);
+  EXPECT_THROW(m.set_readout_error(0, 0.0, nan), std::invalid_argument);
+  EXPECT_THROW(m.set_coherent_bias(0, nan), std::invalid_argument);
+  EXPECT_THROW(m.set_coherent_bias(0, inf), std::invalid_argument);
+  EXPECT_THROW(m.set_coherent_bias(1, -inf), std::invalid_argument);
+  // Nothing was stored and the model stayed disabled.
+  EXPECT_FALSE(m.enabled());
+  EXPECT_EQ(m.depolarizing_1q(0), 0.0);
+  EXPECT_EQ(m.readout_p01(0), 0.0);
+  EXPECT_EQ(m.coherent_bias(0), 0.0);
+  // The closed range's end points stay valid.
+  m.set_depolarizing_1q(0, 1.0);
+  m.set_readout_error(1, 0.0, 1.0);
+  EXPECT_TRUE(m.enabled());
 }
 
 TEST(NoiseModel, SettersEnableAndStore) {
