@@ -6,6 +6,9 @@
 //      quality gain rate — heterogeneity can overwhelm parallelism.
 //  (b) batch-based vs shot-based inference: the standard deviation of
 //      the per-task loss is larger under batch-based scheduling.
+//
+// Exits 1 unless (b) holds: the shot-based stddev is below the
+// batch-based one.
 
 #include "bench_util.hpp"
 
@@ -100,5 +103,8 @@ int main() {
     std::printf("(wrote fig2_telemetry.jsonl: %zu lines)\n",
                 tel->lines_written());
   }
-  return 0;
+  const bool holds = shot.loss_stddev < batch.loss_stddev;
+  std::printf("check: shot-based stddev below batch-based: %s\n",
+              holds ? "pass" : "FAIL");
+  return holds ? 0 : 1;
 }

@@ -357,14 +357,18 @@ BENCHMARK(BM_GateKernel)->Apply(gate_kernel_args);
 
 // Per-call trajectory-sampler times: one plan-based sample_marginal_ones
 // call on the iris (2-qubit) or wine (4-qubit) Model-CRz circuit
-// compiled for Table III QPU 1, with that QPU's noise model, at the
+// compiled for a Table III QPU, with that QPU's noise model, at the
 // (shots, trajectories) call shapes of the sampler-bound end-to-end
 // workloads: serve-admission's (32, 1), infer-torus's per-member split
-// of 256 shots (42, 16) and (77, 16). Args: {qubits, shots, trajectories}.
+// of 256 shots (42, 16) and (77, 16). QPU 1 is a typical device; wine
+// on QPU 0 is the noisiest plan (about 1.2 expected Paulis per
+// trajectory, so most of its 16 trajectories fire). Args: {qubits,
+// shots, trajectories, qpu}.
 void BM_Sampler(benchmark::State& state) {
   const int nq = static_cast<int>(state.range(0));
+  const auto qpu = static_cast<std::size_t>(state.range(3));
   const qnn::QnnModel m(qnn::Backbone::kCRz, nq, 2);
-  const device::Qpu dev = device::table3_fleet(nq)[1];
+  const device::Qpu dev = device::table3_fleet(nq)[qpu];
   const transpile::CompiledCircuit compiled =
       transpile::compile(m.circuit(), dev);
   const sim::StatevectorSimulator simulator(dev.make_noise_model());
@@ -381,7 +385,8 @@ void BM_Sampler(benchmark::State& state) {
   sim::BatchedWorkspace ws;
   math::Rng rng(23);
   state.SetLabel(std::string(nq == 2 ? "iris" : "wine") + " " +
-                 std::to_string(nq) + "q shots " +
+                 std::to_string(nq) + "q qpu " + std::to_string(qpu) +
+                 " shots " +
                  std::to_string(opts.shots) + " traj " +
                  std::to_string(opts.trajectories));
   for (auto _ : state) {
@@ -390,8 +395,9 @@ void BM_Sampler(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * opts.shots);
 }
-BENCHMARK(BM_Sampler)->ArgsProduct({{2, 4}, {32}, {1}})
-    ->ArgsProduct({{2, 4}, {42, 77}, {16}});
+BENCHMARK(BM_Sampler)->ArgsProduct({{2, 4}, {32}, {1}, {1}})
+    ->ArgsProduct({{2, 4}, {42, 77}, {16}, {1}})
+    ->Args({4, 42, 16, 0});
 
 // ---------------------------------------------------------------------------
 // Thread-scaling mode (`--threads N`): wall-clock the two workloads the

@@ -7,6 +7,10 @@
 // Shape targets (paper): ArbiterQ's loss is below EQC's in every cell
 // (24.71% mean reduction), and ArbiterQ improves with more QPUs (more
 // tori with diverse preferences).
+//
+// Exits 1 unless the EXPERIMENTS.md verdict holds: the mean reduction
+// is above 0 and at least 5 of the 6 cells reduce the loss (wine on 8
+// QPUs is known deviation 4).
 
 #include "bench_util.hpp"
 
@@ -18,7 +22,8 @@ namespace {
 using namespace arbiterq;
 
 void run_dataset(const data::BenchmarkCase& bc, qnn::Backbone backbone,
-                 int epochs, double* total_reduction, int* cells) {
+                 int epochs, double* total_reduction, int* cells,
+                 int* improved) {
   const data::EncodedSplit split = data::prepare_case(bc);
   const qnn::QnnModel model(backbone, bc.num_qubits, bc.num_layers);
 
@@ -69,6 +74,7 @@ void run_dataset(const data::BenchmarkCase& bc, qnn::Backbone backbone,
                 100.0 * reduction);
     *total_reduction += reduction;
     ++*cells;
+    if (reduction > 0.0) ++*improved;
   }
 }
 
@@ -79,11 +85,17 @@ int main() {
               "(ArbiterQ) vs batch-based inference (EQC)\n\n");
   double total_reduction = 0.0;
   int cells = 0;
+  int improved = 0;
   run_dataset({"iris", 2, 2}, qnn::Backbone::kCRz, 40, &total_reduction,
-              &cells);
+              &cells, &improved);
   run_dataset({"wine", 4, 2}, qnn::Backbone::kCRz, 100, &total_reduction,
-              &cells);
+              &cells, &improved);
+  const double mean = total_reduction / cells;
   std::printf("\nmean loss reduction %.2f%% (paper reports 24.71%%)\n",
-              100.0 * total_reduction / cells);
-  return 0;
+              100.0 * mean);
+  const bool holds = mean > 0.0 && improved >= cells - 1;
+  std::printf("check: %d of %d cells reduce the loss, mean %s 0: %s\n",
+              improved, cells, mean > 0.0 ? ">" : "<=",
+              holds ? "pass" : "FAIL");
+  return holds ? 0 : 1;
 }

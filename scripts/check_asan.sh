@@ -3,8 +3,8 @@
 # exercise the compiled-execution-plan hot path: the ExecPlan/Workspace
 # suite, the adjoint engine, the simulator and statevector kernels, the
 # SIMD apply/bracket kernels and the sample-batched register, the
-# parallel equivalence suite, the noise-model validation that guards the
-# trajectory sampler's threshold conversion, and the time-series store
+# parallel equivalence suite, the noise-model validation that keeps NaN
+# out of the trajectory sampler's survival table, and the time-series store
 # (ring eviction keeps handing out live window references). Guards the
 # plan's zero-allocation steady-state claim — workspace reuse across
 # bind/apply/adjoint walks

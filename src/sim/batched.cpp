@@ -388,18 +388,18 @@ namespace {
 
 /// Every random decision of a sampler call, pre-drawn trajectory by
 /// trajectory so the RNG stream — and therefore every outcome — is
-/// independent of how trajectories are later evolved. Pauli decisions
-/// use run_trajectory's per-site bernoulli-then-choice consumption, the
-/// bernoulli taken as NoiseSite::fires' exact integer threshold; shot
-/// draws consume one readout-flip uniform per shot whenever readout
-/// noise is configured, a value-independent schedule (the
-/// circuit-walking sampler draws the flip conditionally on the outcome,
-/// which would tie the stream to amplitude values). Only the few Paulis
-/// that fire are recorded. tr.shots_of must already hold the allotment.
-/// Kept out of line so the draw loop has the registers to itself:
-/// inlined into the sampler, its site cursor spills to the stack.
-[[gnu::noinline]] void draw_schedule(std::span<const NoiseSite> sites,
-                                     bool flips, math::Rng& rng,
+/// independent of how trajectories are later evolved. A trajectory's
+/// Paulis come from the plan's survival table (SurvivalTable::draw: one
+/// uniform per segment when none fires, so a plan without noise sites
+/// takes no draws here); shot draws consume one readout-flip uniform
+/// per shot whenever readout noise is configured, a value-independent
+/// schedule (the circuit-walking sampler draws the flip conditionally
+/// on the outcome, which would tie the stream to amplitude values).
+/// Only the Paulis that fire are recorded. tr.shots_of must already
+/// hold the allotment. Kept out of line so the draw loop has the
+/// registers to itself.
+[[gnu::noinline]] void draw_schedule(const SurvivalTable& table, bool flips,
+                                     math::Rng& rng,
                                      BatchedWorkspace::Trajectories& tr) {
   std::size_t shots = 0;
   for (const int n : tr.shots_of) shots += static_cast<std::size_t>(n);
@@ -413,14 +413,7 @@ namespace {
   double* u_out = tr.u_out.data();
   double* u_flip = tr.u_flip.data();
   for (std::size_t t = 0; t < tr.shots_of.size(); ++t) {
-    for (const NoiseSite& site : sites) {
-      if (site.fires(draw)) {
-        tr.fired.push_back(
-            {static_cast<std::uint32_t>(t),
-             static_cast<std::uint32_t>(&site - sites.data()),
-             static_cast<std::uint8_t>(1 + draw.uniform_int(3))});
-      }
-    }
+    table.draw(static_cast<std::uint32_t>(t), draw, tr.fired);
     for (int s = 0; s < tr.shots_of[t]; ++s) {
       *u_out++ = draw.uniform();
       if (flips) *u_flip++ = draw.uniform();
@@ -500,16 +493,18 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
   }
   AQ_TRACE_SPAN("sim.sample.marginal");
   AQ_COUNTER_ADD("sim.sample.shots", static_cast<std::uint64_t>(opts.shots));
-  using Fired = BatchedWorkspace::Trajectories::Fired;
   using Branch = BatchedWorkspace::Trajectories::Branch;
   BatchedWorkspace::Trajectories& tr = ws.traj;
   const auto n_traj =
       static_cast<std::size_t>(std::min(opts.trajectories, opts.shots));
   const auto& table = plan.gate_table();
   const bool noisy = noise_.enabled();
+  static const SurvivalTable kNoiseless;
   const std::span<const NoiseSite> sites =
       noisy ? std::span<const NoiseSite>(plan.noise_sites())
             : std::span<const NoiseSite>();
+  const SurvivalTable& schedule =
+      noisy ? plan.survival_table() : kNoiseless;
   const double p01 = noisy ? noise_.readout_p01(qubit) : 0.0;
   const double p10 = noisy ? noise_.readout_p10(qubit) : 0.0;
   const bool flips = noisy && (p01 > 0.0 || p10 > 0.0);
@@ -523,7 +518,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
     remaining -= tr.shots_of[t];
   }
 
-  draw_schedule(sites, flips, rng, tr);
+  draw_schedule(schedule, flips, rng, tr);
 
   // A trajectory no Pauli hits is bitwise the noise-free evolution, so
   // those all read one trunk column. Each fired trajectory becomes a
@@ -600,7 +595,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
         Branch& br = block[j];
         for (; br.next < br.end && sites[tr.fired[br.next].site].gate == k;
              ++br.next) {
-          const Fired& f = tr.fired[br.next];
+          const PauliFire& f = tr.fired[br.next];
           apply_pauli(kern, stack + col_of(j) * dim, dim, f.pauli,
                       sites[f.site].qubit);
         }

@@ -1,7 +1,6 @@
 #include "arbiterq/sim/exec_plan.hpp"
 
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -36,12 +35,32 @@ std::uint64_t next_plan_id() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// NoiseSite
+// SurvivalTable
 
-std::uint64_t NoiseSite::threshold_for(double p) noexcept {
-  if (!(p > 0.0)) return 0;
-  if (p >= 1.0) return kCertain;
-  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+SurvivalTable::SurvivalTable(std::span<const double> error) {
+  cum_.reserve(error.size());
+  double c = 1.0;
+  for (std::size_t j = 0; j < error.size(); ++j) {
+    const double p = error[j];
+    cum_.push_back(c);
+    if (p >= 1.0) {
+      segments_.push_back({j + 1, 0.0});
+      c = 1.0;
+      continue;
+    }
+    const double keep = p > 0.0 ? 1.0 - p : 1.0;
+    if (c * keep < kFloor) {
+      // j opens a new segment. 1 - p >= 2^-53 is far above kFloor, so a
+      // segment always holds at least one site.
+      segments_.push_back({j, c});
+      cum_.back() = 1.0;
+      c = 1.0;
+    }
+    c *= keep;
+  }
+  if (cum_.size() > (segments_.empty() ? 0 : segments_.back().end)) {
+    segments_.push_back({cum_.size(), c});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -231,16 +250,18 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
     // Noise sites: one per (gate with depolarizing error, involved
     // qubit), in gate order — the draw order of run_trajectory.
     if (entry.error > 0.0) {
-      const std::uint64_t threshold = NoiseSite::threshold_for(entry.error);
-      sites_.push_back({table_.size(), entry.q0, entry.error, threshold});
+      sites_.push_back({table_.size(), entry.q0, entry.error});
       if (entry.arity == 2) {
-        sites_.push_back({table_.size(), entry.q1, entry.error, threshold});
+        sites_.push_back({table_.size(), entry.q1, entry.error});
       }
     }
     table_.push_back(std::move(entry));
   }
   for (int q = 0; q < num_qubits_; ++q) flush(q);
   n_dyn_ = n_dyn;
+  std::vector<double> site_error;
+  for (const NoiseSite& site : sites_) site_error.push_back(site.error);
+  survival_table_ = SurvivalTable(site_error);
 
   AQ_COUNTER_ADD("sim.plan.builds", 1);
   AQ_COUNTER_ADD("sim.plan.gates", static_cast<std::uint64_t>(table_.size()));

@@ -175,14 +175,6 @@ class BatchedWorkspace {
   /// sample_marginal_ones on a plan), reused so a steady-state call
   /// does not allocate.
   struct Trajectories {
-    /// A Pauli the pre-drawn schedule inserts: trajectory, index into
-    /// ExecPlan::noise_sites(), and the Pauli (1 = X, 2 = Y, 3 = Z).
-    /// Recorded in draw order, so trajectory-major and site-ascending.
-    struct Fired {
-      std::uint32_t traj = 0;
-      std::uint32_t site = 0;
-      std::uint8_t pauli = 0;
-    };
     /// A trajectory with at least one Pauli: its fired Paulis are
     /// fired[next, end); `next` advances as the walk applies them.
     struct Branch {
@@ -191,7 +183,10 @@ class BatchedWorkspace {
       std::uint32_t end = 0;
     };
     std::vector<int> shots_of;
-    std::vector<Fired> fired;
+    /// The Paulis the pre-drawn schedule inserts (sites index
+    /// ExecPlan::noise_sites()), in draw order: trajectory-major and
+    /// site-ascending.
+    std::vector<PauliFire> fired;
     std::vector<Branch> branches;
     /// A block's registers, stacked end to end: column c holds
     /// amplitudes [c * dim, (c + 1) * dim).

@@ -20,6 +20,7 @@
 // is applied as its own fold step, because re-associating the product
 // would change the floating-point result.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -231,27 +232,84 @@ struct GateEntry {
 /// A depolarizing noise site of a trajectory walk: after gate-table
 /// entry `gate`, a Pauli hits `qubit` with probability `error` (> 0).
 struct NoiseSite {
-  /// The threshold of a site that fires without a draw (error >= 1).
-  static constexpr std::uint64_t kCertain = ~std::uint64_t{0};
-
   std::size_t gate = 0;
   int qubit = 0;
   double error = 0.0;
-  /// threshold_for(error), fixed when the plan is built.
-  std::uint64_t threshold = 0;
+};
 
-  /// The integer form of `Rng::uniform() < p`: kCertain for p >= 1,
-  /// 0 for p <= 0 (or NaN), else ceil(p * 2^53). uniform() is k * 2^-53
-  /// for the integer k = next_u64() >> 11, and p * 2^53 is exact (a
-  /// power-of-two scaling, subnormal p included), so k * 2^-53 < p
-  /// holds exactly when k < ceil(p * 2^53).
-  static std::uint64_t threshold_for(double p) noexcept;
+/// A Pauli a trajectory's noise schedule inserts: trajectory, index
+/// into the sites the schedule was built from, and the Pauli (1 = X,
+/// 2 = Y, 3 = Z).
+struct PauliFire {
+  std::uint32_t traj = 0;
+  std::uint32_t site = 0;
+  std::uint8_t pauli = 0;
+};
 
-  /// Rng::bernoulli(error)'s decision from the same stream: one draw,
-  /// or none when the site is certain.
-  bool fires(math::Rng& rng) const noexcept {
-    return threshold == kCertain || (rng.next_u64() >> 11) < threshold;
+/// Skip-sampling table of a sequence of independent noise sites, site j
+/// firing with probability p_j. cum[j] = prod_{i<j} (1 - p_i) is the
+/// probability that no site before j fires, taken within a segment: the
+/// product restarts at 1 after a certain site (p >= 1, whose factor is
+/// 0) and before it would fall below kFloor, and each restart starts a
+/// new segment. Segments are independent, so a trajectory draws each
+/// one separately.
+///
+/// draw() finds a trajectory's next firing site in one uniform instead
+/// of one decision per site. Given that nothing in [k, j) of a segment
+/// fired, x = u * cum[k] is uniform on [0, cum[k]), and site j is the
+/// first to fire exactly when cum[j+1] <= x < cum[j], an interval of
+/// width cum[j] * p_j: probability cum[j] / cum[k] * p_j, the chance of
+/// surviving k..j-1 and then firing at j. So every site fires
+/// independently with probability p_j, up to the 2^-53 grid of
+/// Rng::uniform() and the rounding of cum. kFloor keeps x a normal
+/// double for every nonzero u.
+class SurvivalTable {
+ public:
+  static constexpr double kFloor = 0x1.0p-969;
+
+  SurvivalTable() = default;
+  /// Builds the table of sites with these fire probabilities, in order.
+  explicit SurvivalTable(std::span<const double> error);
+
+  std::size_t size() const noexcept { return cum_.size(); }
+  /// Number of segments (0 for no sites).
+  std::size_t segments() const noexcept { return segments_.size(); }
+
+  /// Appends trajectory `traj`'s fired Paulis to `fired`, in site order:
+  /// per segment one uniform, and one compare when nothing in the rest
+  /// of the segment fires (the common case); otherwise a binary search
+  /// for the firing site, its Pauli from uniform_int(3), and a fresh
+  /// uniform from the site after it. No sites take no draws.
+  void draw(std::uint32_t traj, math::Rng& rng,
+            std::vector<PauliFire>& fired) const {
+    const double* const cum = cum_.data();
+    std::size_t k = 0;
+    for (const Segment& seg : segments_) {
+      while (k < seg.end) {
+        const double x = rng.uniform() * cum[k];
+        if (seg.last > x) break;
+        // The first j in [k, end) with cum[j+1] <= x. cum[end] belongs
+        // to the next segment, so the search stops short of it; running
+        // off the end means the last site, whose survival is seg.last.
+        const double* const next = std::partition_point(
+            cum + k + 1, cum + seg.end, [x](double c) { return c > x; });
+        const auto j = static_cast<std::size_t>(next - cum) - 1;
+        fired.push_back({traj, static_cast<std::uint32_t>(j),
+                         static_cast<std::uint8_t>(1 + rng.uniform_int(3))});
+        k = j + 1;
+      }
+      k = seg.end;
+    }
   }
+
+ private:
+  /// Sites [previous end, end), and the probability that none fires.
+  struct Segment {
+    std::size_t end = 0;
+    double last = 1.0;
+  };
+  std::vector<double> cum_;
+  std::vector<Segment> segments_;
 };
 
 /// A circuit compiled against one noise model (and one kernel policy):
@@ -325,6 +383,11 @@ class ExecPlan {
   const std::vector<NoiseSite>& noise_sites() const noexcept {
     return sites_;
   }
+  /// The survival table of noise_sites(), the trajectory sampler's
+  /// noise schedule.
+  const SurvivalTable& survival_table() const noexcept {
+    return survival_table_;
+  }
   const circuit::Mat2& table_mat2_adjoint(int i) const {
     return table1q_adj_[static_cast<std::size_t>(i)];
   }
@@ -382,6 +445,7 @@ class ExecPlan {
 
   std::vector<GateEntry> table_;
   std::vector<NoiseSite> sites_;
+  SurvivalTable survival_table_;
   std::vector<circuit::Mat2> table1q_;
   std::vector<circuit::Mat2> table1q_adj_;
   std::vector<kernels::MatShape<2>> table1q_shape_;

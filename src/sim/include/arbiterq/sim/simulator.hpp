@@ -116,10 +116,13 @@ class StatevectorSimulator {
   /// trajectories evolve as branch registers, stacked after the trunk
   /// and forked from it at their first Pauli. Each trajectory's bits
   /// are those of its own one-register walk. The draw schedule is
-  /// value-independent (one flip uniform per shot whenever readout
-  /// noise is configured), so it differs from the circuit-walking
-  /// sampler's stream — same distribution, different bits for a given
-  /// seed.
+  /// value-independent: a trajectory's Paulis are skip-sampled from the
+  /// plan's survival table (one uniform per segment when none fires,
+  /// none without noise sites) and each shot takes one outcome uniform,
+  /// plus a flip uniform whenever readout noise is configured. So it
+  /// differs from the circuit-walking sampler's per-gate bernoulli
+  /// stream under noise — same distribution, different bits for a given
+  /// seed — and equals it bitwise without noise.
   std::uint64_t sample_marginal_ones(const ExecPlan& plan,
                                      std::span<const double> params, int qubit,
                                      const ShotOptions& opts, math::Rng& rng,

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -280,10 +279,45 @@ struct ReferenceDraws {
   std::size_t first_fork_gate = SIZE_MAX;
 };
 
+/// One trajectory's Paulis under the skip-sampled schedule, re-derived
+/// by a linear scan over `error` (one entry per noise site) with its own
+/// running survival product c: draw u and set x = u * c; walk forward
+/// multiplying in each site's 1 - p; the first site that takes the
+/// product to x or below fires (Pauli 1 + uniform_int(3)) and the next
+/// site draws a fresh u. The product restarts at 1 after a certain site
+/// (p >= 1) and, with a fresh u, before a site that would take it below
+/// SurvivalTable::kFloor. Returns the Pauli per site, 0 where none fired.
+std::vector<int> scan_schedule(const std::vector<double>& error,
+                               math::Rng& rng) {
+  std::vector<int> pauli(error.size(), 0);
+  double c = 1.0;
+  double x = 0.0;
+  bool draw = true;
+  for (std::size_t j = 0; j < error.size(); ++j) {
+    const bool certain = error[j] >= 1.0;
+    const double keep = certain ? 0.0 : 1.0 - error[j];
+    if (!certain && c * keep < SurvivalTable::kFloor) {
+      c = 1.0;
+      draw = true;
+    }
+    if (draw) {
+      x = rng.uniform() * c;
+      draw = false;
+    }
+    c *= keep;
+    if (c <= x) {
+      pauli[j] = 1 + static_cast<int>(rng.uniform_int(3));
+      draw = true;
+    }
+    if (certain) c = 1.0;
+  }
+  return pauli;
+}
+
 /// Test-only reference for the plan sampler: replays the same pre-drawn
-/// schedule (sites from the gate table, bernoulli-then-uniform_int per
-/// site, the remaining / (n - t) shot allotment, one or two uniforms
-/// per shot), then walks every trajectory through its own one-column
+/// schedule (sites from the gate table, scan_schedule per trajectory,
+/// the remaining / (n - t) shot allotment, one or two uniforms per
+/// shot), then walks every trajectory through its own one-column
 /// register with its Paulis applied in place — no trunk, no branches.
 ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
                                        const NoiseModel& noise,
@@ -316,16 +350,13 @@ ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
     shots_of[t] = remaining / static_cast<int>(n_traj - t);
     remaining -= shots_of[t];
   }
-  std::vector<std::vector<int>> pauli(n_traj,
-                                      std::vector<int>(sites.size(), 0));
+  std::vector<double> error;
+  for (const Site& site : sites) error.push_back(site.error);
+  std::vector<std::vector<int>> pauli(n_traj);
   std::vector<double> u_out;
   std::vector<double> u_flip;
   for (std::size_t t = 0; t < n_traj; ++t) {
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      if (rng.bernoulli(sites[s].error)) {
-        pauli[t][s] = 1 + static_cast<int>(rng.uniform_int(3));
-      }
-    }
+    pauli[t] = scan_schedule(error, rng);
     for (int s = 0; s < shots_of[t]; ++s) {
       u_out.push_back(rng.uniform());
       if (flips) u_flip.push_back(rng.uniform());
@@ -511,7 +542,9 @@ TEST_P(SamplerWalk, NoBranchReadsTheTrunk) {
 TEST_P(SamplerWalk, FirstForkAtSiteZero) {
   const Circuit c = full_gate_circuit();
   NoiseModel noise = uniform_noise(3, 0.01);
-  noise.set_depolarizing_1q(0, 0.5);  // site 0 is h(0)
+  // Site 0 is h(0). Qubit 0 carries six 1q gates, so at 0.15 about 30%
+  // of trajectories stay silent (at 0.5 only about 1%).
+  noise.set_depolarizing_1q(0, 0.15);
   const ReferenceDraws r = check("site0", c, noise, {1, 2, 16, 33});
   EXPECT_GT(r.hit_at_site0, 0U);
   EXPECT_EQ(r.first_fork_gate, 0U);
@@ -559,15 +592,36 @@ TEST_P(SamplerWalk, BranchesSpanSeveralBlocks) {
   EXPECT_GT(2U * (80 + 150) - some_silent.silent, 4U * 31);
 }
 
-TEST_P(SamplerWalk, CertainSiteFiresWithoutADraw) {
-  // p = 1 on qubit 0: bernoulli fires without drawing, and so must the
-  // plan's threshold test, or the two streams part.
+TEST_P(SamplerWalk, CertainSiteFiresInEveryTrajectory) {
+  // p = 1 on qubit 0: its sites end a segment of the survival table, so
+  // every trajectory fires at each of them, and the product restarts
+  // after them for the sites that follow.
   const Circuit c = full_gate_circuit();
   NoiseModel noise = uniform_noise(3, 0.02);
   noise.set_depolarizing_1q(0, 1.0);
   const ReferenceDraws r = check("certain", c, noise, {1, 16, 40});
   EXPECT_EQ(r.silent, 0U);
   EXPECT_EQ(r.first_fork_gate, 0U);
+
+  const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
+  const std::vector<NoiseSite>& sites = plan.noise_sites();
+  std::vector<std::uint32_t> certain;
+  for (std::size_t j = 0; j < sites.size(); ++j) {
+    if (sites[j].error >= 1.0) certain.push_back(static_cast<std::uint32_t>(j));
+  }
+  ASSERT_GE(certain.size(), 2U);
+  EXPECT_GE(plan.survival_table().segments(), certain.size());
+  math::Rng rng(29);
+  std::vector<PauliFire> fired;
+  for (std::uint32_t t = 0; t < 4096; ++t) {
+    fired.clear();
+    plan.survival_table().draw(t, rng, fired);
+    for (const std::uint32_t j : certain) {
+      EXPECT_TRUE(std::any_of(fired.begin(), fired.end(),
+                              [j](const PauliFire& f) { return f.site == j; }))
+          << "trajectory " << t << " site " << j;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Arms, SamplerWalk, ::testing::Values(true, false),
@@ -575,53 +629,132 @@ INSTANTIATE_TEST_SUITE_P(Arms, SamplerWalk, ::testing::Values(true, false),
                            return info.param ? "Strict" : "Fma";
                          });
 
-TEST(NoiseSiteThreshold, IntegerDecisionEqualsUniformComparison) {
-  // uniform() is k * 2^-53 for k = next_u64() >> 11; the site's test is
-  // k < threshold. They must agree on both sides of every boundary,
-  // including p whose p * 2^53 is not an integer (odd multiples of
-  // 2^-54, which exist only below 0.5), the smallest subnormal and the
-  // largest double below 1.
-  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
-  std::vector<double> ps = {std::numeric_limits<double>::denorm_min(),
-                            3 * std::numeric_limits<double>::denorm_min(),
-                            0x1.0p-53,
-                            0.5,
-                            std::nextafter(1.0, 0.0),
-                            0.004,
-                            0.37};
-  for (const std::uint64_t odd :
-       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{12345},
-        (std::uint64_t{1} << 40) + 1, kTop - 1}) {
-    ps.push_back(static_cast<double>(odd) * 0x1.0p-54);
-  }
-  for (const double p : ps) {
-    const std::uint64_t t = NoiseSite::threshold_for(p);
-    ASSERT_LE(t, kTop) << p;
-    for (std::uint64_t d = 0; d < 3; ++d) {
-      for (const std::uint64_t k : {t - d - 1, t + d}) {
-        if (k >= kTop) continue;  // also skips t - d - 1 wrapping below 0
-        const bool by_threshold = k < t;
-        const bool by_uniform = static_cast<double>(k) * 0x1.0p-53 < p;
-        EXPECT_EQ(by_threshold, by_uniform) << "p " << p << " k " << k;
+/// Fire counts of a survival table's schedule over n trajectories: per
+/// site, per pair of adjacent sites firing together, and per Pauli;
+/// plus the fires recorded out of (trajectory, site) order.
+struct FireCounts {
+  std::vector<std::uint64_t> site;
+  std::vector<std::uint64_t> pair;  ///< pair[j]: sites j and j + 1
+  std::uint64_t pauli[4] = {0, 0, 0, 0};
+  std::uint64_t misordered = 0;
+};
+
+FireCounts count_fires(const SurvivalTable& table, std::size_t n_traj,
+                       std::uint64_t seed) {
+  FireCounts out;
+  out.site.assign(table.size(), 0);
+  out.pair.assign(table.size(), 0);
+  math::Rng rng(seed);
+  std::vector<PauliFire> fired;
+  for (std::size_t t = 0; t < n_traj; ++t) {
+    fired.clear();
+    table.draw(static_cast<std::uint32_t>(t), rng, fired);
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+      const PauliFire& f = fired[i];
+      if (f.traj != t || (i > 0 && fired[i - 1].site >= f.site)) {
+        ++out.misordered;
+      }
+      ++out.site[f.site];
+      ++out.pauli[f.pauli < 4 ? f.pauli : 0];
+      if (i + 1 < fired.size() && fired[i + 1].site == f.site + 1) {
+        ++out.pair[f.site];
       }
     }
   }
-  EXPECT_EQ(NoiseSite::threshold_for(0.0), 0U);
-  EXPECT_EQ(NoiseSite::threshold_for(1.0), NoiseSite::kCertain);
-  EXPECT_EQ(NoiseSite::threshold_for(std::nan("")), 0U);
+  return out;
 }
 
-TEST(NoiseSiteThreshold, FiresConsumesTheStreamAsBernoulli) {
-  for (const double p : {0x1.0p-53, 0.004, 0.37, 0.5, 0.999, 1.0}) {
-    NoiseSite site;
-    site.error = p;
-    site.threshold = NoiseSite::threshold_for(p);
-    math::Rng a(91);
-    math::Rng b(91);
-    for (int i = 0; i < 20000; ++i) {
-      ASSERT_EQ(site.fires(a), b.bernoulli(p)) << "p " << p << " draw " << i;
+/// |count / n - q| within 5 standard deviations of a Bernoulli(q) mean.
+void expect_rate(std::uint64_t count, std::size_t n, double q,
+                 const std::string& what) {
+  const double rate = static_cast<double>(count) / static_cast<double>(n);
+  const double sigma = std::sqrt(q * (1.0 - q) / static_cast<double>(n));
+  EXPECT_LE(std::abs(rate - q), 5.0 * sigma)
+      << what << ": rate " << rate << " want " << q;
+}
+
+TEST(SurvivalTable, SitesFireIndependentlyAtTheirRates) {
+  // Each site fires at its own p within 5 sigma, and adjacent sites fire
+  // together at p_i * p_j: the skip draw must neither shift a fire to a
+  // neighbour nor condition the next draw on anything but the survival
+  // up to the cursor. 2^20 trajectories per case; the 2000-site case,
+  // with about 1000 fires per trajectory, draws 2^14 (2^24 fires).
+  constexpr std::size_t kTraj = std::size_t{1} << 20;
+  const double below_one = std::nextafter(1.0, 0.0);
+  struct Case {
+    const char* name;
+    std::vector<double> p;
+    std::size_t min_segments;
+    std::size_t n_traj;
+  };
+  std::vector<Case> cases = {
+      {"table III rates",
+       {1e-4, 0.004, 3e-4, 0.03, 0.01, 0.3, 0.1, 1e-3, 0.2, 0.004, 0.05,
+        0.3, 1e-4},
+       1, kTraj},
+      {"certain and near-certain",
+       {1.0, 0.3, 0.5, 1.0, 1.0, below_one, 0.5, below_one, 0.02, 1.0},
+       4, kTraj},
+  };
+  // 2000 sites at p = 0.5: the running product would reach 2^-2000, so
+  // the table must restart it before it underflows.
+  cases.push_back(
+      {"2000 at one half", std::vector<double>(2000, 0.5), 2, kTraj >> 6});
+  for (const Case& c : cases) {
+    const SurvivalTable table(c.p);
+    ASSERT_EQ(table.size(), c.p.size()) << c.name;
+    EXPECT_GE(table.segments(), c.min_segments) << c.name;
+    const FireCounts n = count_fires(table, c.n_traj, 41);
+    EXPECT_EQ(n.misordered, 0U) << c.name;
+    std::uint64_t fires = 0;
+    for (std::size_t j = 0; j < c.p.size(); ++j) {
+      const std::string at = std::string(c.name) + " site " + std::to_string(j);
+      expect_rate(n.site[j], c.n_traj, c.p[j], at);
+      if (j + 1 < c.p.size()) {
+        expect_rate(n.pair[j], c.n_traj, c.p[j] * c.p[j + 1], at + " pair");
+      }
+      fires += n.site[j];
     }
-    EXPECT_EQ(a.next_u64(), b.next_u64()) << "p " << p;
+    EXPECT_EQ(n.pauli[0], 0U) << c.name;
+    for (int k = 1; k <= 3; ++k) {
+      expect_rate(n.pauli[k], fires, 1.0 / 3.0,
+                  std::string(c.name) + " pauli " + std::to_string(k));
+    }
+  }
+}
+
+TEST(SurvivalTable, PlansWithoutNoiseSitesTakeNoDraws) {
+  // Noiseless and bias-only plans have no noise sites: the schedule
+  // draws nothing, and the sampler takes exactly one uniform per shot
+  // (neither configures readout noise), as the circuit walker does.
+  const Circuit c = full_gate_circuit();
+  NoiseModel bias(3);
+  bias.set_coherent_bias(0, 0.04);
+  bias.set_coherent_bias(2, -0.03);
+  std::vector<double> params(static_cast<std::size_t>(c.num_params()), 0.3);
+  for (const NoiseModel& noise : {NoiseModel(), bias}) {
+    const StatevectorSimulator sim(noise);
+    const ExecPlan plan = sim.make_plan(c);
+    EXPECT_TRUE(plan.noise_sites().empty());
+    EXPECT_EQ(plan.survival_table().segments(), 0U);
+    math::Rng a(3);
+    math::Rng b(3);
+    std::vector<PauliFire> fired;
+    for (std::uint32_t t = 0; t < 64; ++t) {
+      plan.survival_table().draw(t, a, fired);
+    }
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+
+    BatchedWorkspace ws;
+    ShotOptions opts;
+    opts.shots = 100;
+    opts.trajectories = 16;
+    math::Rng sampled(5);
+    math::Rng want(5);
+    sim.sample_marginal_ones(plan, params, 0, opts, sampled, ws);
+    for (int s = 0; s < opts.shots; ++s) want.next_u64();
+    EXPECT_EQ(sampled.next_u64(), want.next_u64()) << noise.enabled();
   }
 }
 
