@@ -16,12 +16,12 @@
 // contention and verifying admitted results stay bit-identical across
 // shard counts.
 //
-// Plan A/B mode: `bench_perf --plan-ab` pits the compiled-ExecPlan
-// executor against the naive per-call circuit walk on the default
-// benchmark circuits, verifies forward probabilities and adjoint
-// gradients are bit-identical between the two paths, and records the
-// forward/gradient/combined speedups in BENCH_perf.json (exit code 2 if
-// any output diverges).
+// Plan A/B mode: `bench_perf --plan-ab` times the production executor
+// on the scalar and SIMD kernel arms against the naive per-call circuit
+// walk on the default benchmark circuits, verifies the executor's
+// batched forward and adjoint gradients are bit-identical to the
+// circuit references on both arms, and records the speedups in
+// BENCH_perf.json (exit code 2 if any output diverges).
 
 #include <benchmark/benchmark.h>
 
@@ -105,18 +105,21 @@ void BM_CompiledNoisyForward(benchmark::State& state) {
 BENCHMARK(BM_CompiledNoisyForward)->DenseRange(2, 10, 2);
 
 void BM_NaiveNoisyForward(benchmark::State& state) {
-  // The per-call circuit walk (ExecPlan disabled) — compare with
+  // The per-call circuit walk (StatevectorSimulator::expectation_z) on
+  // the executor's compiled circuit and noise model — compare with
   // BM_CompiledNoisyForward at the same qubit count for the plan win.
   const int qubits = static_cast<int>(state.range(0));
   const qnn::QnnModel m = model_for(qubits);
-  qnn::ExecutorOptions opts;
-  opts.use_plan = false;
-  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0], opts);
-  std::vector<double> features(static_cast<std::size_t>(qubits), 0.7);
-  std::vector<double> weights(static_cast<std::size_t>(m.num_weights()),
-                              0.3);
+  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0]);
+  const sim::StatevectorSimulator sim(ex.noise());
+  const std::vector<double> features(static_cast<std::size_t>(qubits), 0.7);
+  const std::vector<double> weights(static_cast<std::size_t>(m.num_weights()),
+                                    0.3);
+  const auto params = m.pack_params(features, weights);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ex.probability(features, weights));
+    benchmark::DoNotOptimize(sim.expectation_z(ex.compiled().executable,
+                                               params, ex.readout_qubit(),
+                                               ex.survival()));
   }
 }
 BENCHMARK(BM_NaiveNoisyForward)->DenseRange(2, 10, 2);
@@ -133,16 +136,17 @@ void BM_AdjointGradient(benchmark::State& state) {
 BENCHMARK(BM_AdjointGradient)->DenseRange(2, 10, 2);
 
 void BM_PlanAdjointGradient(benchmark::State& state) {
-  // Plan-based adjoint with warm workspace registers — compare with
-  // BM_AdjointGradient at the same qubit count.
+  // The batched plan adjoint at batch 1 with a warm workspace — compare
+  // with BM_AdjointGradient at the same qubit count.
   const int qubits = static_cast<int>(state.range(0));
   const qnn::QnnModel m = model_for(qubits);
   const auto params = params_for(m);
   const sim::ExecPlan plan(m.circuit(), sim::NoiseModel{});
-  sim::Workspace ws;
-  std::vector<double> grad(static_cast<std::size_t>(m.num_params()));
+  sim::BatchedWorkspace ws;
+  std::vector<double> grad(params.size());
   for (auto _ : state) {
-    sim::adjoint_gradient_z(plan, params, 0, ws, grad);
+    sim::adjoint_gradient_z_batched(plan, params.data(), params.size(), 1, 0,
+                                    ws, grad.data());
     benchmark::DoNotOptimize(grad.data());
   }
 }
@@ -331,9 +335,9 @@ void BM_GateKernel(benchmark::State& state) {
   }
   for (auto _ : state) {
     if (two_qubit) {
-      st.apply_mat4_all(m4, q + 1, q, width);
+      st.apply_mat4_all(m4, q + 1, q);
     } else {
-      st.apply_mat2_all(m2, q, width);
+      st.apply_mat2_all(m2, q);
     }
     benchmark::ClobberMemory();
   }
@@ -547,24 +551,28 @@ int run_scaling_mode(int max_threads, int fleet_size, int epochs,
 }
 
 // ---------------------------------------------------------------------------
-// Plan A/B mode (`--plan-ab`): the kernel A/B matrix. For each benchmark
-// circuit size the compiled-plan executor runs under all four
-// {scalar, SIMD} x {unbatched, batched} arms, plus the naive per-call
-// circuit walk as context, with every output verified bit-identical
-// across arms before the clocks count (default strict-reproducibility
-// arm; exit code 2 on any divergence). Each arm reports the median of
-// `kAbReps` timed repetitions together with its iteration counts, and
-// the headline combined speedup pits SIMD+batched against
-// scalar+unbatched.
+// Plan A/B mode (`--plan-ab`): the production executor on both kernel
+// arms (portable scalar, SIMD) against the naive circuit walk. For each
+// benchmark circuit size, every column of one dataset block's
+// expectation_z_batched and adjoint_gradient_z_batched is first checked
+// bitwise against StatevectorSimulator::expectation_z and the circuit
+// adjoint on the executor's compiled circuit and noise model, on both
+// arms, and the executor's loss and gradient must not depend on the arm
+// (default strict-reproducibility arm; exit code 2 on any divergence).
+// Then each arm's dataset_loss and loss_gradient are clocked (median of
+// `kAbReps` repetitions), with the naive walk — the reference engines'
+// per-sample forward and forward+adjoint over the same samples, SIMD
+// on — clocked alongside. The headline speedups pit the SIMD executor
+// against the scalar one (kernels) and against the naive walk (plan).
 
 constexpr int kAbReps = 5;
 constexpr int kAbBatch = 8;  ///< samples per dataset call (mini-GEMM width)
 
 struct ArmTiming {
-  bool simd = false;
-  bool batched = false;
   double forward_median_s = 0.0;
   double gradient_median_s = 0.0;
+
+  double combined() const { return forward_median_s + gradient_median_s; }
 };
 
 struct PlanAbPoint {
@@ -574,10 +582,13 @@ struct PlanAbPoint {
   std::size_t stream_ops = 0;
   int forward_iters = 0;   ///< dataset_loss calls per rep (x kAbBatch samples)
   int gradient_iters = 0;  ///< loss_gradient calls per rep
-  ArmTiming arms[4];       ///< [simd*2 + batched]
-  double naive_forward_s = 0.0;   // per-call circuit walk, SIMD on
-  double naive_gradient_s = 0.0;
+  ArmTiming scalar;        ///< production executor, portable kernels
+  ArmTiming simd;          ///< production executor, SIMD kernels
+  ArmTiming naive;         ///< circuit walk, SIMD kernels
   bool identical = true;
+
+  double kernel_speedup() const { return scalar.combined() / simd.combined(); }
+  double plan_speedup() const { return naive.combined() / simd.combined(); }
 };
 
 double median_of(std::vector<double> xs) {
@@ -585,21 +596,18 @@ double median_of(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
-/// One circuit size: build the naive walker plus planned executors with
-/// the sample-batched forward off/on, check losses and adjoint gradients
-/// bitwise across the naive path and all four kernel arms, then clock
-/// each arm.
+/// One circuit size: check the executor's batched kernels against the
+/// circuit references and the executor's outputs across the two kernel
+/// arms bitwise, then clock each arm and the naive walk.
 PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
                             int gradient_iters) {
   const qnn::QnnModel m = model_for(qubits);
-  const device::Qpu dev = device::table3_fleet(qubits)[0];
-  qnn::ExecutorOptions naive_opts;
-  naive_opts.use_plan = false;
-  const qnn::QnnExecutor naive(m, dev, naive_opts);
-  qnn::ExecutorOptions unbatched_opts;
-  unbatched_opts.batched_forward = false;
-  const qnn::QnnExecutor plan_unbatched(m, dev, unbatched_opts);
-  const qnn::QnnExecutor plan_batched(m, dev);
+  const qnn::QnnExecutor ex(m, device::table3_fleet(qubits)[0]);
+  const sim::ExecPlan& plan = *ex.plan();
+  const circuit::Circuit& c = ex.compiled().executable;
+  const sim::StatevectorSimulator ref_sim(ex.noise());
+  const sim::NoiseModel* noise = ex.noise().enabled() ? &ex.noise() : nullptr;
+  const int q = ex.readout_qubit();
 
   math::Rng rng(17u + static_cast<std::uint64_t>(qubits));
   std::vector<std::vector<double>> feats;
@@ -612,87 +620,122 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   }
   std::vector<double> weights(static_cast<std::size_t>(m.num_weights()));
   for (double& v : weights) v = rng.uniform(-1.5, 1.5);
+  const auto np = static_cast<std::size_t>(plan.num_params());
+  std::vector<std::vector<double>> cols;
+  std::vector<double> packed;
+  for (const auto& f : feats) {
+    cols.push_back(m.pack_params(f, weights));
+    packed.insert(packed.end(), cols.back().begin(), cols.back().end());
+  }
 
   PlanAbPoint p;
   p.qubits = qubits;
   p.forward_iters = forward_iters;
   p.gradient_iters = gradient_iters;
-  if (const sim::ExecPlan* plan = plan_batched.plan()) {
-    p.gates = plan->gate_count();
-    p.fused_gates = plan->fused_gate_count();
-    p.stream_ops = plan->stream_op_count();
-  }
+  p.gates = plan.gate_count();
+  p.fused_gates = plan.fused_gate_count();
+  p.stream_ops = plan.stream_op_count();
 
+  // The SIMD arm stays scalar when --no-simd or ARBITERQ_SIMD=OFF turned
+  // the SIMD kernels off for the run.
   const bool simd_was = sim::kernels::simd_runtime_enabled();
-  const auto loss_of = [&](const qnn::QnnExecutor& ex) {
+  const auto set_arm = [simd_was](bool simd) {
+    sim::kernels::set_simd_runtime_enabled(simd && simd_was);
+  };
+  const auto loss_of = [&] {
     return ex.dataset_loss(qnn::LossKind::kMse, feats, labels, weights);
   };
-  const auto grad_of = [&](const qnn::QnnExecutor& ex) {
+  const auto grad_of = [&] {
     return ex.loss_gradient(qnn::LossKind::kMse, feats, labels, weights);
   };
-
-  // Bitwise verification across the naive walk and all four kernel arms
-  // (also warms every workspace pool the clocks touch).
-  sim::kernels::set_simd_runtime_enabled(false);
-  const double ref_loss = loss_of(naive);
-  const std::vector<double> ref_grad = grad_of(naive);
-  for (bool simd : {false, true}) {
-    sim::kernels::set_simd_runtime_enabled(simd);
-    for (const qnn::QnnExecutor* ex : {&plan_unbatched, &plan_batched}) {
-      p.identical &= loss_of(*ex) == ref_loss;
-      p.identical &= grad_of(*ex) == ref_grad;
-      for (const auto& f : feats) {
-        p.identical &=
-            ex->probability(f, weights) == naive.probability(f, weights);
-      }
+  // The naive walk's per-sample engine work for the same loss and
+  // gradient (the scalar loss algebra around it is negligible).
+  const auto naive_loss = [&] {
+    double z = 0.0;
+    for (const auto& col : cols) {
+      z += ref_sim.expectation_z(c, col, q, ex.survival());
     }
+    return z;
+  };
+  const auto naive_grad = [&] {
+    double g = naive_loss();
+    for (const auto& col : cols) {
+      g += sim::adjoint_gradient_z(c, col, q, noise, ex.survival())[0];
+    }
+    return g;
+  };
+
+  // Bitwise verification on both arms (also warms every workspace pool
+  // the clocks touch). The references run on the scalar arm.
+  set_arm(false);
+  std::vector<double> ref_z;
+  std::vector<std::vector<double>> ref_grad;
+  for (const auto& col : cols) {
+    ref_z.push_back(ref_sim.expectation_z(c, col, q));
+    ref_grad.push_back(sim::adjoint_gradient_z(c, col, q, noise));
+  }
+  const double loss = loss_of();
+  const std::vector<double> grad = grad_of();
+  sim::BatchedWorkspace bws;
+  std::vector<double> zs(cols.size());
+  std::vector<double> grads(cols.size() * np);
+  for (const bool simd : {false, true}) {
+    set_arm(simd);
+    plan.expectation_z_batched(packed.data(), np, cols.size(), q, bws,
+                               zs.data());
+    sim::adjoint_gradient_z_batched(plan, packed.data(), np, cols.size(), q,
+                                    bws, grads.data());
+    for (std::size_t b = 0; b < cols.size(); ++b) {
+      p.identical &= zs[b] == ref_z[b];
+      p.identical &= std::equal(ref_grad[b].begin(), ref_grad[b].end(),
+                                grads.begin() +
+                                    static_cast<std::ptrdiff_t>(b * np));
+    }
+    p.identical &= loss_of() == loss;
+    p.identical &= grad_of() == grad;
   }
 
   // Median-of-kAbReps wall clocks per arm.
   double sink = 0.0;
-  const auto clock_arm = [&](const qnn::QnnExecutor& ex, bool simd,
-                             double* fwd, double* grd) {
-    sim::kernels::set_simd_runtime_enabled(simd);
+  const auto clock_arm = [&](const auto& forward, const auto& gradient,
+                             bool simd, ArmTiming* arm) {
+    set_arm(simd);
     std::vector<double> fwd_reps, grd_reps;
     for (int rep = 0; rep < kAbReps; ++rep) {
       double t0 = now_seconds();
-      for (int r = 0; r < forward_iters; ++r) sink += loss_of(ex);
+      for (int r = 0; r < forward_iters; ++r) sink += forward();
       fwd_reps.push_back(now_seconds() - t0);
       t0 = now_seconds();
-      for (int r = 0; r < gradient_iters; ++r) sink += grad_of(ex)[0];
+      for (int r = 0; r < gradient_iters; ++r) sink += gradient();
       grd_reps.push_back(now_seconds() - t0);
     }
-    *fwd = median_of(fwd_reps);
-    *grd = median_of(grd_reps);
+    arm->forward_median_s = median_of(fwd_reps);
+    arm->gradient_median_s = median_of(grd_reps);
   };
-  for (int simd = 0; simd < 2; ++simd) {
-    for (int batched = 0; batched < 2; ++batched) {
-      ArmTiming& arm = p.arms[2 * simd + batched];
-      arm.simd = simd != 0;
-      arm.batched = batched != 0;
-      clock_arm(batched ? plan_batched : plan_unbatched, arm.simd,
-                &arm.forward_median_s, &arm.gradient_median_s);
-    }
-  }
-  clock_arm(naive, true, &p.naive_forward_s, &p.naive_gradient_s);
+  const auto grad_head = [&] { return grad_of()[0]; };
+  clock_arm(loss_of, grad_head, false, &p.scalar);
+  clock_arm(loss_of, grad_head, true, &p.simd);
+  clock_arm(naive_loss, naive_grad, true, &p.naive);
   sim::kernels::set_simd_runtime_enabled(simd_was);
   benchmark::DoNotOptimize(sink);
 
-  const ArmTiming& base = p.arms[0];  // scalar + unbatched
-  const ArmTiming& best = p.arms[3];  // SIMD + batched
-  std::printf("  plan-ab q=%d  forward %.2fx  gradient %.2fx  combined "
-              "%.2fx  identical=%s\n",
-              qubits, base.forward_median_s / best.forward_median_s,
-              base.gradient_median_s / best.gradient_median_s,
-              (base.forward_median_s + base.gradient_median_s) /
-                  (best.forward_median_s + best.gradient_median_s),
+  std::printf("  plan-ab q=%d  simd/scalar %.2fx  plan/naive %.2fx  "
+              "identical=%s\n",
+              qubits, p.kernel_speedup(), p.plan_speedup(),
               p.identical ? "yes" : "NO");
   return p;
 }
 
+void write_arm(std::FILE* f, const char* name, const ArmTiming& arm) {
+  std::fprintf(f,
+               "\"%s\": {\"forward_median_seconds\": %.6f, "
+               "\"gradient_median_seconds\": %.6f}",
+               name, arm.forward_median_s, arm.gradient_median_s);
+}
+
 int run_plan_ab_mode(const std::string& out_path) {
-  std::printf("plan A/B mode: kernel matrix scalar/SIMD x "
-              "unbatched/batched (arch %s, strict=%s)\n",
+  std::printf("plan A/B mode: executor on scalar/SIMD kernels vs the "
+              "circuit walk (arch %s, strict=%s)\n",
               sim::kernels::arch_name(sim::kernels::active_arch()),
               sim::kernels::strict_reproducibility() ? "on" : "off");
   // The default set mirrors the training workloads the plan accelerates:
@@ -709,25 +752,16 @@ int run_plan_ab_mode(const std::string& out_path) {
   // each circuit counts once (the standard suite metric); a total-time
   // ratio would just re-measure the largest register, whose per-call
   // cost dwarfs the smallest.
-  double log_fwd = 0.0, log_grad = 0.0, log_combined = 0.0;
-  double combined_6q = 0.0;
+  double log_kernel = 0.0, log_plan = 0.0;
   bool identical = true;
   for (const auto& p : points) {
-    const ArmTiming& base = p.arms[0];
-    const ArmTiming& best = p.arms[3];
-    log_fwd += std::log(base.forward_median_s / best.forward_median_s);
-    log_grad += std::log(base.gradient_median_s / best.gradient_median_s);
-    const double combined =
-        (base.forward_median_s + base.gradient_median_s) /
-        (best.forward_median_s + best.gradient_median_s);
-    log_combined += std::log(combined);
-    if (p.qubits == 6) combined_6q = combined;
+    log_kernel += std::log(p.kernel_speedup());
+    log_plan += std::log(p.plan_speedup());
     identical &= p.identical;
   }
   const double n = static_cast<double>(points.size());
-  const double forward_speedup = std::exp(log_fwd / n);
-  const double gradient_speedup = std::exp(log_grad / n);
-  const double combined_speedup = std::exp(log_combined / n);
+  const double kernel_speedup = std::exp(log_kernel / n);
+  const double plan_speedup = std::exp(log_plan / n);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -741,62 +775,41 @@ int run_plan_ab_mode(const std::string& out_path) {
   std::fprintf(f, "  \"strict_reproducibility\": %s,\n",
                sim::kernels::strict_reproducibility() ? "true" : "false");
   std::fprintf(f,
-               "  \"baseline_arm\": \"scalar unbatched plan\", "
-               "\"speedup_arm\": \"simd batched plan\",\n");
-  std::fprintf(f,
                "  \"timing\": \"median of %d reps per arm; iterations "
                "are calls per rep, forward calls cover %d samples "
-               "each\",\n",
+               "each; speedups are combined forward+gradient time\",\n",
                kAbReps, kAbBatch);
   std::fprintf(f, "  \"aggregate\": \"geometric mean over circuits\",\n");
-  std::fprintf(f, "  \"forward_speedup\": %.4f,\n", forward_speedup);
-  std::fprintf(f, "  \"gradient_speedup\": %.4f,\n", gradient_speedup);
-  std::fprintf(f, "  \"combined_speedup\": %.4f,\n", combined_speedup);
-  std::fprintf(f, "  \"combined_speedup_6q\": %.4f,\n", combined_6q);
-  std::fprintf(f, "  \"target_combined_speedup_6q\": 3.0,\n");
+  std::fprintf(f, "  \"kernel_speedup\": %.4f,\n", kernel_speedup);
+  std::fprintf(f, "  \"plan_speedup\": %.4f,\n", plan_speedup);
   std::fprintf(f, "  \"circuits\": [");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PlanAbPoint& p = points[i];
-    const ArmTiming& base = p.arms[0];
-    const ArmTiming& best = p.arms[3];
     std::fprintf(
         f,
         "%s\n    {\"qubits\": %d, \"layers\": 2, \"gates\": %zu, "
         "\"fused_gates\": %zu, \"stream_ops\": %zu, \"batch\": %d, "
         "\"reps\": %d, \"forward_iterations\": %d, "
-        "\"gradient_iterations\": %d,\n     \"arms\": [",
+        "\"gradient_iterations\": %d,\n     ",
         i ? "," : "", p.qubits, p.gates, p.fused_gates, p.stream_ops,
         kAbBatch, kAbReps, p.forward_iters, p.gradient_iters);
-    for (int a = 0; a < 4; ++a) {
-      const ArmTiming& arm = p.arms[a];
-      std::fprintf(f,
-                   "%s\n      {\"kernels\": \"%s\", \"batched\": %s, "
-                   "\"forward_median_seconds\": %.6f, "
-                   "\"gradient_median_seconds\": %.6f}",
-                   a ? "," : "", arm.simd ? "simd" : "scalar",
-                   arm.batched ? "true" : "false", arm.forward_median_s,
-                   arm.gradient_median_s);
-    }
-    std::fprintf(
-        f,
-        "],\n     \"naive\": {\"forward_median_seconds\": %.6f, "
-        "\"gradient_median_seconds\": %.6f},\n"
-        "     \"forward_speedup\": %.4f, \"gradient_speedup\": %.4f, "
-        "\"combined_speedup\": %.4f, \"identical\": %s}",
-        p.naive_forward_s, p.naive_gradient_s,
-        base.forward_median_s / best.forward_median_s,
-        base.gradient_median_s / best.gradient_median_s,
-        (base.forward_median_s + base.gradient_median_s) /
-            (best.forward_median_s + best.gradient_median_s),
-        p.identical ? "true" : "false");
+    write_arm(f, "scalar", p.scalar);
+    std::fprintf(f, ", ");
+    write_arm(f, "simd", p.simd);
+    std::fprintf(f, ", ");
+    write_arm(f, "naive", p.naive);
+    std::fprintf(f,
+                 ",\n     \"kernel_speedup\": %.4f, \"plan_speedup\": "
+                 "%.4f, \"identical\": %s}",
+                 p.kernel_speedup(), p.plan_speedup(),
+                 p.identical ? "true" : "false");
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  std::printf("forward %.2fx  gradient %.2fx  combined %.2fx (geomean; "
-              "6q combined %.2fx)  identical=%s\n",
-              forward_speedup, gradient_speedup, combined_speedup,
-              combined_6q, identical ? "yes" : "NO");
+  std::printf("simd/scalar %.2fx  plan/naive %.2fx (geomean)  "
+              "identical=%s\n",
+              kernel_speedup, plan_speedup, identical ? "yes" : "NO");
   return identical ? 0 : 2;
 }
 
@@ -2125,9 +2138,9 @@ int main(int argc, char** argv) {
       plan_ab = true;
     } else if (flag == "--no-simd") {
       // Force the portable scalar kernels for every mode (same effect
-      // as ARBITERQ_SIMD=OFF). --plan-ab still clocks its scalar arms
-      // but dispatches SIMD arms to scalar, so the matrix degenerates
-      // to a batched-vs-unbatched comparison.
+      // as ARBITERQ_SIMD=OFF). --plan-ab still clocks its scalar arm
+      // but dispatches the SIMD arm to scalar, so its kernel speedup
+      // degenerates to 1.
       arbiterq::sim::kernels::set_simd_runtime_enabled(false);
     } else if (flag == "--telemetry-ab") {
       telemetry_ab = true;

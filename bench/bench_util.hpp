@@ -2,6 +2,7 @@
 // Shared plumbing for the evaluation binaries: run the four training
 // strategies on one benchmark case and collect the Table I metrics.
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +21,12 @@ namespace arbiterq::bench {
 constexpr core::Strategy kAllStrategies[] = {
     core::Strategy::kSingleNode, core::Strategy::kAllSharing,
     core::Strategy::kEqc, core::Strategy::kArbiterQ};
+
+/// Scheduler seeds the sampled-inference benches average over (99 is
+/// ScheduleConfig's default). One seed's 256-shot losses move by several
+/// points when only the sampler's random stream changes, so a verdict
+/// read from a single seed can flip on stream noise alone.
+constexpr std::uint64_t kSchedulerSeeds[] = {99, 100, 101, 102, 103};
 
 struct StrategyOutcome {
   core::Strategy strategy;

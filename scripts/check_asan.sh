@@ -25,7 +25,8 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 
 targets=(test_exec_plan test_adjoint test_simulator test_statevector
   test_kernels test_batched test_noise_model test_parallel_equivalence
-  test_arbiter test_trafficgen test_timeseries test_watchdog)
+  test_executor_reference test_arbiter test_trafficgen test_timeseries
+  test_watchdog)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 # Promote UBSan findings to hard failures; keep ASan strict about leaks.

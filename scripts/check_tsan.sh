@@ -25,9 +25,9 @@ cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_CXX_FLAGS="${tsan_flags}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 
-targets=(test_exec test_parallel_equivalence test_statevector test_kernels
-  test_batched test_trainers test_serve test_shard test_arbiter
-  test_trafficgen test_timeseries test_watchdog)
+targets=(test_exec test_parallel_equivalence test_executor_reference
+  test_statevector test_kernels test_batched test_trainers test_serve
+  test_shard test_arbiter test_trafficgen test_timeseries test_watchdog)
 cmake --build "${build_dir}" -j "$(nproc)" --target "${targets[@]}"
 
 # Force the parallel code paths even on single-core CI hosts.

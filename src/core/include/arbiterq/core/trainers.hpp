@@ -96,17 +96,6 @@ struct TrainConfig {
   /// num_threads: 1 = serial (default), 0 = auto (ARBITERQ_THREADS env
   /// var, else hardware_concurrency), N = cap at N-way.
   exec::ExecPolicy exec = {};
-  /// Execute every node through a compiled ExecPlan (see
-  /// qnn::ExecutorOptions::use_plan). Bit-identical to the naive path —
-  /// training curves do not change, only wall-clock. Default on; exposed
-  /// for A/B benchmarking.
-  bool use_exec_plans = true;
-  /// Route plan execution through the sample-batched forward (see
-  /// qnn::ExecutorOptions::batched_forward): dataset losses and adjoint
-  /// gradients evaluate whole sample blocks per register sweep.
-  /// Bit-identical under strict reproducibility; exposed for A/B
-  /// benchmarking. No effect when use_exec_plans is false.
-  bool batched_forward = true;
   /// Optional health hook (non-owning; must outlive train()): receives
   /// the same per-(epoch, QPU) record stream as train()'s telemetry
   /// argument, in the same serial order. Lets a standing observer — e.g.

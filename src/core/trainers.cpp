@@ -108,9 +108,7 @@ DistributedTrainer::DistributedTrainer(const qnn::QnnModel& model,
     : config_(config),
       executors_(build_executors(
           model, fleet,
-          qnn::ExecutorOptions{config.error_mitigation, config.exec,
-                               config.use_exec_plans,
-                               config.batched_forward},
+          qnn::ExecutorOptions{config.error_mitigation, config.exec},
           config.exec)),
       behavioral_(build_behavioral(executors_)),
       similarity_(behavioral_, config.kappa) {}

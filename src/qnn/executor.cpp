@@ -27,10 +27,6 @@ QnnExecutor::QnnExecutor(QnnModel model, device::Qpu qpu,
 }
 
 void QnnExecutor::rebuild_plan() {
-  if (!options_.use_plan) {
-    plan_ = nullptr;
-    return;
-  }
   AQ_COUNTER_ADD("qnn.plan.cache_misses", 1);
   plan_ = std::make_shared<const sim::ExecPlan>(
       simulator_.make_plan(compiled_.executable));
@@ -50,7 +46,9 @@ void QnnExecutor::recalibrate(double bias_drift_sigma, math::Rng& rng) {
   rebuild_plan();
 }
 
-double QnnExecutor::readout_contract(double p_one) const {
+double QnnExecutor::readout_probability(double z) const {
+  if (options_.mitigate_depolarizing && survival_ > 0.0) z /= survival_;
+  const double p_one = 0.5 * (1.0 - z);
   const double p01 = noise().enabled() ? noise().readout_p01(readout_qubit_)
                                        : 0.0;
   const double p10 = noise().enabled() ? noise().readout_p10(readout_qubit_)
@@ -58,57 +56,40 @@ double QnnExecutor::readout_contract(double p_one) const {
   return p_one * (1.0 - p10) + (1.0 - p_one) * p01;
 }
 
-void QnnExecutor::batched_probabilities(
+void QnnExecutor::block_probabilities(
     const std::vector<std::vector<double>>& features,
-    const std::vector<double>& weights, std::size_t lo, std::size_t hi,
-    sim::BatchedWorkspace& ws, double* out) const {
+    const std::vector<double>& weights, std::size_t b0, std::size_t count,
+    sim::BatchedWorkspace& ws) const {
   const auto np = static_cast<std::size_t>(plan_->num_params());
   const auto nq = static_cast<std::size_t>(model_.num_qubits());
-  for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
-    const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-    ws.params.resize(count * np);
-    for (std::size_t b = 0; b < count; ++b) {
-      const std::vector<double>& f = features[b0 + b];
-      if (f.size() != nq || weights.size() != np - nq) {
-        throw std::invalid_argument("batched_probabilities: size mismatch");
-      }
-      // pack_params_into's layout: [features | weights], one binding per
-      // column at stride np.
-      double* const dst = ws.params.data() + b * np;
-      std::copy(f.begin(), f.end(), dst);
-      std::copy(weights.begin(), weights.end(), dst + nq);
+  ws.params.resize(count * np);
+  for (std::size_t b = 0; b < count; ++b) {
+    const std::vector<double>& f = features[b0 + b];
+    if (f.size() != nq || weights.size() != np - nq) {
+      throw std::invalid_argument("block_probabilities: size mismatch");
     }
-    ws.values.resize(count);
-    AQ_COUNTER_ADD("qnn.forward.calls",
-                   static_cast<std::uint64_t>(count));
-    AQ_COUNTER_ADD("qnn.plan.cache_hits",
-                   static_cast<std::uint64_t>(count));
-    plan_->expectation_z_batched(ws.params.data(), np, count, readout_qubit_,
-                                 ws, ws.values.data());
-    for (std::size_t b = 0; b < count; ++b) {
-      double z = ws.values[b];
-      if (options_.mitigate_depolarizing && survival_ > 0.0) z /= survival_;
-      out[b0 - lo + b] = readout_contract(0.5 * (1.0 - z));
-    }
+    // pack_params_into's layout: [features | weights], one binding per
+    // column at stride np.
+    double* const dst = ws.params.data() + b * np;
+    std::copy(f.begin(), f.end(), dst);
+    std::copy(weights.begin(), weights.end(), dst + nq);
   }
+  ws.values.resize(count);
+  AQ_COUNTER_ADD("qnn.forward.calls", static_cast<std::uint64_t>(count));
+  AQ_COUNTER_ADD("qnn.plan.cache_hits", static_cast<std::uint64_t>(count));
+  plan_->expectation_z_batched(ws.params.data(), np, count, readout_qubit_,
+                               ws, ws.values.data());
+  for (double& v : ws.values) v = readout_probability(v);
 }
 
 double QnnExecutor::probability(const std::vector<double>& features,
                                 const std::vector<double>& weights) const {
   AQ_COUNTER_ADD("qnn.forward.calls", 1);
-  double z;
-  if (plan_ != nullptr) {
-    AQ_COUNTER_ADD("qnn.plan.cache_hits", 1);
-    auto ws = workspaces_.acquire();
-    model_.pack_params_into(features, weights, ws->params);
-    z = plan_->expectation_z(ws->params, readout_qubit_, *ws);
-  } else {
-    const auto params = model_.pack_params(features, weights);
-    z = simulator_.expectation_z(compiled_.executable, params, readout_qubit_,
-                                 survival_);
-  }
-  if (options_.mitigate_depolarizing && survival_ > 0.0) z /= survival_;
-  return readout_contract(0.5 * (1.0 - z));
+  AQ_COUNTER_ADD("qnn.plan.cache_hits", 1);
+  auto ws = workspaces_.acquire();
+  model_.pack_params_into(features, weights, ws->params);
+  return readout_probability(
+      plan_->expectation_z(ws->params, readout_qubit_, *ws));
 }
 
 double QnnExecutor::sampled_probability(const std::vector<double>& features,
@@ -120,18 +101,12 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
   sim::ShotOptions opts;
   opts.shots = shots;
   opts.trajectories = trajectories;
-  // Readout flips are applied per shot inside the samplers.
-  double p;
-  if (plan_ != nullptr && options_.batched_forward) {
-    // Plan trajectory sampler: a pre-drawn RNG schedule, one noise-free
-    // trunk, and a branch column only per trajectory a Pauli hits.
-    auto ws = batched_workspaces_.acquire();
-    p = simulator_.sampled_probability_of_one(*plan_, params, readout_qubit_,
-                                              opts, rng, *ws);
-  } else {
-    p = simulator_.sampled_probability_of_one(compiled_.executable, params,
-                                              readout_qubit_, opts, rng);
-  }
+  // Plan trajectory sampler: a pre-drawn RNG schedule, one noise-free
+  // trunk, and a branch column only per trajectory a Pauli hits. Readout
+  // flips are applied per shot inside the sampler.
+  auto ws = batched_workspaces_.acquire();
+  const double p = simulator_.sampled_probability_of_one(
+      *plan_, params, readout_qubit_, opts, rng, *ws);
   if (!options_.mitigate_depolarizing || survival_ <= 0.0) return p;
   // Post-measurement rescaling: z -> z / S, clamped to physical range.
   const double z = std::clamp((1.0 - 2.0 * p) / survival_, -1.0, 1.0);
@@ -146,27 +121,20 @@ double QnnExecutor::dataset_loss(
     throw std::invalid_argument("dataset_loss: bad dataset");
   }
   AQ_TRACE_SPAN("qnn.loss.dataset");
-  // Independent circuit evaluations fan out across the pool (each run
-  // owns its scratch Statevector); the sum stays a serial, index-ordered
-  // barrier so the result is bit-identical to the sequential loop.
+  // Each chunk of samples runs as batched blocks on its own workspace;
+  // the sum stays a serial, index-ordered barrier so the result is
+  // bit-identical for every thread count.
   std::vector<double> per_sample(features.size());
   exec::parallel_for(
       options_.exec, 0, features.size(), [&](std::size_t lo, std::size_t hi) {
-        if (plan_ != nullptr && options_.batched_forward) {
-          // Sample-batched forward: one register sweep serves a whole
-          // block of samples (per-column arithmetic identical to the
-          // unbatched plan path).
-          auto ws = batched_workspaces_.acquire();
-          std::vector<double> probs(hi - lo);
-          batched_probabilities(features, weights, lo, hi, *ws, probs.data());
-          for (std::size_t i = lo; i < hi; ++i) {
-            per_sample[i] = loss_value(kind, probs[i - lo], labels[i]);
+        auto ws = batched_workspaces_.acquire();
+        for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
+          const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
+          block_probabilities(features, weights, b0, count, *ws);
+          for (std::size_t b = 0; b < count; ++b) {
+            per_sample[b0 + b] =
+                loss_value(kind, ws->values[b], labels[b0 + b]);
           }
-          return;
-        }
-        for (std::size_t i = lo; i < hi; ++i) {
-          per_sample[i] =
-              loss_value(kind, probability(features[i], weights), labels[i]);
         }
       });
   double total = 0.0;
@@ -185,9 +153,8 @@ std::vector<double> QnnExecutor::loss_gradient(
   AQ_COUNTER_ADD("qnn.grad.calls", 1);
   const std::size_t w_count = weights.size();
   const std::size_t w_offset = static_cast<std::size_t>(model_.num_qubits());
+  const auto np = static_cast<std::size_t>(plan_->num_params());
   std::vector<double> grad(w_count, 0.0);
-  const sim::NoiseModel* noise_ptr =
-      noise().enabled() ? &simulator_.noise() : nullptr;
   double contraction =
       noise().enabled() ? 1.0 - noise().readout_p01(readout_qubit_) -
                               noise().readout_p10(readout_qubit_)
@@ -196,96 +163,41 @@ std::vector<double> QnnExecutor::loss_gradient(
   if (options_.mitigate_depolarizing && survival_ > 0.0) {
     contraction /= survival_;
   }
-  // Per-sample adjoint runs are independent; each writes its own partial
-  // vector, and the accumulation below folds them in sample order — the
-  // same floating-point association as the serial loop, so gradients are
+  // Per-sample partials are independent; each writes its own vector, and
+  // the accumulation below folds them in sample order — the same
+  // floating-point association as a serial loop, so gradients are
   // bit-identical for every thread count.
   std::vector<std::vector<double>> per_sample(features.size());
   exec::parallel_for(
       options_.exec, 0, features.size(),
       [&](std::size_t lo, std::size_t hi) {
-        if (plan_ != nullptr && options_.batched_forward) {
-          // Both halves sample-batched: the fused forward stream yields
-          // p for the loss derivative (same stream the loss reports),
-          // and the adjoint's gate-table forward runs as one batched
-          // sweep per block with a per-column reverse sweep.
-          auto bws = batched_workspaces_.acquire();
-          std::vector<double> probs(hi - lo);
-          batched_probabilities(features, weights, lo, hi, *bws, probs.data());
-          const auto np = static_cast<std::size_t>(plan_->num_params());
-          const auto nq = static_cast<std::size_t>(model_.num_qubits());
-          std::vector<double> grads;
-          for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
-            const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-            bws->params.resize(count * np);
-            for (std::size_t b = 0; b < count; ++b) {
-              const std::vector<double>& f = features[b0 + b];
-              double* const dst = bws->params.data() + b * np;
-              std::copy(f.begin(), f.end(), dst);
-              std::copy(weights.begin(), weights.end(), dst + nq);
-            }
-            grads.resize(count * np);
-            sim::adjoint_gradient_z_batched(*plan_, bws->params.data(), np,
-                                            count, readout_qubit_, *bws,
-                                            grads.data());
-            for (std::size_t b = 0; b < count; ++b) {
-              const std::size_t i = b0 + b;
-              const double dl_dp =
-                  loss_derivative(kind, probs[i - lo], labels[i]);
-              const double chain = dl_dp * contraction * -0.5;
-              const double* const g = grads.data() + b * np;
-              std::vector<double> contrib(w_count);
-              for (std::size_t w = 0; w < w_count; ++w) {
-                contrib[w] = chain * g[w_offset + w];
-              }
-              per_sample[i] = std::move(contrib);
-            }
-          }
-          return;
-        }
-        if (plan_ != nullptr) {
-          auto ws = workspaces_.acquire();
-          ws->grad.resize(static_cast<std::size_t>(plan_->num_params()));
-          for (std::size_t i = lo; i < hi; ++i) {
-            // Same (possibly mitigated) objective the loss reports —
-            // probability() inlined against this chunk's workspace so the
-            // params are packed once for the forward and adjoint runs.
-            AQ_COUNTER_ADD("qnn.forward.calls", 1);
-            AQ_COUNTER_ADD("qnn.plan.cache_hits", 1);
-            model_.pack_params_into(features[i], weights, ws->params);
-            double z = plan_->expectation_z(ws->params, readout_qubit_, *ws);
-            if (options_.mitigate_depolarizing && survival_ > 0.0) {
-              z /= survival_;
-            }
-            const double p = readout_contract(0.5 * (1.0 - z));
-            const double dl_dp = loss_derivative(kind, p, labels[i]);
-            sim::adjoint_gradient_z(*plan_, ws->params, readout_qubit_, *ws,
-                                    ws->grad);
+        // Per block: pack once, then the fused forward stream yields p
+        // for the loss derivative (the stream the loss reports) and the
+        // adjoint runs its gate-table forward as one batched sweep with a
+        // per-column reverse sweep.
+        auto ws = batched_workspaces_.acquire();
+        std::vector<double> grads;
+        for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
+          const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
+          block_probabilities(features, weights, b0, count, *ws);
+          grads.resize(count * np);
+          sim::adjoint_gradient_z_batched(*plan_, ws->params.data(), np,
+                                          count, readout_qubit_, *ws,
+                                          grads.data());
+          for (std::size_t b = 0; b < count; ++b) {
+            const std::size_t i = b0 + b;
+            // p_raw = (1 - <Z>)/2, then the readout contraction scales
+            // dp/dw.
+            const double dl_dp =
+                loss_derivative(kind, ws->values[b], labels[i]);
             const double chain = dl_dp * contraction * -0.5;
+            const double* const g = grads.data() + b * np;
             std::vector<double> contrib(w_count);
             for (std::size_t w = 0; w < w_count; ++w) {
-              contrib[w] = chain * ws->grad[w_offset + w];
+              contrib[w] = chain * g[w_offset + w];
             }
             per_sample[i] = std::move(contrib);
           }
-          return;
-        }
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto params = model_.pack_params(features[i], weights);
-          // Same (possibly mitigated) objective the loss reports.
-          const double p = probability(features[i], weights);
-          const double dl_dp = loss_derivative(kind, p, labels[i]);
-          const auto dz = sim::adjoint_gradient_z(
-              compiled_.executable, params, readout_qubit_, noise_ptr,
-              survival_);
-          // p_raw = (1 - <Z>)/2, then the readout contraction scales
-          // dp/dw.
-          const double chain = dl_dp * contraction * -0.5;
-          std::vector<double> contrib(w_count);
-          for (std::size_t w = 0; w < w_count; ++w) {
-            contrib[w] = chain * dz[w_offset + w];
-          }
-          per_sample[i] = std::move(contrib);
         }
       });
   for (const auto& contrib : per_sample) {

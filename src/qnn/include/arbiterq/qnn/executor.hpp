@@ -4,6 +4,14 @@
 // and then serves forward evaluations and gradients against that
 // compiled artifact for any (features, weights) binding.
 //
+// Every evaluation runs through one compiled ExecPlan (sim/exec_plan.hpp),
+// rebuilt whenever recalibrate() swaps the noise model. Multi-sample work
+// takes the plan's sample-batched kernels (sim/batched.hpp). The naive
+// sim engines (StatevectorSimulator on a circuit, the circuit adjoint,
+// the circuit-walking sampler, DensityMatrix) are not called from here:
+// they are the independent references the tests compare this executor
+// against bit for bit.
+//
 // Two forward paths mirror StatevectorSimulator's noise treatments:
 //  * probability()          — exact mode, used during training;
 //  * sampled_probability()  — trajectory shots, used during inference.
@@ -43,20 +51,6 @@ struct ExecutorOptions {
   /// losses and gradients are bit-identical to the serial schedule for
   /// every thread count. Default: serial.
   exec::ExecPolicy exec = {};
-  /// Execute through a compiled ExecPlan (static gates pre-fused, bind
-  /// recomputes only parameter-dependent matrices, statevectors reused
-  /// from a workspace pool). Bit-identical to the naive path; the plan
-  /// is rebuilt whenever recalibrate() swaps the noise model. Disable to
-  /// A/B against the per-call circuit walk.
-  bool use_plan = true;
-  /// Route multi-sample plan work through the sample-batched forward
-  /// (sim/batched.hpp): dataset losses and adjoint gradients evaluate
-  /// kBatchBlock samples per register sweep, and sampled_probability
-  /// takes the plan trajectory sampler (trunk plus Pauli branches). Under
-  /// strict reproducibility results are bit-identical to the unbatched
-  /// plan path (the trajectory sampler has its own — batch-invariant —
-  /// RNG schedule). No effect when use_plan is false.
-  bool batched_forward = true;
 };
 
 class QnnExecutor {
@@ -77,8 +71,7 @@ class QnnExecutor {
   /// Circuit survival probability under the device's stochastic errors.
   double survival() const noexcept { return survival_; }
 
-  /// The compiled execution plan, or nullptr when options().use_plan is
-  /// false. Rebuilt by recalibrate().
+  /// The compiled execution plan (never null). Rebuilt by recalibrate().
   const sim::ExecPlan* plan() const noexcept { return plan_.get(); }
 
   /// Temporal calibration drift (paper §II-B, "spatial and temporal"
@@ -97,13 +90,14 @@ class QnnExecutor {
                              const std::vector<double>& weights, int shots,
                              math::Rng& rng, int trajectories = 32) const;
 
-  /// Mean exact-mode loss over a dataset of encoded features.
+  /// Mean exact-mode loss over a dataset of encoded features, kBatchBlock
+  /// samples per batched register sweep.
   double dataset_loss(LossKind kind,
                       const std::vector<std::vector<double>>& features,
                       const std::vector<int>& labels,
                       const std::vector<double>& weights) const;
 
-  /// Gradient of the mean loss w.r.t. the weights (adjoint path).
+  /// Gradient of the mean loss w.r.t. the weights (batched adjoint).
   std::vector<double> loss_gradient(
       LossKind kind, const std::vector<std::vector<double>>& features,
       const std::vector<int>& labels,
@@ -123,17 +117,18 @@ class QnnExecutor {
   double shot_rate() const;
 
  private:
-  double readout_contract(double p_one) const;
+  /// P(readout = 1) from the plan's survival-scaled <Z>: mitigation,
+  /// then the readout-error contraction.
+  double readout_probability(double z) const;
   /// (Re)compile the plan against the simulator's current noise model.
   void rebuild_plan();
-  /// Batched forward over samples [lo, hi): packs each sample's params
-  /// into `ws`, runs the plan's sample-batched expectation in
-  /// kBatchBlock blocks and writes P(readout = 1) — mitigation and
-  /// readout contraction applied — to out[i - lo]. Requires plan_.
-  void batched_probabilities(const std::vector<std::vector<double>>& features,
-                             const std::vector<double>& weights,
-                             std::size_t lo, std::size_t hi,
-                             sim::BatchedWorkspace& ws, double* out) const;
+  /// One batched forward block: packs samples [b0, b0 + count) as
+  /// [features | weights] bindings into ws.params (stride num_params)
+  /// and writes each one's readout_probability to ws.values[0, count).
+  /// count <= kBatchBlock.
+  void block_probabilities(const std::vector<std::vector<double>>& features,
+                           const std::vector<double>& weights, std::size_t b0,
+                           std::size_t count, sim::BatchedWorkspace& ws) const;
 
   QnnModel model_;
   device::Qpu qpu_;
@@ -151,7 +146,8 @@ class QnnExecutor {
   /// bound matrices, packed params). Mutable: forward/gradient methods
   /// are logically const. Copies start with a fresh pool.
   mutable sim::WorkspacePool workspaces_;
-  /// Pool of sample-batched scratch for the batched_forward paths.
+  /// Pool of sample-batched scratch (dataset losses, gradients and the
+  /// trajectory sampler).
   mutable sim::BatchedWorkspacePool batched_workspaces_;
 };
 

@@ -36,7 +36,7 @@ Mat4 d_matrix_2q(GateKind kind, const std::array<double, 3>& p) {
 // The bracket reductions — the exact arithmetic of
 //   mu = psi; mu.apply_mat(M, ...); inner_product(lambda, mu)
 // fused into one pass, including the apply kernels' diagonal dispatch —
-// live in kernels.cpp so the naive and plan-based gradients below go
+// live in kernels.cpp so the circuit and plan-based gradients below go
 // through the same dispatch arm and stay mutually bit-identical in
 // every mode (scalar, AVX2 strict, AVX2+FMA fast).
 
@@ -57,10 +57,9 @@ bool is_diagonal(const Mat2& m) noexcept {
   return kernels::classify(m).shape == kernels::Shape::kDiagonal;
 }
 
-/// The reverse half of the plan adjoint: psi holds U|0>, ws holds the
-/// matrices bind_gates built for this binding. Writes num_params
-/// gradient entries to `grad`. Shared by the unbatched and batched
-/// entry points so their per-sample arithmetic is the same code.
+/// The reverse half of the plan adjoint, run per column: psi holds
+/// U|0>, ws holds the matrices bind_gates built for this binding. Writes
+/// num_params gradient entries to `grad`.
 void reverse_sweep(const ExecPlan& plan, Workspace& ws, Statevector& psi,
                    int qubit, double* grad) {
   const auto np = static_cast<std::size_t>(plan.num_params());
@@ -202,36 +201,6 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
   return grad;
 }
 
-void adjoint_gradient_z(const ExecPlan& plan, std::span<const double> params,
-                        int qubit, Workspace& ws, std::span<double> grad) {
-  const auto np = static_cast<std::size_t>(plan.num_params());
-  if (params.size() < np) {
-    throw std::invalid_argument("adjoint_gradient_z: params too short");
-  }
-  if (grad.size() < np) {
-    throw std::invalid_argument("adjoint_gradient_z: grad span too short");
-  }
-  AQ_COUNTER_ADD("sim.adjoint.calls", 1);
-  AQ_COUNTER_ADD("sim.plan.adjoint.calls", 1);
-  plan.bind_gates(params, ws);
-
-  // The naive path evolves default-policy (serial) registers — the
-  // per-sample fan-out above this layer is the parallel axis — so the
-  // plan path does the same.
-  const exec::ExecPolicy serial{};
-  Statevector& psi = ws.state(plan.num_qubits(), serial);
-  const std::vector<GateEntry>& table = plan.gate_table();
-  for (const GateEntry& e : table) {
-    if (e.arity == 1) {
-      psi.apply_mat2(plan.mat2(e, ws), e.q0);
-    } else {
-      psi.apply_mat4(plan.mat4(e, ws), e.q0, e.q1);
-    }
-  }
-
-  reverse_sweep(plan, ws, psi, qubit, grad.data());
-}
-
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
                                 int qubit, BatchedWorkspace& ws,
@@ -283,7 +252,7 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
     const auto ei = static_cast<std::size_t>(e.index);
     if (e.arity == 1) {
       if (uniform) {
-        st.apply_mat2_all(plan.mat2(e, w0), plan.shape2(e, w0), e.q0, batch);
+        st.apply_mat2_all(plan.mat2(e, w0), plan.shape2(e, w0), e.q0);
       } else {
         if (ws.mat2_scratch.size() < batch) ws.mat2_scratch.resize(batch);
         if (ws.shape2_scratch.size() < batch) {
@@ -298,8 +267,7 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
       }
     } else {
       if (uniform) {
-        st.apply_mat4_all(plan.mat4(e, w0), plan.shape4(e, w0), e.q0, e.q1,
-                          batch);
+        st.apply_mat4_all(plan.mat4(e, w0), plan.shape4(e, w0), e.q0, e.q1);
       } else {
         if (ws.mat4_scratch.size() < batch) ws.mat4_scratch.resize(batch);
         if (ws.shape4_scratch.size() < batch) {
@@ -324,14 +292,6 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
     psi.load_strided(st.row(0) + b, batch);
     reverse_sweep(plan, cw, psi, qubit, grads + b * np);
   }
-}
-
-std::vector<double> adjoint_gradient_z(const ExecPlan& plan,
-                                       std::span<const double> params,
-                                       int qubit, Workspace& ws) {
-  std::vector<double> grad(static_cast<std::size_t>(plan.num_params()), 0.0);
-  adjoint_gradient_z(plan, params, qubit, ws, grad);
-  return grad;
 }
 
 }  // namespace arbiterq::sim

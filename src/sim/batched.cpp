@@ -68,10 +68,8 @@ void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
 }
 
 void BatchedStatevector::apply_mat2_all(const Mat2& m,
-                                        const MatShape<2>& shape, int q,
-                                        std::size_t width) {
-  assert(width <= batch_);
-  apply_mat2_cols(m, is_diag(shape), q, 0, width);
+                                        const MatShape<2>& shape, int q) {
+  apply_mat2_cols(m, is_diag(shape), q, 0, batch_);
 }
 
 void BatchedStatevector::apply_mat2_cols(const Mat2& m, bool diagonal, int q,
@@ -89,20 +87,19 @@ void BatchedStatevector::apply_mat2_cols(const Mat2& m, bool diagonal, int q,
 
 void BatchedStatevector::apply_mat4_all(const Mat4& m,
                                         const MatShape<4>& shape, int qb,
-                                        int qa, std::size_t width) {
-  assert(width <= batch_);
+                                        int qa) {
   if (shape.shape == Shape::kDiagonal) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    kernels::batched_apply_diag(amps_.data(), dim_, batch_, width, d,
+    kernels::batched_apply_diag(amps_.data(), dim_, batch_, batch_, d,
                                 std::size_t{1} << qb, std::size_t{1} << qa);
     return;
   }
   if (shape.shape == Shape::kPermutation) {
-    kernels::batched_apply_perm4(amps_.data(), dim_, batch_, width, shape.src,
-                                 qb, qa);
+    kernels::batched_apply_perm4(amps_.data(), dim_, batch_, batch_,
+                                 shape.src, qb, qa);
     return;
   }
-  kernels::batched_apply_mat4(amps_.data(), dim_, batch_, width, m, qb, qa);
+  kernels::batched_apply_mat4(amps_.data(), dim_, batch_, batch_, m, qb, qa);
 }
 
 template <class ShapeOf>

@@ -85,10 +85,6 @@ Statevector& Workspace::lambda(int num_qubits, const exec::ExecPolicy& policy) {
   return reuse(lambda_, num_qubits, policy);
 }
 
-Statevector& Workspace::mu(int num_qubits, const exec::ExecPolicy& policy) {
-  return reuse(mu_, num_qubits, policy);
-}
-
 // ---------------------------------------------------------------------------
 // WorkspacePool
 

@@ -16,9 +16,11 @@
 //     grad_p += 2 Re <lambda| dG_k/dp |psi>   for each bound parameter
 //     lambda <- G_k^dagger lambda
 //
-// Two entry points: the naive path re-walks the circuit per call; the
-// ExecPlan path reuses precompiled matrices and workspace registers and
-// is bit-identical to it (tests/test_exec_plan.cpp).
+// Two entry points: the circuit walk re-derives every gate matrix per
+// call and is the independent reference; the sample-batched ExecPlan
+// walk reuses precompiled matrices and workspace registers, is what
+// QnnExecutor runs, and is bit-identical to the circuit walk per column
+// (tests/test_exec_plan.cpp, tests/test_batched.cpp).
 
 #include <span>
 #include <vector>
@@ -46,25 +48,13 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
                                        int qubit, const NoiseModel* noise,
                                        double survival);
 
-/// Plan-based gradient into a caller-provided span (>= num_params).
-/// Zero heap allocations after the workspace is warm. Bit-identical to
-/// the naive path above.
-void adjoint_gradient_z(const ExecPlan& plan, std::span<const double> params,
-                        int qubit, Workspace& ws, std::span<double> grad);
-
-/// Allocating convenience wrapper around the span variant.
-std::vector<double> adjoint_gradient_z(const ExecPlan& plan,
-                                       std::span<const double> params,
-                                       int qubit, Workspace& ws);
-
 /// Sample-batched plan gradient: sample b's parameter binding starts at
 /// params + b * stride (stride >= num_params) and its gradient is
 /// written to grads + b * num_params. The forward walk over the
 /// unfused gate table runs as one batched mini-GEMM sweep; the reverse
 /// sweep then runs per column against that column's bound matrices, so
-/// every sample's gradient is bit-identical to the unbatched plan
-/// overload above (under strict reproducibility; the opt-in fast arm
-/// is ULP-equivalent, matching the batched forward contract).
+/// every sample's gradient is bit-identical to the circuit overload
+/// above on the plan's circuit and noise model, at every batch size.
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
                                 int qubit, BatchedWorkspace& ws,

@@ -62,30 +62,18 @@ class BatchedStatevector {
   /// Apply one matrix to every column (broadcast mini-GEMM), with the
   /// same shape dispatch as Statevector::apply_mat2/apply_mat4.
   void apply_mat2_all(const circuit::Mat2& m, int q) {
-    apply_mat2_all(m, q, batch_);
+    apply_mat2_all(m, kernels::classify(m), q);
   }
   void apply_mat4_all(const circuit::Mat4& m, int qb, int qa) {
-    apply_mat4_all(m, qb, qa, batch_);
-  }
-  /// Active-width forms: only columns [0, width) evolve; columns at or
-  /// past `width` are left untouched and the row stride stays batch().
-  /// Per-column results do not depend on `width`.
-  void apply_mat2_all(const circuit::Mat2& m, int q, std::size_t width) {
-    apply_mat2_all(m, kernels::classify(m), q, width);
-  }
-  void apply_mat4_all(const circuit::Mat4& m, int qb, int qa,
-                      std::size_t width) {
-    apply_mat4_all(m, kernels::classify(m), qb, qa, width);
+    apply_mat4_all(m, kernels::classify(m), qb, qa);
   }
   /// Pre-classified forms, for walks that resolve shapes once per plan
   /// or bind instead of on every application: `shape` must be
   /// kernels::classify(m).
   void apply_mat2_all(const circuit::Mat2& m,
-                      const kernels::MatShape<2>& shape, int q,
-                      std::size_t width);
+                      const kernels::MatShape<2>& shape, int q);
   void apply_mat4_all(const circuit::Mat4& m,
-                      const kernels::MatShape<4>& shape, int qb, int qa,
-                      std::size_t width);
+                      const kernels::MatShape<4>& shape, int qb, int qa);
 
   /// Apply mats[b] to column b. The shape dispatch is per-matrix, so
   /// columns are partitioned into maximal runs of equal dispatch and
@@ -107,7 +95,7 @@ class BatchedStatevector {
   void probability_of_one_all(int q, double* out) const;
 
  private:
-  /// apply_mat2_all over columns [first, first + count).
+  /// A broadcast 1q gate over columns [first, first + count).
   void apply_mat2_cols(const circuit::Mat2& m, bool diagonal, int q,
                        std::size_t first, std::size_t count);
   /// The _each partition, with shape_of(b) the dispatch of column b.

@@ -55,10 +55,9 @@ class Workspace {
 
   /// The main register, reset to |0...0> with the given policy stamped.
   Statevector& state(int num_qubits, const exec::ExecPolicy& policy);
-  /// Adjoint scratch registers. Not reset — callers overwrite them by
+  /// Adjoint scratch register. Not reset — callers overwrite it by
   /// assignment (which reuses the existing allocation).
   Statevector& lambda(int num_qubits, const exec::ExecPolicy& policy);
-  Statevector& mu(int num_qubits, const exec::ExecPolicy& policy);
 
   /// Bound matrices for the plan's parameterized stream slots.
   std::vector<circuit::Mat2> bound1q;
@@ -85,7 +84,6 @@ class Workspace {
   std::vector<std::uint8_t> dyn_companions;
   /// General caller scratch (e.g. packed circuit parameters).
   std::vector<double> params;
-  std::vector<double> grad;
   /// Memoized bind state: the id of the plan the bound matrices above
   /// were last built against (0 = cold), plus each dynamic op's last
   /// bound angles. bind()/bind_gates() skip the trig + matrix rebuild
@@ -105,7 +103,6 @@ class Workspace {
 
   std::optional<Statevector> state_;
   std::optional<Statevector> lambda_;
-  std::optional<Statevector> mu_;
 };
 
 /// Mutex-guarded free list of Workspaces. acquire() hands out a lease

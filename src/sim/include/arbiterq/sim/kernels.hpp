@@ -241,7 +241,7 @@ Complex adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t n,
 // A batched register stores one row of amplitudes per basis index,
 // one column per sample (structure of arrays): row i starts at
 // amps + i * stride. One call applies one gate to columns [0, count)
-// of every row (count may be below stride — an active-width walk).
+// of every row (count may be below stride — a run of columns).
 // The arm is resolved once per gate and the row loop runs inside the
 // arm, so at QNN register sizes (a handful of rows per gate) dispatch
 // is not paid per row, and neither are coefficient broadcasts: a shared

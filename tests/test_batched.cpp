@@ -1,10 +1,10 @@
 // Sample-batched forward equivalence: BatchedStatevector column
 // evolution vs the unbatched plan path (bitwise under the default
 // strict-reproducibility arm, for batch sizes 1 / 2 / odd / wider than
-// kBatchBlock), the plan-based trajectory-batched sampler (same-seed
-// determinism, noiseless bitwise agreement with the circuit-walking
-// sampler, statistical agreement under noise), executor-level
-// batched-on/off equivalence, and trainer plumbing.
+// kBatchBlock), the batched adjoint vs the circuit adjoint, and the
+// plan-based trajectory-batched sampler (same-seed determinism,
+// noiseless bitwise agreement with the circuit-walking sampler,
+// statistical agreement under noise).
 
 #include "arbiterq/sim/batched.hpp"
 
@@ -18,15 +18,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "arbiterq/core/trainers.hpp"
-#include "arbiterq/data/pipeline.hpp"
-#include "arbiterq/device/presets.hpp"
 #include "arbiterq/math/rng.hpp"
-#include "arbiterq/qnn/executor.hpp"
-#include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/exec_plan.hpp"
 #include "arbiterq/sim/kernels.hpp"
@@ -162,15 +156,15 @@ TEST_P(BatchedPlan, ColumnsInvariantAcrossBatchSizes) {
   }
 }
 
-TEST_P(BatchedPlan, AdjointGradientMatchesUnbatchedBitwise) {
+TEST_P(BatchedPlan, AdjointGradientMatchesCircuitAdjointBitwise) {
   // The batched adjoint's forward walk runs the whole block as one
   // mini-GEMM sweep; each column's gradient must still carry the exact
-  // bits of the per-sample plan adjoint.
+  // bits of the circuit-walking adjoint on the same binding.
   const Circuit c = full_gate_circuit();
-  const StatevectorSimulator sim = make_sim();
-  const ExecPlan plan = sim.make_plan(c);
+  const NoiseModel noise = GetParam() ? rich_noise(3) : NoiseModel{};
+  const NoiseModel* noise_ptr = GetParam() ? &noise : nullptr;
+  const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
-  Workspace ws;
   BatchedWorkspace bws;
   math::Rng rng(23);
   for (const std::size_t batch :
@@ -182,7 +176,7 @@ TEST_P(BatchedPlan, AdjointGradientMatchesUnbatchedBitwise) {
                                  grads.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
-        const auto ref = adjoint_gradient_z(plan, col, 1, ws);
+        const auto ref = adjoint_gradient_z(c, col, 1, noise_ptr);
         for (std::size_t j = 0; j < np; ++j) {
           EXPECT_EQ(grads[b * np + j], ref[j])
               << "batch " << batch << " col " << b << " param " << j;
@@ -210,59 +204,6 @@ TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   EXPECT_THROW(st.configure(0, 3), std::invalid_argument);
   EXPECT_THROW(st.configure(2, 0), std::invalid_argument);
   EXPECT_THROW(st.apply_pauli_col(0, 0, 0), std::invalid_argument);
-}
-
-TEST(BatchedStatevectorTest, ActiveWidthLeavesTrailingColumnsUntouched) {
-  // Columns [0, w) of a width-w application must carry the bits of a
-  // full-width application; columns >= w must keep their old bits.
-  constexpr std::size_t kBatch = 5;
-  math::Rng rng(41);
-  BatchedStatevector base;
-  base.configure(3, kBatch);
-  for (int q = 0; q < 3; ++q) {
-    std::vector<circuit::Mat2> mats;
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      mats.push_back(circuit::gate_matrix_1q(
-          GateKind::kU3, {rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0),
-                          rng.uniform(-3.0, 3.0)}));
-    }
-    base.apply_mat2_each(mats.data(), q);
-  }
-  base.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCX, {}), 0, 2);
-
-  using Apply = void (*)(BatchedStatevector&, std::size_t);
-  const std::vector<std::pair<const char*, Apply>> gates = {
-      {"u3", [](BatchedStatevector& st, std::size_t w) {
-         st.apply_mat2_all(
-             circuit::gate_matrix_1q(GateKind::kU3, {0.7, -0.3, 1.1}), 1, w);
-       }},
-      {"rz (diagonal)", [](BatchedStatevector& st, std::size_t w) {
-         st.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kRZ, {0.9}), 2,
-                           w);
-       }},
-      {"crx", [](BatchedStatevector& st, std::size_t w) {
-         st.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCRX, {0.4}), 2,
-                           0, w);
-       }},
-      {"crz (diagonal)", [](BatchedStatevector& st, std::size_t w) {
-         st.apply_mat4_all(circuit::gate_matrix_2q(GateKind::kCRZ, {-1.3}),
-                           0, 1, w);
-       }},
-  };
-  for (const auto& [name, apply] : gates) {
-    BatchedStatevector full = base;
-    apply(full, kBatch);
-    for (std::size_t w = 1; w < kBatch; ++w) {
-      BatchedStatevector part = base;
-      apply(part, w);
-      for (std::size_t i = 0; i < base.dim(); ++i) {
-        for (std::size_t b = 0; b < kBatch; ++b) {
-          EXPECT_EQ(part.row(i)[b], b < w ? full.row(i)[b] : base.row(i)[b])
-              << name << " width " << w << " row " << i << " col " << b;
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -853,83 +794,3 @@ TEST(BatchedWorkspacePoolTest, RecyclesAndCopiesStartFresh) {
 
 }  // namespace
 }  // namespace arbiterq::sim
-
-// ---------------------------------------------------------------------------
-// Executor + trainer integration
-
-namespace arbiterq {
-namespace {
-
-class BatchedExecutor : public ::testing::Test {
- protected:
-  BatchedExecutor()
-      : model_(qnn::Backbone::kCRz, 2, 2),
-        split_(data::prepare_case({"iris", 2, 2})) {
-    weights_.assign(static_cast<std::size_t>(model_.num_weights()), 0.0);
-    math::Rng rng(7);
-    for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
-  }
-
-  qnn::QnnExecutor make(bool batched, bool mitigate = false) const {
-    qnn::ExecutorOptions opts;
-    opts.use_plan = true;
-    opts.batched_forward = batched;
-    opts.mitigate_depolarizing = mitigate;
-    return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
-                            opts);
-  }
-
-  qnn::QnnModel model_;
-  data::EncodedSplit split_;
-  std::vector<double> weights_;
-};
-
-TEST_F(BatchedExecutor, LossAndGradientMatchUnbatchedBitwise) {
-  for (const bool mitigate : {false, true}) {
-    const qnn::QnnExecutor unbatched = make(false, mitigate);
-    const qnn::QnnExecutor batched = make(true, mitigate);
-    EXPECT_EQ(batched.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              unbatched.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                     split_.test_labels, weights_));
-    EXPECT_EQ(
-        batched.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                              split_.train_labels, weights_),
-        unbatched.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                                split_.train_labels, weights_));
-  }
-}
-
-TEST_F(BatchedExecutor, SampledProbabilityDeterministicAndCalibrated) {
-  const qnn::QnnExecutor ex = make(true);
-  const auto& f = split_.test_features.front();
-  math::Rng a(5);
-  math::Rng b(5);
-  const double pa = ex.sampled_probability(f, weights_, 4000, a, 48);
-  const double pb = ex.sampled_probability(f, weights_, 4000, b, 48);
-  EXPECT_EQ(pa, pb);
-  // The sampled estimate tracks the exact forward within shot noise.
-  EXPECT_NEAR(pa, ex.probability(f, weights_), 0.05);
-}
-
-TEST_F(BatchedExecutor, TrainerConfigRoutesThroughBatchedForward) {
-  core::TrainConfig cfg;
-  cfg.epochs = 2;
-  cfg.gradient_shot_noise = 0.0;
-  core::TrainConfig cfg_off = cfg;
-  cfg_off.batched_forward = false;
-  const core::DistributedTrainer on(model_, device::table3_fleet_subset(2, 2),
-                                    cfg);
-  const core::DistributedTrainer off(model_,
-                                     device::table3_fleet_subset(2, 2),
-                                     cfg_off);
-  EXPECT_TRUE(on.executors().front().options().batched_forward);
-  EXPECT_FALSE(off.executors().front().options().batched_forward);
-  const auto ra = on.train(core::Strategy::kArbiterQ, split_);
-  const auto rb = off.train(core::Strategy::kArbiterQ, split_);
-  EXPECT_EQ(ra.epoch_test_loss, rb.epoch_test_loss);
-  EXPECT_EQ(ra.weights, rb.weights);
-}
-
-}  // namespace
-}  // namespace arbiterq

@@ -1,9 +1,10 @@
 // Compiled execution plans: bit-identity against the naive per-call
-// path across the full gate set (noise on/off), plan-based adjoint vs
-// the circuit-walking adjoint, executor-level plan on/off equivalence,
-// plan invalidation on recalibrate, marginal sampling, and the
-// zero-allocation steady-state contract (checked with a counting global
-// operator new).
+// path across the full gate set (noise on/off), the batched plan
+// adjoint (at batch 1 and wider) vs the circuit-walking adjoint,
+// marginal sampling, and the zero-allocation steady-state contract
+// (checked with a counting global operator new). The executor built on
+// these plans is checked against the reference engines in
+// test_executor_reference.cpp.
 
 #include "arbiterq/sim/exec_plan.hpp"
 
@@ -11,16 +12,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
-#include "arbiterq/data/pipeline.hpp"
-#include "arbiterq/device/presets.hpp"
 #include "arbiterq/math/rng.hpp"
-#include "arbiterq/qnn/executor.hpp"
-#include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/kernels.hpp"
@@ -136,6 +135,25 @@ std::vector<double> some_params(int np, math::Rng& rng) {
   return p;
 }
 
+/// The batched plan adjoint over `cols` (one parameter binding each, in
+/// one batch), one gradient per column.
+std::vector<std::vector<double>> batched_gradients(
+    const ExecPlan& plan, const std::vector<std::vector<double>>& cols,
+    int qubit, BatchedWorkspace& ws) {
+  const auto np = static_cast<std::size_t>(plan.num_params());
+  std::vector<double> packed;
+  for (const auto& p : cols) packed.insert(packed.end(), p.begin(), p.end());
+  std::vector<double> grads(cols.size() * np);
+  adjoint_gradient_z_batched(plan, packed.data(), np, cols.size(), qubit, ws,
+                             grads.data());
+  std::vector<std::vector<double>> out;
+  for (std::size_t b = 0; b < cols.size(); ++b) {
+    out.emplace_back(grads.begin() + static_cast<std::ptrdiff_t>(b * np),
+                     grads.begin() + static_cast<std::ptrdiff_t>((b + 1) * np));
+  }
+  return out;
+}
+
 void expect_plan_matches_naive(const StatevectorSimulator& sim,
                                const Circuit& c,
                                const std::vector<double>& params) {
@@ -217,46 +235,60 @@ TEST(ExecPlan, ParamsTooShortThrows) {
   Workspace ws;
   const std::vector<double> short_params(2, 0.0);
   EXPECT_THROW(plan.run(short_params, ws), std::invalid_argument);
-  EXPECT_THROW(adjoint_gradient_z(plan, short_params, 0, ws),
+  BatchedWorkspace bws;
+  std::vector<double> grads(static_cast<std::size_t>(c.num_params()));
+  EXPECT_THROW(adjoint_gradient_z_batched(plan, short_params.data(),
+                                          short_params.size(), 1, 0, bws,
+                                          grads.data()),
                std::invalid_argument);
 }
 
-TEST(ExecPlanAdjoint, MatchesNaiveAdjointBitIdentical) {
+TEST(ExecPlanAdjoint, MatchesCircuitAdjointBitIdentical) {
+  // Every column of the batched plan adjoint, alone (batch 1) or beside
+  // others (batch 3), carries the circuit adjoint's bits.
   const Circuit c = full_gate_circuit();
   const NoiseModel noise = rich_noise(3);
   math::Rng rng(21);
-  const auto params = some_params(c.num_params(), rng);
-  Workspace ws;
+  const std::vector<std::vector<double>> cols = {
+      some_params(c.num_params(), rng), some_params(c.num_params(), rng),
+      some_params(c.num_params(), rng)};
+  BatchedWorkspace ws;
   for (const NoiseModel* np : {static_cast<const NoiseModel*>(nullptr),
                                &noise}) {
     const StatevectorSimulator sim(np != nullptr ? *np : NoiseModel{});
     const ExecPlan plan = sim.make_plan(c);
     for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
-      const auto naive = adjoint_gradient_z(c, params, qubit, np);
-      const auto planned = adjoint_gradient_z(plan, params, qubit, ws);
-      ASSERT_EQ(planned.size(), naive.size());
-      for (std::size_t i = 0; i < naive.size(); ++i) {
-        EXPECT_EQ(planned[i], naive[i])
+      const auto wide = batched_gradients(plan, cols, qubit, ws);
+      for (std::size_t b = 0; b < cols.size(); ++b) {
+        const auto naive = adjoint_gradient_z(c, cols[b], qubit, np);
+        const auto alone = batched_gradients(plan, {cols[b]}, qubit, ws);
+        EXPECT_EQ(alone.front(), naive)
             << (np != nullptr ? "noisy" : "ideal") << " qubit " << qubit
-            << " param " << i;
+            << " col " << b << " batch 1";
+        EXPECT_EQ(wide[b], naive)
+            << (np != nullptr ? "noisy" : "ideal") << " qubit " << qubit
+            << " col " << b << " batch 3";
       }
     }
   }
 }
 
-TEST(ExecPlanAdjoint, RandomCircuitsMatchNaive) {
-  Workspace ws;
+TEST(ExecPlanAdjoint, RandomCircuitsMatchCircuitAdjoint) {
+  BatchedWorkspace ws;
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     math::Rng rng(seed);
     const Circuit c = random_circuit(3, 5, rng, 25);
-    const auto params = some_params(c.num_params(), rng);
+    const std::vector<std::vector<double>> cols = {
+        some_params(c.num_params(), rng), some_params(c.num_params(), rng)};
     const NoiseModel noise = rich_noise(3);
     const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
-    const auto naive = adjoint_gradient_z(c, params, 0, &noise);
-    const auto planned = adjoint_gradient_z(plan, params, 0, ws);
-    ASSERT_EQ(planned.size(), naive.size());
-    for (std::size_t i = 0; i < naive.size(); ++i) {
-      EXPECT_EQ(planned[i], naive[i]) << "seed " << seed << " param " << i;
+    const auto wide = batched_gradients(plan, cols, 0, ws);
+    for (std::size_t b = 0; b < cols.size(); ++b) {
+      const auto naive = adjoint_gradient_z(c, cols[b], 0, &noise);
+      EXPECT_EQ(batched_gradients(plan, {cols[b]}, 0, ws).front(), naive)
+          << "seed " << seed << " col " << b << " batch 1";
+      EXPECT_EQ(wide[b], naive) << "seed " << seed << " col " << b
+                                << " batch 2";
     }
   }
 }
@@ -291,29 +323,43 @@ TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
   // bind_gates_forward skips the adjoint and derivative matrices. A full
   // bind that follows it on the same workspace — at the angles it bound,
   // or at the ones before — must still hand the adjoint walk companions
-  // that match its angles, so gradients equal a cold workspace's.
+  // that match its angles, so gradients equal the circuit adjoint's. The
+  // batched adjoint binds column b into ws.col_gates[b]; the forward
+  // binds below go into the same workspaces, at batch 1 and batch 2.
   const Circuit c = full_gate_circuit();
-  const ExecPlan plan = StatevectorSimulator(rich_noise(3)).make_plan(c);
+  const NoiseModel noise = rich_noise(3);
+  const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
   math::Rng rng(53);
   const auto a = some_params(c.num_params(), rng);
   const auto b = some_params(c.num_params(), rng);
-  auto cold = [&](const std::vector<double>& p) {
-    Workspace fresh;
-    return adjoint_gradient_z(plan, p, 1, fresh);
+  const auto want_a = adjoint_gradient_z(c, a, 1, &noise);
+  const auto want_b = adjoint_gradient_z(c, b, 1, &noise);
+  BatchedWorkspace ws;
+  ws.col_gates.push_back(std::make_unique<Workspace>());
+  ws.col_gates.push_back(std::make_unique<Workspace>());
+  Workspace& col0 = *ws.col_gates[0];
+  Workspace& col1 = *ws.col_gates[1];
+  auto grad = [&](const std::vector<double>& p) {
+    return batched_gradients(plan, {p}, 1, ws).front();
   };
-  Workspace ws;
-  plan.bind_gates_forward(a, ws);
-  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "cold forward";
-  plan.bind_gates_forward(b, ws);
-  EXPECT_EQ(adjoint_gradient_z(plan, b, 1, ws), cold(b)) << "forward b";
-  plan.bind_gates_forward(a, ws);
-  plan.bind_gates_forward(b, ws);
-  EXPECT_EQ(adjoint_gradient_z(plan, b, 1, ws), cold(b)) << "a, b, full b";
-  plan.bind_gates_forward(a, ws);
-  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "full b, a";
+  plan.bind_gates_forward(a, col0);
+  EXPECT_EQ(grad(a), want_a) << "cold forward";
+  plan.bind_gates_forward(b, col0);
+  EXPECT_EQ(grad(b), want_b) << "forward b";
+  plan.bind_gates_forward(a, col0);
+  plan.bind_gates_forward(b, col0);
+  EXPECT_EQ(grad(b), want_b) << "a, b, full b";
+  plan.bind_gates_forward(a, col0);
+  EXPECT_EQ(grad(a), want_a) << "full b, a";
   // A forward bind after a full one at the same angles keeps both.
-  plan.bind_gates_forward(a, ws);
-  EXPECT_EQ(adjoint_gradient_z(plan, a, 1, ws), cold(a)) << "full a, a";
+  plan.bind_gates_forward(a, col0);
+  EXPECT_EQ(grad(a), want_a) << "full a, a";
+  // Two columns, each forward-bound at the other's angles first.
+  plan.bind_gates_forward(b, col0);
+  plan.bind_gates_forward(a, col1);
+  const auto both = batched_gradients(plan, {a, b}, 1, ws);
+  EXPECT_EQ(both[0], want_a) << "batch 2 col 0";
+  EXPECT_EQ(both[1], want_b) << "batch 2 col 1";
 }
 
 TEST(SimulatorOverloads, PrecomputedSurvivalMatches) {
@@ -384,81 +430,6 @@ TEST(MarginalSampling, InvalidOptionsThrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor integration
-
-class ExecutorPlan : public ::testing::Test {
- protected:
-  ExecutorPlan()
-      : model_(qnn::Backbone::kCRz, 2, 2),
-        split_(data::prepare_case({"iris", 2, 2})) {
-    weights_.assign(static_cast<std::size_t>(model_.num_weights()), 0.0);
-    math::Rng rng(7);
-    for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
-  }
-
-  qnn::QnnExecutor make(bool use_plan, bool mitigate = false) const {
-    qnn::ExecutorOptions opts;
-    opts.use_plan = use_plan;
-    opts.mitigate_depolarizing = mitigate;
-    return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
-                            opts);
-  }
-
-  qnn::QnnModel model_;
-  data::EncodedSplit split_;
-  std::vector<double> weights_;
-};
-
-TEST_F(ExecutorPlan, ForwardAndGradientsMatchNaiveExecutor) {
-  for (const bool mitigate : {false, true}) {
-    const qnn::QnnExecutor naive = make(false, mitigate);
-    const qnn::QnnExecutor planned = make(true, mitigate);
-    EXPECT_EQ(naive.plan(), nullptr);
-    ASSERT_NE(planned.plan(), nullptr);
-    EXPECT_EQ(planned.survival(), naive.survival());
-    for (const auto& f : split_.test_features) {
-      EXPECT_EQ(planned.probability(f, weights_), naive.probability(f, weights_));
-    }
-    EXPECT_EQ(planned.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              naive.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                 split_.test_labels, weights_));
-    EXPECT_EQ(planned.loss_gradient(qnn::LossKind::kMse,
-                                    split_.train_features,
-                                    split_.train_labels, weights_),
-              naive.loss_gradient(qnn::LossKind::kMse, split_.train_features,
-                                  split_.train_labels, weights_));
-    EXPECT_EQ(planned.loss_gradient_shift(qnn::LossKind::kMse,
-                                          split_.train_features,
-                                          split_.train_labels, weights_),
-              naive.loss_gradient_shift(qnn::LossKind::kMse,
-                                        split_.train_features,
-                                        split_.train_labels, weights_));
-  }
-}
-
-TEST_F(ExecutorPlan, RecalibrateInvalidatesAndRebuildsPlan) {
-  qnn::QnnExecutor naive = make(false);
-  qnn::QnnExecutor planned = make(true);
-  const sim::ExecPlan* before = planned.plan();
-  ASSERT_NE(before, nullptr);
-  const auto& f = split_.test_features.front();
-  const double p_before = planned.probability(f, weights_);
-
-  math::Rng rng_a(99);
-  math::Rng rng_b(99);
-  naive.recalibrate(0.2, rng_a);
-  planned.recalibrate(0.2, rng_b);
-
-  // A fresh plan compiled against the drifted noise model...
-  EXPECT_NE(planned.plan(), before);
-  // ...that still tracks the naive path bit-for-bit...
-  EXPECT_EQ(planned.probability(f, weights_), naive.probability(f, weights_));
-  // ...and actually reflects the drift (a stale plan would not).
-  EXPECT_NE(planned.probability(f, weights_), p_before);
-}
-
-// ---------------------------------------------------------------------------
 // Steady-state allocation contract
 
 TEST(ExecPlanWorkspace, SteadyStateForwardIsAllocationFree) {
@@ -483,21 +454,34 @@ TEST(ExecPlanWorkspace, SteadyStateForwardIsAllocationFree) {
 }
 
 TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
+  // The batched adjoint at batch 1 and at a block of 5, with the
+  // feature-like first parameter varying per column (per-column gate
+  // matrices) and the rest shared (broadcast gates).
   const Circuit c = full_gate_circuit();
   const StatevectorSimulator sim(rich_noise(3));
   const ExecPlan plan = sim.make_plan(c);
-  Workspace ws;
-  std::vector<double> params(static_cast<std::size_t>(c.num_params()), 0.3);
-  std::vector<double> grad(static_cast<std::size_t>(c.num_params()), 0.0);
-  for (int i = 0; i < 3; ++i) adjoint_gradient_z(plan, params, 0, ws, grad);
+  const auto np = static_cast<std::size_t>(c.num_params());
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+    BatchedWorkspace ws;
+    std::vector<double> params(batch * np, 0.3);
+    std::vector<double> grads(batch * np, 0.0);
+    auto call = [&](int i) {
+      for (std::size_t b = 0; b < batch; ++b) {
+        params[b * np] = 0.05 * static_cast<double>(i) +
+                         0.1 * static_cast<double>(b);
+      }
+      adjoint_gradient_z_batched(plan, params.data(), np, batch, 0, ws,
+                                 grads.data());
+    };
+    for (int i = 0; i < 3; ++i) call(i);
 
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 32; ++i) {
-    params[1] = 0.05 * static_cast<double>(i);
-    adjoint_gradient_z(plan, params, 0, ws, grad);
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 32; ++i) call(i);
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before)
+        << "steady-state adjoint evaluations allocated at batch " << batch;
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "steady-state adjoint evaluations allocated";
 }
 
 TEST(ExecPlanWorkspace, SteadyStateTrajectorySamplerIsAllocationFree) {

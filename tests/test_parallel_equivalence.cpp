@@ -109,10 +109,9 @@ class ExecutorEquivalence : public ::testing::Test {
     for (double& w : weights_) w = rng.uniform(-1.0, 1.0);
   }
 
-  qnn::QnnExecutor make(int num_threads, bool use_plan = true) const {
+  qnn::QnnExecutor make(int num_threads) const {
     qnn::ExecutorOptions opts;
     opts.exec = threads(num_threads);
-    opts.use_plan = use_plan;
     return qnn::QnnExecutor(model_, device::table3_fleet_subset(1, 2)[0],
                             opts);
   }
@@ -168,39 +167,6 @@ TEST_F(ExecutorEquivalence, ParameterShiftGradientBitIdentical) {
   }
 }
 
-TEST_F(ExecutorEquivalence, PlanOnOffBitIdenticalAcrossThreadCounts) {
-  // The compiled-plan path must reproduce the naive per-call walk
-  // exactly, for every thread count — the determinism contract extends
-  // across the plans-on/off axis, not just parallel/serial.
-  const qnn::QnnExecutor naive = make(1, /*use_plan=*/false);
-  const double loss = naive.dataset_loss(qnn::LossKind::kMse,
-                                         split_.test_features,
-                                         split_.test_labels, weights_);
-  const auto grad = naive.loss_gradient(qnn::LossKind::kMse,
-                                        split_.train_features,
-                                        split_.train_labels, weights_);
-  const auto shift = naive.loss_gradient_shift(qnn::LossKind::kMse,
-                                               split_.train_features,
-                                               split_.train_labels, weights_);
-  for (int t : {1, 2, 8}) {
-    const qnn::QnnExecutor planned = make(t, /*use_plan=*/true);
-    EXPECT_EQ(planned.dataset_loss(qnn::LossKind::kMse, split_.test_features,
-                                   split_.test_labels, weights_),
-              loss)
-        << "threads=" << t;
-    EXPECT_EQ(planned.loss_gradient(qnn::LossKind::kMse,
-                                    split_.train_features,
-                                    split_.train_labels, weights_),
-              grad)
-        << "threads=" << t;
-    EXPECT_EQ(planned.loss_gradient_shift(qnn::LossKind::kMse,
-                                          split_.train_features,
-                                          split_.train_labels, weights_),
-              shift)
-        << "threads=" << t;
-  }
-}
-
 TEST(ShiftOracleEquivalence, AnalyticFunctionBitIdenticalAcrossThreads) {
   // sum of sin(w_i): the two-term rule is exact, and the oracle's value
   // must not depend on how the weights are chunked across the pool.
@@ -231,8 +197,7 @@ core::TrainResult train_with(int num_threads, core::Strategy strategy,
                              const data::EncodedSplit& split,
                              double offline_probability = 0.0,
                              double drift_sigma = 0.0,
-                             int drift_interval = 0,
-                             bool use_exec_plans = true) {
+                             int drift_interval = 0) {
   const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 2);
   core::TrainConfig cfg;
   cfg.epochs = 4;
@@ -241,7 +206,6 @@ core::TrainResult train_with(int num_threads, core::Strategy strategy,
   cfg.drift_sigma = drift_sigma;
   cfg.drift_interval = drift_interval;
   cfg.exec = threads(num_threads);
-  cfg.use_exec_plans = use_exec_plans;
   const core::DistributedTrainer trainer(
       model, device::table3_fleet_subset(4, 2), cfg);
   return trainer.train(strategy, split);
@@ -278,22 +242,6 @@ TEST_F(TrainerEquivalence, ChurnAndDriftStayBitIdentical) {
   for (int t : kSweep) {
     const core::TrainResult r = train_with(
         t, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2);
-    EXPECT_EQ(r.epoch_test_loss, base.epoch_test_loss) << "threads=" << t;
-    EXPECT_EQ(r.weights, base.weights) << "threads=" << t;
-  }
-}
-
-TEST_F(TrainerEquivalence, PlansOnOffBitIdenticalUnderChurnAndDrift) {
-  // Drift recalibrates every executor mid-training, which swaps the
-  // noise model and forces a plan rebuild; the plans-on run must still
-  // track the plans-off run bit-for-bit, at every thread count.
-  const core::TrainResult base = train_with(
-      1, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2,
-      /*use_exec_plans=*/false);
-  for (int t : {1, 2, 8}) {
-    const core::TrainResult r = train_with(
-        t, core::Strategy::kArbiterQ, split_, 0.3, 0.05, 2,
-        /*use_exec_plans=*/true);
     EXPECT_EQ(r.epoch_test_loss, base.epoch_test_loss) << "threads=" << t;
     EXPECT_EQ(r.weights, base.weights) << "threads=" << t;
   }
