@@ -403,6 +403,65 @@ BENCHMARK(BM_Sampler)->ArgsProduct({{2, 4}, {32}, {1}, {1}})
     ->ArgsProduct({{2, 4}, {42, 77}, {16}, {1}})
     ->Args({4, 42, 16, 0});
 
+// Per-call executor times of personalized training: one
+// QnnExecutor::dataset_loss (a test-loss sweep) or loss_gradient (a
+// minibatch gradient) call on the iris (2-qubit) or wine (4-qubit)
+// Model-CRz circuit compiled for Table III QPU 1, serial, over
+// `samples` random feature rows. Every weight moves each iteration, as
+// in training, so no call reuses the previous call's bound weights.
+// Args: {qubits, samples}; train-iris makes 20-sample loss and 4-sample
+// gradient calls.
+struct ExecutorCall {
+  explicit ExecutorCall(benchmark::State& state)
+      : nq(static_cast<int>(state.range(0))),
+        model(qnn::Backbone::kCRz, nq, 2),
+        ex(model, device::table3_fleet(nq)[1]) {
+    const auto n = static_cast<std::size_t>(state.range(1));
+    math::Rng rng(29);
+    features.resize(n, std::vector<double>(static_cast<std::size_t>(nq)));
+    for (auto& f : features) {
+      for (double& v : f) v = rng.uniform(-1.5, 1.5);
+    }
+    labels.resize(n);
+    for (int& l : labels) l = static_cast<int>(rng.uniform_int(2));
+    weights.resize(static_cast<std::size_t>(model.num_weights()));
+    for (double& v : weights) v = rng.uniform(-1.5, 1.5);
+    state.SetLabel(std::string(nq == 2 ? "iris" : "wine") + " " +
+                   std::to_string(nq) + "q samples " + std::to_string(n));
+  }
+  /// Moves every weight, as an optimizer step does.
+  void step() {
+    for (double& v : weights) v += 1e-3;
+  }
+
+  int nq;
+  qnn::QnnModel model;
+  qnn::QnnExecutor ex;
+  std::vector<std::vector<double>> features;
+  std::vector<int> labels;
+  std::vector<double> weights;
+};
+
+void BM_ExecutorDatasetLoss(benchmark::State& state) {
+  ExecutorCall call(state);
+  for (auto _ : state) {
+    call.step();
+    benchmark::DoNotOptimize(call.ex.dataset_loss(
+        qnn::LossKind::kMse, call.features, call.labels, call.weights));
+  }
+}
+BENCHMARK(BM_ExecutorDatasetLoss)->Args({2, 20})->Args({2, 4})->Args({4, 20});
+
+void BM_ExecutorLossGradient(benchmark::State& state) {
+  ExecutorCall call(state);
+  for (auto _ : state) {
+    call.step();
+    benchmark::DoNotOptimize(call.ex.loss_gradient(
+        qnn::LossKind::kMse, call.features, call.labels, call.weights));
+  }
+}
+BENCHMARK(BM_ExecutorLossGradient)->Args({2, 20})->Args({2, 4})->Args({4, 4});
+
 // ---------------------------------------------------------------------------
 // Thread-scaling mode (`--threads N`): wall-clock the two workloads the
 // engine accelerates and dump BENCH_perf.json.

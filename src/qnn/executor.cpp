@@ -97,7 +97,6 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
                                         int shots, math::Rng& rng,
                                         int trajectories) const {
   AQ_TRACE_SPAN("qnn.sample.probability");
-  const auto params = model_.pack_params(features, weights);
   sim::ShotOptions opts;
   opts.shots = shots;
   opts.trajectories = trajectories;
@@ -105,8 +104,9 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
   // trunk, and a branch column only per trajectory a Pauli hits. Readout
   // flips are applied per shot inside the sampler.
   auto ws = batched_workspaces_.acquire();
+  model_.pack_params_into(features, weights, ws->params);
   const double p = simulator_.sampled_probability_of_one(
-      *plan_, params, readout_qubit_, opts, rng, *ws);
+      *plan_, ws->params, readout_qubit_, opts, rng, *ws);
   if (!options_.mitigate_depolarizing || survival_ <= 0.0) return p;
   // Post-measurement rescaling: z -> z / S, clamped to physical range.
   const double z = std::clamp((1.0 - 2.0 * p) / survival_, -1.0, 1.0);
@@ -123,8 +123,11 @@ double QnnExecutor::dataset_loss(
   AQ_TRACE_SPAN("qnn.loss.dataset");
   // Each chunk of samples runs as batched blocks on its own workspace;
   // the sum stays a serial, index-ordered barrier so the result is
-  // bit-identical for every thread count.
-  std::vector<double> per_sample(features.size());
+  // bit-identical for every thread count. The per-sample losses live in
+  // a leased workspace's scratch, so a steady-state call reuses it.
+  auto scratch = batched_workspaces_.acquire();
+  std::vector<double>& per_sample = scratch->partials;
+  per_sample.resize(features.size());
   exec::parallel_for(
       options_.exec, 0, features.size(), [&](std::size_t lo, std::size_t hi) {
         auto ws = batched_workspaces_.acquire();
@@ -163,27 +166,27 @@ std::vector<double> QnnExecutor::loss_gradient(
   if (options_.mitigate_depolarizing && survival_ > 0.0) {
     contraction /= survival_;
   }
-  // Per-sample partials are independent; each writes its own vector, and
-  // the accumulation below folds them in sample order — the same
-  // floating-point association as a serial loop, so gradients are
-  // bit-identical for every thread count.
-  std::vector<std::vector<double>> per_sample(features.size());
+  // Per-sample partials are independent; sample i's land in row i of
+  // one flat n x w_count buffer, and the accumulation below folds the
+  // rows in sample order — the same floating-point association as a
+  // serial loop, so gradients are bit-identical for every thread count.
+  auto scratch = batched_workspaces_.acquire();
+  std::vector<double>& partials = scratch->partials;
+  partials.resize(features.size() * w_count);
   exec::parallel_for(
       options_.exec, 0, features.size(),
       [&](std::size_t lo, std::size_t hi) {
         // Per block: pack once, then the fused forward stream yields p
         // for the loss derivative (the stream the loss reports) and the
-        // adjoint runs its gate-table forward as one batched sweep with a
-        // per-column reverse sweep.
+        // adjoint runs its forward and reverse sweeps over the block.
         auto ws = batched_workspaces_.acquire();
-        std::vector<double> grads;
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
           block_probabilities(features, weights, b0, count, *ws);
-          grads.resize(count * np);
+          ws->grads.resize(count * np);
           sim::adjoint_gradient_z_batched(*plan_, ws->params.data(), np,
                                           count, readout_qubit_, *ws,
-                                          grads.data());
+                                          ws->grads.data());
           for (std::size_t b = 0; b < count; ++b) {
             const std::size_t i = b0 + b;
             // p_raw = (1 - <Z>)/2, then the readout contraction scales
@@ -191,17 +194,17 @@ std::vector<double> QnnExecutor::loss_gradient(
             const double dl_dp =
                 loss_derivative(kind, ws->values[b], labels[i]);
             const double chain = dl_dp * contraction * -0.5;
-            const double* const g = grads.data() + b * np;
-            std::vector<double> contrib(w_count);
+            const double* const g = ws->grads.data() + b * np;
+            double* const row = partials.data() + i * w_count;
             for (std::size_t w = 0; w < w_count; ++w) {
-              contrib[w] = chain * g[w_offset + w];
+              row[w] = chain * g[w_offset + w];
             }
-            per_sample[i] = std::move(contrib);
           }
         }
       });
-  for (const auto& contrib : per_sample) {
-    for (std::size_t w = 0; w < w_count; ++w) grad[w] += contrib[w];
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    const double* const row = partials.data() + i * w_count;
+    for (std::size_t w = 0; w < w_count; ++w) grad[w] += row[w];
   }
   const double inv_n = 1.0 / static_cast<double>(features.size());
   for (double& g : grad) g *= inv_n;

@@ -53,69 +53,66 @@ Complex bracket_2q(const Statevector& lambda, const Statevector& psi,
                              psi.amplitudes().data(), psi.dim(), m, qb, qa);
 }
 
-bool is_diagonal(const Mat2& m) noexcept {
-  return kernels::classify(m).shape == kernels::Shape::kDiagonal;
+using kernels::MatShape;
+using kernels::Shape;
+
+template <std::size_t N>
+bool is_diag(const MatShape<N>& s) noexcept {
+  return s.shape == Shape::kDiagonal;
 }
 
-/// The reverse half of the plan adjoint, run per column: psi holds
-/// U|0>, ws holds the matrices bind_gates built for this binding. Writes
-/// num_params gradient entries to `grad`.
-void reverse_sweep(const ExecPlan& plan, Workspace& ws, Statevector& psi,
-                   int qubit, double* grad) {
-  const auto np = static_cast<std::size_t>(plan.num_params());
-  const exec::ExecPolicy serial{};
-  Statevector& lambda = ws.lambda(plan.num_qubits(), serial);
-  lambda = psi;
-  lambda.apply_pauli(3, qubit);
+/// A gate-table entry's matrices (forward, adjoint or one derivative)
+/// over a block: column b's at mat[b * step] with its shape at
+/// shape[b * step]; step 0 when one matrix serves the whole block.
+template <class M, std::size_t N>
+struct BlockMats {
+  const M* mat;
+  const MatShape<N>* shape;
+  std::size_t step;
 
-  for (std::size_t i = 0; i < np; ++i) grad[i] = 0.0;
-
-  const std::vector<GateEntry>& table = plan.gate_table();
-  for (std::size_t k = table.size(); k-- > 0;) {
-    const GateEntry& e = table[k];
-    if (e.arity == 1) {
-      const Mat2& md = e.dynamic
-                           ? ws.dyn1q_adj[static_cast<std::size_t>(e.index)]
-                           : plan.table_mat2_adjoint(e.index);
-      if (e.grads.size() == 1 && is_diagonal(md) &&
-          is_diagonal(ws.dgrad1q[static_cast<std::size_t>(
-              e.grads.front().dindex)])) {
-        // RZ: the two applies and the bracket in one walk, same values.
-        const GateEntry::GradTerm& t = e.grads.front();
-        AQ_COUNTER_ADD("sim.apply.gate1q", 2);
-        const Complex ip = kernels::adjoint_step_diag_1q(
-            lambda.data(), psi.data(), psi.dim(), md,
-            ws.dgrad1q[static_cast<std::size_t>(t.dindex)], e.q0);
-        grad[static_cast<std::size_t>(t.param_index)] +=
-            2.0 * t.coeff * ip.real();
-        continue;
-      }
-      psi.apply_mat2(md, e.q0);
-      for (const GateEntry::GradTerm& t : e.grads) {
-        const Complex ip = bracket_1q(
-            lambda, psi, ws.dgrad1q[static_cast<std::size_t>(t.dindex)], e.q0);
-        grad[static_cast<std::size_t>(t.param_index)] +=
-            2.0 * t.coeff * ip.real();
-      }
-      lambda.apply_mat2(md, e.q0);
-    } else {
-      const Mat4& md = e.dynamic
-                           ? ws.dyn2q_adj[static_cast<std::size_t>(e.index)]
-                           : plan.table_mat4_adjoint(e.index);
-      psi.apply_mat4(md, e.q0, e.q1);
-      for (const GateEntry::GradTerm& t : e.grads) {
-        const Complex ip = bracket_2q(
-            lambda, psi, ws.dgrad2q[static_cast<std::size_t>(t.dindex)], e.q0,
-            e.q1);
-        grad[static_cast<std::size_t>(t.param_index)] +=
-            2.0 * t.coeff * ip.real();
-      }
-      lambda.apply_mat4(md, e.q0, e.q1);
+  bool all_diagonal(std::size_t batch) const noexcept {
+    for (std::size_t b = 0; b < (step == 0 ? 1 : batch); ++b) {
+      if (!is_diag(shape[b])) return false;
     }
+    return true;
   }
+};
+using BlockMats2 = BlockMats<Mat2, 2>;
+using BlockMats4 = BlockMats<Mat4, 4>;
 
-  if (plan.noisy()) {
-    for (std::size_t i = 0; i < np; ++i) grad[i] *= plan.survival();
+void apply(BatchedStatevector& st, const BlockMats2& m, int q) {
+  if (m.step == 0) {
+    st.apply_mat2_all(*m.mat, *m.shape, q);
+  } else {
+    st.apply_mat2_each(m.mat, m.shape, q);
+  }
+}
+
+void apply(BatchedStatevector& st, const BlockMats4& m, int qb, int qa) {
+  if (m.step == 0) {
+    st.apply_mat4_all(*m.mat, *m.shape, qb, qa);
+  } else {
+    st.apply_mat4_each(m.mat, m.shape, qb, qa);
+  }
+}
+
+/// bracket(b0, count, diagonal) over the block's maximal runs of columns
+/// whose derivative matrices share the diagonal answer, as the unbatched
+/// bracket dispatches per matrix.
+template <class M, std::size_t N, class Bracket>
+void for_each_diag_run(const BlockMats<M, N>& d, std::size_t batch,
+                       Bracket&& bracket) {
+  if (d.step == 0) {
+    bracket(std::size_t{0}, batch, is_diag(*d.shape));
+    return;
+  }
+  std::size_t b = 0;
+  while (b < batch) {
+    const bool diag = is_diag(d.shape[b]);
+    std::size_t e = b + 1;
+    while (e < batch && is_diag(d.shape[e]) == diag) ++e;
+    bracket(b, e - b, diag);
+    b = e;
   }
 }
 
@@ -201,6 +198,85 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
   return grad;
 }
 
+void ExecPlan::bind_gates_batched(const double* params, std::size_t stride,
+                                  std::size_t batch,
+                                  BatchedWorkspace& ws) const {
+  if (batch == 0) {
+    throw std::invalid_argument("bind_gates_batched: batch must be > 0");
+  }
+  if (stride < static_cast<std::size_t>(num_params_)) {
+    throw std::invalid_argument("bind_gates_batched: stride < num_params");
+  }
+  BatchedWorkspace::GateBlock& g = ws.gate_block;
+  if (g.plan_id != plan_id_ || g.batch != batch) {
+    const auto n1 = static_cast<std::size_t>(n_dyn1q_) * batch;
+    const auto n2 = static_cast<std::size_t>(n_dyn2q_) * batch;
+    const auto nd1 = static_cast<std::size_t>(n_grad1q_) * batch;
+    const auto nd2 = static_cast<std::size_t>(n_grad2q_) * batch;
+    g.uniform.resize(static_cast<std::size_t>(n_dyn_));
+    g.angles.resize(static_cast<std::size_t>(n_dyn_) * batch);
+    g.m1.resize(n1);
+    g.adj1.resize(n1);
+    g.shape1.resize(n1);
+    g.adj_shape1.resize(n1);
+    g.d1.resize(nd1);
+    g.d_shape1.resize(nd1);
+    g.m2.resize(n2);
+    g.adj2.resize(n2);
+    g.shape2.resize(n2);
+    g.adj_shape2.resize(n2);
+    g.d2.resize(nd2);
+    g.d_shape2.resize(nd2);
+    g.plan_id = plan_id_;
+    g.batch = batch;
+  }
+  const auto np = static_cast<std::size_t>(num_params_);
+  for (const GateEntry& e : table_) {
+    if (!e.dynamic) continue;
+    const auto bi = static_cast<std::size_t>(e.bound_index);
+    std::array<double, 3>* const ang = g.angles.data() + bi * batch;
+    bool uniform = true;
+    for (std::size_t b = 0; b < batch; ++b) {
+      ang[b] = e.spec.bound(std::span<const double>(params + b * stride, np),
+                            noisy_);
+      if (ang[b] != ang[0]) uniform = false;
+    }
+    g.uniform[bi] = uniform ? 1 : 0;
+    // A uniform entry is built once, into column 0; otherwise a column
+    // whose angles equal its predecessor's copies its matrices.
+    const std::size_t base = static_cast<std::size_t>(e.index) * batch;
+    for (std::size_t b = 0; b < (uniform ? 1 : batch); ++b) {
+      const bool same = b > 0 && ang[b] == ang[b - 1];
+      const std::size_t at = base + b;
+      if (e.arity == 1) {
+        g.m1[at] =
+            same ? g.m1[at - 1] : circuit::gate_matrix_1q(e.kind, ang[b]);
+        g.shape1[at] = kernels::classify(g.m1[at]);
+        g.adj1[at] = circuit::mat2_adjoint(g.m1[at]);
+        g.adj_shape1[at] = kernels::classify(g.adj1[at]);
+        for (const GateEntry::GradTerm& t : e.grads) {
+          const std::size_t d = static_cast<std::size_t>(t.dindex) * batch + b;
+          g.d1[d] = same ? g.d1[d - 1]
+                         : circuit::d_gate_matrix_1q(e.kind, ang[b], t.slot);
+          g.d_shape1[d] = kernels::classify(g.d1[d]);
+        }
+      } else {
+        g.m2[at] =
+            same ? g.m2[at - 1] : circuit::gate_matrix_2q(e.kind, ang[b]);
+        g.shape2[at] = kernels::classify(g.m2[at]);
+        g.adj2[at] = circuit::mat4_adjoint(g.m2[at]);
+        g.adj_shape2[at] = kernels::classify(g.adj2[at]);
+        for (const GateEntry::GradTerm& t : e.grads) {
+          const std::size_t d = static_cast<std::size_t>(t.dindex) * batch + b;
+          g.d2[d] =
+              same ? g.d2[d - 1] : circuit::d_gate_matrix_2q(e.kind, ang[b]);
+          g.d_shape2[d] = kernels::classify(g.d2[d]);
+        }
+      }
+    }
+  }
+}
+
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
                                 int qubit, BatchedWorkspace& ws,
@@ -213,84 +289,130 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
   AQ_COUNTER_ADD("sim.adjoint.calls", static_cast<std::uint64_t>(batch));
   AQ_COUNTER_ADD("sim.plan.adjoint.batched_calls", 1);
 
-  // One gate-table binding per column. Each column keeps its own
-  // workspace so the angle memo sees a consistent sample stream and the
-  // weight gates skip their trig rebuild after warm-up, as unbatched.
-  if (ws.col_gates.size() < batch) {
-    ws.col_gates.reserve(batch);
-    while (ws.col_gates.size() < batch) {
-      ws.col_gates.push_back(std::make_unique<Workspace>());
+  // One gate-table bind for the block: weight entries (angles equal
+  // across the block) are built once, feature entries per column.
+  plan.bind_gates_batched(params, stride, batch, ws);
+  const BatchedWorkspace::GateBlock& g = ws.gate_block;
+  // A dynamic entry's matrices step by one column, unless it is uniform.
+  const auto step = [&](const GateEntry& e) {
+    return g.uniform[static_cast<std::size_t>(e.bound_index)] != 0
+               ? std::size_t{0}
+               : std::size_t{1};
+  };
+  const auto at = [&](const GateEntry& e) {
+    return static_cast<std::size_t>(e.index) * batch;
+  };
+  const auto forward2 = [&](const GateEntry& e) -> BlockMats2 {
+    if (!e.dynamic) {
+      return {&plan.table_mat2(e.index), &plan.table_shape2(e.index), 0};
     }
-  }
-  for (std::size_t b = 0; b < batch; ++b) {
-    plan.bind_gates(std::span<const double>(params + b * stride, np),
-                    *ws.col_gates[b]);
-  }
+    return {g.m1.data() + at(e), g.shape1.data() + at(e), step(e)};
+  };
+  const auto forward4 = [&](const GateEntry& e) -> BlockMats4 {
+    if (!e.dynamic) {
+      return {&plan.table_mat4(e.index), &plan.table_shape4(e.index), 0};
+    }
+    return {g.m2.data() + at(e), g.shape2.data() + at(e), step(e)};
+  };
+  const auto adjoint2 = [&](const GateEntry& e) -> BlockMats2 {
+    if (!e.dynamic) {
+      return {&plan.table_mat2_adjoint(e.index),
+              &plan.table_shape2_adjoint(e.index), 0};
+    }
+    return {g.adj1.data() + at(e), g.adj_shape1.data() + at(e), step(e)};
+  };
+  const auto adjoint4 = [&](const GateEntry& e) -> BlockMats4 {
+    if (!e.dynamic) {
+      return {&plan.table_mat4_adjoint(e.index),
+              &plan.table_shape4_adjoint(e.index), 0};
+    }
+    return {g.adj2.data() + at(e), g.adj_shape2.data() + at(e), step(e)};
+  };
+  const auto deriv2 = [&](const GateEntry& e, const GateEntry::GradTerm& t) {
+    const std::size_t d = static_cast<std::size_t>(t.dindex) * batch;
+    return BlockMats2{g.d1.data() + d, g.d_shape1.data() + d, step(e)};
+  };
+  const auto deriv4 = [&](const GateEntry& e, const GateEntry::GradTerm& t) {
+    const std::size_t d = static_cast<std::size_t>(t.dindex) * batch;
+    return BlockMats4{g.d2.data() + d, g.d_shape2.data() + d, step(e)};
+  };
 
-  // Batched forward over the unfused gate table: static entries
-  // broadcast one matrix across the block, dynamic entries gather each
-  // column's bound matrix — unless every column bound the same angles
-  // (weight gates), which takes the broadcast kernel too. Every matrix
-  // arrives with the shape its plan or bind classified, so no
-  // application classifies again.
-  BatchedStatevector& st = ws.state();
-  st.configure(plan.num_qubits(), batch);
+  // Forward over the unfused gate table: a shared matrix takes the
+  // broadcast kernel, per-column ones the _each kernels, every one with
+  // the shape its plan or bind classified.
+  BatchedStatevector& psi = ws.state();
+  psi.configure(plan.num_qubits(), batch);
   const std::vector<GateEntry>& table = plan.gate_table();
-  const Workspace& w0 = *ws.col_gates[0];
   for (const GateEntry& e : table) {
-    bool uniform = !e.dynamic;
-    if (e.dynamic) {
-      const auto bi = static_cast<std::size_t>(e.bound_index);
-      uniform = true;
-      for (std::size_t b = 1; b < batch; ++b) {
-        if (ws.col_gates[b]->dyn_bound[bi] != w0.dyn_bound[bi]) {
-          uniform = false;
-          break;
-        }
-      }
-    }
-    const auto ei = static_cast<std::size_t>(e.index);
     if (e.arity == 1) {
-      if (uniform) {
-        st.apply_mat2_all(plan.mat2(e, w0), plan.shape2(e, w0), e.q0);
-      } else {
-        if (ws.mat2_scratch.size() < batch) ws.mat2_scratch.resize(batch);
-        if (ws.shape2_scratch.size() < batch) {
-          ws.shape2_scratch.resize(batch);
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-          ws.mat2_scratch[b] = ws.col_gates[b]->dyn1q[ei];
-          ws.shape2_scratch[b] = ws.col_gates[b]->dyn1q_shape[ei];
-        }
-        st.apply_mat2_each(ws.mat2_scratch.data(), ws.shape2_scratch.data(),
-                           e.q0);
-      }
+      apply(psi, forward2(e), e.q0);
     } else {
-      if (uniform) {
-        st.apply_mat4_all(plan.mat4(e, w0), plan.shape4(e, w0), e.q0, e.q1);
-      } else {
-        if (ws.mat4_scratch.size() < batch) ws.mat4_scratch.resize(batch);
-        if (ws.shape4_scratch.size() < batch) {
-          ws.shape4_scratch.resize(batch);
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-          ws.mat4_scratch[b] = ws.col_gates[b]->dyn2q[ei];
-          ws.shape4_scratch[b] = ws.col_gates[b]->dyn2q_shape[ei];
-        }
-        st.apply_mat4_each(ws.mat4_scratch.data(), ws.shape4_scratch.data(),
-                           e.q0, e.q1);
-      }
+      apply(psi, forward4(e), e.q0, e.q1);
     }
   }
 
-  // Reverse half per column: peel the column into that column's
-  // unbatched register and run the shared sweep against its matrices.
-  const exec::ExecPolicy serial{};
-  for (std::size_t b = 0; b < batch; ++b) {
-    Workspace& cw = *ws.col_gates[b];
-    Statevector& psi = cw.state(plan.num_qubits(), serial);
-    psi.load_strided(st.row(0) + b, batch);
-    reverse_sweep(plan, cw, psi, qubit, grads + b * np);
+  // Reverse half in lockstep: psi and lambda = Z_qubit psi are batched
+  // registers, every gate one batched kernel call, every bracket one
+  // per-column sum. Per column each step is the unbatched step, so each
+  // column's gradient carries the circuit adjoint's bits.
+  BatchedStatevector& lam = ws.lambda();
+  lam = psi;
+  lam.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kZ, {}), qubit);
+  std::fill_n(grads, batch * np, 0.0);
+  ws.brackets.resize(batch);
+  Complex* const ip = ws.brackets.data();
+  const std::size_t dim = psi.dim();
+  auto accumulate = [&](const GateEntry::GradTerm& t) {
+    for (std::size_t b = 0; b < batch; ++b) {
+      grads[b * np + static_cast<std::size_t>(t.param_index)] +=
+          2.0 * t.coeff * ip[b].real();
+    }
+  };
+  for (std::size_t k = table.size(); k-- > 0;) {
+    const GateEntry& e = table[k];
+    if (e.arity == 1) {
+      const BlockMats2 md = adjoint2(e);
+      if (e.grads.size() == 1 && md.all_diagonal(batch) &&
+          deriv2(e, e.grads.front()).all_diagonal(batch)) {
+        // RZ: the two applies and the bracket in one walk, same values.
+        const BlockMats2 dm = deriv2(e, e.grads.front());
+        kernels::batched_adjoint_step_diag_1q(lam.row(0), psi.row(0), dim,
+                                              batch, batch, md.mat, dm.mat,
+                                              md.step, e.q0, ip);
+        accumulate(e.grads.front());
+        continue;
+      }
+      apply(psi, md, e.q0);
+      for (const GateEntry::GradTerm& t : e.grads) {
+        const BlockMats2 dm = deriv2(e, t);
+        for_each_diag_run(dm, batch, [&](std::size_t b0, std::size_t n,
+                                         bool diag) {
+          kernels::batched_bracket_1q(lam.row(0) + b0, psi.row(0) + b0, dim,
+                                      batch, n, dm.mat + b0 * dm.step,
+                                      dm.step, diag, e.q0, ip + b0);
+        });
+        accumulate(t);
+      }
+      apply(lam, md, e.q0);
+    } else {
+      const BlockMats4 md = adjoint4(e);
+      apply(psi, md, e.q0, e.q1);
+      for (const GateEntry::GradTerm& t : e.grads) {
+        const BlockMats4 dm = deriv4(e, t);
+        for_each_diag_run(dm, batch, [&](std::size_t b0, std::size_t n,
+                                         bool diag) {
+          kernels::batched_bracket_2q(lam.row(0) + b0, psi.row(0) + b0, dim,
+                                      batch, n, dm.mat + b0 * dm.step,
+                                      dm.step, diag, e.q0, e.q1, ip + b0);
+        });
+        accumulate(t);
+      }
+      apply(lam, md, e.q0, e.q1);
+    }
+  }
+
+  if (plan.noisy()) {
+    for (std::size_t i = 0; i < batch * np; ++i) grads[i] *= plan.survival();
   }
 }
 

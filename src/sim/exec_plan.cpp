@@ -81,10 +81,6 @@ Statevector& Workspace::state(int num_qubits, const exec::ExecPolicy& policy) {
   return sv;
 }
 
-Statevector& Workspace::lambda(int num_qubits, const exec::ExecPolicy& policy) {
-  return reuse(lambda_, num_qubits, policy);
-}
-
 // ---------------------------------------------------------------------------
 // WorkspacePool
 
@@ -214,6 +210,7 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         table1q_.push_back(m);
         table1q_adj_.push_back(circuit::mat2_adjoint(m));
         table1q_shape_.push_back(kernels::classify(m));
+        table1q_adj_shape_.push_back(kernels::classify(table1q_adj_.back()));
         ++run.static_count;
         if (run.tail.empty()) {
           run.prefix = circuit::mat2_multiply(m, run.prefix);
@@ -237,6 +234,7 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         table2q_.push_back(m);
         table2q_adj_.push_back(circuit::mat4_adjoint(m));
         table2q_shape_.push_back(kernels::classify(m));
+        table2q_adj_shape_.push_back(kernels::classify(table2q_adj_.back()));
         stream_.push_back({StreamOp::Kind::kConst2q, g.qubits[0], g.qubits[1],
                            static_cast<int>(const2q_.size())});
         const2q_.push_back(m);
@@ -362,23 +360,12 @@ double ExecPlan::expectation_z(std::span<const double> params, int qubit,
   return survival_ * sv.expectation_z(qubit);
 }
 
-void ExecPlan::bind_gates(std::span<const double> params,
-                          Workspace& ws) const {
-  bind_table(params, ws, true);
-}
-
 void ExecPlan::bind_gates_forward(std::span<const double> params,
                                   Workspace& ws) const {
-  bind_table(params, ws, false);
-}
-
-void ExecPlan::bind_table(std::span<const double> params, Workspace& ws,
-                          bool companions) const {
   check_params(params);
   // dyn_bound doubles as the memo: an entry whose angles are unchanged
   // since the previous bind on this workspace keeps its matrix and shape
-  // (same inputs, so the retained matrix is bit-exact). Its companions
-  // are kept only if the bind that built the matrix built them too.
+  // (same inputs, so the retained matrix is bit-exact).
   const bool warm = ws.gates_plan_id == plan_id_;
   if (!warm) {
     ws.dyn1q.resize(static_cast<std::size_t>(n_dyn1q_));
@@ -386,49 +373,25 @@ void ExecPlan::bind_table(std::span<const double> params, Workspace& ws,
     ws.dyn1q_shape.resize(static_cast<std::size_t>(n_dyn1q_));
     ws.dyn2q_shape.resize(static_cast<std::size_t>(n_dyn2q_));
     ws.dyn_bound.resize(static_cast<std::size_t>(n_dyn_));
-    ws.dyn1q_adj.resize(static_cast<std::size_t>(n_dyn1q_));
-    ws.dyn2q_adj.resize(static_cast<std::size_t>(n_dyn2q_));
-    ws.dgrad1q.resize(static_cast<std::size_t>(n_grad1q_));
-    ws.dgrad2q.resize(static_cast<std::size_t>(n_grad2q_));
-    ws.dyn_companions.assign(static_cast<std::size_t>(n_dyn_), 0);
     ws.gates_plan_id = plan_id_;
   }
   std::uint64_t hits = 0;
   for (const GateEntry& e : table_) {
     if (!e.dynamic) continue;
-    const auto bi = static_cast<std::size_t>(e.bound_index);
     const auto idx = static_cast<std::size_t>(e.index);
     const auto bound = e.spec.bound(params, noisy_);
-    auto& memo = ws.dyn_bound[bi];
-    const bool same = warm && bound == memo;
-    if (same && (!companions || ws.dyn_companions[bi] != 0)) {
+    auto& memo = ws.dyn_bound[static_cast<std::size_t>(e.bound_index)];
+    if (warm && bound == memo) {
       ++hits;
       continue;
     }
-    if (!same) {
-      memo = bound;
-      if (e.arity == 1) {
-        ws.dyn1q[idx] = circuit::gate_matrix_1q(e.kind, bound);
-        ws.dyn1q_shape[idx] = kernels::classify(ws.dyn1q[idx]);
-      } else {
-        ws.dyn2q[idx] = circuit::gate_matrix_2q(e.kind, bound);
-        ws.dyn2q_shape[idx] = kernels::classify(ws.dyn2q[idx]);
-      }
-    }
-    ws.dyn_companions[bi] = companions ? 1 : 0;
-    if (!companions) continue;
+    memo = bound;
     if (e.arity == 1) {
-      ws.dyn1q_adj[idx] = circuit::mat2_adjoint(ws.dyn1q[idx]);
-      for (const GateEntry::GradTerm& t : e.grads) {
-        ws.dgrad1q[static_cast<std::size_t>(t.dindex)] =
-            circuit::d_gate_matrix_1q(e.kind, bound, t.slot);
-      }
+      ws.dyn1q[idx] = circuit::gate_matrix_1q(e.kind, bound);
+      ws.dyn1q_shape[idx] = kernels::classify(ws.dyn1q[idx]);
     } else {
-      ws.dyn2q_adj[idx] = circuit::mat4_adjoint(ws.dyn2q[idx]);
-      for (const GateEntry::GradTerm& t : e.grads) {
-        ws.dgrad2q[static_cast<std::size_t>(t.dindex)] =
-            circuit::d_gate_matrix_2q(e.kind, bound);
-      }
+      ws.dyn2q[idx] = circuit::gate_matrix_2q(e.kind, bound);
+      ws.dyn2q_shape[idx] = kernels::classify(ws.dyn2q[idx]);
     }
   }
   AQ_COUNTER_ADD("sim.plan.bind.memo_hits", hits);

@@ -50,11 +50,14 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
 
 /// Sample-batched plan gradient: sample b's parameter binding starts at
 /// params + b * stride (stride >= num_params) and its gradient is
-/// written to grads + b * num_params. The forward walk over the
-/// unfused gate table runs as one batched mini-GEMM sweep; the reverse
-/// sweep then runs per column against that column's bound matrices, so
-/// every sample's gradient is bit-identical to the circuit overload
-/// above on the plan's circuit and noise model, at every batch size.
+/// written to grads + b * num_params. The gate table is bound once for
+/// the block (ExecPlan::bind_gates_batched: shared-angle entries once,
+/// feature entries per column); the forward walk runs as one batched
+/// mini-GEMM sweep, and the reverse sweep walks batched psi and lambda
+/// registers in lockstep with per-column bracket sums. Per column every
+/// step is the circuit walk's arithmetic on every kernel arm, so each
+/// sample's gradient is bit-identical to the circuit overload above on
+/// the plan's circuit and noise model, at every batch size.
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
                                 int qubit, BatchedWorkspace& ws,

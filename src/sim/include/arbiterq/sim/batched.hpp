@@ -12,11 +12,11 @@
 // batch, which dominates at QNN register sizes (dim 16..64).
 //
 // Reproducibility contract: per-column arithmetic is identical to the
-// unbatched kernels (kernels.hpp), the batched bind replays bind()'s
-// fold per column, and the Z-expectation accumulates in the same basis
-// order per sample — so batched results are bit-identical across batch
-// sizes, and under strict reproducibility also bit-identical to the
-// unbatched path. (In the opt-in fast arm an odd trailing column runs
+// unbatched kernels (kernels.hpp), the batched bind performs bind()'s
+// fold operations per column (once per block of equal columns), and the
+// Z-expectation accumulates in the same basis order per sample — so
+// batched results are bit-identical across batch sizes, and under strict
+// reproducibility also bit-identical to the unbatched path. (In the opt-in fast arm an odd trailing column runs
 // the scalar tail loop and may differ from the FMA lanes by ULPs.)
 //
 // Callers block samples into groups of kBatchBlock columns: at the
@@ -124,9 +124,13 @@ class BatchedWorkspace {
   BatchedStatevector& state() noexcept { return state_; }
 
   /// Caller scratch: packed per-sample parameters (sample b's binding
-  /// at [b * stride, b * stride + num_params)) and per-sample outputs.
+  /// at [b * stride, b * stride + num_params)), per-sample outputs,
+  /// per-sample plan gradients, and per-sample partials of a whole call
+  /// (the executor's per-sample losses or gradient rows).
   std::vector<double> params;
   std::vector<double> values;
+  std::vector<double> grads;
+  std::vector<double> partials;
 
   /// Filled by ExecPlan::bind_batched — slot-major bound matrices
   /// (slot s, column b at [s * batch + b]) plus a per-slot flag telling
@@ -135,9 +139,12 @@ class BatchedWorkspace {
   std::vector<circuit::Mat4> bound2q_cols;
   std::vector<std::uint8_t> uniform1q;
   std::vector<std::uint8_t> uniform2q;
-  /// Bind-time angle scratch (previous/current column per dynamic op).
-  std::vector<std::array<double, 3>> angles_prev;
-  std::vector<std::array<double, 3>> angles_cur;
+  /// bind_batched's scratch: a slot's dynamic angles ([op * batch + b]),
+  /// the columns it folds, and the lockstep fold's split real and
+  /// imaginary parts (accumulator and factor, entry-major).
+  std::vector<std::array<double, 3>> angles;
+  std::vector<std::uint32_t> fold_cols;
+  std::vector<double> fold;
   /// Shape stamp: plan identity and batch width the buffers were last
   /// sized for.
   std::uint64_t plan_id = 0;
@@ -147,17 +154,37 @@ class BatchedWorkspace {
   /// trajectory sampler reads bind_gates_forward's matrices from it).
   Workspace gates;
 
-  /// Batched-adjoint scratch: one gate-table workspace per sample
-  /// column (each keeps its own bind_gates memo, so the weight-gate
-  /// rebind skip works exactly as in the unbatched path and the
-  /// reverse sweep runs against that column's bound matrices), plus
-  /// column-gathered dynamic matrices and their shapes for the batched
-  /// forward walk.
-  std::vector<std::unique_ptr<Workspace>> col_gates;
-  std::vector<circuit::Mat2> mat2_scratch;
-  std::vector<circuit::Mat4> mat4_scratch;
-  std::vector<kernels::MatShape<2>> shape2_scratch;
-  std::vector<kernels::MatShape<4>> shape4_scratch;
+  /// ExecPlan::bind_gates_batched's gate table for one block. Per
+  /// dynamic entry (GateEntry::index) the forward matrix, its adjoint
+  /// and their shapes sit at [index * batch + b]; per gradient term
+  /// (GradTerm::dindex) the derivative matrix and its shape at [dindex *
+  /// batch + b]. An entry flagged uniform (by bound_index) holds column
+  /// 0's only: its angles match across the block.
+  struct GateBlock {
+    std::vector<std::uint8_t> uniform;
+    std::vector<std::array<double, 3>> angles;
+    std::vector<circuit::Mat2> m1;
+    std::vector<circuit::Mat2> adj1;
+    std::vector<kernels::MatShape<2>> shape1;
+    std::vector<kernels::MatShape<2>> adj_shape1;
+    std::vector<circuit::Mat2> d1;
+    std::vector<kernels::MatShape<2>> d_shape1;
+    std::vector<circuit::Mat4> m2;
+    std::vector<circuit::Mat4> adj2;
+    std::vector<kernels::MatShape<4>> shape2;
+    std::vector<kernels::MatShape<4>> adj_shape2;
+    std::vector<circuit::Mat4> d2;
+    std::vector<kernels::MatShape<4>> d_shape2;
+    /// Shape stamp, as above.
+    std::uint64_t plan_id = 0;
+    std::size_t batch = 0;
+  };
+  GateBlock gate_block;
+
+  /// The batched adjoint's lambda register and its per-column bracket
+  /// values.
+  BatchedStatevector& lambda() noexcept { return lambda_; }
+  std::vector<Complex> brackets;
 
   /// Trajectory-sampler scratch (StatevectorSimulator::
   /// sample_marginal_ones on a plan), reused so a steady-state call
@@ -188,6 +215,7 @@ class BatchedWorkspace {
 
  private:
   BatchedStatevector state_;
+  BatchedStatevector lambda_;
 };
 
 /// Mutex-guarded free list of BatchedWorkspaces, mirroring

@@ -44,7 +44,7 @@ class ExecPlan;
 class BatchedStatevector;
 class BatchedWorkspace;
 
-/// Reusable per-evaluation scratch: statevector registers and the bound
+/// Reusable per-evaluation scratch: a statevector register and the bound
 /// matrices a plan's parameterized slots are rebuilt into. One Workspace
 /// serves one evaluation at a time; use a WorkspacePool to serve
 /// concurrent callers. Buffers grow on first use and are reused
@@ -55,43 +55,28 @@ class Workspace {
 
   /// The main register, reset to |0...0> with the given policy stamped.
   Statevector& state(int num_qubits, const exec::ExecPolicy& policy);
-  /// Adjoint scratch register. Not reset — callers overwrite it by
-  /// assignment (which reuses the existing allocation).
-  Statevector& lambda(int num_qubits, const exec::ExecPolicy& policy);
 
   /// Bound matrices for the plan's parameterized stream slots.
   std::vector<circuit::Mat2> bound1q;
   std::vector<circuit::Mat4> bound2q;
-  /// Bound matrices + angle values for the plan's gate table (adjoint /
-  /// trajectory walks, which need per-gate rather than fused matrices),
+  /// Forward matrices + angle values for the plan's gate table (the
+  /// trajectory walk, which needs per-gate rather than fused matrices),
   /// with each matrix's kernel shape, classified when the matrix is
-  /// rebuilt rather than when it is applied.
+  /// rebuilt rather than when it is applied. The adjoint walk binds the
+  /// table per block instead (BatchedWorkspace::GateBlock).
   std::vector<circuit::Mat2> dyn1q;
   std::vector<circuit::Mat4> dyn2q;
   std::vector<kernels::MatShape<2>> dyn1q_shape;
   std::vector<kernels::MatShape<4>> dyn2q_shape;
   std::vector<std::array<double, 3>> dyn_bound;
-  /// Adjoint-walk companions built by bind_gates alongside dyn1q/dyn2q:
-  /// each dynamic matrix's adjoint and each gradient term's derivative
-  /// matrix, memoized under the same angle-change detection (the trig in
-  /// the derivative builders dominates small-register adjoint calls).
-  /// bind_gates_forward skips them, so dyn_companions[bound_index] is 1
-  /// only while an entry's companions match its memoized angles.
-  std::vector<circuit::Mat2> dyn1q_adj;
-  std::vector<circuit::Mat4> dyn2q_adj;
-  std::vector<circuit::Mat2> dgrad1q;
-  std::vector<circuit::Mat4> dgrad2q;
-  std::vector<std::uint8_t> dyn_companions;
   /// General caller scratch (e.g. packed circuit parameters).
   std::vector<double> params;
   /// Memoized bind state: the id of the plan the bound matrices above
   /// were last built against (0 = cold), plus each dynamic op's last
-  /// bound angles. bind()/bind_gates() skip the trig + matrix rebuild
-  /// for ops whose angles are unchanged since the previous bind — the
-  /// retained matrices were computed from identical inputs, so results
-  /// stay bit-identical. In training this is most of the circuit: the
-  /// weight gates rebind once per epoch while only the encoding gates
-  /// change per sample.
+  /// bound angles. bind()/bind_gates_forward() skip the trig + matrix
+  /// rebuild for ops whose angles are unchanged since the previous bind
+  /// — the retained matrices were computed from identical inputs, so
+  /// results stay bit-identical.
   std::uint64_t bound_plan_id = 0;
   std::uint64_t gates_plan_id = 0;
   std::vector<std::array<double, 3>> memo1q;
@@ -102,7 +87,6 @@ class Workspace {
                             const exec::ExecPolicy& policy);
 
   std::optional<Statevector> state_;
-  std::optional<Statevector> lambda_;
 };
 
 /// Mutex-guarded free list of Workspaces. acquire() hands out a lease
@@ -207,10 +191,12 @@ struct GateEntry {
   bool dynamic = false;
   /// Static: index into the plan's const pools (matrix, its adjoint and
   /// its kernel shape).
-  /// Dynamic: index into the workspace dyn1q/dyn2q arrays.
+  /// Dynamic: index into the workspace dyn1q/dyn2q arrays (and, times
+  /// the batch, into GateBlock's per-column arrays).
   int index = 0;
-  /// Dynamic only: index into Workspace::dyn_bound (the bound angles,
-  /// needed for derivative matrices).
+  /// Dynamic only: index into Workspace::dyn_bound and
+  /// GateBlock::uniform (the bound angles and whether they match across
+  /// a block).
   int bound_index = 0;
   FoldOp spec;  ///< dynamic only
   /// Non-constant parameter slots, for gradient accumulation.
@@ -218,7 +204,8 @@ struct GateEntry {
     int slot = 0;
     int param_index = 0;
     double coeff = 1.0;
-    /// Index into Workspace::dgrad1q (arity 1) or dgrad2q (arity 2).
+    /// Derivative index: the term's matrices sit at [dindex * batch, +
+    /// batch) of GateBlock::d1 (arity 1) or d2 (arity 2).
     int dindex = 0;
   };
   std::vector<GradTerm> grads;
@@ -324,7 +311,7 @@ class ExecPlan {
   double survival() const noexcept { return survival_; }
   std::size_t depth() const noexcept { return depth_; }
   const exec::ExecPolicy& policy() const noexcept { return policy_; }
-  /// Process-unique id stamped into workspaces by bind()/bind_gates() so
+  /// Process-unique id stamped into workspaces by the binds so
   /// memoized matrices are never carried across plans (pointer identity
   /// would be ABA-unsafe after recalibration rebuilds a plan).
   std::uint64_t plan_id() const noexcept { return plan_id_; }
@@ -348,22 +335,29 @@ class ExecPlan {
   double expectation_z(std::span<const double> params, int qubit,
                        Workspace& ws) const;
 
-  /// Rebuild the gate table's dynamic matrices, their shapes and bound
-  /// angles, plus the adjoint and derivative companions, into `ws` (for
-  /// the adjoint walk in adjoint.hpp).
-  void bind_gates(std::span<const double> params, Workspace& ws) const;
-  /// bind_gates without the companions, for walks that only apply the
-  /// forward matrices (the trajectory sampler). A later bind_gates on
-  /// the same workspace rebuilds the companions it skipped.
+  /// Rebuild the gate table's dynamic forward matrices, their shapes and
+  /// bound angles into `ws`, for walks that only apply the forward
+  /// matrices (the trajectory sampler).
   void bind_gates_forward(std::span<const double> params,
                           Workspace& ws) const;
+  /// Bind the gate table for a block of `batch` parameter bindings
+  /// (sample b's at params + b * stride) into ws.gate_block, with every
+  /// dynamic entry's adjoint and derivative matrices, for the batched
+  /// adjoint walk (adjoint.cpp). An entry whose angles match across the
+  /// block is built once; the others are built per run of equal angles.
+  /// Every matrix is built by the calls the circuit adjoint makes, so it
+  /// is bitwise that one.
+  void bind_gates_batched(const double* params, std::size_t stride,
+                          std::size_t batch, BatchedWorkspace& ws) const;
 
   /// Sample-batched forward (batched.hpp / batched.cpp). `params` holds
   /// `batch` parameter bindings, sample b's at [b * stride, + num
-  /// params). Per column, bind_batched replays bind()'s fold exactly, so
-  /// results are bit-identical across batch sizes; a slot whose bound
-  /// matrices coincide across the batch is flagged uniform and
-  /// run_batched streams it through the broadcast mini-GEMM kernel.
+  /// params). bind_batched gives each column bind()'s fold bit for bit,
+  /// doing the parameter work once per block (each dynamic op's matrix
+  /// once per run of equal angles, the distinct columns' folds in
+  /// lockstep), so results are bit-identical across batch sizes; a slot
+  /// whose bound matrices coincide across the batch is flagged uniform
+  /// and run_batched streams it through the broadcast mini-GEMM kernel.
   void bind_batched(const double* params, std::size_t stride,
                     std::size_t batch, BatchedWorkspace& ws) const;
   BatchedStatevector& run_batched(const double* params, std::size_t stride,
@@ -392,9 +386,30 @@ class ExecPlan {
     return table2q_adj_[static_cast<std::size_t>(i)];
   }
 
+  /// Static entry i's forward matrix and shape, and its adjoint's shape,
+  /// each classified once at compile time.
+  const circuit::Mat2& table_mat2(int i) const {
+    return table1q_[static_cast<std::size_t>(i)];
+  }
+  const circuit::Mat4& table_mat4(int i) const {
+    return table2q_[static_cast<std::size_t>(i)];
+  }
+  const kernels::MatShape<2>& table_shape2(int i) const {
+    return table1q_shape_[static_cast<std::size_t>(i)];
+  }
+  const kernels::MatShape<4>& table_shape4(int i) const {
+    return table2q_shape_[static_cast<std::size_t>(i)];
+  }
+  const kernels::MatShape<2>& table_shape2_adjoint(int i) const {
+    return table1q_adj_shape_[static_cast<std::size_t>(i)];
+  }
+  const kernels::MatShape<4>& table_shape4_adjoint(int i) const {
+    return table2q_adj_shape_[static_cast<std::size_t>(i)];
+  }
+
   /// Entry e's forward matrix and its kernel shape: the plan's constant
-  /// (classified once, here) for a static entry, the matrix bind_gates
-  /// left in `ws` for a dynamic one.
+  /// (classified once, here) for a static entry, the matrix
+  /// bind_gates_forward left in `ws` for a dynamic one.
   const circuit::Mat2& mat2(const GateEntry& e, const Workspace& ws) const {
     const auto i = static_cast<std::size_t>(e.index);
     return e.dynamic ? ws.dyn1q[i] : table1q_[i];
@@ -416,8 +431,6 @@ class ExecPlan {
 
  private:
   void check_params(std::span<const double> params) const;
-  void bind_table(std::span<const double> params, Workspace& ws,
-                  bool companions) const;
 
   int num_qubits_ = 0;
   int num_params_ = 0;
@@ -446,9 +459,11 @@ class ExecPlan {
   std::vector<circuit::Mat2> table1q_;
   std::vector<circuit::Mat2> table1q_adj_;
   std::vector<kernels::MatShape<2>> table1q_shape_;
+  std::vector<kernels::MatShape<2>> table1q_adj_shape_;
   std::vector<circuit::Mat4> table2q_;
   std::vector<circuit::Mat4> table2q_adj_;
   std::vector<kernels::MatShape<4>> table2q_shape_;
+  std::vector<kernels::MatShape<4>> table2q_adj_shape_;
 };
 
 }  // namespace arbiterq::sim

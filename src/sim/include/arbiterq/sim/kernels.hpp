@@ -48,11 +48,12 @@
 // Shape dispatch: classify() sorts each gate matrix into diagonal, unit
 // permutation or dense, and every apply and bracket site branches on
 // its answer. Walks over a plan's gate table (the trajectory sampler,
-// the batched adjoint's forward sweep) classify once per plan or bind,
+// both sweeps of the batched adjoint) classify once per plan or bind,
 // not once per application: ExecPlan stores each static entry's shape
-// when it is built and bind_gates each dynamic entry's when it rebuilds
-// the matrix, and those walks pass the stored shape to the kernel
-// (RangeKernels below, the shaped BatchedStatevector overloads). The
+// when it is built and its gate-table binds each dynamic entry's when
+// they rebuild the matrix, and those walks pass the stored shape to the
+// kernel (RangeKernels below, the shaped BatchedStatevector overloads,
+// the diagonal flag of the batched adjoint steps). The
 // ad hoc sites (Statevector, the fused stream) still classify per
 // call. A unit permutation (CX, SWAP) moves amplitudes and does
 // no arithmetic. For finite amplitudes the dense kernel computes the
@@ -226,14 +227,6 @@ Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
 Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
                    const Mat4& m, int qb, int qa);
 
-/// One reverse-sweep step of the adjoint for a diagonal 1q gate with one
-/// diagonal derivative (RZ): psi <- md psi, then <lambda| dm |psi>, then
-/// lambda <- md lambda, in one walk over both registers. Bit-identical on
-/// every arm to apply_diag_range on psi, bracket_1q and apply_diag_range
-/// on lambda in that order; fused, the two applies run in the slack of
-/// the bracket's serial index-order sum.
-Complex adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t n,
-                             const Mat2& md, const Mat2& dm, int q);
 
 // ---------------------------------------------------------------------------
 // Sample-batched register gates
@@ -279,5 +272,40 @@ void batched_apply_diag_each(Complex* amps, std::size_t dim,
                              std::size_t stride, std::size_t count,
                              const Complex* const* ds, std::size_t bit_b,
                              std::size_t bit_a);
+
+// ---------------------------------------------------------------------------
+// Sample-batched adjoint steps
+//
+// The batched adjoint's reverse sweep walks psi and lambda as two batched
+// registers of the same shape. Column b's matrix is mats[b * step] (step
+// 0: one matrix for every column), and every column of one call shares
+// `diagonal`, classify()'s diagonal answer for its matrix. out[b] is,
+// bit for bit on every arm, what the unbatched bracket_1q / bracket_2q
+// return for column b alone: the strict arms sum
+// each column in amplitude-index order, and the FMA arm sums each
+// column's even and odd amplitude indices apart and adds the two last,
+// as its lane accumulators do. Rows run in index order, columns inside,
+// so the serial sums of a block's columns proceed side by side.
+
+/// out[b] = <lambda_b| M_b |psi_b>.
+void batched_bracket_1q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride, std::size_t count,
+                        const Mat2* mats, std::size_t step, bool diagonal,
+                        int q, Complex* out);
+void batched_bracket_2q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride, std::size_t count,
+                        const Mat4* mats, std::size_t step, bool diagonal,
+                        int qb, int qa, Complex* out);
+/// One reverse-sweep step of the adjoint for a diagonal 1q gate with one
+/// diagonal derivative (RZ), md[b * step] and dm[b * step] for column b:
+/// psi <- md psi, then out[b] = <lambda| dm |psi>, then lambda <- md
+/// lambda, in one walk over both registers. Per column bit-identical on
+/// every arm to apply_diag_range on psi, bracket_1q and apply_diag_range
+/// on lambda in that order; fused, the applies run in the slack of the
+/// serial bracket sums.
+void batched_adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Mat2* md, const Mat2* dm,
+                                  std::size_t step, int q, Complex* out);
 
 }  // namespace arbiterq::sim::kernels

@@ -199,16 +199,6 @@ Complex bracket_2q_scalar(const Complex* lam, const Complex* psi,
   return acc;
 }
 
-Complex adjoint_step_diag_1q_scalar(Complex* lam, Complex* psi, std::size_t n,
-                                    const Mat2& md, const Mat2& dm, int q) {
-  const Complex d[2] = {md[0], md[3]};
-  const std::size_t bit = std::size_t{1} << q;
-  diag_range_scalar(psi, d, 0, bit, 0, n);
-  const Complex ip = bracket_1q_scalar(lam, psi, n, dm, q);
-  diag_range_scalar(lam, d, 0, bit, 0, n);
-  return ip;
-}
-
 // ---------------------------------------------------------------------------
 // Scalar batched row kernels: per-column arithmetic identical to the
 // unbatched loops above.
@@ -333,6 +323,88 @@ void batched_apply_diag_each_scalar(Complex* amps, std::size_t dim,
                            [&](Complex* row, unsigned sel) {
                              batched_scale_each_scalar(row, ds[sel], count);
                            });
+}
+
+// Scalar batched adjoint steps: per column the expressions of the
+// unbatched brackets above, row (amplitude index) outer.
+
+void batched_bracket_1q_scalar(const Complex* lam, const Complex* psi,
+                               std::size_t dim, std::size_t stride,
+                               std::size_t count, const Mat2* mats,
+                               std::size_t step, bool diagonal, int q,
+                               Complex* out) {
+  const std::size_t bit = std::size_t{1} << q;
+  std::fill_n(out, count, Complex{0.0, 0.0});
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Complex* const l = lam + i * stride;
+    if (diagonal) {
+      const Complex* const p = psi + i * stride;
+      const std::size_t e = (i & bit) ? 3 : 0;
+      for (std::size_t b = 0; b < count; ++b) {
+        out[b] += std::conj(l[b]) * (p[b] * mats[b * step][e]);
+      }
+      continue;
+    }
+    const Complex* const p0 = psi + (i & ~bit) * stride;
+    const Complex* const p1 = psi + (i | bit) * stride;
+    const std::size_t r = (i & bit) ? 2 : 0;
+    for (std::size_t b = 0; b < count; ++b) {
+      const Mat2& m = mats[b * step];
+      out[b] += std::conj(l[b]) * (m[r] * p0[b] + m[r + 1] * p1[b]);
+    }
+  }
+}
+
+void batched_bracket_2q_scalar(const Complex* lam, const Complex* psi,
+                               std::size_t dim, std::size_t stride,
+                               std::size_t count, const Mat4* mats,
+                               std::size_t step, bool diagonal, int qb, int qa,
+                               Complex* out) {
+  const std::size_t bit_b = std::size_t{1} << qb;
+  const std::size_t bit_a = std::size_t{1} << qa;
+  const std::size_t mask = bit_b | bit_a;
+  std::fill_n(out, count, Complex{0.0, 0.0});
+  for (std::size_t i = 0; i < dim; ++i) {
+    const Complex* const l = lam + i * stride;
+    const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
+    if (diagonal) {
+      const Complex* const p = psi + i * stride;
+      for (std::size_t b = 0; b < count; ++b) {
+        out[b] += std::conj(l[b]) * (p[b] * mats[b * step][5 * sel]);
+      }
+      continue;
+    }
+    const std::size_t base = i & ~mask;
+    const Complex* const a00 = psi + base * stride;
+    const Complex* const a01 = psi + (base | bit_a) * stride;
+    const Complex* const a10 = psi + (base | bit_b) * stride;
+    const Complex* const a11 = psi + (base | mask) * stride;
+    for (std::size_t b = 0; b < count; ++b) {
+      const Complex* const row = &mats[b * step][4 * sel];
+      out[b] += std::conj(l[b]) * (row[0] * a00[b] + row[1] * a01[b] +
+                                   row[2] * a10[b] + row[3] * a11[b]);
+    }
+  }
+}
+
+void batched_adjoint_step_diag_1q_scalar(Complex* lam, Complex* psi,
+                                         std::size_t dim, std::size_t stride,
+                                         std::size_t count, const Mat2* md,
+                                         const Mat2* dm, std::size_t step,
+                                         int q, Complex* out) {
+  const std::size_t bit = std::size_t{1} << q;
+  std::fill_n(out, count, Complex{0.0, 0.0});
+  for (std::size_t i = 0; i < dim; ++i) {
+    Complex* const l = lam + i * stride;
+    Complex* const p = psi + i * stride;
+    const std::size_t e = (i & bit) ? 3 : 0;
+    for (std::size_t b = 0; b < count; ++b) {
+      const Complex d = md[b * step][e];
+      p[b] *= d;
+      out[b] += std::conj(l[b]) * (p[b] * dm[b * step][e]);
+      l[b] *= d;
+    }
+  }
 }
 
 }  // namespace
@@ -517,12 +589,6 @@ Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
   AQ_DISPATCH(bracket_2q_avx2, bracket_2q_scalar, lam, psi, n, m, qb, qa);
 }
 
-Complex adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t n,
-                             const Mat2& md, const Mat2& dm, int q) {
-  AQ_DISPATCH(adjoint_step_diag_1q_avx2, adjoint_step_diag_1q_scalar, lam, psi,
-              n, md, dm, q);
-}
-
 void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
                         std::size_t count, const Mat2& m, int q) {
   if (const int s = flat_shift(stride, count); s >= 0) {
@@ -588,6 +654,31 @@ void batched_apply_diag_each(Complex* amps, std::size_t dim,
                              std::size_t bit_a) {
   AQ_DISPATCH(batched_apply_diag_each_avx2, batched_apply_diag_each_scalar,
               amps, dim, stride, count, ds, bit_b, bit_a);
+}
+
+void batched_bracket_1q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride, std::size_t count,
+                        const Mat2* mats, std::size_t step, bool diagonal,
+                        int q, Complex* out) {
+  AQ_DISPATCH(batched_bracket_1q_avx2, batched_bracket_1q_scalar, lam, psi,
+              dim, stride, count, mats, step, diagonal, q, out);
+}
+
+void batched_bracket_2q(const Complex* lam, const Complex* psi,
+                        std::size_t dim, std::size_t stride, std::size_t count,
+                        const Mat4* mats, std::size_t step, bool diagonal,
+                        int qb, int qa, Complex* out) {
+  AQ_DISPATCH(batched_bracket_2q_avx2, batched_bracket_2q_scalar, lam, psi,
+              dim, stride, count, mats, step, diagonal, qb, qa, out);
+}
+
+void batched_adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Mat2* md, const Mat2* dm,
+                                  std::size_t step, int q, Complex* out) {
+  AQ_DISPATCH(batched_adjoint_step_diag_1q_avx2,
+              batched_adjoint_step_diag_1q_scalar, lam, psi, dim, stride,
+              count, md, dm, step, q, out);
 }
 
 #undef AQ_DISPATCH

@@ -251,12 +251,11 @@ inline LaneRows<K> lane_rows(const Complex* r0, const Complex* r1) noexcept {
 }
 
 /// One lane pair of a bracket: mu = sum_k row[k] * a[k], summed left to
-/// right as the scalar brackets do, then sum += conj(lambda) * mu; last,
-/// after(j, lambda) sees the lanes' lambda (a fused step updates it).
-template <bool Fma, std::size_t K, class Load, class After>
+/// right as the scalar brackets do, then sum += conj(lambda) * mu.
+template <bool Fma, std::size_t K, class Load>
 inline void bracket_step(BracketSum<Fma>& sum, const double* lp,
-                         const LaneRows<K>& rows, std::size_t j, Load& load,
-                         After& after) noexcept {
+                         const LaneRows<K>& rows, std::size_t j,
+                         Load& load) noexcept {
   __m256d a[K];
   load(j, a);
   __m256d mu = cmul<Fma>(rows.c[0], a[0]);
@@ -265,13 +264,7 @@ inline void bracket_step(BracketSum<Fma>& sum, const double* lp,
   }
   const __m256d lam = _mm256_loadu_pd(lp + 2 * j);
   sum.add(lam, mu);
-  after(j, lam);
 }
-
-/// The `after` of a plain bracket.
-struct NoAfter {
-  void operator()(std::size_t, __m256d) const noexcept {}
-};
 
 /// The walk over one block [j, end) whose runs of `run` indices take
 /// rows r[0] and r[1] in turn (r[0] only when !sides). R > 0 unrolls
@@ -279,27 +272,26 @@ struct NoAfter {
 /// followed by a run on r[1], both held for the block. Kept out of line
 /// so each loop gets its own registers — the strict accumulator is a
 /// serial chain, and a spilled one doubles its latency.
-template <bool Fma, std::size_t K, std::size_t R, class Load, class After>
+template <bool Fma, std::size_t K, std::size_t R, class Load>
 [[gnu::noinline]] BracketSum<Fma> bracket_block(
     BracketSum<Fma> sum, const double* lp, const LaneRows<K>* r, bool sides,
-    std::size_t run, std::size_t j, std::size_t end, Load& load,
-    After& after) {
+    std::size_t run, std::size_t j, std::size_t end, Load& load) {
   if constexpr (R > 0) {
     const LaneRows<K> ra = r[0];
     const LaneRows<K> rb = r[1];
     for (; j < end; j += 4 * R) {
       for (std::size_t v = 0; v < R; ++v) {
-        bracket_step<Fma, K>(sum, lp, ra, j + 2 * v, load, after);
+        bracket_step<Fma, K>(sum, lp, ra, j + 2 * v, load);
       }
       for (std::size_t v = 0; v < R; ++v) {
-        bracket_step<Fma, K>(sum, lp, rb, j + 2 * (R + v), load, after);
+        bracket_step<Fma, K>(sum, lp, rb, j + 2 * (R + v), load);
       }
     }
   } else {
     for (std::size_t i = j; i < end; i += run) {
       const LaneRows<K> cur = r[sides && (i & run) != 0 ? 1 : 0];
       for (std::size_t k = i; k < i + run; k += 2) {
-        bracket_step<Fma, K>(sum, lp, cur, k, load, after);
+        bracket_step<Fma, K>(sum, lp, cur, k, load);
       }
     }
   }
@@ -315,11 +307,9 @@ template <bool Fma, std::size_t K, std::size_t R, class Load, class After>
 /// All of them are splatted once per gate. Registers hold a
 /// power-of-two n >= 2 amplitudes and every run is even, so a lane pair
 /// never straddles two runs.
-template <bool Fma, std::size_t K, class RowOf, class Load,
-          class After = NoAfter>
+template <bool Fma, std::size_t K, class RowOf, class Load>
 Complex bracket_walk(const Complex* lam, std::size_t n, std::size_t run,
-                     std::size_t outer, RowOf&& row_of, Load&& load,
-                     After&& after = {}) {
+                     std::size_t outer, RowOf&& row_of, Load&& load) {
   const double* lp = reinterpret_cast<const double*>(lam);
   const bool sides = run < outer;  // runs alternate between two row pairs
   LaneRows<K> rows[2][2];          // [outer bit][run bit]
@@ -334,17 +324,13 @@ Complex bracket_walk(const Complex* lam, std::size_t n, std::size_t run,
     const LaneRows<K>* r = rows[(o & outer) != 0 ? 1 : 0];
     const std::size_t end = o + outer;
     if (sides && run == 2) {
-      sum = bracket_block<Fma, K, 1>(sum, lp, r, sides, run, o, end, load,
-                                       after);
+      sum = bracket_block<Fma, K, 1>(sum, lp, r, sides, run, o, end, load);
     } else if (sides && run == 4) {
-      sum = bracket_block<Fma, K, 2>(sum, lp, r, sides, run, o, end, load,
-                                       after);
+      sum = bracket_block<Fma, K, 2>(sum, lp, r, sides, run, o, end, load);
     } else if (sides && run == 8) {
-      sum = bracket_block<Fma, K, 4>(sum, lp, r, sides, run, o, end, load,
-                                       after);
+      sum = bracket_block<Fma, K, 4>(sum, lp, r, sides, run, o, end, load);
     } else {
-      sum = bracket_block<Fma, K, 0>(sum, lp, r, sides, run, o, end, load,
-                                       after);
+      sum = bracket_block<Fma, K, 0>(sum, lp, r, sides, run, o, end, load);
     }
   }
   return sum.result();
@@ -721,31 +707,6 @@ Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                               });
 }
 
-template <bool Fma>
-Complex adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi, std::size_t n,
-                                  const Mat2& md, const Mat2& dm, int q) {
-  const std::size_t bit = std::size_t{1} << q;
-  double* const pp = reinterpret_cast<double*>(psi);
-  double* const pl = reinterpret_cast<double*>(lam);
-  // md for lanes (j, j+1): one side of the qubit unless q == 0, where
-  // the lanes straddle it.
-  const Coef mc[2] = {bit == 1 ? splat2(md[0], md[3]) : splat(md[0]),
-                      splat(md[3])};
-  const auto md_of = [&](std::size_t j) -> const Coef& {
-    return mc[bit >= 2 && (j & bit) != 0 ? 1 : 0];
-  };
-  return bracket_walk<Fma, 1>(
-      lam, n, bit >= 2 ? bit : n, n,
-      [&](std::size_t i) { return &dm[(i & bit) != 0 ? 3 : 0]; },
-      [&](std::size_t j, __m256d* a) {
-        a[0] = cmul<Fma>(md_of(j), _mm256_loadu_pd(pp + 2 * j));
-        _mm256_storeu_pd(pp + 2 * j, a[0]);
-      },
-      [&](std::size_t j, __m256d l) {
-        _mm256_storeu_pd(pl + 2 * j, cmul<Fma>(md_of(j), l));
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Register-level batched gates: rows are contiguous columns, so every
 // row is a straight column walk — the mini-GEMM inner dimension. The
@@ -919,6 +880,205 @@ void batched_apply_diag_each_avx2(Complex* amps, std::size_t dim,
 }
 
 // ---------------------------------------------------------------------------
+// Batched adjoint steps: two columns per vector, so each column's bracket
+// sum is a lane of its own. Rows walk in amplitude-index order, so a
+// lane's sum runs in the order of the unbatched strict sum; on the FMA
+// arm the even and odd indices go to separate sums, the unbatched lane
+// accumulators' association.
+
+namespace {
+
+/// conj(l) * v on one complex lane, the 128-bit form of cconjmul.
+template <bool Fma>
+inline __m128d cconjmul(__m128d l, __m128d v) noexcept {
+  const __m128d lr = _mm_movedup_pd(l);
+  const __m128d li = _mm_permute_pd(l, 0x3);
+  const __m128d sw = _mm_permute_pd(v, 0x1);
+  if constexpr (Fma) {
+    return _mm_fmsubadd_pd(lr, v, _mm_mul_pd(li, sw));
+  }
+  __m128d pr = _mm_mul_pd(lr, v);
+  asm("" : "+x"(pr));
+  const __m128d neg_li = _mm_xor_pd(li, _mm_set1_pd(-0.0));
+  return _mm_addsub_pd(pr, _mm_mul_pd(neg_li, sw));
+}
+
+inline __m256d widen(__m256d v) noexcept { return v; }
+inline __m256d widen(__m128d v) noexcept {
+  return _mm256_insertf128_pd(_mm256_setzero_pd(), v, 0);
+}
+
+/// The bracket sums of up to kEachBlock columns, one vector per column
+/// pair (an odd last column in the low lane).
+template <bool Fma>
+class ColumnSums {
+ public:
+  explicit ColumnSums(std::size_t count) noexcept : pairs_((count + 1) / 2) {
+    for (std::size_t p = 0; p < pairs_; ++p) {
+      even_[p] = _mm256_setzero_pd();
+      odd_[p] = _mm256_setzero_pd();
+    }
+  }
+
+  /// Adds conj(lam) * mu of amplitude index i for the columns starting
+  /// at column b.
+  template <class V>
+  void add(std::size_t b, std::size_t i, V lam, V mu) noexcept {
+    const __m256d p = widen(cconjmul<Fma>(lam, mu));
+    __m256d& acc = Fma && (i & 1) != 0 ? odd_[b / 2] : even_[b / 2];
+    acc = _mm256_add_pd(acc, p);
+  }
+
+  void store(Complex* out, std::size_t count) const noexcept {
+    for (std::size_t p = 0; p < pairs_; ++p) {
+      __m256d s = even_[p];
+      if constexpr (Fma) s = _mm256_add_pd(s, odd_[p]);
+      alignas(32) double v[4];
+      _mm256_store_pd(v, s);
+      out[2 * p] = Complex{v[0], v[1]};
+      if (2 * p + 1 < count) out[2 * p + 1] = Complex{v[2], v[3]};
+    }
+  }
+
+ private:
+  std::size_t pairs_;
+  __m256d even_[kEachBlock / 2];
+  __m256d odd_[kEachBlock / 2];
+};
+
+}  // namespace
+
+template <bool Fma>
+void batched_bracket_1q_avx2(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat2* mats,
+                             std::size_t step, bool diagonal, int q,
+                             Complex* out) {
+  const std::size_t bit = std::size_t{1} << q;
+  Coef c[kEachBlock / 2 * 4];
+  for (std::size_t b0 = 0; b0 < count; b0 += kEachBlock) {
+    const std::size_t n = std::min(kEachBlock, count - b0);
+    splat_columns<4>(c, b0, n, [&](std::size_t b, std::size_t e) {
+      return mats[b * step][e];
+    });
+    ColumnSums<Fma> sums(n);
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double* const l =
+          reinterpret_cast<const double*>(lam + i * stride + b0);
+      const std::size_t side = (i & bit) ? 1 : 0;
+      if (diagonal) {
+        const double* const p =
+            reinterpret_cast<const double*>(psi + i * stride + b0);
+        for_each_col(n, [&](std::size_t b, auto w) {
+          sums.add(b, i, vload(w, l + 2 * b),
+                   cmul<Fma>(c[2 * b + 3 * side], vload(w, p + 2 * b)));
+        });
+        continue;
+      }
+      const double* const p0 =
+          reinterpret_cast<const double*>(psi + (i & ~bit) * stride + b0);
+      const double* const p1 =
+          reinterpret_cast<const double*>(psi + (i | bit) * stride + b0);
+      for_each_col(n, [&](std::size_t b, auto w) {
+        const Coef* const r = c + 2 * b + 2 * side;
+        sums.add(b, i, vload(w, l + 2 * b),
+                 vadd(cmul<Fma>(r[0], vload(w, p0 + 2 * b)),
+                      cmul<Fma>(r[1], vload(w, p1 + 2 * b))));
+      });
+    }
+    sums.store(out + b0, n);
+  }
+}
+
+template <bool Fma>
+void batched_bracket_2q_avx2(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat4* mats,
+                             std::size_t step, bool diagonal, int qb, int qa,
+                             Complex* out) {
+  const std::size_t bit_b = std::size_t{1} << qb;
+  const std::size_t bit_a = std::size_t{1} << qa;
+  const std::size_t mask = bit_b | bit_a;
+  // 16 entries per column pair, so a narrower block, as in
+  // batched_apply_mat4_each_avx2.
+  constexpr std::size_t kBlock = kEachBlock / 4;
+  Coef c[kBlock / 2 * 16];
+  for (std::size_t b0 = 0; b0 < count; b0 += kBlock) {
+    const std::size_t n = std::min(kBlock, count - b0);
+    splat_columns<16>(c, b0, n, [&](std::size_t b, std::size_t e) {
+      return mats[b * step][e];
+    });
+    ColumnSums<Fma> sums(n);
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double* const l =
+          reinterpret_cast<const double*>(lam + i * stride + b0);
+      const unsigned sel = ((i & bit_b) ? 2U : 0U) | ((i & bit_a) ? 1U : 0U);
+      if (diagonal) {
+        const double* const p =
+            reinterpret_cast<const double*>(psi + i * stride + b0);
+        for_each_col(n, [&](std::size_t b, auto w) {
+          sums.add(b, i, vload(w, l + 2 * b),
+                   cmul<Fma>(c[8 * b + 5 * sel], vload(w, p + 2 * b)));
+        });
+        continue;
+      }
+      const std::size_t base = i & ~mask;
+      const double* const a[4] = {
+          reinterpret_cast<const double*>(psi + base * stride + b0),
+          reinterpret_cast<const double*>(psi + (base | bit_a) * stride + b0),
+          reinterpret_cast<const double*>(psi + (base | bit_b) * stride + b0),
+          reinterpret_cast<const double*>(psi + (base | mask) * stride + b0)};
+      for_each_col(n, [&](std::size_t b, auto w) {
+        const Coef* const row = c + 8 * b + 4 * sel;
+        auto mu = cmul<Fma>(row[0], vload(w, a[0] + 2 * b));
+        mu = vadd(mu, cmul<Fma>(row[1], vload(w, a[1] + 2 * b)));
+        mu = vadd(mu, cmul<Fma>(row[2], vload(w, a[2] + 2 * b)));
+        mu = vadd(mu, cmul<Fma>(row[3], vload(w, a[3] + 2 * b)));
+        sums.add(b, i, vload(w, l + 2 * b), mu);
+      });
+    }
+    sums.store(out + b0, n);
+  }
+}
+
+template <bool Fma>
+void batched_adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi,
+                                       std::size_t dim, std::size_t stride,
+                                       std::size_t count, const Mat2* md,
+                                       const Mat2* dm, std::size_t step, int q,
+                                       Complex* out) {
+  const std::size_t bit = std::size_t{1} << q;
+  // Table entry p * 2 + side: md's (dm's) diagonal entry `side` of
+  // column pair p.
+  Coef cm[kEachBlock];
+  Coef cd[kEachBlock];
+  for (std::size_t b0 = 0; b0 < count; b0 += kEachBlock) {
+    const std::size_t n = std::min(kEachBlock, count - b0);
+    splat_columns<2>(cm, b0, n, [&](std::size_t b, std::size_t e) {
+      return md[b * step][3 * e];
+    });
+    splat_columns<2>(cd, b0, n, [&](std::size_t b, std::size_t e) {
+      return dm[b * step][3 * e];
+    });
+    ColumnSums<Fma> sums(n);
+    for (std::size_t i = 0; i < dim; ++i) {
+      double* const l = dp(lam + i * stride + b0);
+      double* const p = dp(psi + i * stride + b0);
+      const std::size_t side = (i & bit) ? 1 : 0;
+      for_each_col(n, [&](std::size_t b, auto w) {
+        const Coef& d = cm[b + side];
+        const auto ps = cmul<Fma>(d, vload(w, p + 2 * b));
+        vstore(p + 2 * b, ps);
+        const auto lv = vload(w, l + 2 * b);
+        sums.add(b, i, lv, cmul<Fma>(cd[b + side], ps));
+        vstore(l + 2 * b, cmul<Fma>(d, lv));
+      });
+    }
+    sums.store(out + b0, n);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Explicit instantiations: Fma = false is the strict (bit-identical)
 // arm, Fma = true the fast arm.
 
@@ -943,12 +1103,6 @@ template Complex bracket_2q_avx2<false>(const Complex*, const Complex*,
                                         std::size_t, const Mat4&, int, int);
 template Complex bracket_2q_avx2<true>(const Complex*, const Complex*,
                                        std::size_t, const Mat4&, int, int);
-template Complex adjoint_step_diag_1q_avx2<false>(Complex*, Complex*,
-                                                  std::size_t, const Mat2&,
-                                                  const Mat2&, int);
-template Complex adjoint_step_diag_1q_avx2<true>(Complex*, Complex*,
-                                                 std::size_t, const Mat2&,
-                                                 const Mat2&, int);
 
 template void batched_apply_mat2_avx2<false>(Complex*, std::size_t,
                                              std::size_t, std::size_t,
@@ -988,6 +1142,30 @@ template void batched_apply_diag_each_avx2<true>(Complex*, std::size_t,
                                                  std::size_t, std::size_t,
                                                  const Complex* const*,
                                                  std::size_t, std::size_t);
+template void batched_bracket_1q_avx2<false>(const Complex*, const Complex*,
+                                             std::size_t, std::size_t,
+                                             std::size_t, const Mat2*,
+                                             std::size_t, bool, int, Complex*);
+template void batched_bracket_1q_avx2<true>(const Complex*, const Complex*,
+                                            std::size_t, std::size_t,
+                                            std::size_t, const Mat2*,
+                                            std::size_t, bool, int, Complex*);
+template void batched_bracket_2q_avx2<false>(const Complex*, const Complex*,
+                                             std::size_t, std::size_t,
+                                             std::size_t, const Mat4*,
+                                             std::size_t, bool, int, int,
+                                             Complex*);
+template void batched_bracket_2q_avx2<true>(const Complex*, const Complex*,
+                                            std::size_t, std::size_t,
+                                            std::size_t, const Mat4*,
+                                            std::size_t, bool, int, int,
+                                            Complex*);
+template void batched_adjoint_step_diag_1q_avx2<false>(
+    Complex*, Complex*, std::size_t, std::size_t, std::size_t, const Mat2*,
+    const Mat2*, std::size_t, int, Complex*);
+template void batched_adjoint_step_diag_1q_avx2<true>(
+    Complex*, Complex*, std::size_t, std::size_t, std::size_t, const Mat2*,
+    const Mat2*, std::size_t, int, Complex*);
 
 }  // namespace arbiterq::sim::kernels::detail
 

@@ -82,9 +82,6 @@ Complex bracket_1q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
 template <bool Fma>
 Complex bracket_2q_avx2(const Complex* lam, const Complex* psi, std::size_t n,
                         const Mat4& m, int qb, int qa);
-template <bool Fma>
-Complex adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi, std::size_t n,
-                                  const Mat2& md, const Mat2& dm, int q);
 
 template <bool Fma>
 void batched_apply_mat2_avx2(Complex* amps, std::size_t dim,
@@ -112,6 +109,25 @@ void batched_apply_diag_each_avx2(Complex* amps, std::size_t dim,
                                   std::size_t stride, std::size_t count,
                                   const Complex* const* ds, std::size_t bit_b,
                                   std::size_t bit_a);
+
+template <bool Fma>
+void batched_bracket_1q_avx2(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat2* mats,
+                             std::size_t step, bool diagonal, int q,
+                             Complex* out);
+template <bool Fma>
+void batched_bracket_2q_avx2(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat4* mats,
+                             std::size_t step, bool diagonal, int qb, int qa,
+                             Complex* out);
+template <bool Fma>
+void batched_adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi,
+                                       std::size_t dim, std::size_t stride,
+                                       std::size_t count, const Mat2* md,
+                                       const Mat2* dm, std::size_t step, int q,
+                                       Complex* out);
 
 #endif  // ARBITERQ_SIMD_AVX2
 

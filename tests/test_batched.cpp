@@ -191,6 +191,162 @@ INSTANTIATE_TEST_SUITE_P(NoiseOnOff, BatchedPlan, ::testing::Values(false, true)
                            return info.param ? "noisy" : "ideal";
                          });
 
+/// The block walks (bind_batched's lockstep fold, the batched adjoint's
+/// block bind and lockstep reverse sweep) against one-column references,
+/// on the strict arm (true) and the FMA arm (false: strict
+/// reproducibility off, which is the scalar arm on hosts without
+/// AVX2+FMA).
+class BlockWalks : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    was_strict_ = kernels::strict_reproducibility();
+    kernels::set_strict_reproducibility(GetParam());
+  }
+  void TearDown() override {
+    kernels::set_strict_reproducibility(was_strict_);
+  }
+
+  /// Features p0, p1 and weights p2..p5, in the executor's [features |
+  /// weights] layout. Qubit 0's first fused run binds a weight rotation
+  /// before the feature rotation; qubit 1's starts from a static U3, so
+  /// every entry the fold carries has both a real and an imaginary part
+  /// (RX, RY, S and RZ alone keep each entry real or imaginary, and a
+  /// reassociated fold would then round alike), and mixes a feature RX, a
+  /// static gate, a weight and a feature-dependent U3; the 2q rotations
+  /// take a weight and a feature.
+  static Circuit walk_circuit() {
+    Circuit c(2, 6);
+    c.h(0).ry(0, ParamExpr::ref(2)).rz(0, ParamExpr::ref(0)).sx(0);
+    c.rz(0, ParamExpr::ref(3));
+    c.u3(1, ParamExpr::constant(0.7), ParamExpr::constant(-0.4),
+         ParamExpr::constant(1.1));
+    c.rx(1, ParamExpr::ref(1)).s(1).ry(1, ParamExpr::ref(4));
+    c.u3(1, ParamExpr::ref(1), ParamExpr::constant(0.2), ParamExpr::ref(5));
+    c.crz(0, 1, ParamExpr::ref(5)).cx(1, 0);
+    c.crx(1, 0, ParamExpr::ref(0, -1.0));
+    c.rz(0, ParamExpr::ref(2, 0.5)).h(1);
+    return c;
+  }
+
+  /// A block of `width` bindings with the weights shared. kMixed gives
+  /// each group of 8 columns its own 4 feature rows, drawn in the order
+  /// {3, 3, 0, 3, 1, 1, 2, 0}: adjacent and non-adjacent duplicate
+  /// columns. Row 3 of each group puts qubit 1's biased RX and U3 polar
+  /// angle at 0, where their matrices and the U3 weight's derivative
+  /// turn diagonal while the other rows' stay dense, so per-column
+  /// shapes differ within a block and column 0 is the diagonal one.
+  /// kEqual repeats one binding; kWeight repeats the features and moves
+  /// the last weight on column 1.
+  enum class Block { kMixed, kEqual, kWeight };
+  static std::vector<double> block(std::size_t np, std::size_t width,
+                                   Block kind, const NoiseModel& noise) {
+    math::Rng rng(61);
+    std::vector<std::vector<double>> rows(4 * ((width + 7) / 8));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      rows[r] = {rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)};
+      if (r % 4 == 3) rows[r][1] = -noise.coherent_bias(1);
+    }
+    const std::size_t pattern[8] = {3, 3, 0, 3, 1, 1, 2, 0};
+    std::vector<double> weights(np - 2);
+    for (double& w : weights) w = rng.uniform(-1.5, 1.5);
+    std::vector<double> out;
+    for (std::size_t b = 0; b < width; ++b) {
+      const std::size_t row =
+          kind == Block::kMixed ? pattern[b % 8] + 4 * (b / 8) : 0;
+      out.insert(out.end(), rows[row].begin(), rows[row].end());
+      out.insert(out.end(), weights.begin(), weights.end());
+      if (kind == Block::kWeight && b == 1) out.back() += 0.25;
+    }
+    return out;
+  }
+
+  static constexpr std::size_t kWidths[] = {1, 2, 3, 5, kBatchBlock};
+  static constexpr Block kBlocks[] = {Block::kMixed, Block::kEqual,
+                                      Block::kWeight};
+
+  bool was_strict_ = true;
+};
+
+TEST_P(BlockWalks, BindBatchedMatchesBindPerColumn) {
+  const Circuit c = walk_circuit();
+  const NoiseModel noise = rich_noise(2);
+  for (const bool noisy : {true, false}) {
+    const ExecPlan plan =
+        StatevectorSimulator(noisy ? noise : NoiseModel{}).make_plan(c);
+    const auto np = static_cast<std::size_t>(c.num_params());
+    BatchedWorkspace bws;
+    for (const std::size_t width : kWidths) {
+      for (const Block kind : kBlocks) {
+        const auto params = block(np, width, kind, noise);
+        plan.bind_batched(params.data(), np, width, bws);
+        for (std::size_t b = 0; b < width; ++b) {
+          Workspace ws;
+          plan.bind(std::span<const double>(params.data() + b * np, np), ws);
+          ASSERT_EQ(bws.bound1q_cols.size(), ws.bound1q.size() * width);
+          for (std::size_t i = 0; i < ws.bound1q.size(); ++i) {
+            EXPECT_EQ(bws.bound1q_cols[i * width + b], ws.bound1q[i])
+                << "noisy " << noisy << " width " << width << " block "
+                << static_cast<int>(kind) << " col " << b << " slot " << i;
+            if (bws.uniform1q[i] != 0) {
+              EXPECT_EQ(bws.bound1q_cols[i * width + b],
+                        bws.bound1q_cols[i * width]);
+            }
+          }
+          for (std::size_t i = 0; i < ws.bound2q.size(); ++i) {
+            EXPECT_EQ(bws.bound2q_cols[i * width + b], ws.bound2q[i])
+                << "noisy " << noisy << " width " << width << " col " << b
+                << " 2q slot " << i;
+          }
+        }
+        if (kind == Block::kEqual) {
+          for (std::size_t i = 0; i < bws.uniform1q.size(); ++i) {
+            EXPECT_EQ(bws.uniform1q[i], 1) << "slot " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
+  // A noisy plan with coherent biases, on both circuits and every
+  // readout qubit: each column of the batched adjoint carries the
+  // circuit adjoint's bits.
+  for (const Circuit& c : {walk_circuit(), full_gate_circuit()}) {
+    const NoiseModel noise = rich_noise(c.num_qubits());
+    const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
+    const auto np = static_cast<std::size_t>(c.num_params());
+    BatchedWorkspace bws;
+    for (const std::size_t width : kWidths) {
+      for (const Block kind : kBlocks) {
+        const auto params = block(np, width, kind, noise);
+        for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
+          std::vector<double> grads(width * np);
+          adjoint_gradient_z_batched(plan, params.data(), np, width, qubit,
+                                     bws, grads.data());
+          for (std::size_t b = 0; b < width; ++b) {
+            const auto want = adjoint_gradient_z(
+                c, std::span<const double>(params.data() + b * np, np), qubit,
+                &noise);
+            const std::vector<double> got(
+                grads.begin() + static_cast<std::ptrdiff_t>(b * np),
+                grads.begin() + static_cast<std::ptrdiff_t>((b + 1) * np));
+            EXPECT_EQ(got, want)
+                << c.num_qubits() << "q width " << width << " block "
+                << static_cast<int>(kind) << " qubit " << qubit << " col "
+                << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Arms, BlockWalks, ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "strict" : "fma";
+                         });
+
 TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   BatchedStatevector st;
   st.configure(2, 3);
@@ -305,7 +461,7 @@ ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
   }
 
   Workspace gates;
-  plan.bind_gates(params, gates);
+  plan.bind_gates_forward(params, gates);
   ReferenceDraws out;
   BatchedStatevector st;
   std::size_t si = 0;

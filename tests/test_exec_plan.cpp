@@ -295,24 +295,59 @@ TEST(ExecPlanAdjoint, RandomCircuitsMatchCircuitAdjoint) {
 
 TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
   // Static entries are classified once when the plan is built, dynamic
-  // ones whenever bind_gates rebuilds their matrix; either way the walks
-  // must see exactly what classify() would say about the matrix.
+  // ones whenever a bind rebuilds their matrix; either way the walks
+  // must see exactly what classify() would say about the matrix: the
+  // sampler's forward bind, and the batched adjoint's block bind with
+  // its adjoint and derivative matrices.
   const Circuit c = full_gate_circuit();
   const ExecPlan plan = StatevectorSimulator(rich_noise(3)).make_plan(c);
-  Workspace full;
+  const auto np = static_cast<std::size_t>(c.num_params());
   Workspace fwd;
+  BatchedWorkspace bws;
   math::Rng rng(47);
   for (int round = 0; round < 3; ++round) {
     auto params = some_params(c.num_params(), rng);
     if (round == 2) params.assign(params.size(), 0.0);  // RX(0) etc.
-    plan.bind_gates(params, full);
     plan.bind_gates_forward(params, fwd);
-    for (const Workspace* ws : {&full, &fwd}) {
-      for (const GateEntry& e : plan.gate_table()) {
+    // Column 1 moves parameter 0 only, so some entries are uniform.
+    std::vector<double> block = params;
+    block.insert(block.end(), params.begin(), params.end());
+    block[np] += 0.5;
+    plan.bind_gates_batched(block.data(), np, 2, bws);
+    const BatchedWorkspace::GateBlock& g = bws.gate_block;
+    for (const GateEntry& e : plan.gate_table()) {
+      if (e.arity == 1) {
+        EXPECT_EQ(plan.shape2(e, fwd), kernels::classify(plan.mat2(e, fwd)));
+      } else {
+        EXPECT_EQ(plan.shape4(e, fwd), kernels::classify(plan.mat4(e, fwd)));
+      }
+      if (!e.dynamic) {
         if (e.arity == 1) {
-          EXPECT_EQ(plan.shape2(e, *ws), kernels::classify(plan.mat2(e, *ws)));
+          EXPECT_EQ(plan.table_shape2_adjoint(e.index),
+                    kernels::classify(plan.table_mat2_adjoint(e.index)));
         } else {
-          EXPECT_EQ(plan.shape4(e, *ws), kernels::classify(plan.mat4(e, *ws)));
+          EXPECT_EQ(plan.table_shape4_adjoint(e.index),
+                    kernels::classify(plan.table_mat4_adjoint(e.index)));
+        }
+        continue;
+      }
+      const bool uniform = g.uniform[static_cast<std::size_t>(e.bound_index)];
+      for (std::size_t b = 0; b < (uniform ? 1U : 2U); ++b) {
+        const std::size_t at = static_cast<std::size_t>(e.index) * 2 + b;
+        for (const GateEntry::GradTerm& t : e.grads) {
+          const std::size_t d = static_cast<std::size_t>(t.dindex) * 2 + b;
+          if (e.arity == 1) {
+            EXPECT_EQ(g.d_shape1[d], kernels::classify(g.d1[d]));
+          } else {
+            EXPECT_EQ(g.d_shape2[d], kernels::classify(g.d2[d]));
+          }
+        }
+        if (e.arity == 1) {
+          EXPECT_EQ(g.shape1[at], kernels::classify(g.m1[at]));
+          EXPECT_EQ(g.adj_shape1[at], kernels::classify(g.adj1[at]));
+        } else {
+          EXPECT_EQ(g.shape2[at], kernels::classify(g.m2[at]));
+          EXPECT_EQ(g.adj_shape2[at], kernels::classify(g.adj2[at]));
         }
       }
     }
@@ -320,43 +355,48 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
 }
 
 TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
-  // bind_gates_forward skips the adjoint and derivative matrices. A full
-  // bind that follows it on the same workspace — at the angles it bound,
-  // or at the ones before — must still hand the adjoint walk companions
-  // that match its angles, so gradients equal the circuit adjoint's. The
-  // batched adjoint binds column b into ws.col_gates[b]; the forward
-  // binds below go into the same workspaces, at batch 1 and batch 2.
+  // The trajectory sampler binds the gate table forward-only (no adjoint
+  // or derivative matrices) into its BatchedWorkspace; the batched
+  // adjoint binds the full table into the same workspace. Whatever the
+  // sampler bound before — the adjoint's angles, others, or both in
+  // turn — the adjoint must still read adjoint and derivative matrices
+  // of its own angles, so its gradients equal the circuit adjoint's, at
+  // batch 1 and batch 2.
   const Circuit c = full_gate_circuit();
   const NoiseModel noise = rich_noise(3);
-  const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
+  const StatevectorSimulator sim(noise);
+  const ExecPlan plan = sim.make_plan(c);
   math::Rng rng(53);
   const auto a = some_params(c.num_params(), rng);
   const auto b = some_params(c.num_params(), rng);
   const auto want_a = adjoint_gradient_z(c, a, 1, &noise);
   const auto want_b = adjoint_gradient_z(c, b, 1, &noise);
   BatchedWorkspace ws;
-  ws.col_gates.push_back(std::make_unique<Workspace>());
-  ws.col_gates.push_back(std::make_unique<Workspace>());
-  Workspace& col0 = *ws.col_gates[0];
-  Workspace& col1 = *ws.col_gates[1];
+  math::Rng shots(7);
+  ShotOptions opts;
+  opts.shots = 16;
+  opts.trajectories = 4;
+  auto sample = [&](const std::vector<double>& p) {
+    sim.sample_marginal_ones(plan, p, 1, opts, shots, ws);
+  };
   auto grad = [&](const std::vector<double>& p) {
     return batched_gradients(plan, {p}, 1, ws).front();
   };
-  plan.bind_gates_forward(a, col0);
+  sample(a);
   EXPECT_EQ(grad(a), want_a) << "cold forward";
-  plan.bind_gates_forward(b, col0);
+  sample(b);
   EXPECT_EQ(grad(b), want_b) << "forward b";
-  plan.bind_gates_forward(a, col0);
-  plan.bind_gates_forward(b, col0);
+  sample(a);
+  sample(b);
   EXPECT_EQ(grad(b), want_b) << "a, b, full b";
-  plan.bind_gates_forward(a, col0);
+  sample(a);
   EXPECT_EQ(grad(a), want_a) << "full b, a";
   // A forward bind after a full one at the same angles keeps both.
-  plan.bind_gates_forward(a, col0);
+  sample(a);
   EXPECT_EQ(grad(a), want_a) << "full a, a";
-  // Two columns, each forward-bound at the other's angles first.
-  plan.bind_gates_forward(b, col0);
-  plan.bind_gates_forward(a, col1);
+  // Both columns, after forward binds at each column's angles.
+  sample(b);
+  sample(a);
   const auto both = batched_gradients(plan, {a, b}, 1, ws);
   EXPECT_EQ(both[0], want_a) << "batch 2 col 0";
   EXPECT_EQ(both[1], want_b) << "batch 2 col 1";

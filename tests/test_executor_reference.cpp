@@ -27,6 +27,7 @@
 #include "arbiterq/qnn/loss.hpp"
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/simulator.hpp"
 
 namespace arbiterq::qnn {
@@ -295,6 +296,38 @@ TEST_F(ExecutorReference, NoisySampledProbabilityIgnoresThreadCount) {
         math::Rng drift(8);
         ex.recalibrate(0.2, drift);
       }
+    }
+  }
+}
+
+TEST_F(ExecutorReference, NoisyMitigatedSampledProbabilityAlgebra) {
+  // No reference engine replays the noisy plan sampler's stream, so the
+  // sampler runs here on the executor's own plan with a copy of the RNG,
+  // and only the mitigation algebra around it is rebuilt: z = clamp((1 -
+  // 2p) / S), p_out = (1 - z) / 2, on a device whose survival S is below
+  // 1, where rewriting the division changes the bits.
+  const device::Qpu noisy = device::table3_fleet_subset(1, 2)[0];
+  QnnExecutor ex = make(noisy, true, 1);
+  ASSERT_TRUE(ex.noise().enabled());
+  const sim::StatevectorSimulator sim(ex.noise());
+  const double survival = ex.plan()->survival();
+  ASSERT_LT(survival, 1.0);
+  sim::BatchedWorkspace ws;
+  math::Rng rng(41);
+  for (const int trajectories : {1, 16}) {
+    for (const auto& f : split_.test_features) {
+      sim::ShotOptions opts;
+      opts.shots = 256;
+      opts.trajectories = trajectories;
+      math::Rng copy = rng;
+      const double p = sim.sampled_probability_of_one(
+          *ex.plan(), model_.pack_params(f, weights_), ex.readout_qubit(),
+          opts, copy, ws);
+      const double z = std::clamp((1.0 - 2.0 * p) / survival, -1.0, 1.0);
+      EXPECT_EQ(ex.sampled_probability(f, weights_, 256, rng, trajectories),
+                0.5 * (1.0 - z))
+          << "trajectories " << trajectories;
+      EXPECT_EQ(rng.next_u64(), copy.next_u64());
     }
   }
 }

@@ -595,55 +595,169 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
   }
 }
 
+/// Column b of a batched register of `cols.size()` columns holds
+/// cols[b].
+AmpVector interleave(const std::vector<AmpVector>& cols) {
+  const std::size_t n = cols.front().size();
+  AmpVector out(n * cols.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < cols.size(); ++b) {
+      out[i * cols.size() + b] = cols[b][i];
+    }
+  }
+  return out;
+}
+
+template <class M>
+M random_mat(math::Rng& rng) {
+  M m;
+  for (Complex& v : m) {
+    v = Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  }
+  return m;
+}
+
+AmpVector column(const AmpVector& amps, std::size_t width, std::size_t b) {
+  AmpVector out(amps.size() / width);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = amps[i * width + b];
+  return out;
+}
+
 TEST_P(KernelEquivalence, AdjointDiagStepMatchesSeparateKernels) {
-  // The fused reverse-sweep step of a diagonal 1q gate against the
-  // three kernels it replaces, on every qubit of 1-10 qubit registers:
-  // bitwise on the active arm (both registers and the bracket), and
-  // against scalar bitwise when strict, within the bracket bound when
-  // not.
+  // The batched fused reverse-sweep step of a diagonal 1q gate, per
+  // column against the three unbatched kernels it replaces, on every
+  // qubit of 1-10 qubit registers at widths 1 to 3 (an odd column takes
+  // a 128-bit lane): bitwise on the active arm (both registers and the
+  // bracket), and against scalar bitwise when strict, within the bracket
+  // bound when not. Each column has its own matrices.
   math::Rng rng(113);
   for (int nq = 1; nq <= 10; ++nq) {
-    const AmpVector lam0 = random_state(nq, rng);
-    const AmpVector psi0 = random_state(nq, rng);
-    const std::size_t n = psi0.size();
-    for (int q = 0; q < nq; ++q) {
-      const Mat2 md = circuit::mat2_adjoint(
-          circuit::gate_matrix_1q(GateKind::kRZ, random_angles(rng)));
-      const Mat2 dm = {Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
-                       Complex{0.0, 0.0}, Complex{0.0, 0.0},
-                       Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}};
-      const Complex d[2] = {md[0], md[3]};
-      const std::size_t bit = std::size_t{1} << q;
-      auto separate = [&](AmpVector& lam, AmpVector& psi) {
-        kernels::apply_diag_range(psi.data(), d, 0, bit, 0, n);
-        const Complex ip =
-            kernels::bracket_1q(lam.data(), psi.data(), n, dm, q);
-        kernels::apply_diag_range(lam.data(), d, 0, bit, 0, n);
-        return ip;
-      };
-      AmpVector lam = lam0;
-      AmpVector psi = psi0;
-      const Complex got =
-          kernels::adjoint_step_diag_1q(lam.data(), psi.data(), n, md, dm, q);
-      AmpVector lam_sep = lam0;
-      AmpVector psi_sep = psi0;
-      EXPECT_EQ(got, separate(lam_sep, psi_sep)) << "nq " << nq << " q " << q;
-      expect_bitwise(lam, lam_sep);
-      expect_bitwise(psi, psi_sep);
-      kernels::set_simd_runtime_enabled(false);
-      AmpVector lam_ref = lam0;
-      AmpVector psi_ref = psi0;
-      const Complex ref = kernels::adjoint_step_diag_1q(
-          lam_ref.data(), psi_ref.data(), n, md, dm, q);
-      kernels::set_simd_runtime_enabled(true);
-      if (strict()) {
-        EXPECT_EQ(got, ref) << "nq " << nq << " q " << q;
-        expect_bitwise(lam, lam_ref);
-        expect_bitwise(psi, psi_ref);
-      } else {
-        EXPECT_NEAR(std::abs(got - ref), 0.0, 1e-10);
-        expect_ulp_close(lam, lam_ref, kTol);
-        expect_ulp_close(psi, psi_ref, kTol);
+    for (std::size_t width = 1; width <= 3; ++width) {
+      std::vector<AmpVector> lam0;
+      std::vector<AmpVector> psi0;
+      std::vector<Mat2> md;
+      std::vector<Mat2> dm;
+      for (std::size_t b = 0; b < width; ++b) {
+        lam0.push_back(random_state(nq, rng));
+        psi0.push_back(random_state(nq, rng));
+        md.push_back(circuit::mat2_adjoint(
+            circuit::gate_matrix_1q(GateKind::kRZ, random_angles(rng))));
+        dm.push_back({Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
+                      Complex{0.0, 0.0}, Complex{0.0, 0.0},
+                      Complex{rng.uniform(-1.0, 1.0),
+                              rng.uniform(-1.0, 1.0)}});
+      }
+      const std::size_t n = psi0.front().size();
+      for (int q = 0; q < nq; ++q) {
+        auto batched = [&](AmpVector& lam, AmpVector& psi) {
+          lam = interleave(lam0);
+          psi = interleave(psi0);
+          std::vector<Complex> ip(width);
+          kernels::batched_adjoint_step_diag_1q(lam.data(), psi.data(), n,
+                                                width, width, md.data(),
+                                                dm.data(), 1, q, ip.data());
+          return ip;
+        };
+        AmpVector lam;
+        AmpVector psi;
+        const std::vector<Complex> got = batched(lam, psi);
+        for (std::size_t b = 0; b < width; ++b) {
+          const Complex d[2] = {md[b][0], md[b][3]};
+          const std::size_t bit = std::size_t{1} << q;
+          AmpVector lam_sep = lam0[b];
+          AmpVector psi_sep = psi0[b];
+          kernels::apply_diag_range(psi_sep.data(), d, 0, bit, 0, n);
+          const Complex ip =
+              kernels::bracket_1q(lam_sep.data(), psi_sep.data(), n, dm[b], q);
+          kernels::apply_diag_range(lam_sep.data(), d, 0, bit, 0, n);
+          EXPECT_EQ(got[b], ip) << "nq " << nq << " q " << q << " col " << b;
+          expect_bitwise(column(lam, width, b), lam_sep);
+          expect_bitwise(column(psi, width, b), psi_sep);
+        }
+        kernels::set_simd_runtime_enabled(false);
+        AmpVector lam_ref;
+        AmpVector psi_ref;
+        const std::vector<Complex> ref = batched(lam_ref, psi_ref);
+        kernels::set_simd_runtime_enabled(true);
+        for (std::size_t b = 0; b < width; ++b) {
+          if (strict()) {
+            EXPECT_EQ(got[b], ref[b]) << "nq " << nq << " q " << q;
+          } else {
+            EXPECT_NEAR(std::abs(got[b] - ref[b]), 0.0, 1e-10);
+          }
+        }
+        if (strict()) {
+          expect_bitwise(lam, lam_ref);
+          expect_bitwise(psi, psi_ref);
+        } else {
+          expect_ulp_close(lam, lam_ref, kTol);
+          expect_ulp_close(psi, psi_ref, kTol);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, BatchedBracketsMatchUnbatched) {
+  // Per column, the batched brackets against the unbatched ones on the
+  // active arm, bitwise, for dense and diagonal matrices on every qubit
+  // (pair) of 1-8 qubit registers, at widths 1 to 5 with one matrix per
+  // column or one shared by the block (step 0).
+  math::Rng rng(127);
+  for (int nq = 1; nq <= 8; ++nq) {
+    for (std::size_t width = 1; width <= 5; width += 2) {
+      std::vector<AmpVector> lam0;
+      std::vector<AmpVector> psi0;
+      for (std::size_t b = 0; b < width; ++b) {
+        lam0.push_back(random_state(nq, rng));
+        psi0.push_back(random_state(nq, rng));
+      }
+      const AmpVector lam = interleave(lam0);
+      const AmpVector psi = interleave(psi0);
+      const std::size_t n = psi0.front().size();
+      std::vector<Complex> got(width);
+      for (const bool diagonal : {false, true}) {
+        for (const std::size_t step : {std::size_t{0}, std::size_t{1}}) {
+          for (int q = 0; q < nq; ++q) {
+            std::vector<Mat2> m(width);
+            for (Mat2& v : m) {
+              v = random_mat<Mat2>(rng);
+              if (diagonal) v[1] = v[2] = Complex{0.0, 0.0};
+            }
+            kernels::batched_bracket_1q(lam.data(), psi.data(), n, width,
+                                        width, m.data(), step, diagonal, q,
+                                        got.data());
+            for (std::size_t b = 0; b < width; ++b) {
+              EXPECT_EQ(got[b], kernels::bracket_1q(lam0[b].data(),
+                                                    psi0[b].data(), n,
+                                                    m[b * step], q))
+                  << "1q nq " << nq << " q " << q << " col " << b;
+            }
+          }
+          for (int qb = 0; qb < nq; ++qb) {
+            for (int qa = 0; qa < nq; ++qa) {
+              if (qa == qb) continue;
+              std::vector<Mat4> m(width);
+              for (Mat4& v : m) {
+                v = random_mat<Mat4>(rng);
+                if (!diagonal) continue;
+                for (std::size_t e = 0; e < 16; ++e) {
+                  if (e % 5 != 0) v[e] = Complex{0.0, 0.0};
+                }
+              }
+              kernels::batched_bracket_2q(lam.data(), psi.data(), n, width,
+                                          width, m.data(), step, diagonal, qb,
+                                          qa, got.data());
+              for (std::size_t b = 0; b < width; ++b) {
+                EXPECT_EQ(got[b], kernels::bracket_2q(lam0[b].data(),
+                                                      psi0[b].data(), n,
+                                                      m[b * step], qb, qa))
+                    << "2q nq " << nq << " (" << qb << ", " << qa << ") col "
+                    << b;
+              }
+            }
+          }
+        }
       }
     }
   }
