@@ -142,7 +142,7 @@ void BM_PlanAdjointGradient(benchmark::State& state) {
   const qnn::QnnModel m = model_for(qubits);
   const auto params = params_for(m);
   const sim::ExecPlan plan(m.circuit(), sim::NoiseModel{});
-  sim::BatchedWorkspace ws;
+  sim::Workspace ws;
   std::vector<double> grad(params.size());
   for (auto _ : state) {
     sim::adjoint_gradient_z_batched(plan, params.data(), params.size(), 1, 0,
@@ -270,7 +270,9 @@ BENCHMARK(BM_FleetEpochThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // (q + 1, q): control above target for CX), on 4- and 10-qubit
 // registers. Width 0 is the unbatched Statevector (classifier and
 // dispatch included, as the simulator pays them); widths 1 and 4 are
-// the sample-batched register walks. Brackets are unbatched only.
+// the sample-batched register walks, with the matrix shape and the
+// kernel table resolved once, as the plan walks do. Brackets are
+// unbatched only.
 // Args: {shape, qubits, q, width}.
 enum GateKernelShape : int {
   kDiag1q,
@@ -310,14 +312,14 @@ void BM_GateKernel(benchmark::State& state) {
   if (shape == kDiagBracket || shape == kDenseBracket) {
     const sim::AmpVector lam = init;
     for (auto _ : state) {
-      benchmark::DoNotOptimize(
-          sim::kernels::bracket_1q(lam.data(), init.data(), dim, m2, q));
+      benchmark::DoNotOptimize(sim::kernels::kernel_table().bracket_1q(
+          lam.data(), init.data(), dim, m2, q));
     }
     return;
   }
   if (width == 0) {
     sim::Statevector sv(nq);
-    sv.load_strided(init.data(), 1);
+    std::copy(init.begin(), init.end(), sv.data());
     for (auto _ : state) {
       if (two_qubit) {
         sv.apply_mat4(m4, q + 1, q);
@@ -333,11 +335,14 @@ void BM_GateKernel(benchmark::State& state) {
   for (std::size_t i = 0; i < dim; ++i) {
     for (std::size_t b = 0; b < width; ++b) st.row(i)[b] = init[i];
   }
+  const sim::kernels::KernelTable& k = sim::kernels::kernel_table();
+  const auto shape2 = sim::kernels::classify(m2);
+  const auto shape4 = sim::kernels::classify(m4);
   for (auto _ : state) {
     if (two_qubit) {
-      st.apply_mat4_all(m4, q + 1, q);
+      st.apply_mat4_all(k, m4, shape4, q + 1, q);
     } else {
-      st.apply_mat2_all(m2, q);
+      st.apply_mat2_all(k, m2, shape2, q);
     }
     benchmark::ClobberMemory();
   }
@@ -386,7 +391,7 @@ void BM_Sampler(benchmark::State& state) {
   sim::ShotOptions opts;
   opts.shots = static_cast<int>(state.range(1));
   opts.trajectories = static_cast<int>(state.range(2));
-  sim::BatchedWorkspace ws;
+  sim::Workspace ws;
   math::Rng rng(23);
   state.SetLabel(std::string(nq == 2 ? "iris" : "wine") + " " +
                  std::to_string(nq) + "q qpu " + std::to_string(qpu) +
@@ -735,7 +740,7 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   }
   const double loss = loss_of();
   const std::vector<double> grad = grad_of();
-  sim::BatchedWorkspace bws;
+  sim::Workspace bws;
   std::vector<double> zs(cols.size());
   std::vector<double> grads(cols.size() * np);
   for (const bool simd : {false, true}) {

@@ -22,7 +22,6 @@ QnnExecutor::QnnExecutor(QnnModel model, device::Qpu qpu,
       survival_(simulator_.noise().survival_probability(
           compiled_.executable)),
       depth_(compiled_.executable.depth()) {
-  simulator_.set_exec_policy(options_.exec);
   rebuild_plan();
 }
 
@@ -40,7 +39,6 @@ void QnnExecutor::recalibrate(double bias_drift_sigma, math::Rng& rng) {
         q, drifted.coherent_bias(q) + rng.normal(0.0, bias_drift_sigma));
   }
   simulator_ = sim::StatevectorSimulator(std::move(drifted));
-  simulator_.set_exec_policy(options_.exec);
   // The plan baked the old biases into its fused constants and slot
   // specs — it is stale the moment the noise model changes.
   rebuild_plan();
@@ -59,7 +57,7 @@ double QnnExecutor::readout_probability(double z) const {
 void QnnExecutor::block_probabilities(
     const std::vector<std::vector<double>>& features,
     const std::vector<double>& weights, std::size_t b0, std::size_t count,
-    sim::BatchedWorkspace& ws) const {
+    sim::Workspace& ws) const {
   const auto np = static_cast<std::size_t>(plan_->num_params());
   const auto nq = static_cast<std::size_t>(model_.num_qubits());
   ws.params.resize(count * np);
@@ -103,7 +101,7 @@ double QnnExecutor::sampled_probability(const std::vector<double>& features,
   // Plan trajectory sampler: a pre-drawn RNG schedule, one noise-free
   // trunk, and a branch column only per trajectory a Pauli hits. Readout
   // flips are applied per shot inside the sampler.
-  auto ws = batched_workspaces_.acquire();
+  auto ws = workspaces_.acquire();
   model_.pack_params_into(features, weights, ws->params);
   const double p = simulator_.sampled_probability_of_one(
       *plan_, ws->params, readout_qubit_, opts, rng, *ws);
@@ -125,12 +123,12 @@ double QnnExecutor::dataset_loss(
   // the sum stays a serial, index-ordered barrier so the result is
   // bit-identical for every thread count. The per-sample losses live in
   // a leased workspace's scratch, so a steady-state call reuses it.
-  auto scratch = batched_workspaces_.acquire();
+  auto scratch = workspaces_.acquire();
   std::vector<double>& per_sample = scratch->partials;
   per_sample.resize(features.size());
   exec::parallel_for(
       options_.exec, 0, features.size(), [&](std::size_t lo, std::size_t hi) {
-        auto ws = batched_workspaces_.acquire();
+        auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
           block_probabilities(features, weights, b0, count, *ws);
@@ -170,16 +168,16 @@ std::vector<double> QnnExecutor::loss_gradient(
   // one flat n x w_count buffer, and the accumulation below folds the
   // rows in sample order — the same floating-point association as a
   // serial loop, so gradients are bit-identical for every thread count.
-  auto scratch = batched_workspaces_.acquire();
+  auto scratch = workspaces_.acquire();
   std::vector<double>& partials = scratch->partials;
   partials.resize(features.size() * w_count);
   exec::parallel_for(
       options_.exec, 0, features.size(),
       [&](std::size_t lo, std::size_t hi) {
-        // Per block: pack once, then the fused forward stream yields p
-        // for the loss derivative (the stream the loss reports) and the
+        // Per block: pack once, then the batched forward walk yields p
+        // for the loss derivative (the walk the loss reports) and the
         // adjoint runs its forward and reverse sweeps over the block.
-        auto ws = batched_workspaces_.acquire();
+        auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
           block_probabilities(features, weights, b0, count, *ws);

@@ -13,7 +13,9 @@
 // against bit for bit.
 //
 // Two forward paths mirror StatevectorSimulator's noise treatments:
-//  * probability()          — exact mode, used during training;
+//  * exact mode             — probability() for one sample (the batched
+//    walk at batch 1); dataset_loss() and loss_gradient() run the same
+//    walk kBatchBlock samples at a time, and training calls only those;
 //  * sampled_probability()  — trajectory shots, used during inference.
 // Readout error is folded into both as a classical contraction / flip.
 //
@@ -44,9 +46,9 @@ struct ExecutorOptions {
   /// by 1/S, as it does on real hardware. Needed to train circuits whose
   /// depth exceeds the fleet's coherence budget (the HMDB51 model).
   bool mitigate_depolarizing = false;
-  /// Parallel execution policy: batched forward evaluations and the
-  /// per-sample/per-weight gradient circuits dispatch to the shared
-  /// thread pool, each on its own scratch Statevector. Per-sample
+  /// Parallel execution policy: dataset losses and gradients split their
+  /// samples into chunks on the shared thread pool, each chunk walking
+  /// its kBatchBlock blocks on its own leased Workspace. Per-sample
   /// partials are folded in index order behind a serial barrier, so
   /// losses and gradients are bit-identical to the serial schedule for
   /// every thread count. Default: serial.
@@ -128,7 +130,7 @@ class QnnExecutor {
   /// count <= kBatchBlock.
   void block_probabilities(const std::vector<std::vector<double>>& features,
                            const std::vector<double>& weights, std::size_t b0,
-                           std::size_t count, sim::BatchedWorkspace& ws) const;
+                           std::size_t count, sim::Workspace& ws) const;
 
   QnnModel model_;
   device::Qpu qpu_;
@@ -142,13 +144,11 @@ class QnnExecutor {
   /// drift path cloning a fleet) share the same plan until one of them
   /// recalibrates.
   std::shared_ptr<const sim::ExecPlan> plan_;
-  /// Per-executor pool of reusable evaluation scratch (statevectors,
-  /// bound matrices, packed params). Mutable: forward/gradient methods
+  /// Per-executor pool of reusable evaluation scratch (batched
+  /// registers, bound matrices, packed params, sampler schedules) for
+  /// every forward, gradient and sampler call. Mutable: those methods
   /// are logically const. Copies start with a fresh pool.
   mutable sim::WorkspacePool workspaces_;
-  /// Pool of sample-batched scratch (dataset losses, gradients and the
-  /// trajectory sampler).
-  mutable sim::BatchedWorkspacePool batched_workspaces_;
 };
 
 }  // namespace arbiterq::qnn

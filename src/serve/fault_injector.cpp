@@ -1,8 +1,11 @@
 #include "arbiterq/serve/fault_injector.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace arbiterq::serve {
 
@@ -121,6 +124,24 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
     throw std::invalid_argument("FaultInjector::parse: " + what + " in '" +
                                 std::string(spec) + "'");
   };
+  // A whole field as one number: no sign on the unsigned fields, no
+  // leading blanks, nothing after it.
+  const auto number = [&]<class T>(std::string_view field, const char* what,
+                                   T out) {
+    const char* const end = field.data() + field.size();
+    const auto [stop, ec] = std::from_chars(field.data(), end, out);
+    if (field.empty() || ec != std::errc() || stop != end) {
+      bad(std::string("bad ") + what + " '" + std::string(field) + "'");
+    }
+    return out;
+  };
+  const auto probability = [&](std::string_view field, const char* what) {
+    const double p = number(field, what, 0.0);
+    if (!(p >= 0.0 && p <= 1.0)) {
+      bad(std::string(what) + " outside [0, 1]");
+    }
+    return p;
+  };
   while (pos < spec.size()) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string_view::npos) comma = spec.size();
@@ -130,37 +151,46 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
     const std::size_t colon = item.find(':');
     if (colon == std::string_view::npos) bad("missing ':'");
     const std::string_view key = item.substr(0, colon);
-    const std::string value(item.substr(colon + 1));
-    char* end = nullptr;
+    const std::string_view value = item.substr(colon + 1);
+    const std::size_t at = value.find('@');
     if (key == "kill") {
       // kill:<qpu>@<job>
-      const std::size_t at = value.find('@');
-      if (at == std::string::npos) bad("kill needs <qpu>@<job>");
+      if (at == std::string_view::npos) bad("kill needs <qpu>@<job>");
       DropoutEvent e;
-      e.qpu = std::atoi(value.substr(0, at).c_str());
-      e.at_job = std::strtoull(value.c_str() + at + 1, &end, 10);
+      e.qpu = number(value.substr(0, at), "kill qpu", 0);
+      if (e.qpu < 0) bad("negative kill qpu");
+      e.at_job = number(value.substr(at + 1), "kill job", std::uint64_t{0});
+      for (const DropoutEvent& prior : cfg.dropouts) {
+        if (prior.qpu == e.qpu) {
+          bad("duplicate kill of qpu " + std::to_string(e.qpu));
+        }
+      }
       cfg.dropouts.push_back(e);
     } else if (key == "drop") {
       // drop:<p>[@<horizon>]
-      const std::size_t at = value.find('@');
-      cfg.dropout_probability = std::atof(value.substr(0, at).c_str());
-      if (at != std::string::npos) {
+      cfg.dropout_probability = probability(value.substr(0, at), "drop");
+      if (at != std::string_view::npos) {
         cfg.dropout_horizon_jobs =
-            std::strtoull(value.c_str() + at + 1, &end, 10);
+            number(value.substr(at + 1), "drop horizon", std::uint64_t{0});
       }
     } else if (key == "transient") {
-      cfg.transient_probability = std::atof(value.c_str());
+      cfg.transient_probability = probability(value, "transient");
     } else if (key == "spike") {
-      // spike:<p>x<mult>
+      // spike:<p>[x<mult>]
       const std::size_t x = value.find('x');
-      cfg.latency_spike_probability = std::atof(value.substr(0, x).c_str());
-      if (x != std::string::npos) {
-        cfg.latency_spike_multiplier = std::atof(value.c_str() + x + 1);
+      cfg.latency_spike_probability = probability(value.substr(0, x), "spike");
+      if (x != std::string_view::npos) {
+        const double mult = number(value.substr(x + 1), "spike multiplier",
+                                   0.0);
+        if (!(std::isfinite(mult) && mult > 0.0)) {
+          bad("spike multiplier must be finite and > 0");
+        }
+        cfg.latency_spike_multiplier = mult;
       }
     } else if (key == "lag") {
-      cfg.detection_lag_jobs = std::strtoull(value.c_str(), &end, 10);
+      cfg.detection_lag_jobs = number(value, "lag", std::uint64_t{0});
     } else if (key == "seed") {
-      cfg.seed = std::strtoull(value.c_str(), &end, 10);
+      cfg.seed = number(value, "seed", std::uint64_t{0});
     } else {
       bad("unknown directive '" + std::string(key) + "'");
     }

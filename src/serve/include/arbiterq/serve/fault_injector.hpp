@@ -95,7 +95,10 @@ class FaultInjector {
   ///   lag:<jobs>         detection lag
   ///   seed:<n>
   /// e.g. "kill:3@40,transient:0.05,spike:0.1x8". Throws
-  /// std::invalid_argument on malformed specs.
+  /// std::invalid_argument on malformed specs: a field that is not
+  /// wholly one number (or is negative), a probability outside [0, 1],
+  /// a spike multiplier that is not finite and > 0, or a second kill of
+  /// one QPU.
   static FaultConfig parse(std::string_view spec);
 
  private:

@@ -36,21 +36,23 @@ Mat4 d_matrix_2q(GateKind kind, const std::array<double, 3>& p) {
 // The bracket reductions — the exact arithmetic of
 //   mu = psi; mu.apply_mat(M, ...); inner_product(lambda, mu)
 // fused into one pass, including the apply kernels' diagonal dispatch —
-// live in kernels.cpp so the circuit and plan-based gradients below go
-// through the same dispatch arm and stay mutually bit-identical in
-// every mode (scalar, AVX2 strict, AVX2+FMA fast).
+// live in the kernel table so the circuit and plan-based gradients below
+// go through the same arm and stay mutually bit-identical in every mode
+// (scalar, AVX2 strict, AVX2+FMA fast). The circuit walk, a reference
+// engine, resolves the arm per bracket as Statevector does per apply.
 
 /// <lambda| M |psi> over whole registers.
 Complex bracket_1q(const Statevector& lambda, const Statevector& psi,
                    const Mat2& m, int q) {
-  return kernels::bracket_1q(lambda.amplitudes().data(),
-                             psi.amplitudes().data(), psi.dim(), m, q);
+  return kernels::kernel_table().bracket_1q(
+      lambda.amplitudes().data(), psi.amplitudes().data(), psi.dim(), m, q);
 }
 
 Complex bracket_2q(const Statevector& lambda, const Statevector& psi,
                    const Mat4& m, int qb, int qa) {
-  return kernels::bracket_2q(lambda.amplitudes().data(),
-                             psi.amplitudes().data(), psi.dim(), m, qb, qa);
+  return kernels::kernel_table().bracket_2q(lambda.amplitudes().data(),
+                                            psi.amplitudes().data(),
+                                            psi.dim(), m, qb, qa);
 }
 
 using kernels::MatShape;
@@ -80,19 +82,21 @@ struct BlockMats {
 using BlockMats2 = BlockMats<Mat2, 2>;
 using BlockMats4 = BlockMats<Mat4, 4>;
 
-void apply(BatchedStatevector& st, const BlockMats2& m, int q) {
+void apply(const kernels::KernelTable& k, BatchedStatevector& st,
+           const BlockMats2& m, int q) {
   if (m.step == 0) {
-    st.apply_mat2_all(*m.mat, *m.shape, q);
+    st.apply_mat2_all(k, *m.mat, *m.shape, q);
   } else {
-    st.apply_mat2_each(m.mat, m.shape, q);
+    st.apply_mat2_each(k, m.mat, m.shape, q);
   }
 }
 
-void apply(BatchedStatevector& st, const BlockMats4& m, int qb, int qa) {
+void apply(const kernels::KernelTable& k, BatchedStatevector& st,
+           const BlockMats4& m, int qb, int qa) {
   if (m.step == 0) {
-    st.apply_mat4_all(*m.mat, *m.shape, qb, qa);
+    st.apply_mat4_all(k, *m.mat, *m.shape, qb, qa);
   } else {
-    st.apply_mat4_each(m.mat, m.shape, qb, qa);
+    st.apply_mat4_each(k, m.mat, m.shape, qb, qa);
   }
 }
 
@@ -200,14 +204,14 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
 
 void ExecPlan::bind_gates_batched(const double* params, std::size_t stride,
                                   std::size_t batch,
-                                  BatchedWorkspace& ws) const {
+                                  Workspace& ws) const {
   if (batch == 0) {
     throw std::invalid_argument("bind_gates_batched: batch must be > 0");
   }
   if (stride < static_cast<std::size_t>(num_params_)) {
     throw std::invalid_argument("bind_gates_batched: stride < num_params");
   }
-  BatchedWorkspace::GateBlock& g = ws.gate_block;
+  Workspace::GateBlock& g = ws.gate_block;
   if (g.plan_id != plan_id_ || g.batch != batch) {
     const auto n1 = static_cast<std::size_t>(n_dyn1q_) * batch;
     const auto n2 = static_cast<std::size_t>(n_dyn2q_) * batch;
@@ -279,7 +283,7 @@ void ExecPlan::bind_gates_batched(const double* params, std::size_t stride,
 
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
-                                int qubit, BatchedWorkspace& ws,
+                                int qubit, Workspace& ws,
                                 double* grads) {
   const auto np = static_cast<std::size_t>(plan.num_params());
   if (stride < np) {
@@ -292,7 +296,9 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
   // One gate-table bind for the block: weight entries (angles equal
   // across the block) are built once, feature entries per column.
   plan.bind_gates_batched(params, stride, batch, ws);
-  const BatchedWorkspace::GateBlock& g = ws.gate_block;
+  const Workspace::GateBlock& g = ws.gate_block;
+  // The kernel arm, resolved once for both sweeps.
+  const kernels::KernelTable& kern = kernels::kernel_table();
   // A dynamic entry's matrices step by one column, unless it is uniform.
   const auto step = [&](const GateEntry& e) {
     return g.uniform[static_cast<std::size_t>(e.bound_index)] != 0
@@ -345,9 +351,9 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
   const std::vector<GateEntry>& table = plan.gate_table();
   for (const GateEntry& e : table) {
     if (e.arity == 1) {
-      apply(psi, forward2(e), e.q0);
+      apply(kern, psi, forward2(e), e.q0);
     } else {
-      apply(psi, forward4(e), e.q0, e.q1);
+      apply(kern, psi, forward4(e), e.q0, e.q1);
     }
   }
 
@@ -357,7 +363,8 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
   // column's gradient carries the circuit adjoint's bits.
   BatchedStatevector& lam = ws.lambda();
   lam = psi;
-  lam.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kZ, {}), qubit);
+  static const Mat2 kZ = circuit::gate_matrix_1q(GateKind::kZ, {});
+  lam.apply_mat2_all(kern, kZ, kernels::classify(kZ), qubit);
   std::fill_n(grads, batch * np, 0.0);
   ws.brackets.resize(batch);
   Complex* const ip = ws.brackets.data();
@@ -376,38 +383,38 @@ void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
           deriv2(e, e.grads.front()).all_diagonal(batch)) {
         // RZ: the two applies and the bracket in one walk, same values.
         const BlockMats2 dm = deriv2(e, e.grads.front());
-        kernels::batched_adjoint_step_diag_1q(lam.row(0), psi.row(0), dim,
-                                              batch, batch, md.mat, dm.mat,
-                                              md.step, e.q0, ip);
+        kern.batched_adjoint_step_diag_1q(lam.row(0), psi.row(0), dim, batch,
+                                          batch, md.mat, dm.mat, md.step,
+                                          e.q0, ip);
         accumulate(e.grads.front());
         continue;
       }
-      apply(psi, md, e.q0);
+      apply(kern, psi, md, e.q0);
       for (const GateEntry::GradTerm& t : e.grads) {
         const BlockMats2 dm = deriv2(e, t);
         for_each_diag_run(dm, batch, [&](std::size_t b0, std::size_t n,
                                          bool diag) {
-          kernels::batched_bracket_1q(lam.row(0) + b0, psi.row(0) + b0, dim,
-                                      batch, n, dm.mat + b0 * dm.step,
-                                      dm.step, diag, e.q0, ip + b0);
+          kern.batched_bracket_1q(lam.row(0) + b0, psi.row(0) + b0, dim,
+                                  batch, n, dm.mat + b0 * dm.step, dm.step,
+                                  diag, e.q0, ip + b0);
         });
         accumulate(t);
       }
-      apply(lam, md, e.q0);
+      apply(kern, lam, md, e.q0);
     } else {
       const BlockMats4 md = adjoint4(e);
-      apply(psi, md, e.q0, e.q1);
+      apply(kern, psi, md, e.q0, e.q1);
       for (const GateEntry::GradTerm& t : e.grads) {
         const BlockMats4 dm = deriv4(e, t);
         for_each_diag_run(dm, batch, [&](std::size_t b0, std::size_t n,
                                          bool diag) {
-          kernels::batched_bracket_2q(lam.row(0) + b0, psi.row(0) + b0, dim,
-                                      batch, n, dm.mat + b0 * dm.step,
-                                      dm.step, diag, e.q0, e.q1, ip + b0);
+          kern.batched_bracket_2q(lam.row(0) + b0, psi.row(0) + b0, dim,
+                                  batch, n, dm.mat + b0 * dm.step, dm.step,
+                                  diag, e.q0, e.q1, ip + b0);
         });
         accumulate(t);
       }
-      apply(lam, md, e.q0, e.q1);
+      apply(kern, lam, md, e.q0, e.q1);
     }
   }
 

@@ -36,9 +36,6 @@ inline bool is_diag(const MatShape<2>& s) noexcept {
 /// X and Y take the dense kernel, as Statevector::apply_pauli's
 /// classify-dispatched apply does.
 const Mat2& pauli_matrix(int pauli) {
-  if (pauli < 1 || pauli > 3) {
-    throw std::invalid_argument("pauli must be 1, 2 or 3");
-  }
   static const std::array<Mat2, 3> kPaulis = {
       circuit::gate_matrix_1q(circuit::GateKind::kX, {}),
       circuit::gate_matrix_1q(circuit::GateKind::kY, {}),
@@ -118,81 +115,80 @@ void BatchedStatevector::configure(int num_qubits, std::size_t batch) {
          "amplitude storage must honor kAmpAlignment");
 }
 
-void BatchedStatevector::apply_mat2_all(const Mat2& m,
+void BatchedStatevector::apply_mat2_all(const kernels::KernelTable& k,
+                                        const Mat2& m,
                                         const MatShape<2>& shape, int q) {
-  apply_mat2_cols(m, is_diag(shape), q, 0, batch_);
-}
-
-void BatchedStatevector::apply_mat2_cols(const Mat2& m, bool diagonal, int q,
-                                         std::size_t first,
-                                         std::size_t count) {
-  if (diagonal) {
+  if (is_diag(shape)) {
     const Complex d[2] = {m[0], m[3]};
-    kernels::batched_apply_diag(amps_.data() + first, dim_, batch_, count, d,
-                                0, std::size_t{1} << q);
+    k.batched_apply_diag(amps_.data(), dim_, batch_, batch_, d, 0,
+                         std::size_t{1} << q);
     return;
   }
-  kernels::batched_apply_mat2(amps_.data() + first, dim_, batch_, count, m,
-                              q);
+  k.batched_apply_mat2(amps_.data(), dim_, batch_, batch_, m, q);
 }
 
-void BatchedStatevector::apply_mat4_all(const Mat4& m,
+void BatchedStatevector::apply_mat4_all(const kernels::KernelTable& k,
+                                        const Mat4& m,
                                         const MatShape<4>& shape, int qb,
                                         int qa) {
-  if (shape.shape == Shape::kDiagonal) {
-    const Complex d[4] = {m[0], m[5], m[10], m[15]};
-    kernels::batched_apply_diag(amps_.data(), dim_, batch_, batch_, d,
-                                std::size_t{1} << qb, std::size_t{1} << qa);
-    return;
+  switch (shape.shape) {
+    case Shape::kDiagonal: {
+      const Complex d[4] = {m[0], m[5], m[10], m[15]};
+      k.batched_apply_diag(amps_.data(), dim_, batch_, batch_, d,
+                           std::size_t{1} << qb, std::size_t{1} << qa);
+      return;
+    }
+    case Shape::kPermutation:
+      kernels::batched_apply_perm4(amps_.data(), dim_, batch_, batch_,
+                                   shape.src, qb, qa);
+      return;
+    case Shape::kDense:
+      k.batched_apply_mat4(amps_.data(), dim_, batch_, batch_, m, qb, qa);
+      return;
   }
-  if (shape.shape == Shape::kPermutation) {
-    kernels::batched_apply_perm4(amps_.data(), dim_, batch_, batch_,
-                                 shape.src, qb, qa);
-    return;
-  }
-  kernels::batched_apply_mat4(amps_.data(), dim_, batch_, batch_, m, qb, qa);
 }
 
-template <class ShapeOf>
-void BatchedStatevector::apply_mat2_runs(const Mat2* mats, int q,
-                                         ShapeOf&& shape_of) {
+void BatchedStatevector::apply_mat2_each(const kernels::KernelTable& k,
+                                         const Mat2* mats,
+                                         const MatShape<2>* shapes, int q) {
   diag_scratch_.resize(2 * batch_);
   // Diagonal dispatch is per-matrix (an RZ column sits next to an RX
   // column): partition the batch into maximal runs of equal dispatch so
   // every column takes exactly the kernel it would take unbatched.
   std::size_t b = 0;
   while (b < batch_) {
-    const bool diag = is_diag(shape_of(b));
+    const bool diag = is_diag(shapes[b]);
     std::size_t e = b + 1;
-    while (e < batch_ && is_diag(shape_of(e)) == diag) ++e;
+    while (e < batch_ && is_diag(shapes[e]) == diag) ++e;
     const std::size_t count = e - b;
     if (diag) {
       Complex* const ds[2] = {diag_scratch_.data(),
                               diag_scratch_.data() + batch_};
-      for (std::size_t k = 0; k < count; ++k) {
-        ds[0][k] = mats[b + k][0];
-        ds[1][k] = mats[b + k][3];
+      for (std::size_t j = 0; j < count; ++j) {
+        ds[0][j] = mats[b + j][0];
+        ds[1][j] = mats[b + j][3];
       }
-      kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_, count,
-                                       ds, 0, std::size_t{1} << q);
+      k.batched_apply_diag_each(amps_.data() + b, dim_, batch_, count, ds, 0,
+                                std::size_t{1} << q);
     } else {
-      kernels::batched_apply_mat2_each(amps_.data() + b, dim_, batch_, count,
-                                       mats + b, q);
+      k.batched_apply_mat2_each(amps_.data() + b, dim_, batch_, count,
+                                mats + b, q);
     }
     b = e;
   }
 }
 
-template <class ShapeOf>
-void BatchedStatevector::apply_mat4_runs(const Mat4* mats, int qb, int qa,
-                                         ShapeOf&& shape_of) {
+void BatchedStatevector::apply_mat4_each(const kernels::KernelTable& k,
+                                         const Mat4* mats,
+                                         const MatShape<4>* shapes, int qb,
+                                         int qa) {
   diag_scratch_.resize(4 * batch_);
   std::size_t b = 0;
   while (b < batch_) {
     // Runs share a shape and, for permutations, the same moves.
-    const MatShape<4> shape = shape_of(b);
+    const MatShape<4>& shape = shapes[b];
     std::size_t e = b + 1;
-    while (e < batch_ && shape_of(e) == shape) ++e;
+    while (e < batch_ && shapes[e] == shape) ++e;
     const std::size_t count = e - b;
     switch (shape.shape) {
       case Shape::kDiagonal: {
@@ -200,16 +196,15 @@ void BatchedStatevector::apply_mat4_runs(const Mat4* mats, int qb, int qa,
         for (unsigned s = 0; s < 4; ++s) {
           ds[s] = diag_scratch_.data() + s * batch_;
         }
-        for (std::size_t k = 0; k < count; ++k) {
-          const Mat4& m = mats[b + k];
-          ds[0][k] = m[0];
-          ds[1][k] = m[5];
-          ds[2][k] = m[10];
-          ds[3][k] = m[15];
+        for (std::size_t j = 0; j < count; ++j) {
+          const Mat4& m = mats[b + j];
+          ds[0][j] = m[0];
+          ds[1][j] = m[5];
+          ds[2][j] = m[10];
+          ds[3][j] = m[15];
         }
-        kernels::batched_apply_diag_each(amps_.data() + b, dim_, batch_,
-                                         count, ds, std::size_t{1} << qb,
-                                         std::size_t{1} << qa);
+        k.batched_apply_diag_each(amps_.data() + b, dim_, batch_, count, ds,
+                                  std::size_t{1} << qb, std::size_t{1} << qa);
         break;
       }
       case Shape::kPermutation:
@@ -217,44 +212,12 @@ void BatchedStatevector::apply_mat4_runs(const Mat4* mats, int qb, int qa,
                                      shape.src, qb, qa);
         break;
       case Shape::kDense:
-        kernels::batched_apply_mat4_each(amps_.data() + b, dim_, batch_,
-                                         count, mats + b, qb, qa);
+        k.batched_apply_mat4_each(amps_.data() + b, dim_, batch_, count,
+                                  mats + b, qb, qa);
         break;
     }
     b = e;
   }
-}
-
-void BatchedStatevector::apply_mat2_each(const Mat2* mats, int q) {
-  apply_mat2_runs(mats, q,
-                  [mats](std::size_t b) { return kernels::classify(mats[b]); });
-}
-
-void BatchedStatevector::apply_mat2_each(const Mat2* mats,
-                                         const MatShape<2>* shapes, int q) {
-  apply_mat2_runs(mats, q,
-                  [shapes](std::size_t b) -> const MatShape<2>& {
-                    return shapes[b];
-                  });
-}
-
-void BatchedStatevector::apply_mat4_each(const Mat4* mats, int qb, int qa) {
-  apply_mat4_runs(mats, qb, qa, [mats](std::size_t b) {
-    return kernels::classify(mats[b]);
-  });
-}
-
-void BatchedStatevector::apply_mat4_each(const Mat4* mats,
-                                         const MatShape<4>* shapes, int qb,
-                                         int qa) {
-  apply_mat4_runs(mats, qb, qa,
-                  [shapes](std::size_t b) -> const MatShape<4>& {
-                    return shapes[b];
-                  });
-}
-
-void BatchedStatevector::apply_pauli_col(int pauli, int q, std::size_t col) {
-  apply_mat2_cols(pauli_matrix(pauli), pauli == 3, q, col, 1);
 }
 
 void BatchedStatevector::probability_of_one_all(int q, double* out) const {
@@ -270,31 +233,10 @@ void BatchedStatevector::probability_of_one_all(int q, double* out) const {
 }
 
 // ---------------------------------------------------------------------------
-// BatchedWorkspacePool
-
-BatchedWorkspacePool::Lease BatchedWorkspacePool::acquire() {
-  std::unique_ptr<BatchedWorkspace> ws;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!free_.empty()) {
-      ws = std::move(free_.back());
-      free_.pop_back();
-    }
-  }
-  if (ws == nullptr) ws = std::make_unique<BatchedWorkspace>();
-  return Lease(this, std::move(ws));
-}
-
-void BatchedWorkspacePool::release(std::unique_ptr<BatchedWorkspace> ws) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  free_.push_back(std::move(ws));
-}
-
-// ---------------------------------------------------------------------------
 // ExecPlan batched execution
 
 void ExecPlan::bind_batched(const double* params, std::size_t stride,
-                            std::size_t batch, BatchedWorkspace& ws) const {
+                            std::size_t batch, Workspace& ws) const {
   if (batch == 0) {
     throw std::invalid_argument("bind_batched: batch must be > 0");
   }
@@ -305,6 +247,8 @@ void ExecPlan::bind_batched(const double* params, std::size_t stride,
   if (ws.plan_id != plan_id_ || ws.batch != batch) {
     ws.bound1q_cols.resize(bound1q_.size() * batch);
     ws.bound2q_cols.resize(bound2q_.size() * batch);
+    ws.bound1q_shapes.resize(bound1q_.size() * batch);
+    ws.bound2q_shapes.resize(bound2q_.size() * batch);
     ws.uniform1q.resize(bound1q_.size());
     ws.uniform2q.resize(bound2q_.size());
     ws.plan_id = plan_id_;
@@ -314,12 +258,13 @@ void ExecPlan::bind_batched(const double* params, std::size_t stride,
   auto col_params = [&](std::size_t b) {
     return std::span<const double>(params + b * stride, np);
   };
-  // Per column this is bind()'s fold with that column's params, done
+  // Per column this is run_biased's fold with that column's params, done
   // once per block rather than once per column. Only column 0 and the
   // columns whose dynamic angles differ from their predecessor's are
   // folded (a copy of the predecessor's matrix is bitwise the same
   // fold), and a slot where only column 0 folds is flagged uniform so
-  // run_batched can stream the broadcast kernel. Each dynamic op's
+  // run_batched can stream the broadcast kernel. A folded column's shape
+  // is classified once, here; a copied column copies it. Each dynamic op's
   // matrix is built once per run of equal angles among the folded
   // columns, so weight gates are built once per block. The folded
   // columns then step through the tail together: split real and
@@ -397,27 +342,38 @@ void ExecPlan::bind_batched(const double* params, std::size_t stride,
       std::swap(acc, next);
     }
     Mat2* const cols = ws.bound1q_cols.data() + i * batch;
+    MatShape<2>* const shapes = ws.bound1q_shapes.data() + i * batch;
     std::size_t k = 0;
     for (std::size_t b = 0; b < batch; ++b) {
-      if (k + 1 < nf && fc[k + 1] == b) ++k;
+      if (k + 1 < nf && fc[k + 1] == b) {
+        ++k;
+      } else if (b > 0) {
+        cols[b] = cols[b - 1];
+        shapes[b] = shapes[b - 1];
+        continue;
+      }
       for (std::size_t e = 0; e < 4; ++e) {
         cols[b][e] = Complex{acc[2 * e * nf + k], acc[(2 * e + 1) * nf + k]};
       }
+      shapes[b] = kernels::classify(cols[b]);
     }
     ws.uniform1q[i] = nf == 1 ? 1 : 0;
   }
   for (std::size_t i = 0; i < bound2q_.size(); ++i) {
     const FoldOp& spec = bound2q_[i].spec;
     Mat4* const cols = ws.bound2q_cols.data() + i * batch;
+    MatShape<4>* const shapes = ws.bound2q_shapes.data() + i * batch;
     std::array<double, 3> prev{};
     bool uniform = true;
     for (std::size_t b = 0; b < batch; ++b) {
       const std::array<double, 3> bound = spec.bound(col_params(b), noisy_);
       if (b > 0 && bound == prev) {
         cols[b] = cols[b - 1];
+        shapes[b] = shapes[b - 1];
       } else {
         if (b > 0) uniform = false;
         cols[b] = circuit::gate_matrix_2q(spec.kind, bound);
+        shapes[b] = kernels::classify(cols[b]);
       }
       prev = bound;
     }
@@ -428,37 +384,44 @@ void ExecPlan::bind_batched(const double* params, std::size_t stride,
 BatchedStatevector& ExecPlan::run_batched(const double* params,
                                           std::size_t stride,
                                           std::size_t batch,
-                                          BatchedWorkspace& ws) const {
+                                          Workspace& ws) const {
   AQ_COUNTER_ADD("sim.plan.batched_runs", 1);
   AQ_COUNTER_ADD("sim.plan.batched_columns",
                  static_cast<std::uint64_t>(batch));
   bind_batched(params, stride, batch, ws);
+  const kernels::KernelTable& k = kernels::kernel_table();
   BatchedStatevector& st = ws.state();
   st.configure(num_qubits_, batch);
   for (const StreamOp& op : stream_) {
     const auto idx = static_cast<std::size_t>(op.index);
     switch (op.kind) {
       case StreamOp::Kind::kConst1q:
-        st.apply_mat2_all(const1q_[idx], op.q0);
+        st.apply_mat2_all(k, const1q_[idx], const1q_shape_[idx], op.q0);
         break;
-      case StreamOp::Kind::kBound1q:
+      case StreamOp::Kind::kBound1q: {
+        const Mat2* const m = ws.bound1q_cols.data() + idx * batch;
+        const MatShape<2>* const shape = ws.bound1q_shapes.data() + idx * batch;
         if (ws.uniform1q[idx] != 0) {
-          st.apply_mat2_all(ws.bound1q_cols[idx * batch], op.q0);
+          st.apply_mat2_all(k, *m, *shape, op.q0);
         } else {
-          st.apply_mat2_each(ws.bound1q_cols.data() + idx * batch, op.q0);
+          st.apply_mat2_each(k, m, shape, op.q0);
         }
         break;
+      }
       case StreamOp::Kind::kConst2q:
-        st.apply_mat4_all(const2q_[idx], op.q0, op.q1);
+        st.apply_mat4_all(k, table2q_[idx], table2q_shape_[idx], op.q0,
+                          op.q1);
         break;
-      case StreamOp::Kind::kBound2q:
+      case StreamOp::Kind::kBound2q: {
+        const Mat4* const m = ws.bound2q_cols.data() + idx * batch;
+        const MatShape<4>* const shape = ws.bound2q_shapes.data() + idx * batch;
         if (ws.uniform2q[idx] != 0) {
-          st.apply_mat4_all(ws.bound2q_cols[idx * batch], op.q0, op.q1);
+          st.apply_mat4_all(k, *m, *shape, op.q0, op.q1);
         } else {
-          st.apply_mat4_each(ws.bound2q_cols.data() + idx * batch, op.q0,
-                             op.q1);
+          st.apply_mat4_each(k, m, shape, op.q0, op.q1);
         }
         break;
+      }
     }
   }
   return st;
@@ -466,7 +429,7 @@ BatchedStatevector& ExecPlan::run_batched(const double* params,
 
 void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
                                      std::size_t batch, int qubit,
-                                     BatchedWorkspace& ws,
+                                     Workspace& ws,
                                      double* out) const {
   const BatchedStatevector& st = run_batched(params, stride, batch, ws);
   st.probability_of_one_all(qubit, out);
@@ -495,7 +458,7 @@ namespace {
 /// registers to itself.
 [[gnu::noinline]] void draw_schedule(const SurvivalTable& table, bool flips,
                                      math::Rng& rng,
-                                     BatchedWorkspace::Trajectories& tr) {
+                                     Workspace::Trajectories& tr) {
   std::size_t shots = 0;
   for (const int n : tr.shots_of) shots += static_cast<std::size_t>(n);
   tr.fired.clear();
@@ -523,16 +486,16 @@ namespace {
 /// a serial register, without classifying the matrix again. The gate's
 /// qubits sit below a register's width, so the index bits above it (the
 /// stacked register's number) pass through every butterfly unchanged.
-void apply_entry(const kernels::RangeKernels& k, Complex* amps,
+void apply_entry(const kernels::KernelTable& k, Complex* amps,
                  std::size_t n, const ExecPlan& plan, const GateEntry& e,
                  const Workspace& ws) {
   if (e.arity == 1) {
     const Mat2& m = plan.mat2(e, ws);
     if (is_diag(plan.shape2(e, ws))) {
       const Complex d[2] = {m[0], m[3]};
-      k.diag(amps, d, 0, std::size_t{1} << e.q0, 0, n);
+      k.apply_diag_range(amps, d, 0, std::size_t{1} << e.q0, 0, n);
     } else {
-      k.mat2(amps, m, e.q0, 0, n >> 1);
+      k.apply_mat2_range(amps, m, e.q0, 0, n >> 1);
     }
     return;
   }
@@ -541,27 +504,28 @@ void apply_entry(const kernels::RangeKernels& k, Complex* amps,
   switch (shape.shape) {
     case Shape::kDiagonal: {
       const Complex d[4] = {m[0], m[5], m[10], m[15]};
-      k.diag(amps, d, std::size_t{1} << e.q0, std::size_t{1} << e.q1, 0, n);
+      k.apply_diag_range(amps, d, std::size_t{1} << e.q0,
+                         std::size_t{1} << e.q1, 0, n);
       return;
     }
     case Shape::kPermutation:
       kernels::apply_perm4_range(amps, shape.src, e.q0, e.q1, 0, n >> 2);
       return;
     case Shape::kDense:
-      k.mat4(amps, m, e.q0, e.q1, 0, n >> 2);
+      k.apply_mat4_range(amps, m, e.q0, e.q1, 0, n >> 2);
       return;
   }
 }
 
 /// Statevector::apply_pauli on one register of `dim` amplitudes.
-void apply_pauli(const kernels::RangeKernels& k, Complex* amps,
+void apply_pauli(const kernels::KernelTable& k, Complex* amps,
                  std::size_t dim, int pauli, int q) {
   const Mat2& m = pauli_matrix(pauli);
   if (pauli == 3) {
     const Complex d[2] = {m[0], m[3]};
-    k.diag(amps, d, 0, std::size_t{1} << q, 0, dim);
+    k.apply_diag_range(amps, d, 0, std::size_t{1} << q, 0, dim);
   } else {
-    k.mat2(amps, m, q, 0, dim >> 1);
+    k.apply_mat2_range(amps, m, q, 0, dim >> 1);
   }
 }
 
@@ -581,15 +545,15 @@ double register_probability_of_one(const Complex* amps, std::size_t dim,
 
 std::uint64_t StatevectorSimulator::sample_marginal_ones(
     const ExecPlan& plan, std::span<const double> params, int qubit,
-    const ShotOptions& opts, math::Rng& rng, BatchedWorkspace& ws) const {
+    const ShotOptions& opts, math::Rng& rng, Workspace& ws) const {
   if (opts.shots <= 0 || opts.trajectories <= 0) {
     throw std::invalid_argument(
         "sample_marginal_ones: shots/trajectories invalid");
   }
   AQ_TRACE_SPAN("sim.sample.marginal");
   AQ_COUNTER_ADD("sim.sample.shots", static_cast<std::uint64_t>(opts.shots));
-  using Branch = BatchedWorkspace::Trajectories::Branch;
-  BatchedWorkspace::Trajectories& tr = ws.traj;
+  using Branch = Workspace::Trajectories::Branch;
+  Workspace::Trajectories& tr = ws.traj;
   const auto n_traj =
       static_cast<std::size_t>(std::min(opts.trajectories, opts.shots));
   const auto& table = plan.gate_table();
@@ -638,7 +602,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
   // shared params; trajectories differ only in their Pauli insertions.
   // The walk applies forward matrices only, so it skips the adjoint
   // companions.
-  plan.bind_gates_forward(params, ws.gates);
+  plan.bind_gates_forward(params, ws);
 
   // Blocks of up to kBatchBlock - 1 branches share one walk with the
   // trunk, which each block re-walks. A block's columns are registers
@@ -652,7 +616,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
   // it; otherwise the block's last branch to fork evolves in the
   // trunk's column in place — so a lone trajectory always walks a
   // single column. The kernel arm is resolved once per call.
-  const kernels::RangeKernels kern = kernels::range_kernels();
+  const kernels::KernelTable& kern = kernels::kernel_table();
   const std::size_t dim = std::size_t{1} << plan.num_qubits();
   const std::size_t n_branch = tr.branches.size();
   const bool any_silent = n_branch < n_traj;
@@ -672,7 +636,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
     std::size_t width = 1;
     std::size_t forked = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
-      apply_entry(kern, stack, width * dim, plan, table[k], ws.gates);
+      apply_entry(kern, stack, width * dim, plan, table[k], ws);
       // Fork every branch whose first Pauli follows this gate before
       // any Pauli lands, so each copy is the trunk right after gate k.
       while (forked < nb &&
@@ -721,7 +685,7 @@ std::uint64_t StatevectorSimulator::sample_marginal_ones(
 
 double StatevectorSimulator::sampled_probability_of_one(
     const ExecPlan& plan, std::span<const double> params, int qubit,
-    const ShotOptions& opts, math::Rng& rng, BatchedWorkspace& ws) const {
+    const ShotOptions& opts, math::Rng& rng, Workspace& ws) const {
   const std::uint64_t ones =
       sample_marginal_ones(plan, params, qubit, opts, rng, ws);
   return static_cast<double>(ones) / static_cast<double>(opts.shots);

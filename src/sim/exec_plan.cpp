@@ -64,24 +64,6 @@ SurvivalTable::SurvivalTable(std::span<const double> error) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace
-
-Statevector& Workspace::reuse(std::optional<Statevector>& slot, int num_qubits,
-                              const exec::ExecPolicy& policy) {
-  if (!slot.has_value() || slot->num_qubits() != num_qubits) {
-    slot.emplace(num_qubits);
-  }
-  slot->set_exec_policy(policy);
-  return *slot;
-}
-
-Statevector& Workspace::state(int num_qubits, const exec::ExecPolicy& policy) {
-  Statevector& sv = reuse(state_, num_qubits, policy);
-  sv.reset();
-  return sv;
-}
-
-// ---------------------------------------------------------------------------
 // WorkspacePool
 
 WorkspacePool::Lease WorkspacePool::acquire() {
@@ -105,14 +87,12 @@ void WorkspacePool::release(std::unique_ptr<Workspace> ws) {
 // ---------------------------------------------------------------------------
 // ExecPlan
 
-ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
-                   const exec::ExecPolicy& policy)
+ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
     : num_qubits_(c.num_qubits()),
       num_params_(c.num_params()),
       noisy_(noise.enabled()),
       depth_(c.depth()),
-      plan_id_(next_plan_id()),
-      policy_(policy) {
+      plan_id_(next_plan_id()) {
   AQ_TRACE_SPAN("sim.plan.compile");
   survival_ = noisy_ ? noise.survival_probability(c) : 1.0;
 
@@ -164,14 +144,11 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
       stream_.push_back({StreamOp::Kind::kConst1q, q, 0,
                          static_cast<int>(const1q_.size())});
       const1q_.push_back(run.prefix);
+      const1q_shape_.push_back(kernels::classify(run.prefix));
     } else {
       stream_.push_back({StreamOp::Kind::kBound1q, q, 0,
                          static_cast<int>(bound1q_.size())});
-      Bound1qSlot slot{run.prefix, std::move(run.tail), q, n_slot_dyn1q_};
-      for (const FoldOp& op : slot.tail) {
-        if (op.dynamic) ++n_slot_dyn1q_;
-      }
-      bound1q_.push_back(std::move(slot));
+      bound1q_.push_back({run.prefix, std::move(run.tail), q});
     }
     fused_gates_ += run.static_count;
     run = PendingRun{};
@@ -235,9 +212,8 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
         table2q_adj_.push_back(circuit::mat4_adjoint(m));
         table2q_shape_.push_back(kernels::classify(m));
         table2q_adj_shape_.push_back(kernels::classify(table2q_adj_.back()));
-        stream_.push_back({StreamOp::Kind::kConst2q, g.qubits[0], g.qubits[1],
-                           static_cast<int>(const2q_.size())});
-        const2q_.push_back(m);
+        stream_.push_back(
+            {StreamOp::Kind::kConst2q, g.qubits[0], g.qubits[1], entry.index});
         ++fused_gates_;
       }
     }
@@ -271,93 +247,13 @@ void ExecPlan::check_params(std::span<const double> params) const {
   }
 }
 
-void ExecPlan::bind(std::span<const double> params, Workspace& ws) const {
-  check_params(params);
-  AQ_COUNTER_ADD("sim.plan.binds", 1);
-  // Memoized rebinding: a slot whose dynamic angles all match the
-  // previous bind on this workspace keeps its folded matrix — it was
-  // computed from identical inputs, so reuse is bit-exact. The stamp
-  // ties the memo to this plan instance (ids are process-unique, so a
-  // recalibration-rebuilt plan can never inherit stale matrices).
-  const bool warm = ws.bound_plan_id == plan_id_;
-  if (!warm) {
-    ws.bound1q.resize(bound1q_.size());
-    ws.bound2q.resize(bound2q_.size());
-    ws.memo1q.resize(n_slot_dyn1q_);
-    ws.memo2q.resize(bound2q_.size());
-    ws.bound_plan_id = plan_id_;
-  }
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < bound1q_.size(); ++i) {
-    const Bound1qSlot& slot = bound1q_[i];
-    bool dirty = !warm;
-    std::size_t mo = slot.memo_offset;
-    for (const FoldOp& op : slot.tail) {
-      if (!op.dynamic) continue;
-      const std::array<double, 3> b = op.bound(params, noisy_);
-      if (dirty || b != ws.memo1q[mo]) {
-        ws.memo1q[mo] = b;
-        dirty = true;
-      }
-      ++mo;
-    }
-    if (!dirty) {
-      ++hits;
-      continue;
-    }
-    Mat2 acc = slot.prefix;
-    mo = slot.memo_offset;
-    for (const FoldOp& op : slot.tail) {
-      const Mat2 m = op.dynamic
-                         ? circuit::gate_matrix_1q(op.kind, ws.memo1q[mo++])
-                         : op.constant;
-      acc = circuit::mat2_multiply(m, acc);
-    }
-    ws.bound1q[i] = acc;
-  }
-  for (std::size_t i = 0; i < bound2q_.size(); ++i) {
-    const FoldOp& spec = bound2q_[i].spec;
-    const std::array<double, 3> b = spec.bound(params, noisy_);
-    if (warm && b == ws.memo2q[i]) {
-      ++hits;
-      continue;
-    }
-    ws.memo2q[i] = b;
-    ws.bound2q[i] = circuit::gate_matrix_2q(spec.kind, b);
-  }
-  AQ_COUNTER_ADD("sim.plan.bind.memo_hits", hits);
-}
-
-Statevector& ExecPlan::run(std::span<const double> params,
-                           Workspace& ws) const {
-  AQ_COUNTER_ADD("sim.plan.runs", 1);
-  bind(params, ws);
-  Statevector& sv = ws.state(num_qubits_, policy_);
-  for (const StreamOp& op : stream_) {
-    switch (op.kind) {
-      case StreamOp::Kind::kConst1q:
-        sv.apply_mat2(const1q_[static_cast<std::size_t>(op.index)], op.q0);
-        break;
-      case StreamOp::Kind::kBound1q:
-        sv.apply_mat2(ws.bound1q[static_cast<std::size_t>(op.index)], op.q0);
-        break;
-      case StreamOp::Kind::kConst2q:
-        sv.apply_mat4(const2q_[static_cast<std::size_t>(op.index)], op.q0,
-                      op.q1);
-        break;
-      case StreamOp::Kind::kBound2q:
-        sv.apply_mat4(ws.bound2q[static_cast<std::size_t>(op.index)], op.q0,
-                      op.q1);
-        break;
-    }
-  }
-  return sv;
-}
-
 double ExecPlan::expectation_z(std::span<const double> params, int qubit,
                                Workspace& ws) const {
-  const Statevector& sv = run(params, ws);
-  return survival_ * sv.expectation_z(qubit);
+  check_params(params);
+  double z = 0.0;
+  expectation_z_batched(params.data(), static_cast<std::size_t>(num_params_),
+                        1, qubit, ws, &z);
+  return z;
 }
 
 void ExecPlan::bind_gates_forward(std::span<const double> params,

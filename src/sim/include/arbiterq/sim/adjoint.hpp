@@ -54,13 +54,14 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
 /// the block (ExecPlan::bind_gates_batched: shared-angle entries once,
 /// feature entries per column); the forward walk runs as one batched
 /// mini-GEMM sweep, and the reverse sweep walks batched psi and lambda
-/// registers in lockstep with per-column bracket sums. Per column every
+/// registers in lockstep with per-column bracket sums, on the kernel arm
+/// in force when the call starts. Per column every
 /// step is the circuit walk's arithmetic on every kernel arm, so each
 /// sample's gradient is bit-identical to the circuit overload above on
 /// the plan's circuit and noise model, at every batch size.
 void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
                                 std::size_t stride, std::size_t batch,
-                                int qubit, BatchedWorkspace& ws,
+                                int qubit, Workspace& ws,
                                 double* grads);
 
 }  // namespace arbiterq::sim

@@ -6,10 +6,11 @@
 // survival probability — hoisted into a one-time compile step.
 //
 // An ExecPlan is immutable after construction and safe to share across
-// threads. All per-evaluation mutable state (the statevector register,
-// bound matrices for parameterized slots, adjoint scratch registers)
-// lives in a Workspace, so steady-state evaluation performs zero heap
-// allocations and a pool of workspaces serves concurrent callers.
+// threads. Every evaluation is a sample-batched walk (batched.hpp; one
+// sample is batch 1), and all per-evaluation mutable state (the batched
+// registers, bound matrices and their shapes, sampler scratch) lives in
+// a Workspace, so steady-state evaluation performs zero heap allocations
+// and a pool of workspaces serves concurrent callers.
 //
 // Determinism contract: a plan's output is bit-identical to the naive
 // path. The fused-run fold replicates run_biased's exact left-multiply
@@ -26,110 +27,17 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "arbiterq/circuit/circuit.hpp"
 #include "arbiterq/circuit/unitary.hpp"
-#include "arbiterq/exec/parallel.hpp"
 #include "arbiterq/math/rng.hpp"
+#include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/noise_model.hpp"
-#include "arbiterq/sim/statevector.hpp"
 
 namespace arbiterq::sim {
-
-class ExecPlan;
-class BatchedStatevector;
-class BatchedWorkspace;
-
-/// Reusable per-evaluation scratch: a statevector register and the bound
-/// matrices a plan's parameterized slots are rebuilt into. One Workspace
-/// serves one evaluation at a time; use a WorkspacePool to serve
-/// concurrent callers. Buffers grow on first use and are reused
-/// thereafter (zero steady-state allocations for a fixed plan).
-class Workspace {
- public:
-  Workspace() = default;
-
-  /// The main register, reset to |0...0> with the given policy stamped.
-  Statevector& state(int num_qubits, const exec::ExecPolicy& policy);
-
-  /// Bound matrices for the plan's parameterized stream slots.
-  std::vector<circuit::Mat2> bound1q;
-  std::vector<circuit::Mat4> bound2q;
-  /// Forward matrices + angle values for the plan's gate table (the
-  /// trajectory walk, which needs per-gate rather than fused matrices),
-  /// with each matrix's kernel shape, classified when the matrix is
-  /// rebuilt rather than when it is applied. The adjoint walk binds the
-  /// table per block instead (BatchedWorkspace::GateBlock).
-  std::vector<circuit::Mat2> dyn1q;
-  std::vector<circuit::Mat4> dyn2q;
-  std::vector<kernels::MatShape<2>> dyn1q_shape;
-  std::vector<kernels::MatShape<4>> dyn2q_shape;
-  std::vector<std::array<double, 3>> dyn_bound;
-  /// General caller scratch (e.g. packed circuit parameters).
-  std::vector<double> params;
-  /// Memoized bind state: the id of the plan the bound matrices above
-  /// were last built against (0 = cold), plus each dynamic op's last
-  /// bound angles. bind()/bind_gates_forward() skip the trig + matrix
-  /// rebuild for ops whose angles are unchanged since the previous bind
-  /// — the retained matrices were computed from identical inputs, so
-  /// results stay bit-identical.
-  std::uint64_t bound_plan_id = 0;
-  std::uint64_t gates_plan_id = 0;
-  std::vector<std::array<double, 3>> memo1q;
-  std::vector<std::array<double, 3>> memo2q;
-
- private:
-  static Statevector& reuse(std::optional<Statevector>& slot, int num_qubits,
-                            const exec::ExecPolicy& policy);
-
-  std::optional<Statevector> state_;
-};
-
-/// Mutex-guarded free list of Workspaces. acquire() hands out a lease
-/// that returns the workspace on destruction; after warm-up the pool
-/// holds one workspace per peak-concurrent caller and recycles them
-/// without allocating. Copying a pool yields a fresh, empty pool (leases
-/// are tied to the pool they came from).
-class WorkspacePool {
- public:
-  WorkspacePool() = default;
-  WorkspacePool(const WorkspacePool&) noexcept {}
-  WorkspacePool& operator=(const WorkspacePool&) noexcept { return *this; }
-
-  class Lease {
-   public:
-    Lease(WorkspacePool* pool, std::unique_ptr<Workspace> ws) noexcept
-        : pool_(pool), ws_(std::move(ws)) {}
-    ~Lease() {
-      if (ws_ != nullptr) pool_->release(std::move(ws_));
-    }
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), ws_(std::move(other.ws_)) {}
-    Lease& operator=(Lease&&) = delete;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    Workspace& operator*() noexcept { return *ws_; }
-    Workspace* operator->() noexcept { return ws_.get(); }
-
-   private:
-    WorkspacePool* pool_;
-    std::unique_ptr<Workspace> ws_;
-  };
-
-  Lease acquire();
-
- private:
-  friend class Lease;
-  void release(std::unique_ptr<Workspace> ws);
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Workspace>> free_;
-};
 
 /// One step of a fused 1q run's left-multiply fold: either a constant
 /// matrix (a static gate that sits after a parameterized one) or a
@@ -163,8 +71,6 @@ struct Bound1qSlot {
   circuit::Mat2 prefix{};  ///< identity if the run starts parameterized
   std::vector<FoldOp> tail;
   int qubit = 0;
-  /// First index of this slot's dynamic tail ops in Workspace::memo1q.
-  std::size_t memo_offset = 0;
 };
 
 /// A parameterized 2q gate slot (CRX/CRY/CRZ with a live parameter).
@@ -178,7 +84,10 @@ struct StreamOp {
   Kind kind = Kind::kConst1q;
   int q0 = 0;
   int q1 = 0;
-  int index = 0;  ///< into the const pools or the workspace bound slots
+  /// kConst1q: into the fused constants; kConst2q: into the gate
+  /// table's static 2q matrices; bound kinds: into the workspace's bound
+  /// slots.
+  int index = 0;
 };
 
 /// Gate-table entry: the unfused per-gate view used by walks that need
@@ -296,13 +205,173 @@ class SurvivalTable {
   std::vector<Segment> segments_;
 };
 
-/// A circuit compiled against one noise model (and one kernel policy):
-/// static gates pre-fused and pre-folded, parameterized gates reduced to
-/// bind slots, survival probability and depth cached.
+/// Per-evaluation scratch of every plan walk: the batched registers,
+/// what the binds rebuild, the sampler's schedule and caller scratch.
+/// One Workspace serves one evaluation at a time; use a WorkspacePool to
+/// serve concurrent callers. Buffers grow on first use against a plan
+/// and block width and are reused thereafter (zero steady-state
+/// allocations for a fixed plan and width).
+class Workspace {
+ public:
+  Workspace() = default;
+
+  /// The forward register (the batched adjoint's psi).
+  BatchedStatevector& state() noexcept { return state_; }
+  /// The batched adjoint's lambda register and its per-column bracket
+  /// values.
+  BatchedStatevector& lambda() noexcept { return lambda_; }
+  std::vector<Complex> brackets;
+
+  /// Caller scratch: packed per-sample parameters (sample b's binding
+  /// at [b * stride, b * stride + num_params)), per-sample outputs,
+  /// per-sample plan gradients, and per-sample partials of a whole call
+  /// (the executor's per-sample losses or gradient rows).
+  std::vector<double> params;
+  std::vector<double> values;
+  std::vector<double> grads;
+  std::vector<double> partials;
+
+  /// Filled by ExecPlan::bind_batched — slot-major bound matrices and
+  /// their kernel shapes (slot s, column b at [s * batch + b]) plus a
+  /// per-slot flag telling run_batched the whole batch shares one matrix
+  /// (broadcast kernel).
+  std::vector<circuit::Mat2> bound1q_cols;
+  std::vector<circuit::Mat4> bound2q_cols;
+  std::vector<kernels::MatShape<2>> bound1q_shapes;
+  std::vector<kernels::MatShape<4>> bound2q_shapes;
+  std::vector<std::uint8_t> uniform1q;
+  std::vector<std::uint8_t> uniform2q;
+  /// bind_batched's scratch: a slot's dynamic angles ([op * batch + b]),
+  /// the columns it folds, and the lockstep fold's split real and
+  /// imaginary parts (accumulator and factor, entry-major).
+  std::vector<std::array<double, 3>> angles;
+  std::vector<std::uint32_t> fold_cols;
+  std::vector<double> fold;
+  /// Shape stamp: plan identity and batch width the buffers above were
+  /// last sized for.
+  std::uint64_t plan_id = 0;
+  std::size_t batch = 0;
+
+  /// Filled by ExecPlan::bind_gates_forward for the trajectory sampler,
+  /// which applies the gate table's forward matrices one gate at a time:
+  /// each dynamic entry's matrix and kernel shape (by GateEntry::index)
+  /// and bound angles (by GateEntry::bound_index). The angles double as
+  /// a memo: an entry whose angles match the previous bind on this
+  /// workspace keeps its matrix (the same inputs, so bit-exact), as long
+  /// as gates_plan_id names the same plan (0 = cold).
+  std::vector<circuit::Mat2> dyn1q;
+  std::vector<circuit::Mat4> dyn2q;
+  std::vector<kernels::MatShape<2>> dyn1q_shape;
+  std::vector<kernels::MatShape<4>> dyn2q_shape;
+  std::vector<std::array<double, 3>> dyn_bound;
+  std::uint64_t gates_plan_id = 0;
+
+  /// ExecPlan::bind_gates_batched's gate table for one block. Per
+  /// dynamic entry (GateEntry::index) the forward matrix, its adjoint
+  /// and their shapes sit at [index * batch + b]; per gradient term
+  /// (GradTerm::dindex) the derivative matrix and its shape at [dindex *
+  /// batch + b]. An entry flagged uniform (by bound_index) holds column
+  /// 0's only: its angles match across the block.
+  struct GateBlock {
+    std::vector<std::uint8_t> uniform;
+    std::vector<std::array<double, 3>> angles;
+    std::vector<circuit::Mat2> m1;
+    std::vector<circuit::Mat2> adj1;
+    std::vector<kernels::MatShape<2>> shape1;
+    std::vector<kernels::MatShape<2>> adj_shape1;
+    std::vector<circuit::Mat2> d1;
+    std::vector<kernels::MatShape<2>> d_shape1;
+    std::vector<circuit::Mat4> m2;
+    std::vector<circuit::Mat4> adj2;
+    std::vector<kernels::MatShape<4>> shape2;
+    std::vector<kernels::MatShape<4>> adj_shape2;
+    std::vector<circuit::Mat4> d2;
+    std::vector<kernels::MatShape<4>> d_shape2;
+    /// Shape stamp, as above.
+    std::uint64_t plan_id = 0;
+    std::size_t batch = 0;
+  };
+  GateBlock gate_block;
+
+  /// Trajectory-sampler scratch (StatevectorSimulator::
+  /// sample_marginal_ones on a plan), reused so a steady-state call
+  /// does not allocate.
+  struct Trajectories {
+    /// A trajectory with at least one Pauli: its fired Paulis are
+    /// fired[next, end); `next` advances as the walk applies them.
+    struct Branch {
+      std::uint32_t traj = 0;
+      std::uint32_t next = 0;
+      std::uint32_t end = 0;
+    };
+    std::vector<int> shots_of;
+    /// The Paulis the pre-drawn schedule inserts (sites index
+    /// ExecPlan::noise_sites()), in draw order: trajectory-major and
+    /// site-ascending.
+    std::vector<PauliFire> fired;
+    std::vector<Branch> branches;
+    /// A block's registers, stacked end to end: column c holds
+    /// amplitudes [c * dim, (c + 1) * dim).
+    AmpVector stack;
+    std::vector<double> u_out;
+    std::vector<double> u_flip;
+    /// P(readout qubit = 1) per trajectory.
+    std::vector<double> p1;
+  };
+  Trajectories traj;
+
+ private:
+  BatchedStatevector state_;
+  BatchedStatevector lambda_;
+};
+
+/// Mutex-guarded free list of Workspaces. acquire() hands out a lease
+/// that returns the workspace on destruction; after warm-up the pool
+/// holds one workspace per peak-concurrent caller and recycles them
+/// without allocating. Copying a pool yields a fresh, empty pool (leases
+/// are tied to the pool they came from).
+class WorkspacePool {
+ public:
+  WorkspacePool() = default;
+  WorkspacePool(const WorkspacePool&) noexcept {}
+  WorkspacePool& operator=(const WorkspacePool&) noexcept { return *this; }
+
+  class Lease {
+   public:
+    Lease(WorkspacePool* pool, std::unique_ptr<Workspace> ws) noexcept
+        : pool_(pool), ws_(std::move(ws)) {}
+    ~Lease() {
+      if (ws_ != nullptr) pool_->release(std::move(ws_));
+    }
+    Lease(Lease&& other) noexcept
+        : pool_(other.pool_), ws_(std::move(other.ws_)) {}
+    Lease& operator=(Lease&&) = delete;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    Workspace& operator*() noexcept { return *ws_; }
+    Workspace* operator->() noexcept { return ws_.get(); }
+
+   private:
+    WorkspacePool* pool_;
+    std::unique_ptr<Workspace> ws_;
+  };
+
+  Lease acquire();
+
+ private:
+  void release(std::unique_ptr<Workspace> ws);
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Workspace>> free_;
+};
+
+/// A circuit compiled against one noise model: static gates pre-fused
+/// and pre-folded (and their kernel shapes classified), parameterized
+/// gates reduced to bind slots, survival probability and depth cached.
 class ExecPlan {
  public:
-  ExecPlan(const circuit::Circuit& c, const NoiseModel& noise,
-           const exec::ExecPolicy& policy = {});
+  ExecPlan(const circuit::Circuit& c, const NoiseModel& noise);
 
   int num_qubits() const noexcept { return num_qubits_; }
   int num_params() const noexcept { return num_params_; }
@@ -310,7 +379,6 @@ class ExecPlan {
   /// Cached circuit-wide constants.
   double survival() const noexcept { return survival_; }
   std::size_t depth() const noexcept { return depth_; }
-  const exec::ExecPolicy& policy() const noexcept { return policy_; }
   /// Process-unique id stamped into workspaces by the binds so
   /// memoized matrices are never carried across plans (pointer identity
   /// would be ABA-unsafe after recalibration rebuilds a plan).
@@ -325,13 +393,10 @@ class ExecPlan {
     return bound1q_.size() + bound2q_.size();
   }
 
-  /// Rebuild only the parameter-dependent stream matrices into `ws`.
-  void bind(std::span<const double> params, Workspace& ws) const;
-  /// bind() + evolve |0...0> through the stream; returns ws's register.
-  /// Bit-identical to StatevectorSimulator::run_biased.
-  Statevector& run(std::span<const double> params, Workspace& ws) const;
-  /// survival() * <Z_qubit> of run(); bit-identical to
-  /// StatevectorSimulator::expectation_z.
+  /// survival() * <Z_qubit> for one binding: expectation_z_batched at
+  /// batch 1, bit-identical to StatevectorSimulator::expectation_z.
+  /// Throws std::invalid_argument when `params` is shorter than
+  /// num_params().
   double expectation_z(std::span<const double> params, int qubit,
                        Workspace& ws) const;
 
@@ -348,25 +413,26 @@ class ExecPlan {
   /// Every matrix is built by the calls the circuit adjoint makes, so it
   /// is bitwise that one.
   void bind_gates_batched(const double* params, std::size_t stride,
-                          std::size_t batch, BatchedWorkspace& ws) const;
+                          std::size_t batch, Workspace& ws) const;
 
   /// Sample-batched forward (batched.hpp / batched.cpp). `params` holds
   /// `batch` parameter bindings, sample b's at [b * stride, + num
-  /// params). bind_batched gives each column bind()'s fold bit for bit,
-  /// doing the parameter work once per block (each dynamic op's matrix
-  /// once per run of equal angles, the distinct columns' folds in
-  /// lockstep), so results are bit-identical across batch sizes; a slot
-  /// whose bound matrices coincide across the batch is flagged uniform
-  /// and run_batched streams it through the broadcast mini-GEMM kernel.
+  /// params). bind_batched gives each column, bit for bit, the fold
+  /// run_biased performs for its binding, doing the parameter work once
+  /// per block (each dynamic op's matrix once per run of equal angles,
+  /// the distinct columns' folds in lockstep), so results are
+  /// bit-identical across batch sizes; it classifies each bound matrix
+  /// once. A slot whose bound matrices coincide across the batch is
+  /// flagged uniform and run_batched streams it through the broadcast
+  /// mini-GEMM kernel. run_batched resolves the kernel arm once per call.
   void bind_batched(const double* params, std::size_t stride,
-                    std::size_t batch, BatchedWorkspace& ws) const;
+                    std::size_t batch, Workspace& ws) const;
   BatchedStatevector& run_batched(const double* params, std::size_t stride,
-                                  std::size_t batch,
-                                  BatchedWorkspace& ws) const;
+                                  std::size_t batch, Workspace& ws) const;
   /// out[b] = survival() * <Z_qubit> of column b.
   void expectation_z_batched(const double* params, std::size_t stride,
-                             std::size_t batch, int qubit,
-                             BatchedWorkspace& ws, double* out) const;
+                             std::size_t batch, int qubit, Workspace& ws,
+                             double* out) const;
 
   const std::vector<GateEntry>& gate_table() const noexcept { return table_; }
   /// Every noise site of the gate table, in gate order (gate, then q0
@@ -439,17 +505,15 @@ class ExecPlan {
   std::size_t depth_ = 0;
   std::size_t fused_gates_ = 0;
   std::uint64_t plan_id_ = 0;
-  std::size_t n_slot_dyn1q_ = 0;  ///< dynamic ops across bound1q tails
   int n_grad1q_ = 0;              ///< gradient terms on 1q gates
   int n_grad2q_ = 0;              ///< gradient terms on 2q gates
   int n_dyn1q_ = 0;
   int n_dyn2q_ = 0;
   int n_dyn_ = 0;
-  exec::ExecPolicy policy_{};
 
   std::vector<StreamOp> stream_;
   std::vector<circuit::Mat2> const1q_;  ///< fully static fused runs
-  std::vector<circuit::Mat4> const2q_;  ///< static 2q gates
+  std::vector<kernels::MatShape<2>> const1q_shape_;
   std::vector<Bound1qSlot> bound1q_;
   std::vector<Bound2qSlot> bound2q_;
 

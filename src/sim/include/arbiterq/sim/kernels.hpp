@@ -3,8 +3,8 @@
 //
 // Every statevector butterfly (1q/2q, diagonal and permutation fast
 // paths, the adjoint bracket reductions, and the sample-batched
-// register gates) funnels through the free functions below. Each call
-// selects one of three arms, cached after first use:
+// register gates) funnels through a KernelTable (below), one per arm;
+// kernel_table() returns the table of the arm the dispatch flags select:
 //
 //  * scalar    — portable reference loops, the exact arithmetic the
 //                simulator has always used. Always compiled.
@@ -47,19 +47,18 @@
 //
 // Shape dispatch: classify() sorts each gate matrix into diagonal, unit
 // permutation or dense, and every apply and bracket site branches on
-// its answer. Walks over a plan's gate table (the trajectory sampler,
-// both sweeps of the batched adjoint) classify once per plan or bind,
-// not once per application: ExecPlan stores each static entry's shape
-// when it is built and its gate-table binds each dynamic entry's when
-// they rebuild the matrix, and those walks pass the stored shape to the
-// kernel (RangeKernels below, the shaped BatchedStatevector overloads,
-// the diagonal flag of the batched adjoint steps). The
-// ad hoc sites (Statevector, the fused stream) still classify per
-// call. A unit permutation (CX, SWAP) moves amplitudes and does
-// no arithmetic. For finite amplitudes the dense kernel computes the
-// same values — 1·x plus exact ±0 terms — and can differ only in the
-// sign of an amplitude that is exactly zero, which compares equal and
-// cannot change any nonzero product or sum.
+// its answer. Walks over a plan (the batched forward, the trajectory
+// sampler, both sweeps of the batched adjoint) classify once per plan or
+// bind, not once per application: ExecPlan stores each static matrix's
+// shape when it is built and its binds store each bound matrix's when
+// they rebuild it, and those walks pass the stored shape to the kernel.
+// Only the reference engines (Statevector's applies and the unbatched
+// brackets of the circuit adjoint) classify per call. A unit permutation
+// (CX, SWAP) moves amplitudes and does no arithmetic. For finite
+// amplitudes the dense kernel computes the same values — 1·x plus exact
+// ±0 terms — and can differ only in the sign of an amplitude that is
+// exactly zero, which compares equal and cannot change any nonzero
+// product or sum.
 
 #include <array>
 #include <complex>
@@ -96,7 +95,8 @@ void set_strict_reproducibility(bool strict) noexcept;
 
 enum class KernelArch { kScalar, kAvx2, kAvx2Fma };
 
-/// The arm the next kernel call will take.
+/// The arm the dispatch flags select now (kernel_table() returns its
+/// table).
 KernelArch active_arch() noexcept;
 const char* arch_name(KernelArch arch) noexcept;
 
@@ -177,135 +177,135 @@ MatShape<K == 4 ? 2 : 4> classify(const std::array<Complex, K>& m) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Unbatched statevector kernels
+// Arch-independent kernels
+
+/// Unit-permutation 2q gate over groups [lo, hi) (group enumeration as
+/// KernelTable::apply_mat4_range): moves amplitudes, no arithmetic, so
+/// one function serves every arm. Runs of 1-4 groups (q_lo <= 2) swap
+/// in a fixed-length loop.
+void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
+                       std::size_t lo, std::size_t hi);
+/// The same gate on a sample-batched register (layout as the batched
+/// KernelTable entries): swaps `count`-wide row ranges.
+void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
+                         std::size_t count, const Perm4& src, int qb, int qa);
+
+// ---------------------------------------------------------------------------
+// Kernel table: every arm-dependent kernel of one arm
 //
-// The range kernels cover butterfly groups (or raw amplitude indices
-// for the diagonal forms) [lo, hi), matching the chunking of
+// kernel_table() reads the dispatch flags once and returns the table of
+// the arm in force. A walk over a plan (the batched forward, the batched
+// adjoint, the trajectory sampler) resolves it once per call and calls
+// the entries directly; the reference engines (Statevector, the circuit
+// adjoint) resolve it once per gate application. Either way a flag
+// change takes effect at the next call.
+//
+// Unbatched entries cover butterfly groups (or raw amplitude indices for
+// the diagonal forms) [lo, hi), matching the chunking of
 // exec::parallel_for: every chunk writes a disjoint index slice and
 // per-amplitude arithmetic is chunk-independent, so the thread-count
 // determinism contract is untouched.
-
-/// General 1q butterfly over groups [lo, hi); group p targets
-/// amplitude pair (insert_zero_bit(p, q), | 1<<q).
-void apply_mat2_range(Complex* amps, const Mat2& m, int q, std::size_t lo,
-                      std::size_t hi);
-/// General 2q butterfly over groups [lo, hi).
-void apply_mat4_range(Complex* amps, const Mat4& m, int qb, int qa,
-                      std::size_t lo, std::size_t hi);
-/// Diagonal fast path over amplitude indices [lo, hi): amplitude i is
-/// scaled by d[sel], sel = (i & bit_b ? 2 : 0) | (i & bit_a ? 1 : 0). A
-/// 1q diagonal passes bit_b = 0, d = {d0, d1}.
-void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
-                      std::size_t bit_a, std::size_t lo, std::size_t hi);
-
-/// Unit-permutation 2q gate over groups [lo, hi): moves amplitudes,
-/// no arithmetic, so one arch-independent function serves every arm.
-/// Runs of 1-4 groups (q_lo <= 2) swap in a fixed-length loop.
-void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
-                       std::size_t lo, std::size_t hi);
-
-/// The arm's apply_mat2_range / apply_mat4_range / apply_diag_range,
-/// resolved once for walks that apply many small gates back to back
-/// (the trajectory sampler) and would otherwise re-read the dispatch
-/// flags on every gate. Each pointer is the function the matching entry
-/// above calls under the flags in force when range_kernels() ran.
-struct RangeKernels {
-  void (*mat2)(Complex* amps, const Mat2& m, int q, std::size_t lo,
-               std::size_t hi);
-  void (*mat4)(Complex* amps, const Mat4& m, int qb, int qa, std::size_t lo,
-               std::size_t hi);
-  void (*diag)(Complex* amps, const Complex* d, std::size_t bit_b,
-               std::size_t bit_a, std::size_t lo, std::size_t hi);
-};
-RangeKernels range_kernels() noexcept;
-
-/// <lambda| M |psi> accumulated in amplitude-index order, including the
-/// diagonal dispatch of apply_mat2 (see adjoint.cpp for the contract).
-/// A permutation M takes the dense reduction: the values agree.
-Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
-                   const Mat2& m, int q);
-Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
-                   const Mat4& m, int qb, int qa);
-
-
-// ---------------------------------------------------------------------------
-// Sample-batched register gates
 //
-// A batched register stores one row of amplitudes per basis index,
-// one column per sample (structure of arrays): row i starts at
-// amps + i * stride. One call applies one gate to columns [0, count)
-// of every row (count may be below stride — a run of columns).
-// The arm is resolved once per gate and the row loop runs inside the
-// arm, so at QNN register sizes (a handful of rows per gate) dispatch
-// is not paid per row, and neither are coefficient broadcasts: a shared
-// matrix is splatted once per gate, per-column matrices once per block
-// of columns, and an odd last column runs in a 128-bit lane. A
-// full-width walk (count == stride) with a power-of-two stride has no
-// rows at all: it is the unbatched kernel on a register of
-// log2(stride) more qubits. Per-column arithmetic is identical to the
-// unbatched kernels, so under strict reproducibility a batched walk is
-// bit-identical to evaluating samples one at a time.
-
-/// General 1q butterfly on qubit q, one matrix for every column.
-void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Mat2& m, int q);
-/// mats[b] applies to column b.
-void batched_apply_mat2_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Mat2* mats, int q);
-/// General 2q butterfly on (qb, qa), one matrix for every column.
-void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Mat4& m, int qb, int qa);
-void batched_apply_mat4_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Mat4* mats, int qb, int qa);
-/// Unit-permutation 2q gate: swaps `count`-wide row ranges.
-void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
-                         std::size_t count, const Perm4& src, int qb, int qa);
-/// Diagonal gate: row i is scaled by d[sel], sel = (i & bit_b ? 2 : 0)
-/// | (i & bit_a ? 1 : 0). A 1q diagonal passes bit_b = 0, d = {d0, d1}.
-void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Complex* d,
-                        std::size_t bit_b, std::size_t bit_a);
-/// Per-column diagonal: ds[sel][b] scales column b of row i.
-void batched_apply_diag_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Complex* const* ds, std::size_t bit_b,
-                             std::size_t bit_a);
-
-// ---------------------------------------------------------------------------
-// Sample-batched adjoint steps
+// Batched entries act on a register that stores one row of amplitudes
+// per basis index, one column per sample (structure of arrays): row i
+// starts at amps + i * stride, and one call applies one gate to columns
+// [0, count) of every row (count may be below stride — a run of
+// columns). The row loop runs inside the arm, so at QNN register sizes
+// (a handful of rows per gate) nothing is paid per row, and neither are
+// coefficient broadcasts: a shared matrix is splatted once per gate,
+// per-column matrices once per block of columns, and an odd last column
+// runs in a 128-bit lane. A full-width walk (count == stride) with a
+// power-of-two stride has no rows at all: the shared-matrix entries run
+// it as the arm's unbatched kernel on a register of log2(stride) more
+// qubits. Per-column arithmetic is identical to the unbatched entries,
+// so on every arm a batched walk is bit-identical to evaluating samples
+// one at a time.
 //
-// The batched adjoint's reverse sweep walks psi and lambda as two batched
-// registers of the same shape. Column b's matrix is mats[b * step] (step
-// 0: one matrix for every column), and every column of one call shares
+// The batched adjoint steps walk psi and lambda as two batched registers
+// of the same shape. Column b's matrix is mats[b * step] (step 0: one
+// matrix for every column), and every column of one call shares
 // `diagonal`, classify()'s diagonal answer for its matrix. out[b] is,
-// bit for bit on every arm, what the unbatched bracket_1q / bracket_2q
-// return for column b alone: the strict arms sum
-// each column in amplitude-index order, and the FMA arm sums each
-// column's even and odd amplitude indices apart and adds the two last,
-// as its lane accumulators do. Rows run in index order, columns inside,
-// so the serial sums of a block's columns proceed side by side.
+// bit for bit on every arm, what the unbatched brackets return for
+// column b alone: the strict arms sum each column in amplitude-index
+// order, and the FMA arm sums each column's even and odd amplitude
+// indices apart and adds the two last, as its lane accumulators do. Rows
+// run in index order, columns inside, so the serial sums of a block's
+// columns proceed side by side.
+struct KernelTable {
+  /// General 1q butterfly over groups [lo, hi); group p targets
+  /// amplitude pair (insert_zero_bit(p, q), | 1<<q).
+  void (*apply_mat2_range)(Complex* amps, const Mat2& m, int q,
+                           std::size_t lo, std::size_t hi);
+  /// General 2q butterfly over groups [lo, hi).
+  void (*apply_mat4_range)(Complex* amps, const Mat4& m, int qb, int qa,
+                           std::size_t lo, std::size_t hi);
+  /// Diagonal fast path over amplitude indices [lo, hi): amplitude i is
+  /// scaled by d[sel], sel = (i & bit_b ? 2 : 0) | (i & bit_a ? 1 : 0).
+  /// A 1q diagonal passes bit_b = 0, d = {d0, d1}.
+  void (*apply_diag_range)(Complex* amps, const Complex* d, std::size_t bit_b,
+                           std::size_t bit_a, std::size_t lo, std::size_t hi);
+  /// <lambda| M |psi> accumulated in amplitude-index order, including
+  /// the diagonal dispatch of Statevector::apply_mat2 (see adjoint.cpp
+  /// for the contract). A permutation M takes the dense reduction: the
+  /// values agree.
+  Complex (*bracket_1q)(const Complex* lam, const Complex* psi, std::size_t n,
+                        const Mat2& m, int q);
+  Complex (*bracket_2q)(const Complex* lam, const Complex* psi, std::size_t n,
+                        const Mat4& m, int qb, int qa);
 
-/// out[b] = <lambda_b| M_b |psi_b>.
-void batched_bracket_1q(const Complex* lam, const Complex* psi,
-                        std::size_t dim, std::size_t stride, std::size_t count,
-                        const Mat2* mats, std::size_t step, bool diagonal,
-                        int q, Complex* out);
-void batched_bracket_2q(const Complex* lam, const Complex* psi,
-                        std::size_t dim, std::size_t stride, std::size_t count,
-                        const Mat4* mats, std::size_t step, bool diagonal,
-                        int qb, int qa, Complex* out);
-/// One reverse-sweep step of the adjoint for a diagonal 1q gate with one
-/// diagonal derivative (RZ), md[b * step] and dm[b * step] for column b:
-/// psi <- md psi, then out[b] = <lambda| dm |psi>, then lambda <- md
-/// lambda, in one walk over both registers. Per column bit-identical on
-/// every arm to apply_diag_range on psi, bracket_1q and apply_diag_range
-/// on lambda in that order; fused, the applies run in the slack of the
-/// serial bracket sums.
-void batched_adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t dim,
+  /// General 1q butterfly on qubit q, one matrix for every column.
+  void (*batched_apply_mat2)(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat2& m, int q);
+  /// mats[b] applies to column b.
+  void (*batched_apply_mat2_each)(Complex* amps, std::size_t dim,
                                   std::size_t stride, std::size_t count,
-                                  const Mat2* md, const Mat2* dm,
-                                  std::size_t step, int q, Complex* out);
+                                  const Mat2* mats, int q);
+  /// General 2q butterfly on (qb, qa), one matrix for every column.
+  void (*batched_apply_mat4)(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Mat4& m, int qb, int qa);
+  void (*batched_apply_mat4_each)(Complex* amps, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Mat4* mats, int qb, int qa);
+  /// Diagonal gate: row i is scaled by d[sel], sel = (i & bit_b ? 2 : 0)
+  /// | (i & bit_a ? 1 : 0). A 1q diagonal passes bit_b = 0, d = {d0, d1}.
+  void (*batched_apply_diag)(Complex* amps, std::size_t dim,
+                             std::size_t stride, std::size_t count,
+                             const Complex* d, std::size_t bit_b,
+                             std::size_t bit_a);
+  /// Per-column diagonal: ds[sel][b] scales column b of row i.
+  void (*batched_apply_diag_each)(Complex* amps, std::size_t dim,
+                                  std::size_t stride, std::size_t count,
+                                  const Complex* const* ds, std::size_t bit_b,
+                                  std::size_t bit_a);
+
+  /// out[b] = <lambda_b| M_b |psi_b>.
+  void (*batched_bracket_1q)(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat2* mats,
+                             std::size_t step, bool diagonal, int q,
+                             Complex* out);
+  void (*batched_bracket_2q)(const Complex* lam, const Complex* psi,
+                             std::size_t dim, std::size_t stride,
+                             std::size_t count, const Mat4* mats,
+                             std::size_t step, bool diagonal, int qb, int qa,
+                             Complex* out);
+  /// One reverse-sweep step of the adjoint for a diagonal 1q gate with
+  /// one diagonal derivative (RZ), md[b * step] and dm[b * step] for
+  /// column b: psi <- md psi, then out[b] = <lambda| dm |psi>, then
+  /// lambda <- md lambda, in one walk over both registers. Per column
+  /// bit-identical on every arm to apply_diag_range on psi, bracket_1q
+  /// and apply_diag_range on lambda in that order; fused, the applies
+  /// run in the slack of the serial bracket sums.
+  void (*batched_adjoint_step_diag_1q)(Complex* lam, Complex* psi,
+                                       std::size_t dim, std::size_t stride,
+                                       std::size_t count, const Mat2* md,
+                                       const Mat2* dm, std::size_t step, int q,
+                                       Complex* out);
+};
+
+/// The table of active_arch(): one read of the dispatch flags.
+const KernelTable& kernel_table() noexcept;
 
 }  // namespace arbiterq::sim::kernels

@@ -42,8 +42,9 @@ class StatevectorSimulator {
 
   const NoiseModel& noise() const noexcept { return noise_; }
 
-  /// Kernel-splitting policy stamped onto every Statevector this engine
-  /// evolves (default: serial). Large registers split their butterfly
+  /// Kernel-splitting policy stamped onto every Statevector the
+  /// circuit-walking engines below evolve (default: serial); plans and
+  /// their walks do not read it. Large registers split their butterfly
   /// passes across the shared pool; results stay bit-identical.
   void set_exec_policy(const exec::ExecPolicy& policy) noexcept {
     exec_ = policy;
@@ -70,18 +71,11 @@ class StatevectorSimulator {
                        std::span<const double> params, int qubit,
                        double survival) const;
 
-  /// Compile `c` against this engine's noise model and kernel policy.
-  /// The plan is bit-identical to run_biased/expectation_z and must be
-  /// rebuilt if the noise model changes (e.g. on recalibration).
+  /// Compile `c` against this engine's noise model. The plan is
+  /// bit-identical to run_biased/expectation_z and must be rebuilt if
+  /// the noise model changes (e.g. on recalibration).
   ExecPlan make_plan(const circuit::Circuit& c) const {
-    return ExecPlan(c, noise_, exec_);
-  }
-
-  /// Plan-based exact-mode expectation (zero allocations once `ws` is
-  /// warm). Bit-identical to the circuit-walking overload above.
-  double expectation_z(const ExecPlan& plan, std::span<const double> params,
-                       int qubit, Workspace& ws) const {
-    return plan.expectation_z(params, qubit, ws);
+    return ExecPlan(c, noise_);
   }
 
   /// Exact-mode probability of measuring `qubit` = 1.
@@ -126,11 +120,11 @@ class StatevectorSimulator {
   std::uint64_t sample_marginal_ones(const ExecPlan& plan,
                                      std::span<const double> params, int qubit,
                                      const ShotOptions& opts, math::Rng& rng,
-                                     BatchedWorkspace& ws) const;
+                                     Workspace& ws) const;
   double sampled_probability_of_one(const ExecPlan& plan,
                                     std::span<const double> params, int qubit,
                                     const ShotOptions& opts, math::Rng& rng,
-                                    BatchedWorkspace& ws) const;
+                                    Workspace& ws) const;
 
  private:
   void run_trajectory(const circuit::Circuit& c,

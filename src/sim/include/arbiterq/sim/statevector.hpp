@@ -42,8 +42,8 @@ class Statevector {
   int num_qubits() const noexcept { return num_qubits_; }
   std::size_t dim() const noexcept { return amps_.size(); }
   const AmpVector& amplitudes() const noexcept { return amps_; }
-  /// In-place access for kernels that update the register directly (the
-  /// adjoint's fused diagonal step).
+  /// In-place access to the dim() amplitudes, for callers that set or
+  /// update the register directly.
   Complex* data() noexcept { return amps_.data(); }
 
   /// Kernel-splitting policy for apply_mat2/apply_mat4 (default: serial).
@@ -56,12 +56,6 @@ class Statevector {
 
   /// Back to |0...0>.
   void reset();
-
-  /// Overwrite the register from a strided source: amps[i] =
-  /// src[i * stride]. The batched adjoint uses this to peel one sample
-  /// column out of a BatchedStatevector (src = row(0) + column,
-  /// stride = batch). The source must hold dim() strided elements.
-  void load_strided(const Complex* src, std::size_t stride);
 
   void apply_mat2(const circuit::Mat2& m, int q);
   /// qb is the bit matching the matrix's high index (gate.qubits[0]),

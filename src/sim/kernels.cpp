@@ -469,64 +469,7 @@ const char* arch_name(KernelArch arch) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatchers. The arch is re-read per call, which keeps the kill-switch
-// effective mid-process. The read is not free: three out-of-line flag
-// checks, against a kernel that at QNN register sizes may do only one
-// or two butterflies. Hot loops over a batched register therefore call
-// the register-level entries, which resolve the arm once per gate, and
-// every arm then splats its coefficients once per gate rather than per
-// run or row (kernels_avx2.cpp, "Setup-free walks"). A walk of many
-// small unbatched gates takes range_kernels() once and calls the arm's
-// functions directly.
-
-#if defined(ARBITERQ_SIMD_AVX2)
-#define AQ_DISPATCH(fn_avx2, fn_scalar, ...)          \
-  do {                                                \
-    switch (active_arch()) {                          \
-      case KernelArch::kAvx2:                         \
-        return detail::fn_avx2<false>(__VA_ARGS__);   \
-      case KernelArch::kAvx2Fma:                      \
-        return detail::fn_avx2<true>(__VA_ARGS__);    \
-      case KernelArch::kScalar:                       \
-        break;                                        \
-    }                                                 \
-    return fn_scalar(__VA_ARGS__);                    \
-  } while (0)
-#else
-#define AQ_DISPATCH(fn_avx2, fn_scalar, ...) return fn_scalar(__VA_ARGS__)
-#endif
-
-void apply_mat2_range(Complex* amps, const Mat2& m, int q, std::size_t lo,
-                      std::size_t hi) {
-  AQ_DISPATCH(mat2_range_avx2, mat2_range_scalar, amps, m, q, lo, hi);
-}
-
-void apply_mat4_range(Complex* amps, const Mat4& m, int qb, int qa,
-                      std::size_t lo, std::size_t hi) {
-  AQ_DISPATCH(mat4_range_avx2, mat4_range_scalar, amps, m, qb, qa, lo, hi);
-}
-
-void apply_diag_range(Complex* amps, const Complex* d, std::size_t bit_b,
-                      std::size_t bit_a, std::size_t lo, std::size_t hi) {
-  AQ_DISPATCH(diag_range_avx2, diag_range_scalar, amps, d, bit_b, bit_a, lo,
-              hi);
-}
-
-RangeKernels range_kernels() noexcept {
-#if defined(ARBITERQ_SIMD_AVX2)
-  switch (active_arch()) {
-    case KernelArch::kAvx2:
-      return {&detail::mat2_range_avx2<false>, &detail::mat4_range_avx2<false>,
-              &detail::diag_range_avx2<false>};
-    case KernelArch::kAvx2Fma:
-      return {&detail::mat2_range_avx2<true>, &detail::mat4_range_avx2<true>,
-              &detail::diag_range_avx2<true>};
-    case KernelArch::kScalar:
-      break;
-  }
-#endif
-  return {&mat2_range_scalar, &mat4_range_scalar, &diag_range_scalar};
-}
+// Arch-independent kernels
 
 void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
                        std::size_t lo, std::size_t hi) {
@@ -574,53 +517,6 @@ void apply_perm4_range(Complex* amps, const Perm4& src, int qb, int qa,
   swap_by_run(body_hi, hi);
 }
 
-// Brackets are reductions: every strict arm accumulates in amplitude-
-// index order into one [re, im] pair, so the AVX2 arm is bit-identical
-// to scalar; the FMA arm reassociates into lane accumulators. The AVX2
-// walk unrolls the selector period of qubits 1-3 without changing that
-// order.
-Complex bracket_1q(const Complex* lam, const Complex* psi, std::size_t n,
-                   const Mat2& m, int q) {
-  AQ_DISPATCH(bracket_1q_avx2, bracket_1q_scalar, lam, psi, n, m, q);
-}
-
-Complex bracket_2q(const Complex* lam, const Complex* psi, std::size_t n,
-                   const Mat4& m, int qb, int qa) {
-  AQ_DISPATCH(bracket_2q_avx2, bracket_2q_scalar, lam, psi, n, m, qb, qa);
-}
-
-void batched_apply_mat2(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Mat2& m, int q) {
-  if (const int s = flat_shift(stride, count); s >= 0) {
-    return apply_mat2_range(amps, m, q + s, 0, (dim * stride) >> 1);
-  }
-  AQ_DISPATCH(batched_apply_mat2_avx2, batched_apply_mat2_scalar, amps, dim,
-              stride, count, m, q);
-}
-
-void batched_apply_mat2_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Mat2* mats, int q) {
-  AQ_DISPATCH(batched_apply_mat2_each_avx2, batched_apply_mat2_each_scalar,
-              amps, dim, stride, count, mats, q);
-}
-
-void batched_apply_mat4(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Mat4& m, int qb, int qa) {
-  if (const int s = flat_shift(stride, count); s >= 0) {
-    return apply_mat4_range(amps, m, qb + s, qa + s, 0, (dim * stride) >> 2);
-  }
-  AQ_DISPATCH(batched_apply_mat4_avx2, batched_apply_mat4_scalar, amps, dim,
-              stride, count, m, qb, qa);
-}
-
-void batched_apply_mat4_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Mat4* mats, int qb, int qa) {
-  AQ_DISPATCH(batched_apply_mat4_each_avx2, batched_apply_mat4_each_scalar,
-              amps, dim, stride, count, mats, qb, qa);
-}
-
 void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
                          std::size_t count, const Perm4& src, int qb, int qa) {
   if (const int s = flat_shift(stride, count); s >= 0) {
@@ -638,49 +534,103 @@ void batched_apply_perm4(Complex* amps, std::size_t dim, std::size_t stride,
       });
 }
 
-void batched_apply_diag(Complex* amps, std::size_t dim, std::size_t stride,
-                        std::size_t count, const Complex* d,
-                        std::size_t bit_b, std::size_t bit_a) {
+// ---------------------------------------------------------------------------
+// Kernel tables. The shared-matrix batched entries take the full-width
+// walk (flat_shift) on their arm's range kernel, else the arm's row
+// walk. Brackets are reductions: every strict arm accumulates in
+// amplitude-index order into one [re, im] pair, so the AVX2 arm is
+// bit-identical to scalar; the FMA arm reassociates into lane
+// accumulators. The AVX2 walks unroll the selector period of qubits 1-3
+// without changing that order.
+
+namespace {
+
+template <auto Range, auto Rows>
+void flat_mat2(Complex* amps, std::size_t dim, std::size_t stride,
+               std::size_t count, const Mat2& m, int q) {
   if (const int s = flat_shift(stride, count); s >= 0) {
-    return apply_diag_range(amps, d, bit_b << s, bit_a << s, 0, dim * stride);
+    return Range(amps, m, q + s, 0, (dim * stride) >> 1);
   }
-  AQ_DISPATCH(batched_apply_diag_avx2, batched_apply_diag_scalar, amps, dim,
-              stride, count, d, bit_b, bit_a);
+  Rows(amps, dim, stride, count, m, q);
 }
 
-void batched_apply_diag_each(Complex* amps, std::size_t dim,
-                             std::size_t stride, std::size_t count,
-                             const Complex* const* ds, std::size_t bit_b,
-                             std::size_t bit_a) {
-  AQ_DISPATCH(batched_apply_diag_each_avx2, batched_apply_diag_each_scalar,
-              amps, dim, stride, count, ds, bit_b, bit_a);
+template <auto Range, auto Rows>
+void flat_mat4(Complex* amps, std::size_t dim, std::size_t stride,
+               std::size_t count, const Mat4& m, int qb, int qa) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return Range(amps, m, qb + s, qa + s, 0, (dim * stride) >> 2);
+  }
+  Rows(amps, dim, stride, count, m, qb, qa);
 }
 
-void batched_bracket_1q(const Complex* lam, const Complex* psi,
-                        std::size_t dim, std::size_t stride, std::size_t count,
-                        const Mat2* mats, std::size_t step, bool diagonal,
-                        int q, Complex* out) {
-  AQ_DISPATCH(batched_bracket_1q_avx2, batched_bracket_1q_scalar, lam, psi,
-              dim, stride, count, mats, step, diagonal, q, out);
+template <auto Range, auto Rows>
+void flat_diag(Complex* amps, std::size_t dim, std::size_t stride,
+               std::size_t count, const Complex* d, std::size_t bit_b,
+               std::size_t bit_a) {
+  if (const int s = flat_shift(stride, count); s >= 0) {
+    return Range(amps, d, bit_b << s, bit_a << s, 0, dim * stride);
+  }
+  Rows(amps, dim, stride, count, d, bit_b, bit_a);
 }
 
-void batched_bracket_2q(const Complex* lam, const Complex* psi,
-                        std::size_t dim, std::size_t stride, std::size_t count,
-                        const Mat4* mats, std::size_t step, bool diagonal,
-                        int qb, int qa, Complex* out) {
-  AQ_DISPATCH(batched_bracket_2q_avx2, batched_bracket_2q_scalar, lam, psi,
-              dim, stride, count, mats, step, diagonal, qb, qa, out);
-}
+constexpr KernelTable kScalarTable = {
+    .apply_mat2_range = &mat2_range_scalar,
+    .apply_mat4_range = &mat4_range_scalar,
+    .apply_diag_range = &diag_range_scalar,
+    .bracket_1q = &bracket_1q_scalar,
+    .bracket_2q = &bracket_2q_scalar,
+    .batched_apply_mat2 =
+        &flat_mat2<&mat2_range_scalar, &batched_apply_mat2_scalar>,
+    .batched_apply_mat2_each = &batched_apply_mat2_each_scalar,
+    .batched_apply_mat4 =
+        &flat_mat4<&mat4_range_scalar, &batched_apply_mat4_scalar>,
+    .batched_apply_mat4_each = &batched_apply_mat4_each_scalar,
+    .batched_apply_diag =
+        &flat_diag<&diag_range_scalar, &batched_apply_diag_scalar>,
+    .batched_apply_diag_each = &batched_apply_diag_each_scalar,
+    .batched_bracket_1q = &batched_bracket_1q_scalar,
+    .batched_bracket_2q = &batched_bracket_2q_scalar,
+    .batched_adjoint_step_diag_1q = &batched_adjoint_step_diag_1q_scalar,
+};
 
-void batched_adjoint_step_diag_1q(Complex* lam, Complex* psi, std::size_t dim,
-                                  std::size_t stride, std::size_t count,
-                                  const Mat2* md, const Mat2* dm,
-                                  std::size_t step, int q, Complex* out) {
-  AQ_DISPATCH(batched_adjoint_step_diag_1q_avx2,
-              batched_adjoint_step_diag_1q_scalar, lam, psi, dim, stride,
-              count, md, dm, step, q, out);
-}
+#if defined(ARBITERQ_SIMD_AVX2)
+template <bool Fma>
+constexpr KernelTable kAvx2Table = {
+    .apply_mat2_range = &detail::mat2_range_avx2<Fma>,
+    .apply_mat4_range = &detail::mat4_range_avx2<Fma>,
+    .apply_diag_range = &detail::diag_range_avx2<Fma>,
+    .bracket_1q = &detail::bracket_1q_avx2<Fma>,
+    .bracket_2q = &detail::bracket_2q_avx2<Fma>,
+    .batched_apply_mat2 = &flat_mat2<&detail::mat2_range_avx2<Fma>,
+                                     &detail::batched_apply_mat2_avx2<Fma>>,
+    .batched_apply_mat2_each = &detail::batched_apply_mat2_each_avx2<Fma>,
+    .batched_apply_mat4 = &flat_mat4<&detail::mat4_range_avx2<Fma>,
+                                     &detail::batched_apply_mat4_avx2<Fma>>,
+    .batched_apply_mat4_each = &detail::batched_apply_mat4_each_avx2<Fma>,
+    .batched_apply_diag = &flat_diag<&detail::diag_range_avx2<Fma>,
+                                     &detail::batched_apply_diag_avx2<Fma>>,
+    .batched_apply_diag_each = &detail::batched_apply_diag_each_avx2<Fma>,
+    .batched_bracket_1q = &detail::batched_bracket_1q_avx2<Fma>,
+    .batched_bracket_2q = &detail::batched_bracket_2q_avx2<Fma>,
+    .batched_adjoint_step_diag_1q =
+        &detail::batched_adjoint_step_diag_1q_avx2<Fma>,
+};
+#endif
 
-#undef AQ_DISPATCH
+}  // namespace
+
+const KernelTable& kernel_table() noexcept {
+#if defined(ARBITERQ_SIMD_AVX2)
+  switch (active_arch()) {
+    case KernelArch::kAvx2:
+      return kAvx2Table<false>;
+    case KernelArch::kAvx2Fma:
+      return kAvx2Table<true>;
+    case KernelArch::kScalar:
+      break;
+  }
+#endif
+  return kScalarTable;
+}
 
 }  // namespace arbiterq::sim::kernels

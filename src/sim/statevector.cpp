@@ -44,27 +44,24 @@ void Statevector::reset() {
   amps_[0] = 1.0;
 }
 
-void Statevector::load_strided(const Complex* src, std::size_t stride) {
-  const std::size_t n = amps_.size();
-  for (std::size_t i = 0; i < n; ++i) amps_[i] = src[i * stride];
-}
-
 void Statevector::apply_mat2(const circuit::Mat2& m, int q) {
   AQ_COUNTER_ADD("sim.apply.gate1q", 1);
   const std::size_t n = amps_.size();
   Complex* const amps = amps_.data();
+  // The arm in force now; each application resolves it afresh.
+  const kernels::KernelTable& k = kernels::kernel_table();
   // Diagonal fast path (RZ/S/Z...): pure per-amplitude phases, no
   // butterfly — these dominate basis-gate streams after transpilation.
   if (kernels::classify(m).shape == kernels::Shape::kDiagonal) {
     const Complex d[2] = {m[0], m[3]};
     const std::size_t bit = std::size_t{1} << q;
-    dispatch(n, [=](std::size_t lo, std::size_t hi) {
-      kernels::apply_diag_range(amps, d, 0, bit, lo, hi);
+    dispatch(n, [=, &k](std::size_t lo, std::size_t hi) {
+      k.apply_diag_range(amps, d, 0, bit, lo, hi);
     });
     return;
   }
-  dispatch(n >> 1, [=, &m](std::size_t lo, std::size_t hi) {
-    kernels::apply_mat2_range(amps, m, q, lo, hi);
+  dispatch(n >> 1, [=, &k, &m](std::size_t lo, std::size_t hi) {
+    k.apply_mat2_range(amps, m, q, lo, hi);
   });
 }
 
@@ -72,6 +69,7 @@ void Statevector::apply_mat4(const circuit::Mat4& m, int qb, int qa) {
   AQ_COUNTER_ADD("sim.apply.gate2q", 1);
   const std::size_t n = amps_.size();
   Complex* const amps = amps_.data();
+  const kernels::KernelTable& k = kernels::kernel_table();
   const auto shape = kernels::classify(m);
   // Diagonal fast path (CZ/CRZ/CPhase): one multiply per amplitude,
   // selected by the two qubit bits — no butterfly gathering at all.
@@ -79,8 +77,8 @@ void Statevector::apply_mat4(const circuit::Mat4& m, int qb, int qa) {
     const Complex d[4] = {m[0], m[5], m[10], m[15]};
     const std::size_t bit_b = std::size_t{1} << qb;
     const std::size_t bit_a = std::size_t{1} << qa;
-    dispatch(n, [=](std::size_t lo, std::size_t hi) {
-      kernels::apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
+    dispatch(n, [=, &k](std::size_t lo, std::size_t hi) {
+      k.apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
     });
     return;
   }
@@ -91,8 +89,8 @@ void Statevector::apply_mat4(const circuit::Mat4& m, int qb, int qa) {
     });
     return;
   }
-  dispatch(n >> 2, [=, &m](std::size_t lo, std::size_t hi) {
-    kernels::apply_mat4_range(amps, m, qb, qa, lo, hi);
+  dispatch(n >> 2, [=, &k, &m](std::size_t lo, std::size_t hi) {
+    k.apply_mat4_range(amps, m, qb, qa, lo, hi);
   });
 }
 

@@ -1,5 +1,5 @@
 // Sample-batched forward equivalence: BatchedStatevector column
-// evolution vs the unbatched plan path (bitwise under the default
+// evolution vs the naive engine's run_biased (bitwise under the default
 // strict-reproducibility arm, for batch sizes 1 / 2 / odd / wider than
 // kBatchBlock), the batched adjoint vs the circuit adjoint, and the
 // plan-based trajectory-batched sampler (same-seed determinism,
@@ -104,8 +104,7 @@ TEST_P(BatchedPlan, RunMatchesUnbatchedPerColumnBitwise) {
   const StatevectorSimulator sim = make_sim();
   const ExecPlan plan = sim.make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
-  Workspace ws;
-  BatchedWorkspace bws;
+  Workspace bws;
   math::Rng rng(21);
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{40}}) {
@@ -119,12 +118,12 @@ TEST_P(BatchedPlan, RunMatchesUnbatchedPerColumnBitwise) {
                                  zs.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
-        const Statevector& ref = plan.run(col, ws);
+        const Statevector ref = sim.run_biased(c, col);
         for (std::size_t i = 0; i < ref.dim(); ++i) {
           EXPECT_EQ(st.row(i)[b], ref.amplitudes()[i])
               << "batch " << batch << " col " << b << " amp " << i;
         }
-        EXPECT_EQ(zs[b], plan.expectation_z(col, 1, ws))
+        EXPECT_EQ(zs[b], sim.expectation_z(c, col, 1))
             << "batch " << batch << " col " << b;
       }
     }
@@ -138,7 +137,7 @@ TEST_P(BatchedPlan, ColumnsInvariantAcrossBatchSizes) {
   const StatevectorSimulator sim = make_sim();
   const ExecPlan plan = sim.make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
-  BatchedWorkspace bws;
+  Workspace bws;
   math::Rng rng(22);
   const auto params = batch_params(c.num_params(), 40, rng);
   std::vector<double> wide(40);
@@ -165,7 +164,7 @@ TEST_P(BatchedPlan, AdjointGradientMatchesCircuitAdjointBitwise) {
   const NoiseModel* noise_ptr = GetParam() ? &noise : nullptr;
   const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
-  BatchedWorkspace bws;
+  Workspace bws;
   math::Rng rng(23);
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{3}, std::size_t{40}}) {
@@ -268,34 +267,44 @@ class BlockWalks : public ::testing::TestWithParam<bool> {
 };
 
 TEST_P(BlockWalks, BindBatchedMatchesBindPerColumn) {
+  // Each column of a width-w bind equals the width-1 bind of its own
+  // binding (which the naive engine covers end to end: BatchedPlan and
+  // ExecPlan.*BitIdentical*), matrix and classified shape alike.
   const Circuit c = walk_circuit();
   const NoiseModel noise = rich_noise(2);
   for (const bool noisy : {true, false}) {
     const ExecPlan plan =
         StatevectorSimulator(noisy ? noise : NoiseModel{}).make_plan(c);
     const auto np = static_cast<std::size_t>(c.num_params());
-    BatchedWorkspace bws;
+    Workspace bws;
+    Workspace ws;
     for (const std::size_t width : kWidths) {
       for (const Block kind : kBlocks) {
         const auto params = block(np, width, kind, noise);
         plan.bind_batched(params.data(), np, width, bws);
         for (std::size_t b = 0; b < width; ++b) {
-          Workspace ws;
-          plan.bind(std::span<const double>(params.data() + b * np, np), ws);
-          ASSERT_EQ(bws.bound1q_cols.size(), ws.bound1q.size() * width);
-          for (std::size_t i = 0; i < ws.bound1q.size(); ++i) {
-            EXPECT_EQ(bws.bound1q_cols[i * width + b], ws.bound1q[i])
+          plan.bind_batched(params.data() + b * np, np, 1, ws);
+          ASSERT_EQ(bws.bound1q_cols.size(), ws.bound1q_cols.size() * width);
+          for (std::size_t i = 0; i < ws.bound1q_cols.size(); ++i) {
+            const std::size_t at = i * width + b;
+            EXPECT_EQ(bws.bound1q_cols[at], ws.bound1q_cols[i])
                 << "noisy " << noisy << " width " << width << " block "
                 << static_cast<int>(kind) << " col " << b << " slot " << i;
+            EXPECT_EQ(bws.bound1q_shapes[at], ws.bound1q_shapes[i]);
+            EXPECT_EQ(bws.bound1q_shapes[at],
+                      kernels::classify(bws.bound1q_cols[at]));
             if (bws.uniform1q[i] != 0) {
-              EXPECT_EQ(bws.bound1q_cols[i * width + b],
-                        bws.bound1q_cols[i * width]);
+              EXPECT_EQ(bws.bound1q_cols[at], bws.bound1q_cols[i * width]);
             }
           }
-          for (std::size_t i = 0; i < ws.bound2q.size(); ++i) {
-            EXPECT_EQ(bws.bound2q_cols[i * width + b], ws.bound2q[i])
+          for (std::size_t i = 0; i < ws.bound2q_cols.size(); ++i) {
+            const std::size_t at = i * width + b;
+            EXPECT_EQ(bws.bound2q_cols[at], ws.bound2q_cols[i])
                 << "noisy " << noisy << " width " << width << " col " << b
                 << " 2q slot " << i;
+            EXPECT_EQ(bws.bound2q_shapes[at], ws.bound2q_shapes[i]);
+            EXPECT_EQ(bws.bound2q_shapes[at],
+                      kernels::classify(bws.bound2q_cols[at]));
           }
         }
         if (kind == Block::kEqual) {
@@ -316,7 +325,7 @@ TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
     const NoiseModel noise = rich_noise(c.num_qubits());
     const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
     const auto np = static_cast<std::size_t>(c.num_params());
-    BatchedWorkspace bws;
+    Workspace bws;
     for (const std::size_t width : kWidths) {
       for (const Block kind : kBlocks) {
         const auto params = block(np, width, kind, noise);
@@ -350,7 +359,8 @@ INSTANTIATE_TEST_SUITE_P(Arms, BlockWalks, ::testing::Values(true, false),
 TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   BatchedStatevector st;
   st.configure(2, 3);
-  st.apply_mat2_all(circuit::gate_matrix_1q(GateKind::kH, {}), 0);
+  const circuit::Mat2 h = circuit::gate_matrix_1q(GateKind::kH, {});
+  st.apply_mat2_all(kernels::kernel_table(), h, kernels::classify(h), 0);
   st.configure(2, 3);
   for (std::size_t i = 0; i < st.dim(); ++i) {
     for (std::size_t b = 0; b < st.batch(); ++b) {
@@ -359,7 +369,6 @@ TEST(BatchedStatevectorTest, ConfigureResetsAllColumns) {
   }
   EXPECT_THROW(st.configure(0, 3), std::invalid_argument);
   EXPECT_THROW(st.configure(2, 0), std::invalid_argument);
-  EXPECT_THROW(st.apply_pauli_col(0, 0, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -414,8 +423,8 @@ std::vector<int> scan_schedule(const std::vector<double>& error,
 /// Test-only reference for the plan sampler: replays the same pre-drawn
 /// schedule (sites from the gate table, scan_schedule per trajectory,
 /// the remaining / (n - t) shot allotment, one or two uniforms per
-/// shot), then walks every trajectory through its own one-column
-/// register with its Paulis applied in place — no trunk, no branches.
+/// shot), then walks every trajectory through its own Statevector with
+/// its Paulis applied in place — no trunk, no branches.
 ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
                                        const NoiseModel& noise,
                                        std::span<const double> params,
@@ -463,30 +472,29 @@ ReferenceDraws reference_marginal_ones(const ExecPlan& plan,
   Workspace gates;
   plan.bind_gates_forward(params, gates);
   ReferenceDraws out;
-  BatchedStatevector st;
+  Statevector sv(plan.num_qubits());
   std::size_t si = 0;
   for (std::size_t t = 0; t < n_traj; ++t) {
     bool hit = false;
-    st.configure(plan.num_qubits(), 1);
+    sv.reset();
     std::size_t s = 0;
     for (std::size_t k = 0; k < table.size(); ++k) {
       const GateEntry& e = table[k];
       if (e.arity == 1) {
-        st.apply_mat2_all(plan.mat2(e, gates), e.q0);
+        sv.apply_mat2(plan.mat2(e, gates), e.q0);
       } else {
-        st.apply_mat4_all(plan.mat4(e, gates), e.q0, e.q1);
+        sv.apply_mat4(plan.mat4(e, gates), e.q0, e.q1);
       }
       for (; s < sites.size() && sites[s].gate == k; ++s) {
         if (pauli[t][s] == 0) continue;
         if (!hit && s == 0) ++out.hit_at_site0;
         if (!hit) out.first_fork_gate = std::min(out.first_fork_gate, k);
         hit = true;
-        st.apply_pauli_col(pauli[t][s], sites[s].qubit, 0);
+        sv.apply_pauli(pauli[t][s], sites[s].qubit);
       }
     }
     if (!hit) ++out.silent;
-    double p1 = 0.0;
-    st.probability_of_one_all(qubit, &p1);
+    const double p1 = sv.probability_of_one(qubit);
     for (int k = 0; k < shots_of[t]; ++k, ++si) {
       bool one = u_out[si] < p1;
       if (flips && u_flip[si] < (one ? p10 : p01)) one = !one;
@@ -521,7 +529,7 @@ TEST(BatchedSampler, MatchesOneColumnPerTrajectoryReplayBitwise) {
   for (const Setting& setting : settings) {
     const StatevectorSimulator sim(setting.noise);
     const ExecPlan plan = sim.make_plan(c);
-    BatchedWorkspace ws;
+    Workspace ws;
     std::size_t silent = 0;
     std::size_t hit_at_site0 = 0;
     for (const int n_traj : {1, 2, 16, 31, 32, 33, 50}) {
@@ -580,7 +588,7 @@ class SamplerWalk : public ::testing::TestWithParam<bool> {
     for (double& v : params) v = prng.uniform(-1.5, 1.5);
     const StatevectorSimulator sim(noise);
     const ExecPlan plan = sim.make_plan(c);
-    BatchedWorkspace ws;
+    Workspace ws;
     ReferenceDraws total;
     for (const int n_traj : trajectories) {
       for (const int qubit : {0, c.num_qubits() - 1}) {
@@ -843,7 +851,7 @@ TEST(SurvivalTable, PlansWithoutNoiseSitesTakeNoDraws) {
     EXPECT_TRUE(fired.empty());
     EXPECT_EQ(a.next_u64(), b.next_u64());
 
-    BatchedWorkspace ws;
+    Workspace ws;
     ShotOptions opts;
     opts.shots = 100;
     opts.trajectories = 16;
@@ -862,8 +870,8 @@ TEST(BatchedSampler, DeterministicGivenRngState) {
   for (double& v : params) v = prng.uniform(-1.5, 1.5);
   const StatevectorSimulator sim(rich_noise(3));
   const ExecPlan plan = sim.make_plan(c);
-  BatchedWorkspace wsa;
-  BatchedWorkspace wsb;
+  Workspace wsa;
+  Workspace wsb;
   ShotOptions opts;
   opts.shots = 500;
   // More trajectories than one kBatchBlock, and not a multiple of it.
@@ -885,7 +893,7 @@ TEST(BatchedSampler, NoiselessMatchesCircuitWalkingSamplerBitwise) {
   for (double& v : params) v = prng.uniform(-1.5, 1.5);
   const StatevectorSimulator sim;
   const ExecPlan plan = sim.make_plan(c);
-  BatchedWorkspace ws;
+  Workspace ws;
   ShotOptions opts;
   opts.shots = 400;
   opts.trajectories = 40;  // spills past one kBatchBlock
@@ -902,7 +910,7 @@ TEST(BatchedSampler, NoisyAgreesStatisticallyWithCircuitWalkingSampler) {
   for (double& v : params) v = prng.uniform(-1.5, 1.5);
   const StatevectorSimulator sim(rich_noise(3));
   const ExecPlan plan = sim.make_plan(c);
-  BatchedWorkspace ws;
+  Workspace ws;
   ShotOptions opts;
   opts.shots = 20000;
   opts.trajectories = 64;
@@ -921,7 +929,7 @@ TEST(BatchedSampler, InvalidOptionsThrow) {
   const Circuit c = full_gate_circuit();
   const StatevectorSimulator sim;
   const ExecPlan plan = sim.make_plan(c);
-  BatchedWorkspace ws;
+  Workspace ws;
   const std::vector<double> params(
       static_cast<std::size_t>(c.num_params()), 0.1);
   math::Rng rng(1);
@@ -929,23 +937,6 @@ TEST(BatchedSampler, InvalidOptionsThrow) {
   opts.shots = 0;
   EXPECT_THROW(sim.sample_marginal_ones(plan, params, 0, opts, rng, ws),
                std::invalid_argument);
-}
-
-TEST(BatchedWorkspacePoolTest, RecyclesAndCopiesStartFresh) {
-  BatchedWorkspacePool pool;
-  BatchedWorkspace* first = nullptr;
-  {
-    auto lease = pool.acquire();
-    first = &*lease;
-    lease->params.assign(8, 1.0);
-  }
-  {
-    auto lease = pool.acquire();
-    EXPECT_EQ(&*lease, first);
-    EXPECT_EQ(lease->params.size(), 8U);
-  }
-  const BatchedWorkspacePool copy = pool;
-  (void)copy;
 }
 
 }  // namespace

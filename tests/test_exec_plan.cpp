@@ -1,9 +1,9 @@
-// Compiled execution plans: bit-identity against the naive per-call
-// path across the full gate set (noise on/off), the batched plan
-// adjoint (at batch 1 and wider) vs the circuit-walking adjoint,
-// marginal sampling, and the zero-allocation steady-state contract
-// (checked with a counting global operator new). The executor built on
-// these plans is checked against the reference engines in
+// Compiled execution plans: bit-identity of the batch-1 walk against the
+// naive per-call path across the full gate set (noise on/off), the
+// batched plan adjoint (at batch 1 and wider) vs the circuit-walking
+// adjoint, marginal sampling, and the zero-allocation steady-state
+// contract (checked with a counting global operator new). The executor
+// built on these plans is checked against the reference engines in
 // test_executor_reference.cpp.
 
 #include "arbiterq/sim/exec_plan.hpp"
@@ -19,7 +19,10 @@
 #include <new>
 #include <vector>
 
+#include "arbiterq/data/pipeline.hpp"
+#include "arbiterq/device/presets.hpp"
 #include "arbiterq/math/rng.hpp"
+#include "arbiterq/qnn/executor.hpp"
 #include "arbiterq/sim/adjoint.hpp"
 #include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/kernels.hpp"
@@ -139,7 +142,7 @@ std::vector<double> some_params(int np, math::Rng& rng) {
 /// one batch), one gradient per column.
 std::vector<std::vector<double>> batched_gradients(
     const ExecPlan& plan, const std::vector<std::vector<double>>& cols,
-    int qubit, BatchedWorkspace& ws) {
+    int qubit, Workspace& ws) {
   const auto np = static_cast<std::size_t>(plan.num_params());
   std::vector<double> packed;
   for (const auto& p : cols) packed.insert(packed.end(), p.begin(), p.end());
@@ -154,16 +157,20 @@ std::vector<std::vector<double>> batched_gradients(
   return out;
 }
 
+/// The plan's batch-1 walk against run_biased (the whole register) and
+/// expectation_z on every qubit, bitwise.
 void expect_plan_matches_naive(const StatevectorSimulator& sim,
                                const Circuit& c,
                                const std::vector<double>& params) {
   const Statevector naive = sim.run_biased(c, params);
   const ExecPlan plan = sim.make_plan(c);
   Workspace ws;
-  const Statevector& planned = plan.run(params, ws);
+  const BatchedStatevector& planned =
+      plan.run_batched(params.data(), params.size(), 1, ws);
   ASSERT_EQ(planned.dim(), naive.dim());
+  ASSERT_EQ(planned.batch(), 1U);
   for (std::size_t i = 0; i < naive.dim(); ++i) {
-    EXPECT_EQ(planned.amplitudes()[i], naive.amplitudes()[i]) << "amp " << i;
+    EXPECT_EQ(planned.row(i)[0], naive.amplitudes()[i]) << "amp " << i;
   }
   for (int q = 0; q < c.num_qubits(); ++q) {
     EXPECT_EQ(plan.expectation_z(params, q, ws),
@@ -234,11 +241,11 @@ TEST(ExecPlan, ParamsTooShortThrows) {
   const ExecPlan plan = StatevectorSimulator().make_plan(c);
   Workspace ws;
   const std::vector<double> short_params(2, 0.0);
-  EXPECT_THROW(plan.run(short_params, ws), std::invalid_argument);
-  BatchedWorkspace bws;
+  EXPECT_THROW(plan.expectation_z(short_params, 0, ws),
+               std::invalid_argument);
   std::vector<double> grads(static_cast<std::size_t>(c.num_params()));
   EXPECT_THROW(adjoint_gradient_z_batched(plan, short_params.data(),
-                                          short_params.size(), 1, 0, bws,
+                                          short_params.size(), 1, 0, ws,
                                           grads.data()),
                std::invalid_argument);
 }
@@ -252,7 +259,7 @@ TEST(ExecPlanAdjoint, MatchesCircuitAdjointBitIdentical) {
   const std::vector<std::vector<double>> cols = {
       some_params(c.num_params(), rng), some_params(c.num_params(), rng),
       some_params(c.num_params(), rng)};
-  BatchedWorkspace ws;
+  Workspace ws;
   for (const NoiseModel* np : {static_cast<const NoiseModel*>(nullptr),
                                &noise}) {
     const StatevectorSimulator sim(np != nullptr ? *np : NoiseModel{});
@@ -274,7 +281,7 @@ TEST(ExecPlanAdjoint, MatchesCircuitAdjointBitIdentical) {
 }
 
 TEST(ExecPlanAdjoint, RandomCircuitsMatchCircuitAdjoint) {
-  BatchedWorkspace ws;
+  Workspace ws;
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     math::Rng rng(seed);
     const Circuit c = random_circuit(3, 5, rng, 25);
@@ -303,7 +310,7 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
   const ExecPlan plan = StatevectorSimulator(rich_noise(3)).make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
   Workspace fwd;
-  BatchedWorkspace bws;
+  Workspace bws;
   math::Rng rng(47);
   for (int round = 0; round < 3; ++round) {
     auto params = some_params(c.num_params(), rng);
@@ -314,7 +321,7 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
     block.insert(block.end(), params.begin(), params.end());
     block[np] += 0.5;
     plan.bind_gates_batched(block.data(), np, 2, bws);
-    const BatchedWorkspace::GateBlock& g = bws.gate_block;
+    const Workspace::GateBlock& g = bws.gate_block;
     for (const GateEntry& e : plan.gate_table()) {
       if (e.arity == 1) {
         EXPECT_EQ(plan.shape2(e, fwd), kernels::classify(plan.mat2(e, fwd)));
@@ -356,8 +363,8 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
 
 TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
   // The trajectory sampler binds the gate table forward-only (no adjoint
-  // or derivative matrices) into its BatchedWorkspace; the batched
-  // adjoint binds the full table into the same workspace. Whatever the
+  // or derivative matrices) into its Workspace; the batched adjoint
+  // binds the full table into the same workspace. Whatever the
   // sampler bound before — the adjoint's angles, others, or both in
   // turn — the adjoint must still read adjoint and derivative matrices
   // of its own angles, so its gradients equal the circuit adjoint's, at
@@ -371,7 +378,7 @@ TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
   const auto b = some_params(c.num_params(), rng);
   const auto want_a = adjoint_gradient_z(c, a, 1, &noise);
   const auto want_b = adjoint_gradient_z(c, b, 1, &noise);
-  BatchedWorkspace ws;
+  Workspace ws;
   math::Rng shots(7);
   ShotOptions opts;
   opts.shots = 16;
@@ -472,24 +479,33 @@ TEST(MarginalSampling, InvalidOptionsThrow) {
 // ---------------------------------------------------------------------------
 // Steady-state allocation contract
 
-TEST(ExecPlanWorkspace, SteadyStateForwardIsAllocationFree) {
-  const Circuit c = full_gate_circuit();
-  const StatevectorSimulator sim(rich_noise(3));
-  const ExecPlan plan = sim.make_plan(c);
-  Workspace ws;
-  std::vector<double> params(static_cast<std::size_t>(c.num_params()), 0.2);
-  // Warm-up: workspace registers and bind slots allocate here, once.
+TEST(ExecPlanWorkspace, SteadyStateExecutorProbabilityIsAllocationFree) {
+  // QnnExecutor::probability() leases a pooled Workspace and runs the
+  // batch-1 walk: once the pool holds a warm workspace, a call with new
+  // features and weights allocates nothing.
+  const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 2);
+  const qnn::QnnExecutor ex(model, device::table3_fleet_subset(1, 2)[0]);
+  const data::EncodedSplit split = data::prepare_case({"iris", 2, 2});
+  std::vector<double> weights(static_cast<std::size_t>(model.num_weights()),
+                              0.2);
+  // Warm-up: the pooled workspace's registers and bind slots allocate
+  // here, once.
   double acc = 0.0;
-  for (int i = 0; i < 3; ++i) acc += plan.expectation_z(params, 0, ws);
+  for (int i = 0; i < 3; ++i) {
+    acc += ex.probability(split.test_features.front(), weights);
+  }
 
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 64; ++i) {
-    params[0] = 0.01 * static_cast<double>(i);
-    params[3] = -0.02 * static_cast<double>(i);
-    acc += plan.expectation_z(params, 0, ws);
+    weights[0] = 0.01 * static_cast<double>(i);
+    weights.back() = -0.02 * static_cast<double>(i);
+    const auto& f =
+        split.test_features[static_cast<std::size_t>(i) %
+                            split.test_features.size()];
+    acc += ex.probability(f, weights);
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "steady-state forward evaluations allocated";
+  EXPECT_EQ(after, before) << "steady-state probability() calls allocated";
   EXPECT_TRUE(std::isfinite(acc));
 }
 
@@ -502,7 +518,7 @@ TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
   const ExecPlan plan = sim.make_plan(c);
   const auto np = static_cast<std::size_t>(c.num_params());
   for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
-    BatchedWorkspace ws;
+    Workspace ws;
     std::vector<double> params(batch * np, 0.3);
     std::vector<double> grads(batch * np, 0.0);
     auto call = [&](int i) {
@@ -526,7 +542,7 @@ TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
 
 TEST(ExecPlanWorkspace, SteadyStateTrajectorySamplerIsAllocationFree) {
   // The sampler keeps its schedule, branches and per-trajectory
-  // probabilities in the BatchedWorkspace. Its scratch grows with the
+  // probabilities in the Workspace. Its scratch grows with the
   // number of Paulis a call fires, so the warm-up replays the very
   // seeds the measured window uses. The sampler's trace span records
   // into the global trace buffer (which allocates), so the window runs
@@ -534,7 +550,7 @@ TEST(ExecPlanWorkspace, SteadyStateTrajectorySamplerIsAllocationFree) {
   const Circuit c = full_gate_circuit();
   const StatevectorSimulator sim(rich_noise(3));
   const ExecPlan plan = sim.make_plan(c);
-  BatchedWorkspace ws;
+  Workspace ws;
   const std::vector<double> params(static_cast<std::size_t>(c.num_params()),
                                    0.4);
   ShotOptions opts;

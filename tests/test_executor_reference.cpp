@@ -27,7 +27,8 @@
 #include "arbiterq/qnn/loss.hpp"
 #include "arbiterq/qnn/model.hpp"
 #include "arbiterq/sim/adjoint.hpp"
-#include "arbiterq/sim/batched.hpp"
+#include "arbiterq/sim/exec_plan.hpp"
+#include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
 
 namespace arbiterq::qnn {
@@ -312,7 +313,7 @@ TEST_F(ExecutorReference, NoisyMitigatedSampledProbabilityAlgebra) {
   const sim::StatevectorSimulator sim(ex.noise());
   const double survival = ex.plan()->survival();
   ASSERT_LT(survival, 1.0);
-  sim::BatchedWorkspace ws;
+  sim::Workspace ws;
   math::Rng rng(41);
   for (const int trajectories : {1, 16}) {
     for (const auto& f : split_.test_features) {
@@ -345,6 +346,37 @@ TEST_F(ExecutorReference, RecalibrateRebuildsThePlan) {
   ASSERT_NE(ex.plan(), nullptr);
   EXPECT_NE(ex.plan(), before);
   EXPECT_NE(ex.probability(f, weights_), p_before);
+}
+
+/// The executor fixture, for the kernel-dispatch check below.
+class KernelDispatch : public ExecutorReference {};
+
+TEST_F(KernelDispatch, WalksFollowTheArmInForceAtEachCall) {
+  // The executor's walks resolve the kernel arm once per call, so a
+  // flag change between two calls on one executor (warm plan, warm
+  // pooled workspaces) takes effect at the second: after a call on the
+  // FMA arm, a call with SIMD off returns the scalar reference's bits.
+  const bool was_simd = sim::kernels::simd_runtime_enabled();
+  const bool was_strict = sim::kernels::strict_reproducibility();
+  const QnnExecutor ex = make(device::table3_fleet_subset(1, 2)[0], false, 1);
+  const Features& f = split_.train_features;
+  const std::vector<int>& y = split_.train_labels;
+  sim::kernels::set_simd_runtime_enabled(true);
+  sim::kernels::set_strict_reproducibility(false);
+  const auto on_fma = ex.loss_gradient(LossKind::kMse, f, y, weights_);
+  sim::kernels::set_simd_runtime_enabled(false);
+  const auto on_scalar = ex.loss_gradient(LossKind::kMse, f, y, weights_);
+  const auto want = Reference(ex).loss_gradient(LossKind::kMse, f, y, weights_);
+  const bool fma_ran = sim::kernels::simd_compiled() &&
+                       sim::kernels::simd_supported();
+  sim::kernels::set_simd_runtime_enabled(was_simd);
+  sim::kernels::set_strict_reproducibility(was_strict);
+  EXPECT_EQ(on_scalar, want);
+  // On an AVX2+FMA host the first call really ran another arm (its bits
+  // differ), so the second call's match is not vacuous.
+  if (fma_ran) {
+    EXPECT_NE(on_fma, want);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,9 @@ class FlagGuard {
   bool simd_;
   bool strict_;
 };
+
+/// The kernel table of the arm the dispatch flags select now.
+const kernels::KernelTable& arm() { return kernels::kernel_table(); }
 
 AmpVector random_state(int nq, math::Rng& rng) {
   AmpVector v(std::size_t{1} << nq);
@@ -158,35 +162,24 @@ TEST(KernelDispatch, StrictModeNeverSelectsFma) {
   }
 }
 
-TEST(KernelDispatch, ResolvedRangeKernelsMatchTheDispatchers) {
-  // range_kernels() hands out, under each flag setting, the functions
-  // the apply_*_range entries dispatch to: bit-identical results.
+TEST(KernelDispatch, TableFollowsTheFlags) {
+  // kernel_table() hands out one table per arm: the same table whenever
+  // the flags select the same arm, and distinct tables for distinct arms.
   FlagGuard guard;
-  math::Rng rng(97);
-  const AmpVector init = random_state(5, rng);
-  const Mat2 m2 = circuit::gate_matrix_1q(GateKind::kU3, {0.3, -1.1, 0.7});
-  const Mat4 m4 = circuit::gate_matrix_2q(GateKind::kCRY, {0.9, 0, 0});
-  const Complex d[4] = {{0.6, 0.8}, {0.0, -1.0}, {-0.28, 0.96}, {1.0, 0.0}};
+  std::map<kernels::KernelArch, const kernels::KernelTable*> seen;
   for (const bool simd : {false, true}) {
     for (const bool strict : {false, true}) {
       kernels::set_simd_runtime_enabled(simd);
       kernels::set_strict_reproducibility(strict);
-      const kernels::RangeKernels k = kernels::range_kernels();
-      for (int q = 0; q + 1 < 5; ++q) {
-        AmpVector a = init;
-        AmpVector b = init;
-        kernels::apply_mat2_range(a.data(), m2, q, 3, 13);
-        k.mat2(b.data(), m2, q, 3, 13);
-        kernels::apply_mat4_range(a.data(), m4, q + 1, q, 1, 7);
-        k.mat4(b.data(), m4, q + 1, q, 1, 7);
-        kernels::apply_diag_range(a.data(), d, std::size_t{1} << (q + 1),
-                                  std::size_t{1} << q, 2, 29);
-        k.diag(b.data(), d, std::size_t{1} << (q + 1), std::size_t{1} << q,
-               2, 29);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i], b[i]) << "simd " << simd << " strict " << strict
-                                << " q " << q << " amp " << i;
-        }
+      const kernels::KernelTable* table = &kernels::kernel_table();
+      const auto [it, fresh] = seen.emplace(kernels::active_arch(), table);
+      EXPECT_EQ(it->second, table) << "simd " << simd << " strict " << strict;
+    }
+  }
+  for (const auto& [arch, table] : seen) {
+    for (const auto& [other_arch, other] : seen) {
+      if (arch != other_arch) {
+        EXPECT_NE(table, other);
       }
     }
   }
@@ -218,7 +211,7 @@ TEST_P(KernelEquivalence, Mat2AllQubitsAndKinds) {
     for (int q = 0; q < nq; ++q) {
       for (const Mat2& m : all_mat2(rng)) {
         compare_arms(init, strict(), kTol, [&](Complex* amps) {
-          kernels::apply_mat2_range(amps, m, q, 0, groups);
+          arm().apply_mat2_range(amps, m, q, 0, groups);
         });
       }
     }
@@ -233,8 +226,8 @@ TEST_P(KernelEquivalence, Diag2AllBits) {
       const Complex d[2] = {{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)},
                             {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)}};
       compare_arms(init, strict(), kTol, [&](Complex* amps) {
-        kernels::apply_diag_range(amps, d, 0, std::size_t{1} << q, 0,
-                                  init.size());
+        arm().apply_diag_range(amps, d, 0, std::size_t{1} << q, 0,
+                               init.size());
       });
     }
   }
@@ -250,7 +243,7 @@ TEST_P(KernelEquivalence, Mat4AllQubitPairsAndKinds) {
         if (qa == qb) continue;
         for (const Mat4& m : all_mat4(rng)) {
           compare_arms(init, strict(), kTol, [&](Complex* amps) {
-            kernels::apply_mat4_range(amps, m, qb, qa, 0, groups);
+            arm().apply_mat4_range(amps, m, qb, qa, 0, groups);
           });
         }
       }
@@ -270,8 +263,8 @@ TEST_P(KernelEquivalence, Diag4AllBitPairs) {
           c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
         }
         compare_arms(init, strict(), kTol, [&](Complex* amps) {
-          kernels::apply_diag_range(amps, d, std::size_t{1} << qb,
-                                    std::size_t{1} << qa, 0, init.size());
+          arm().apply_diag_range(amps, d, std::size_t{1} << qb,
+                                 std::size_t{1} << qa, 0, init.size());
         });
       }
     }
@@ -292,13 +285,13 @@ TEST_P(KernelEquivalence, PartialRangesExerciseHeadsAndTails) {
     std::size_t hi = rng.uniform_int(groups + 1);
     if (lo > hi) std::swap(lo, hi);
     compare_arms(init, strict(), kTol, [&](Complex* amps) {
-      kernels::apply_mat2_range(amps, m, q, lo, hi);
+      arm().apply_mat2_range(amps, m, q, lo, hi);
     });
     const std::size_t dlo = rng.uniform_int(init.size());
     const Complex d[2] = {{0.6, -0.8}, {0.0, 1.0}};
     compare_arms(init, strict(), kTol, [&](Complex* amps) {
-      kernels::apply_diag_range(amps, d, 0, std::size_t{1} << q, dlo,
-                                init.size());
+      arm().apply_diag_range(amps, d, 0, std::size_t{1} << q, dlo,
+                             init.size());
     });
   }
 }
@@ -323,14 +316,14 @@ TEST_P(KernelEquivalence, DiagonalWalksMidPeriodRanges) {
             bit_b == 0 ? bit_a : std::min(bit_a, bit_b);
         for (const auto& [lo, hi] : mid_period_ranges(dim, 2 * bit_min)) {
           compare_arms(init, strict(), kTol, [&](Complex* amps) {
-            kernels::apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
+            arm().apply_diag_range(amps, d, bit_b, bit_a, lo, hi);
           });
           AmpVector whole = init;
-          kernels::apply_diag_range(whole.data(), d, bit_b, bit_a, 0, dim);
+          arm().apply_diag_range(whole.data(), d, bit_b, bit_a, 0, dim);
           AmpVector split = init;
-          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, 0, lo);
-          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, lo, hi);
-          kernels::apply_diag_range(split.data(), d, bit_b, bit_a, hi, dim);
+          arm().apply_diag_range(split.data(), d, bit_b, bit_a, 0, lo);
+          arm().apply_diag_range(split.data(), d, bit_b, bit_a, lo, hi);
+          arm().apply_diag_range(split.data(), d, bit_b, bit_a, hi, dim);
           expect_bitwise(split, whole);
         }
       }
@@ -351,11 +344,11 @@ TEST_P(KernelEquivalence, ButterflySplitsMatchWholeWalk) {
       const std::size_t groups = init.size() >> 1;
       for (const auto& [lo, hi] : mid_period_ranges(groups, 2)) {
         AmpVector whole = init;
-        kernels::apply_mat2_range(whole.data(), m2, qb, 0, groups);
+        arm().apply_mat2_range(whole.data(), m2, qb, 0, groups);
         AmpVector split = init;
-        kernels::apply_mat2_range(split.data(), m2, qb, 0, lo);
-        kernels::apply_mat2_range(split.data(), m2, qb, lo, hi);
-        kernels::apply_mat2_range(split.data(), m2, qb, hi, groups);
+        arm().apply_mat2_range(split.data(), m2, qb, 0, lo);
+        arm().apply_mat2_range(split.data(), m2, qb, lo, hi);
+        arm().apply_mat2_range(split.data(), m2, qb, hi, groups);
         expect_bitwise(split, whole);
       }
       for (int qa = 0; qa < nq; ++qa) {
@@ -363,11 +356,11 @@ TEST_P(KernelEquivalence, ButterflySplitsMatchWholeWalk) {
         const std::size_t groups4 = init.size() >> 2;
         for (const auto& [lo, hi] : mid_period_ranges(groups4, 2)) {
           AmpVector whole = init;
-          kernels::apply_mat4_range(whole.data(), m4, qb, qa, 0, groups4);
+          arm().apply_mat4_range(whole.data(), m4, qb, qa, 0, groups4);
           AmpVector split = init;
-          kernels::apply_mat4_range(split.data(), m4, qb, qa, 0, lo);
-          kernels::apply_mat4_range(split.data(), m4, qb, qa, lo, hi);
-          kernels::apply_mat4_range(split.data(), m4, qb, qa, hi, groups4);
+          arm().apply_mat4_range(split.data(), m4, qb, qa, 0, lo);
+          arm().apply_mat4_range(split.data(), m4, qb, qa, lo, hi);
+          arm().apply_mat4_range(split.data(), m4, qb, qa, hi, groups4);
           expect_bitwise(split, whole);
         }
       }
@@ -387,10 +380,10 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
       for (const Mat2& m : all_mat2(rng)) {
         kernels::set_simd_runtime_enabled(false);
         const Complex ref =
-            kernels::bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
+            arm().bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
         kernels::set_simd_runtime_enabled(true);
         const Complex got =
-            kernels::bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
+            arm().bracket_1q(lam.data(), psi.data(), psi.size(), m, q);
         if (strict()) {
           EXPECT_EQ(got, ref);
         } else {
@@ -404,11 +397,11 @@ TEST_P(KernelEquivalence, BracketsMatchScalarReference) {
         if (qa == qb) continue;
         for (const Mat4& m : all_mat4(rng)) {
           kernels::set_simd_runtime_enabled(false);
-          const Complex ref = kernels::bracket_2q(lam.data(), psi.data(),
-                                                  psi.size(), m, qb, qa);
+          const Complex ref = arm().bracket_2q(lam.data(), psi.data(),
+                                               psi.size(), m, qb, qa);
           kernels::set_simd_runtime_enabled(true);
-          const Complex got = kernels::bracket_2q(lam.data(), psi.data(),
-                                                  psi.size(), m, qb, qa);
+          const Complex got = arm().bracket_2q(lam.data(), psi.data(),
+                                               psi.size(), m, qb, qa);
           if (strict()) {
             EXPECT_EQ(got, ref);
           } else {
@@ -514,38 +507,38 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
           check(
               "mat2",
               [&](Complex* amps) {
-                kernels::batched_apply_mat2(amps, dim, stride, count, m2, q);
+                arm().batched_apply_mat2(amps, dim, stride, count, m2, q);
               },
               [&](Complex* c, std::size_t) {
-                kernels::apply_mat2_range(c, m2, q, 0, dim / 2);
+                arm().apply_mat2_range(c, m2, q, 0, dim / 2);
               });
           check(
               "mat2_each",
               [&](Complex* amps) {
-                kernels::batched_apply_mat2_each(amps, dim, stride, count,
-                                                 m2s.data(), q);
+                arm().batched_apply_mat2_each(amps, dim, stride, count,
+                                              m2s.data(), q);
               },
               [&](Complex* c, std::size_t b) {
-                kernels::apply_mat2_range(c, m2s[b], q, 0, dim / 2);
+                arm().apply_mat2_range(c, m2s[b], q, 0, dim / 2);
               });
           check(
               "diag 1q",
               [&](Complex* amps) {
-                kernels::batched_apply_diag(amps, dim, stride, count, d, 0,
-                                            bit);
+                arm().batched_apply_diag(amps, dim, stride, count, d, 0,
+                                         bit);
               },
               [&](Complex* c, std::size_t) {
-                kernels::apply_diag_range(c, d, 0, bit, 0, dim);
+                arm().apply_diag_range(c, d, 0, bit, 0, dim);
               });
           check(
               "diag_each 1q",
               [&](Complex* amps) {
-                kernels::batched_apply_diag_each(amps, dim, stride, count,
-                                                 ds, 0, bit);
+                arm().batched_apply_diag_each(amps, dim, stride, count,
+                                              ds, 0, bit);
               },
               [&](Complex* c, std::size_t b) {
                 const Complex db[2] = {ds[0][b], ds[1][b]};
-                kernels::apply_diag_range(c, db, 0, bit, 0, dim);
+                arm().apply_diag_range(c, db, 0, bit, 0, dim);
               });
           for (int qa = 0; qa < nq; ++qa) {
             if (qa == q) continue;
@@ -553,40 +546,40 @@ TEST_P(KernelEquivalence, BatchedGatesMatchPerColumnScalar) {
             check(
                 "mat4",
                 [&](Complex* amps) {
-                  kernels::batched_apply_mat4(amps, dim, stride, count, m4, q,
-                                              qa);
+                  arm().batched_apply_mat4(amps, dim, stride, count, m4, q,
+                                           qa);
                 },
                 [&](Complex* c, std::size_t) {
-                  kernels::apply_mat4_range(c, m4, q, qa, 0, dim / 4);
+                  arm().apply_mat4_range(c, m4, q, qa, 0, dim / 4);
                 });
             check(
                 "mat4_each",
                 [&](Complex* amps) {
-                  kernels::batched_apply_mat4_each(amps, dim, stride, count,
-                                                   m4s.data(), q, qa);
+                  arm().batched_apply_mat4_each(amps, dim, stride, count,
+                                                m4s.data(), q, qa);
                 },
                 [&](Complex* c, std::size_t b) {
-                  kernels::apply_mat4_range(c, m4s[b], q, qa, 0, dim / 4);
+                  arm().apply_mat4_range(c, m4s[b], q, qa, 0, dim / 4);
                 });
             check(
                 "diag 2q",
                 [&](Complex* amps) {
-                  kernels::batched_apply_diag(amps, dim, stride, count, d, bit,
-                                              bit_a);
+                  arm().batched_apply_diag(amps, dim, stride, count, d, bit,
+                                           bit_a);
                 },
                 [&](Complex* c, std::size_t) {
-                  kernels::apply_diag_range(c, d, bit, bit_a, 0, dim);
+                  arm().apply_diag_range(c, d, bit, bit_a, 0, dim);
                 });
             check(
                 "diag_each 2q",
                 [&](Complex* amps) {
-                  kernels::batched_apply_diag_each(amps, dim, stride, count, ds,
-                                                   bit, bit_a);
+                  arm().batched_apply_diag_each(amps, dim, stride, count, ds,
+                                                bit, bit_a);
                 },
                 [&](Complex* c, std::size_t b) {
                   const Complex db[4] = {ds[0][b], ds[1][b], ds[2][b],
                                          ds[3][b]};
-                  kernels::apply_diag_range(c, db, bit, bit_a, 0, dim);
+                  arm().apply_diag_range(c, db, bit, bit_a, 0, dim);
                 });
           }
         }
@@ -653,9 +646,9 @@ TEST_P(KernelEquivalence, AdjointDiagStepMatchesSeparateKernels) {
           lam = interleave(lam0);
           psi = interleave(psi0);
           std::vector<Complex> ip(width);
-          kernels::batched_adjoint_step_diag_1q(lam.data(), psi.data(), n,
-                                                width, width, md.data(),
-                                                dm.data(), 1, q, ip.data());
+          arm().batched_adjoint_step_diag_1q(lam.data(), psi.data(), n,
+                                             width, width, md.data(),
+                                             dm.data(), 1, q, ip.data());
           return ip;
         };
         AmpVector lam;
@@ -666,10 +659,10 @@ TEST_P(KernelEquivalence, AdjointDiagStepMatchesSeparateKernels) {
           const std::size_t bit = std::size_t{1} << q;
           AmpVector lam_sep = lam0[b];
           AmpVector psi_sep = psi0[b];
-          kernels::apply_diag_range(psi_sep.data(), d, 0, bit, 0, n);
+          arm().apply_diag_range(psi_sep.data(), d, 0, bit, 0, n);
           const Complex ip =
-              kernels::bracket_1q(lam_sep.data(), psi_sep.data(), n, dm[b], q);
-          kernels::apply_diag_range(lam_sep.data(), d, 0, bit, 0, n);
+              arm().bracket_1q(lam_sep.data(), psi_sep.data(), n, dm[b], q);
+          arm().apply_diag_range(lam_sep.data(), d, 0, bit, 0, n);
           EXPECT_EQ(got[b], ip) << "nq " << nq << " q " << q << " col " << b;
           expect_bitwise(column(lam, width, b), lam_sep);
           expect_bitwise(column(psi, width, b), psi_sep);
@@ -724,13 +717,13 @@ TEST_P(KernelEquivalence, BatchedBracketsMatchUnbatched) {
               v = random_mat<Mat2>(rng);
               if (diagonal) v[1] = v[2] = Complex{0.0, 0.0};
             }
-            kernels::batched_bracket_1q(lam.data(), psi.data(), n, width,
-                                        width, m.data(), step, diagonal, q,
-                                        got.data());
+            arm().batched_bracket_1q(lam.data(), psi.data(), n, width,
+                                     width, m.data(), step, diagonal, q,
+                                     got.data());
             for (std::size_t b = 0; b < width; ++b) {
-              EXPECT_EQ(got[b], kernels::bracket_1q(lam0[b].data(),
-                                                    psi0[b].data(), n,
-                                                    m[b * step], q))
+              EXPECT_EQ(got[b], arm().bracket_1q(lam0[b].data(),
+                                                 psi0[b].data(), n,
+                                                 m[b * step], q))
                   << "1q nq " << nq << " q " << q << " col " << b;
             }
           }
@@ -745,13 +738,13 @@ TEST_P(KernelEquivalence, BatchedBracketsMatchUnbatched) {
                   if (e % 5 != 0) v[e] = Complex{0.0, 0.0};
                 }
               }
-              kernels::batched_bracket_2q(lam.data(), psi.data(), n, width,
-                                          width, m.data(), step, diagonal, qb,
-                                          qa, got.data());
+              arm().batched_bracket_2q(lam.data(), psi.data(), n, width,
+                                       width, m.data(), step, diagonal, qb,
+                                       qa, got.data());
               for (std::size_t b = 0; b < width; ++b) {
-                EXPECT_EQ(got[b], kernels::bracket_2q(lam0[b].data(),
-                                                      psi0[b].data(), n,
-                                                      m[b * step], qb, qa))
+                EXPECT_EQ(got[b], arm().bracket_2q(lam0[b].data(),
+                                                   psi0[b].data(), n,
+                                                   m[b * step], qb, qa))
                     << "2q nq " << nq << " (" << qb << ", " << qa << ") col "
                     << b;
               }
@@ -880,10 +873,10 @@ TEST(PermutationKernels, StatevectorMatchesDenseKernel) {
           if (qa == qb) continue;
           for (const Mat4& m : unit_permutations()) {
             AmpVector want = init;
-            kernels::apply_mat4_range(want.data(), m, qb, qa, 0,
-                                      init.size() >> 2);
+            arm().apply_mat4_range(want.data(), m, qb, qa, 0,
+                                   init.size() >> 2);
             Statevector sv(nq);
-            sv.load_strided(init.data(), 1);
+            std::copy(init.begin(), init.end(), sv.data());
             sv.apply_mat4(m, qb, qa);
             expect_bitwise(sv.amplitudes(), want);
           }
@@ -908,7 +901,7 @@ TEST(PermutationKernels, MidRunRangesMatchDenseKernel) {
           const auto src = kernels::classify(m).src;
           for (const auto& [lo, hi] : mid_period_ranges(groups, 2 * run)) {
             AmpVector want = init;
-            kernels::apply_mat4_range(want.data(), m, qb, qa, lo, hi);
+            arm().apply_mat4_range(want.data(), m, qb, qa, lo, hi);
             AmpVector got = init;
             kernels::apply_perm4_range(got.data(), src, qb, qa, lo, hi);
             expect_bitwise(got, want);
@@ -930,10 +923,10 @@ TEST(PermutationKernels, ThreadSplitStatevectorMatchesDenseKernel) {
                                std::pair{7, 8}}) {
     for (const Mat4& m : unit_permutations()) {
       AmpVector want = init;
-      kernels::apply_mat4_range(want.data(), m, qb, qa, 0, init.size() >> 2);
+      arm().apply_mat4_range(want.data(), m, qb, qa, 0, init.size() >> 2);
       Statevector sv(kQubits);
       sv.set_exec_policy(exec::ExecPolicy{2, 0});
-      sv.load_strided(init.data(), 1);
+      std::copy(init.begin(), init.end(), sv.data());
       sv.apply_mat4(m, qb, qa);
       expect_bitwise(sv.amplitudes(), want);
     }
@@ -963,8 +956,8 @@ TEST(PermutationKernels, BatchedMatchesDenseKernelPerColumn) {
                              int qa) {
         for (std::size_t b = 0; b < batch; ++b) {
           AmpVector want = cols[b];
-          kernels::apply_mat4_range(want.data(), *per_col[b], qb, qa, 0,
-                                    dim >> 2);
+          arm().apply_mat4_range(want.data(), *per_col[b], qb, qa, 0,
+                                 dim >> 2);
           for (std::size_t i = 0; i < dim; ++i) {
             EXPECT_EQ(st.row(i)[b], want[i])
                 << "nq " << nq << " batch " << batch << " col " << b
@@ -979,7 +972,7 @@ TEST(PermutationKernels, BatchedMatchesDenseKernelPerColumn) {
           if (qa == qb) continue;
           for (const Mat4& m : perms) {
             load(st);
-            st.apply_mat4_all(m, qb, qa);
+            st.apply_mat4_all(arm(), m, kernels::classify(m), qb, qa);
             expect_cols(st, std::vector<const Mat4*>(batch, &m), qb, qa);
           }
           // Per-column matrices: runs of one permutation, a switch to
@@ -987,13 +980,17 @@ TEST(PermutationKernels, BatchedMatchesDenseKernelPerColumn) {
           const Mat4 crx =
               circuit::gate_matrix_2q(GateKind::kCRX, random_angles(rng));
           std::vector<Mat4> mats;
+          std::vector<kernels::MatShape<4>> shapes;
           std::vector<const Mat4*> refs;
           for (std::size_t b = 0; b < batch; ++b) {
             mats.push_back(b % 5 == 4 ? crx : perms[(b / 2) % perms.size()]);
           }
-          for (const Mat4& m : mats) refs.push_back(&m);
+          for (const Mat4& m : mats) {
+            refs.push_back(&m);
+            shapes.push_back(kernels::classify(m));
+          }
           load(st);
-          st.apply_mat4_each(mats.data(), qb, qa);
+          st.apply_mat4_each(arm(), mats.data(), shapes.data(), qb, qa);
           expect_cols(st, refs, qb, qa);
         }
       }

@@ -150,6 +150,42 @@ TEST(FaultInjector, ParseSpec) {
   EXPECT_THROW(FaultInjector::parse("kill:3"), std::invalid_argument);
 }
 
+TEST(FaultInjector, ParseRejectsMalformedNumbers) {
+  // Non-numeric fields and trailing garbage.
+  for (const char* spec :
+       {"kill:abc@xyz", "kill:1@5x", "kill:1x@5", "kill:@5", "kill:1@",
+        "kill:-1@5", "kill:1@-5", "spike:0.5x", "spike:0.5xfast",
+        "transient:", "transient:0.1%", "drop:0.1@", "drop:0.1@-3",
+        "lag:4jobs", "lag:-1", "seed:", "seed:12 ", "kill:3@10;seed:4"}) {
+    EXPECT_THROW(FaultInjector::parse(spec), std::invalid_argument) << spec;
+  }
+  // Probabilities outside [0, 1], and non-finite or non-positive spike
+  // multipliers.
+  for (const char* spec :
+       {"transient:-3", "transient:1.5", "transient:nan", "drop:3",
+        "drop:-0.1@8", "spike:2x8", "spike:0.1x0", "spike:0.1x-2",
+        "spike:0.1xinf", "spike:0.1xnan"}) {
+    EXPECT_THROW(FaultInjector::parse(spec), std::invalid_argument) << spec;
+  }
+  // The bounds themselves parse.
+  const FaultConfig edge = FaultInjector::parse("transient:0,drop:1@1,spike:1");
+  EXPECT_EQ(edge.transient_probability, 0.0);
+  EXPECT_EQ(edge.dropout_probability, 1.0);
+  EXPECT_EQ(edge.dropout_horizon_jobs, 1U);
+  EXPECT_EQ(edge.latency_spike_probability, 1.0);
+  EXPECT_EQ(edge.latency_spike_multiplier,
+            FaultConfig{}.latency_spike_multiplier);
+}
+
+TEST(FaultInjector, ParseRejectsASecondKillOfOneQpu) {
+  EXPECT_THROW(FaultInjector::parse("kill:1@5,kill:1@9"),
+               std::invalid_argument);
+  const FaultConfig cfg = FaultInjector::parse("kill:1@5,kill:2@9");
+  ASSERT_EQ(cfg.dropouts.size(), 2U);
+  EXPECT_EQ(cfg.dropouts[1].qpu, 2);
+  EXPECT_EQ(cfg.dropouts[1].at_job, 9U);
+}
+
 // ----------------------------------------------------------- ServingRuntime
 
 class ServeFixture : public ::testing::Test {
