@@ -2,10 +2,9 @@
 # The one-command CI entry: tier-1 build + full ctest in the default
 # configuration, then the hardening passes — ThreadSanitizer over the
 # parallel engine and serving runtime, AddressSanitizer over the
-# exec-plan hot path, UBSan over the full suite, and the
-# ARBITERQ_TELEMETRY=OFF build. Each pass uses its own build directory,
-# so a warm default build is never poisoned by sanitizer or option
-# flags.
+# exec-plan hot path, and UBSan over the full suite. Each pass uses its
+# own build directory, so a warm default build is never poisoned by
+# sanitizer flags.
 #
 # Usage: scripts/check_all.sh [build-dir]
 set -euo pipefail
@@ -26,9 +25,6 @@ echo "==> tier 2: AddressSanitizer"
 
 echo "==> tier 2: UndefinedBehaviorSanitizer (full suite)"
 "${repo_root}/scripts/check_ubsan.sh"
-
-echo "==> tier 2: ARBITERQ_TELEMETRY=OFF"
-"${repo_root}/scripts/check_telemetry_off.sh"
 
 echo "==> tier 2: live scrape smoke (/timeseries + /dashboard)"
 "${repo_root}/scripts/check_scrape_smoke.sh" "${build_dir}"

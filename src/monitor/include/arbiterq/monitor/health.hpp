@@ -25,8 +25,8 @@
 // FleetHealthMonitor is a telemetry::TrainingTelemetry sink, so it plugs
 // into DistributedTrainer either through the train() telemetry argument
 // or the TrainConfig::monitor hook — like every sink it is explicit and
-// fully functional in ARBITERQ_TELEMETRY=OFF builds (only the ambient
-// macro instrumentation compiles away there).
+// fully functional with the runtime telemetry switch off (only the
+// ambient macro instrumentation goes quiet then).
 
 #include <cstddef>
 #include <mutex>

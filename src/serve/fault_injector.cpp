@@ -23,6 +23,18 @@ bool dropout_threshold(const std::vector<DropoutEvent>& events, int qpu,
   return false;
 }
 
+/// The QPU named by a second scripted dropout, or -1 when every event
+/// names a distinct QPU. A QPU dies once: a repeated event would be
+/// counted twice by the fleet-death guard and by routing_epoch.
+int repeated_dropout_qpu(const std::vector<DropoutEvent>& events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (events[j].qpu == events[i].qpu) return events[i].qpu;
+    }
+  }
+  return -1;
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(std::size_t fleet_size, FaultConfig config)
@@ -37,6 +49,10 @@ FaultInjector::FaultInjector(std::size_t fleet_size, FaultConfig config)
       throw std::invalid_argument("FaultInjector: dropout qpu out of range");
     }
     dropouts_.push_back(e);
+  }
+  if (const int q = repeated_dropout_qpu(dropouts_); q >= 0) {
+    throw std::invalid_argument("FaultInjector: second dropout of qpu " +
+                                std::to_string(q));
   }
   // Probability mode: draw at most one dropout per QPU, its job index
   // uniform over the horizon. Deterministic: one named stream per QPU.
@@ -160,11 +176,6 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
       e.qpu = number(value.substr(0, at), "kill qpu", 0);
       if (e.qpu < 0) bad("negative kill qpu");
       e.at_job = number(value.substr(at + 1), "kill job", std::uint64_t{0});
-      for (const DropoutEvent& prior : cfg.dropouts) {
-        if (prior.qpu == e.qpu) {
-          bad("duplicate kill of qpu " + std::to_string(e.qpu));
-        }
-      }
       cfg.dropouts.push_back(e);
     } else if (key == "drop") {
       // drop:<p>[@<horizon>]
@@ -194,6 +205,9 @@ FaultConfig FaultInjector::parse(std::string_view spec) {
     } else {
       bad("unknown directive '" + std::string(key) + "'");
     }
+  }
+  if (const int q = repeated_dropout_qpu(cfg.dropouts); q >= 0) {
+    bad("duplicate kill of qpu " + std::to_string(q));
   }
   return cfg;
 }

@@ -53,7 +53,7 @@ struct FaultConfig {
   /// construction); scripted `dropouts` ride on top.
   double dropout_probability = 0.0;
   std::uint64_t dropout_horizon_jobs = 256;
-  /// Scripted permanent dropouts.
+  /// Scripted permanent dropouts, at most one per QPU.
   std::vector<DropoutEvent> dropouts;
   /// Admissions between a dropout and the router learning about it.
   std::uint64_t detection_lag_jobs = 4;
@@ -63,7 +63,9 @@ struct FaultConfig {
 class FaultInjector {
  public:
   /// `fleet_size` bounds the qpu indices; probability-mode dropouts are
-  /// drawn here, once, from config.seed.
+  /// drawn here, once, from config.seed. Throws std::invalid_argument on
+  /// an out-of-range or second scripted dropout of one QPU, or when the
+  /// dropouts would kill the whole fleet.
   FaultInjector(std::size_t fleet_size, FaultConfig config);
 
   const FaultConfig& config() const noexcept { return config_; }

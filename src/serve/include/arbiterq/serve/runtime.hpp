@@ -137,12 +137,6 @@ struct ServeConfig {
   /// the pre-sharding behavior; set a small value for simulated fleets
   /// far wider than the host's core count.
   int workers_per_shard = 0;
-  /// Skip the state-vector execution: the slot probability becomes a
-  /// seeded pure function of (seed, job, slot, attempt) instead of a
-  /// QnnExecutor sample, while routing, modeled time, faults, retries
-  /// and deadlines all stay real. For admission-scale benches where the
-  /// fleet is far wider than any interesting circuit workload.
-  bool synthetic_execution = false;
   /// Optional time-series sink (non-owning; must outlive the runtime).
   /// When set, the runtime records event series on a *modeled admission
   /// clock* — a virtual timeline advanced under the routing lock by each
@@ -167,13 +161,9 @@ struct ServeConfig {
   /// catch-all slot named "other"; quotas, weighted-credit shares and
   /// per-tenant telemetry key off the resolved slot.
   std::vector<TenantSpec> tenants;
-  /// Derive each job's queue priority from its SLO class instead of
-  /// JobSpec::priority: latency_bound -> kHigh, throughput_bound ->
-  /// kNormal, best_effort -> kLow.
-  bool class_lanes = false;
   /// Model queue wait: per-QPU modeled lane clocks make a batch start
   /// at max(lane clock, job ready time), so virtual_latency_us becomes
-  /// wait-inclusive (what the fairness bench measures) instead of
+  /// wait-inclusive (what the fairness test measures) instead of
   /// execution-chain-only. Lane clocks advance in dequeue order, which
   /// is deterministic in saturated-backlog replays (submit everything
   /// with autostart=false, then start()+drain()) but schedule-dependent

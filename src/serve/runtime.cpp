@@ -27,19 +27,6 @@ double percentile(std::vector<double>& v, double q) {
   return v[k];
 }
 
-/// ServeConfig::class_lanes mapping: tighter class, higher lane.
-JobPriority class_lane(monitor::SloClass cls) {
-  switch (cls) {
-    case monitor::SloClass::kLatencyBound:
-      return JobPriority::kHigh;
-    case monitor::SloClass::kThroughputBound:
-      return JobPriority::kNormal;
-    case monitor::SloClass::kBestEffort:
-      return JobPriority::kLow;
-  }
-  return JobPriority::kNormal;
-}
-
 std::uint64_t trace_thread_hash() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
@@ -296,8 +283,6 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
       qos ? resolve_tenant_locked(spec.tenant) : 0;
   const int job_shots =
       spec.shots > 0 ? spec.shots : config_.shots_per_job;
-  const JobPriority priority =
-      config_.class_lanes ? class_lane(spec.slo_class) : spec.priority;
 
   const std::size_t epoch =
       faults_ != nullptr ? faults_->routing_epoch(id) : 0;
@@ -370,7 +355,7 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
   job->id = id;
   job->features = spec.features;
   job->label = spec.label;
-  job->priority = priority;
+  job->priority = spec.priority;
   job->deadline_us =
       spec.deadline_us >= 0.0 ? spec.deadline_us : config_.deadline_us;
   job->epoch = epoch;
@@ -469,7 +454,7 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
     b.qpu = split[s].first;
     b.shots = split[s].second;
     b.attempt = 0;
-    b.priority = priority;
+    b.priority = spec.priority;
     b.tenant = tenant_id;
     batches.push_back(std::move(b));
     batch_shard.push_back(shard_of(split[s].first));
@@ -791,16 +776,8 @@ void ServingRuntime::process_batch(int qpu, ShotBatch batch) {
   math::Rng rng = root_.split("serve").split(job.id).split(
       static_cast<std::uint64_t>(batch.slot) * 97ULL +
       static_cast<std::uint64_t>(batch.attempt));
-  // Synthetic mode replaces the state-vector sample with a seeded draw
-  // from the same per-(job, slot, attempt) stream — still a pure
-  // function of the routing decision, so scale benches keep the
-  // bit-identity guarantee without paying for circuit simulation.
-  const double p =
-      config_.synthetic_execution
-          ? rng.uniform(0.0, 1.0)
-          : exec.sampled_probability(job.features, weights_[uq],
-                                     batch.shots, rng,
-                                     config_.trajectories);
+  const double p = exec.sampled_probability(
+      job.features, weights_[uq], batch.shots, rng, config_.trajectories);
   qpu_shots_[uq] += static_cast<double>(batch.shots);
 
   slot.outcome = BatchSlot::Outcome::kOk;

@@ -61,7 +61,7 @@ JsonlExporter::JsonlExporter(const std::string& path)
   line(report::JsonLine()
            .field("type", "meta")
            .field("schema", 1)
-           .field("telemetry_enabled", ARBITERQ_TELEMETRY_ENABLED != 0)
+           .field("telemetry_enabled", telemetry_runtime_enabled())
            .finish());
 }
 

@@ -6,6 +6,7 @@
 //
 // JSONL schema (schema version 1):
 //   {"type":"meta","schema":1,"telemetry_enabled":true|false}
+//                                     (the runtime switch at open time)
 //   {"type":"counter","name":N,"value":V}
 //   {"type":"gauge","name":N,"value":V}
 //   {"type":"histogram","name":N,"count":C,"sum":S,

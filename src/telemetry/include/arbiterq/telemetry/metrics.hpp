@@ -12,10 +12,9 @@
 // references handed out earlier stay valid forever; only the values are
 // zeroed. Entries are never removed.
 //
-// When the CMake option ARBITERQ_TELEMETRY is OFF the instrumentation
-// macros below compile to `static_cast<void>(0)` so instrumented hot
-// loops pay nothing; the classes themselves remain available (exporters
-// then see an empty registry).
+// The instrumentation macros below are gated by the runtime switch
+// (telemetry_runtime_enabled): with it off, a macro site costs one
+// relaxed atomic load and a branch.
 
 #include <cstdint>
 #include <atomic>
@@ -24,10 +23,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef ARBITERQ_TELEMETRY_ENABLED
-#define ARBITERQ_TELEMETRY_ENABLED 1
-#endif
 
 namespace arbiterq::telemetry {
 
@@ -41,11 +36,8 @@ bool runtime_enabled_slow() noexcept;
 /// Runtime master switch for the AQ_* macros and ScopedSpan recording.
 /// First use reads the ARBITERQ_TELEMETRY environment variable — "0",
 /// "off" or "false" (any case) disable, anything else (or unset)
-/// enables. The compile-time option of the same name removes the call
-/// sites entirely; this flag is the runtime kill-switch for builds that
-/// keep them (and the lever bench_perf --telemetry-ab flips to measure
-/// instrumentation overhead in-process). Explicit TraceBuffer::record /
-/// Counter::add calls are NOT gated — only the ambient macro sites.
+/// enables. Explicit TraceBuffer::record / Counter::add calls are NOT
+/// gated — only the ambient macro sites.
 inline bool telemetry_runtime_enabled() noexcept {
   const signed char s =
       detail::g_runtime_state.load(std::memory_order_relaxed);
@@ -191,8 +183,6 @@ const std::vector<double>& latency_buckets_us();
 
 }  // namespace arbiterq::telemetry
 
-#if ARBITERQ_TELEMETRY_ENABLED
-
 #define AQ_COUNTER_ADD(name, delta)                                        \
   do {                                                                     \
     if (::arbiterq::telemetry::telemetry_runtime_enabled()) {              \
@@ -221,10 +211,3 @@ const std::vector<double>& latency_buckets_us();
     }                                                                      \
   } while (0)
 
-#else  // ARBITERQ_TELEMETRY_ENABLED
-
-#define AQ_COUNTER_ADD(name, delta) static_cast<void>(0)
-#define AQ_GAUGE_SET(name, value) static_cast<void>(0)
-#define AQ_HISTOGRAM_OBSERVE(name, upper_bounds, value) static_cast<void>(0)
-
-#endif  // ARBITERQ_TELEMETRY_ENABLED

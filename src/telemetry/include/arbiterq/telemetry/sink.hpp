@@ -3,8 +3,8 @@
 // on_epoch() with one record per (epoch, QPU); `core/scheduler.cpp`
 // drives on_assignment() with one record per inference task. Sinks are
 // explicit opt-in (a nullptr sink costs one branch), so they work
-// identically in ARBITERQ_TELEMETRY=OFF builds — only the ambient
-// span/counter macros compile away there.
+// identically with the runtime telemetry switch off — only the ambient
+// span/counter macros go quiet then.
 
 #include <cstdint>
 #include <string>

@@ -164,8 +164,8 @@ class TimeSeriesStore {
 /// Overhead budget: one registry snapshot (a mutex-guarded copy of every
 /// entry) plus one store fold per cadence tick, independent of job
 /// throughput. At the default 250ms cadence with a few hundred metrics
-/// this is well under 0.1% of a core; bench_perf --telemetry-ab and
-/// --serving-scale both A/B it (see DESIGN.md §Time-series telemetry).
+/// this is well under 0.1% of a core (see DESIGN.md §Time-series
+/// telemetry).
 struct CollectorOptions {
   double cadence_us = 250'000.0;
   /// Sample clock in microseconds; defaults to a steady wall clock.

@@ -9,9 +9,6 @@
 // The ring buffer is bounded (default 65536 events): under sustained load
 // the oldest events are overwritten and `dropped()` counts the loss —
 // telemetry never grows without bound and never throws on the hot path.
-//
-// With ARBITERQ_TELEMETRY=OFF the macro compiles to nothing; the classes
-// stay available so exporters and tests still link.
 
 #include <cstdint>
 #include <mutex>
@@ -19,7 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "arbiterq/telemetry/metrics.hpp"  // ARBITERQ_TELEMETRY_ENABLED
+#include "arbiterq/telemetry/metrics.hpp"
 
 namespace arbiterq::telemetry {
 
@@ -114,16 +111,9 @@ class ScopedSpan {
 
 }  // namespace arbiterq::telemetry
 
-#if ARBITERQ_TELEMETRY_ENABLED
-
 #define AQ_TELEMETRY_CONCAT_INNER(a, b) a##b
 #define AQ_TELEMETRY_CONCAT(a, b) AQ_TELEMETRY_CONCAT_INNER(a, b)
 #define AQ_TRACE_SPAN(name)                     \
   ::arbiterq::telemetry::ScopedSpan AQ_TELEMETRY_CONCAT( \
       aq_trace_span_, __LINE__)(name)
 
-#else  // ARBITERQ_TELEMETRY_ENABLED
-
-#define AQ_TRACE_SPAN(name) static_cast<void>(0)
-
-#endif  // ARBITERQ_TELEMETRY_ENABLED

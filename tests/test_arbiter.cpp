@@ -2,13 +2,16 @@
 // round-robin, matrix, weighted-credit), the per-tenant JobQueue lanes
 // they drive, and the runtime-level guarantees — modeled-clock quotas
 // deciding deterministically, per-tenant accounting in reports and
-// gauges, and the admitted set staying bit-identical across shard
-// counts for every arbiter.
+// gauges, the admitted set staying bit-identical across shard counts
+// for every arbiter, and weighted-credit fairness under an adversarial
+// tenant mix.
 
 #include "arbiterq/serve/arbiter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "arbiterq/math/rng.hpp"
 #include "arbiterq/serve/job_queue.hpp"
 #include "arbiterq/serve/runtime.hpp"
+#include "arbiterq/serve/trafficgen.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 
 namespace arbiterq::serve {
@@ -244,7 +248,6 @@ class TenantServeFixture : public ::testing::Test {
     cfg.queue_capacity = 4096;
     cfg.backoff_base_us = 0.0;
     cfg.num_shards = shards;
-    cfg.synthetic_execution = true;
     return cfg;
   }
 
@@ -470,20 +473,197 @@ TEST_F(TenantServeFixture, PerTenantDepthGaugesAndLiveDepthProbe) {
   }
 }
 
-TEST_F(TenantServeFixture, ClassLanesRouteBySloClassDeterministically) {
-  ServeConfig cfg = base_config(2);
-  cfg.class_lanes = true;
-  cfg.tenants = {{"fast", 1.0, 0, 0.0, 1.0}, {"slow", 1.0, 0, 0.0, 1.0}};
-  auto jobs = make_jobs(12, {"fast", "slow"});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].slo_class = i % 2 == 0 ? monitor::SloClass::kLatencyBound
-                                   : monitor::SloClass::kBestEffort;
+// ------------------------------------------- adversarial fairness scenario
+
+/// Weighted max-min water-filling: distribute `capacity` across tenants
+/// proportional to weight, cap each at its demand, and redistribute the
+/// surplus among the uncapped until none caps or capacity runs out.
+std::vector<double> waterfill(const std::vector<double>& weight,
+                              const std::vector<double>& demand,
+                              double capacity) {
+  const std::size_t n = weight.size();
+  std::vector<double> share(n, 0.0);
+  std::vector<bool> capped(n, false);
+  for (;;) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!capped[i]) wsum += std::max(0.0, weight[i]);
+    }
+    if (wsum <= 0.0 || capacity <= 1e-9) break;
+    bool newly_capped = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (capped[i] || weight[i] <= 0.0) continue;
+      if (capacity * weight[i] / wsum >= demand[i]) {
+        share[i] = demand[i];
+        capped[i] = true;
+        capacity -= demand[i];
+        newly_capped = true;
+      }
+    }
+    if (!newly_capped) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!capped[i] && weight[i] > 0.0) {
+          share[i] = capacity * weight[i] / wsum;
+        }
+      }
+      break;
+    }
   }
-  const auto a = run(cfg, jobs);
-  for (const JobResult& r : a) {
-    EXPECT_EQ(r.status, JobStatus::kOk);
+  return share;
+}
+
+/// Linearly interpolated percentile (q in [0, 1]).
+double interpolated_percentile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+// One flooding best-effort tenant, two heavy bulk tenants and four light
+// interactive tenants (adversarial_mix) replayed as a saturated backlog
+// — every arrival staged before the workers start, with wait-inclusive
+// latency — through a 16-QPU cycled Table III fleet under each arbiter.
+// Fairness is a Jain index over each tenant's service inside the
+// modeled horizon against its water-filled share of the service the
+// arbiter delivered. Weighted credit must be fair (Jain >= 0.9), keep
+// the interactive p99 inside its SLO target, and admit within 10% of
+// FIFO; every arbiter must be bit-identical across 1 and 2 shards and a
+// rerun.
+TEST(AdversarialMix, WeightedCreditIsFairInSloAndBitIdentical) {
+  const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 2);
+  const int fleet = 16;
+  const core::DistributedTrainer trainer(
+      model, device::table3_fleet_cycled(fleet, 2), core::TrainConfig{});
+  math::Rng wrng(42);
+  std::vector<std::vector<double>> weights;
+  for (int q = 0; q < fleet; ++q) {
+    std::vector<double> wq(static_cast<std::size_t>(model.num_weights()));
+    math::Rng qrng = wrng.split(static_cast<std::uint64_t>(q));
+    for (double& x : wq) x = qrng.normal(0.0, 0.3);
+    weights.push_back(std::move(wq));
   }
-  expect_bit_identical(a, run(cfg, jobs));
+
+  // Capacity is the jobs the whole fleet completes per modeled second;
+  // the horizon is sized so the mix (mean demand ~3.1x capacity) yields
+  // ~600 jobs (scale 0.05 of a 12k-job scenario).
+  const int shots = 96;
+  double mean_lat = 0.0;
+  for (const qnn::QnnExecutor& ex : trainer.executors()) {
+    mean_lat += ex.shot_latency_us();
+  }
+  mean_lat /= static_cast<double>(fleet);
+  const double capacity_jobs_per_s =
+      static_cast<double>(fleet) * 1e6 /
+      (static_cast<double>(shots) * mean_lat);
+  const double duration_s = 600.0 / (3.12 * capacity_jobs_per_s);
+  const double horizon_us = duration_s * 1e6;
+  // Interactive SLO: wait-inclusive p99 within 16 serial job executions.
+  const double slo_target_us = 16.0 * static_cast<double>(shots) * mean_lat;
+
+  TrafficGenerator gen(adversarial_mix(7, duration_s, capacity_jobs_per_s));
+  std::vector<GeneratedJob> stream = gen.generate_all();
+  const std::vector<TenantSpec> tenants = gen.tenant_specs();
+  ASSERT_EQ(stream.size(), 632U);
+  // The mix draws 4 angles per job; the 2-qubit model encodes the first
+  // two. Truncating after generation keeps the arrival stream intact.
+  for (GeneratedJob& g : stream) g.spec.features.resize(2);
+  std::map<std::string, std::size_t> tenant_index;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    tenant_index[tenants[t].name] = t;
+  }
+  std::vector<double> demand(tenants.size(), 0.0);
+  std::vector<double> weight(tenants.size(), 0.0);
+  for (const GeneratedJob& g : stream) demand[g.tenant] += 1.0;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    weight[t] = tenants[t].weight;
+  }
+
+  struct Replay {
+    std::vector<JobResult> results;
+    std::size_t admitted = 0;
+  };
+  const auto replay = [&](ArbiterKind kind, int shards) {
+    ServeConfig cfg;
+    cfg.shots_per_job = shots;
+    cfg.backoff_base_us = 0.0;
+    cfg.queue_capacity = stream.size() * 32;  // never reject on capacity
+    cfg.num_shards = shards;
+    cfg.workers_per_shard = 2;
+    cfg.gauge_cadence_us = 0.0;
+    cfg.autostart = false;
+    cfg.model_queue_wait = true;
+    cfg.arbiter = kind;
+    cfg.tenants = tenants;
+    ServingRuntime runtime(trainer.executors(), weights,
+                           trainer.behavioral_vectors(), cfg);
+    for (const GeneratedJob& g : stream) runtime.submit(g.spec);
+    runtime.start();
+    runtime.drain();
+    return Replay{runtime.results(), runtime.report().admitted};
+  };
+  const auto expect_identical = [](const std::vector<JobResult>& a,
+                                   const std::vector<JobResult>& b,
+                                   ArbiterKind kind) {
+    ASSERT_EQ(a.size(), b.size()) << arbiter_kind_name(kind);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].status, b[i].status) << arbiter_kind_name(kind) << i;
+      EXPECT_EQ(a[i].probability, b[i].probability)
+          << arbiter_kind_name(kind) << i;
+      EXPECT_EQ(a[i].retries, b[i].retries) << arbiter_kind_name(kind) << i;
+      EXPECT_EQ(a[i].virtual_latency_us, b[i].virtual_latency_us)
+          << arbiter_kind_name(kind) << i;
+      EXPECT_EQ(a[i].admit_virtual_us, b[i].admit_virtual_us)
+          << arbiter_kind_name(kind) << i;
+    }
+  };
+
+  std::map<ArbiterKind, Replay> last;
+  for (const ArbiterKind kind :
+       {ArbiterKind::kFifo, ArbiterKind::kRoundRobin, ArbiterKind::kMatrix,
+        ArbiterKind::kWeightedCredit}) {
+    const Replay one = replay(kind, 1);
+    const Replay two = replay(kind, 2);
+    expect_identical(one.results, two.results, kind);
+    expect_identical(two.results, replay(kind, 2).results, kind);
+    last[kind] = two;
+  }
+
+  const Replay& wc = last[ArbiterKind::kWeightedCredit];
+  std::vector<double> served(tenants.size(), 0.0);
+  std::vector<double> interactive_us;
+  for (const JobResult& r : wc.results) {
+    if (r.status != JobStatus::kOk) continue;
+    if (r.admit_virtual_us + r.virtual_latency_us <= horizon_us) {
+      served[tenant_index.at(r.tenant)] += 1.0;
+    }
+    if (r.slo_class == monitor::SloClass::kLatencyBound) {
+      interactive_us.push_back(r.virtual_latency_us);
+    }
+  }
+  double total_served = 0.0;
+  for (const double s : served) total_served += s;
+  const std::vector<double> entitled =
+      waterfill(weight, demand, total_served);
+  double sum = 0.0, sum_sq = 0.0, rated = 0.0;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    if (entitled[t] <= 1e-9) continue;
+    const double ratio = served[t] / entitled[t];
+    sum += ratio;
+    sum_sq += ratio * ratio;
+    rated += 1.0;
+  }
+  ASSERT_GT(sum_sq, 0.0);
+  EXPECT_GE(sum * sum / (rated * sum_sq), 0.9);
+  ASSERT_FALSE(interactive_us.empty());
+  EXPECT_LE(interpolated_percentile(interactive_us, 0.99), slo_target_us);
+  const double fifo_admitted =
+      static_cast<double>(last[ArbiterKind::kFifo].admitted);
+  ASSERT_GT(fifo_admitted, 0.0);
+  EXPECT_LE(std::abs(static_cast<double>(wc.admitted) - fifo_admitted),
+            0.10 * fifo_admitted);
 }
 
 }  // namespace

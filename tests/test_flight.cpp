@@ -1,12 +1,13 @@
 // FlightRecorder: ring bounds and eviction, JSONL shape (parse_json_line
 // round trip), byte-identical dumps across reruns, and the integration
-// path — a serving run whose deadline-missed jobs all leave reconstructible
-// postmortems.
+// path — a faulted serving run whose expired and retry-exhausted jobs all
+// leave reconstructible postmortems.
 
 #include "arbiterq/serve/flight_recorder.hpp"
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "arbiterq/core/trainers.hpp"
 #include "arbiterq/device/presets.hpp"
 #include "arbiterq/report/jsonl.hpp"
+#include "arbiterq/serve/fault_injector.hpp"
 #include "arbiterq/serve/runtime.hpp"
 
 namespace arbiterq::serve {
@@ -152,46 +154,73 @@ class FlightFixture : public ::testing::Test {
 };
 
 TEST_F(FlightFixture, EveryBadJobLeavesAReconstructiblePostmortem) {
+  // A faulted run that produces every kind of bad job: every 8th job
+  // carries an unmeetable deadline (expired), QPU 1 dies at job 12,
+  // inside the 40-job range, and transient failures with a single
+  // re-route allowed exhaust some batches' retries (failed).
   ServeConfig cfg;
   cfg.shots_per_job = 32;
   cfg.trajectories = 2;
-  cfg.deadline_us = 1e-3;  // far below one shot's modeled latency
+  cfg.max_retries = 1;
+  cfg.backoff_base_us = 0.0;
   cfg.seed = 77;
-  FlightRecorder flight(64);
-  ServingRuntime runtime(trainer_->executors(), weights_,
-                         trainer_->behavioral_vectors(), cfg, nullptr,
-                         nullptr, &flight);
-  const std::vector<JobSpec> jobs = make_jobs(8);
-  for (const JobSpec& spec : jobs) runtime.submit(spec);
-  runtime.drain();
-
-  std::set<std::uint64_t> bad;
-  for (const JobResult& r : runtime.results()) {
-    EXPECT_EQ(r.status, JobStatus::kExpired) << "job " << r.id;
-    bad.insert(r.id);
+  const FaultInjector faults(
+      6, FaultInjector::parse("kill:1@12,transient:0.1,lag:8,seed:5"));
+  std::vector<JobSpec> jobs = make_jobs(40);
+  for (std::size_t i = 0; i < jobs.size(); i += 8) {
+    jobs[i].deadline_us = 1e-3;  // far below one shot's modeled latency
   }
-  // One record per bad job, carrying the route decision and the expiry.
+  const auto run = [&](FlightRecorder& flight, ServingReport* rep) {
+    ServingRuntime runtime(trainer_->executors(), weights_,
+                           trainer_->behavioral_vectors(), cfg, &faults,
+                           nullptr, &flight);
+    for (const JobSpec& spec : jobs) runtime.submit(spec);
+    runtime.drain();
+    *rep = runtime.report();
+    return runtime.results();
+  };
+  FlightRecorder flight(64);
+  ServingReport rep;
+  const std::vector<JobResult> results = run(flight, &rep);
+  EXPECT_EQ(rep.dropouts_detected, 1U);
+  EXPECT_EQ(rep.rejected, 0U);
+  EXPECT_GT(rep.expired, 0U);
+  EXPECT_GT(rep.failed, 0U);
+
+  std::map<std::uint64_t, JobStatus> bad;
+  for (const JobResult& r : results) {
+    if (r.status != JobStatus::kOk) bad[r.id] = r.status;
+  }
+  // One record per bad job, carrying the route decision and the event
+  // that sank it; the dead QPU shows up in at least one postmortem.
   EXPECT_EQ(flight.total_recorded(), bad.size());
+  std::set<std::uint64_t> recorded;
+  bool saw_dropout = false;
   for (const FlightRecord& rec : flight.snapshot()) {
-    EXPECT_EQ(bad.count(rec.job), 1U) << "job " << rec.job;
-    EXPECT_EQ(rec.status, "expired");
+    ASSERT_EQ(bad.count(rec.job), 1U) << "job " << rec.job;
+    recorded.insert(rec.job);
+    const JobStatus status = bad[rec.job];
+    EXPECT_EQ(rec.status, job_status_name(status)) << "job " << rec.job;
     EXPECT_EQ(rec.tenant, "fixture");
     ASSERT_FALSE(rec.events.empty());
     EXPECT_EQ(rec.events.front().kind, FlightEventKind::kRoute);
-    bool saw_expire = false;
+    const FlightEventKind cause = status == JobStatus::kExpired
+                                      ? FlightEventKind::kExpire
+                                      : FlightEventKind::kRetriesExhausted;
+    bool saw_cause = false;
     for (const FlightEvent& e : rec.events) {
-      if (e.kind == FlightEventKind::kExpire) saw_expire = true;
+      if (e.kind == cause) saw_cause = true;
+      if (e.kind == FlightEventKind::kDropoutFault) saw_dropout = true;
     }
-    EXPECT_TRUE(saw_expire) << "job " << rec.job;
+    EXPECT_TRUE(saw_cause) << "job " << rec.job;
   }
+  EXPECT_EQ(recorded.size(), bad.size());
+  EXPECT_TRUE(saw_dropout);
 
   // Same seed, fresh runtime: the dump reproduces byte for byte.
   FlightRecorder again(64);
-  ServingRuntime rerun(trainer_->executors(), weights_,
-                       trainer_->behavioral_vectors(), cfg, nullptr,
-                       nullptr, &again);
-  for (const JobSpec& spec : jobs) rerun.submit(spec);
-  rerun.drain();
+  ServingReport rep_again;
+  run(again, &rep_again);
   EXPECT_EQ(flight.to_jsonl(), again.to_jsonl());
 }
 

@@ -186,6 +186,26 @@ TEST(FaultInjector, ParseRejectsASecondKillOfOneQpu) {
   EXPECT_EQ(cfg.dropouts[1].at_job, 9U);
 }
 
+TEST(FaultInjector, ConstructorRejectsASecondDropoutOfOneQpu) {
+  // Only QPU 0 would die, so on 2 QPUs this must not read as a whole-
+  // fleet kill, and on 3 it must not count one death as two epochs.
+  FaultConfig cfg;
+  cfg.dropouts = {{0, 5}, {0, 9}};
+  for (const std::size_t fleet : {2U, 3U}) {
+    try {
+      const FaultInjector faults(fleet, cfg);
+      ADD_FAILURE() << "accepted a second dropout on " << fleet << " QPUs";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("second dropout of qpu 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  cfg.dropouts = {{0, 5}, {1, 9}};
+  const FaultInjector faults(3, cfg);
+  EXPECT_EQ(faults.routing_epoch(100), 2U);
+}
+
 // ----------------------------------------------------------- ServingRuntime
 
 class ServeFixture : public ::testing::Test {
@@ -466,6 +486,7 @@ TEST_F(ServeFixture, BackpressureRejectsWhenSaturated) {
 }
 
 TEST_F(ServeFixture, ServingMetricsReachPrometheusExport) {
+  telemetry::set_telemetry_runtime_enabled(true);
   telemetry::MetricsRegistry::global().reset_values();
   ServeConfig cfg;
   cfg.shots_per_job = 32;
@@ -475,15 +496,13 @@ TEST_F(ServeFixture, ServingMetricsReachPrometheusExport) {
       telemetry::MetricsRegistry::global().snapshot();
   const std::string text = telemetry::prometheus_text(snap);
   EXPECT_NE(text.find("arbiterq_serve_queue_depth"), std::string::npos);
-#if ARBITERQ_TELEMETRY_ENABLED
-  // These series come from AQ_* macro sites, compiled away when OFF.
+  // These series come from AQ_* macro sites.
   EXPECT_NE(text.find("arbiterq_serve_job_latency_us_bucket"),
             std::string::npos);
   EXPECT_NE(text.find("arbiterq_serve_job_latency_us_count"),
             std::string::npos);
   EXPECT_NE(text.find("arbiterq_serve_jobs_admitted_total"),
             std::string::npos);
-#endif
   // The histogram snapshot yields finite latency quantiles.
   for (const telemetry::HistogramSnapshot& h : snap.histograms) {
     if (h.name == "serve.job.latency_us") {
@@ -569,6 +588,57 @@ TEST_F(ServeFixture, TracingOffLeavesTheBufferUntouched) {
   }
 }
 
+// Per-job tracing is observational only: one faulted workload gives
+// bit-identical results with tracing off, every 8th job traced, and
+// every job traced.
+TEST_F(ServeFixture, TraceSamplingLeavesResultsBitIdentical) {
+  telemetry::set_telemetry_runtime_enabled(true);
+  const FaultInjector faults(
+      6, FaultInjector::parse("kill:1@16,transient:0.05,lag:8"));
+  const std::vector<JobSpec> jobs = make_jobs(40);
+  const auto traced_run = [&](int sample_every, std::size_t* roots) {
+    telemetry::TraceBuffer::global().clear();
+    ServeConfig cfg;
+    cfg.shots_per_job = 48;
+    cfg.trajectories = 4;
+    cfg.backoff_base_us = 0.0;
+    cfg.trace_sample_every = sample_every;
+    const std::vector<JobResult> results = run(cfg, jobs, &faults);
+    *roots = 0;
+    for (const telemetry::TraceEvent& e :
+         telemetry::TraceBuffer::global().snapshot()) {
+      if (e.name == "serve.job") ++*roots;
+    }
+    return results;
+  };
+  std::size_t roots_off = 0, roots_sampled = 0, roots_full = 0;
+  const std::vector<JobResult> off = traced_run(0, &roots_off);
+  const std::vector<JobResult> sampled = traced_run(8, &roots_sampled);
+  const std::vector<JobResult> full = traced_run(1, &roots_full);
+  telemetry::TraceBuffer::global().clear();
+  EXPECT_EQ(roots_off, 0U);
+  EXPECT_EQ(roots_sampled, 5U);
+  EXPECT_EQ(roots_full, 40U);
+  ASSERT_EQ(off.size(), 40U);
+  for (const std::vector<JobResult>* other : {&sampled, &full}) {
+    ASSERT_EQ(other->size(), off.size());
+    for (std::size_t i = 0; i < off.size(); ++i) {
+      const JobResult& a = off[i];
+      const JobResult& b = (*other)[i];
+      EXPECT_EQ(a.status, b.status) << "job " << i;
+      EXPECT_EQ(a.probability, b.probability) << "job " << i;
+      EXPECT_EQ(a.loss, b.loss) << "job " << i;
+      EXPECT_EQ(a.retries, b.retries) << "job " << i;
+      EXPECT_EQ(a.virtual_latency_us, b.virtual_latency_us) << "job " << i;
+      EXPECT_EQ(a.epoch, b.epoch) << "job " << i;
+      EXPECT_EQ(a.torus, b.torus) << "job " << i;
+    }
+  }
+  int retries = 0;
+  for (const JobResult& r : off) retries += r.retries;
+  EXPECT_GT(retries, 0);  // the faults fired: reroutes were compared too
+}
+
 TEST_F(ServeFixture, SloEngineJudgesJobsByClass) {
   monitor::SloPolicy policy;
   policy.objectives[0] = {1e-6, 0.5};  // unmeetable latency target
@@ -622,11 +692,7 @@ TEST_F(ServeFixture, VirtualTimeGaugesSampleOnCadence) {
       EXPECT_GT(g.value, 0.0);
     }
   }
-#if ARBITERQ_TELEMETRY_ENABLED
-  EXPECT_GT(samples, 0.0);  // AQ_COUNTER_ADD site, compiled away if OFF
-#else
-  (void)samples;
-#endif
+  EXPECT_GT(samples, 0.0);  // AQ_COUNTER_ADD site
   EXPECT_TRUE(saw_depth);
   EXPECT_TRUE(saw_inflight);
   EXPECT_TRUE(saw_vt);

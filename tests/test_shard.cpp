@@ -284,16 +284,24 @@ class ShardedServeFixture : public ::testing::Test {
     core::TrainConfig cfg;
     trainer_ = std::make_unique<core::DistributedTrainer>(
         model_, device::table3_fleet_subset(6, 2), cfg);
+    weights_ = draw_weights(trainer_->fleet_size());
+  }
+
+  /// Per-QPU personalized weights: small deterministic perturbations of
+  /// a shared draw (training is not what these tests exercise).
+  std::vector<std::vector<double>> draw_weights(std::size_t fleet) const {
     math::Rng rng(42);
     std::vector<double> base(
         static_cast<std::size_t>(model_.num_weights()));
     for (double& w : base) w = rng.normal(0.0, 0.3);
-    for (std::size_t q = 0; q < trainer_->fleet_size(); ++q) {
+    std::vector<std::vector<double>> weights;
+    for (std::size_t q = 0; q < fleet; ++q) {
       std::vector<double> w = base;
       math::Rng qrng = rng.split(q);
       for (double& x : w) x += qrng.normal(0.0, 0.05);
-      weights_.push_back(std::move(w));
+      weights.push_back(std::move(w));
     }
+    return weights;
   }
 
   std::vector<JobSpec> make_jobs(std::size_t n) const {
@@ -321,12 +329,46 @@ class ShardedServeFixture : public ::testing::Test {
                              const std::vector<JobSpec>& jobs,
                              const FaultInjector* faults = nullptr,
                              ServingReport* report = nullptr) const {
-    ServingRuntime runtime(trainer_->executors(), weights_,
-                           trainer_->behavioral_vectors(), cfg, faults);
+    return run_on(*trainer_, weights_, cfg, jobs, faults, report);
+  }
+
+  static std::vector<JobResult> run_on(
+      const core::DistributedTrainer& trainer,
+      const std::vector<std::vector<double>>& weights,
+      const ServeConfig& cfg, const std::vector<JobSpec>& jobs,
+      const FaultInjector* faults, ServingReport* report = nullptr) {
+    ServingRuntime runtime(trainer.executors(), weights,
+                           trainer.behavioral_vectors(), cfg, faults);
     for (const JobSpec& spec : jobs) runtime.submit(spec);
     runtime.drain();
     if (report != nullptr) *report = runtime.report();
     return runtime.results();
+  }
+
+  /// The admission-scale input of BitIdenticalResultsAcrossShardCounts.
+  void expect_wide_fleet_bit_identical() const {
+    const core::DistributedTrainer wide(
+        model_, device::table3_fleet_cycled(32, 2), core::TrainConfig{});
+    const auto weights = draw_weights(wide.fleet_size());
+    const FaultInjector wide_faults(
+        32, FaultInjector::parse("kill:1@64,transient:0.01,lag:32,seed:9"));
+    const auto wide_jobs = make_jobs(200);
+    const auto run_wide = [&](int shards, ServingReport* rep) {
+      ServeConfig cfg = base_config(shards);
+      cfg.shots_per_job = 96;
+      cfg.trajectories = ServeConfig{}.trajectories;
+      cfg.workers_per_shard = 2;
+      cfg.gauge_cadence_us = 0.0;
+      return run_on(wide, weights, cfg, wide_jobs, &wide_faults, rep);
+    };
+    ServingReport rep;
+    const auto wide_one = run_wide(1, &rep);
+    ASSERT_EQ(wide_one.size(), 200U);
+    expect_bit_identical(wide_one, run_wide(4, nullptr));
+    // Both fault classes fired inside the job range.
+    EXPECT_EQ(rep.dropouts_detected, 1U);
+    EXPECT_GT(rep.retries, 0U);
+    EXPECT_EQ(rep.completed, 200U);
   }
 
   static void expect_bit_identical(const std::vector<JobResult>& a,
@@ -406,6 +448,11 @@ TEST_F(ShardedServeFixture, BitIdenticalResultsAcrossShardCounts) {
   int retries = 0;
   for (const JobResult& r : one) retries += r.retries;
   EXPECT_GT(retries, 0);
+
+  // One more input at admission scale: a 32-QPU cycled Table III fleet
+  // striped over two workers per shard, 200 jobs, and a kill that lands
+  // mid-stream plus transient faults, under 1 and 4 shards.
+  expect_wide_fleet_bit_identical();
 }
 
 TEST_F(ShardedServeFixture, WorkerStripingMatchesPerQpuWorkers) {
@@ -491,10 +538,9 @@ TEST_F(ShardedServeFixture, BackpressureRejectsSynchronouslyPerShard) {
   EXPECT_GT(reserve_rejects, 0U);
 }
 
-TEST_F(ShardedServeFixture, SyntheticExecutionIsDeterministicAndSharded) {
+TEST_F(ShardedServeFixture, TransientRetriesMatchAcrossThreeAndOneShards) {
   const auto jobs = make_jobs(20);
   ServeConfig cfg = base_config(3);
-  cfg.synthetic_execution = true;
   const FaultInjector faults(6, FaultInjector::parse("transient:0.05,seed:11"));
   const auto a = run(cfg, jobs, &faults);
   ServeConfig cfg1 = cfg;

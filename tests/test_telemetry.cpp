@@ -1,8 +1,7 @@
 // aq_telemetry: metric semantics, thread-safety, span nesting, the JSONL
-// round trip, and the ARBITERQ_TELEMETRY=OFF no-op path. The classes are
-// available in both build modes; only the AQ_* macros compile away when
-// the option is OFF, so everything here runs in either configuration
-// except the explicitly #if-guarded macro expectations.
+// round trip, the runtime switch that makes the AQ_* macro sites inert,
+// and the observational-only contract: flipping that switch, or sampling
+// the registry with a live Collector, leaves training bit-identical.
 
 #include <cmath>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/profile.hpp"
 #include "arbiterq/telemetry/sink.hpp"
+#include "arbiterq/telemetry/timeseries.hpp"
 #include "arbiterq/telemetry/trace.hpp"
 
 namespace {
@@ -430,6 +430,42 @@ TEST(Integration, TrainerEmitsPerEpochPerQpuRecords) {
   EXPECT_EQ(plain.epoch_test_loss, result.epoch_test_loss);
 }
 
+// Instrumentation is observational only: ArbiterQ training reads the
+// same per-epoch test losses with the runtime switch off, on, and on
+// with a live Collector folding the registry into a store every 50 ms.
+TEST(Integration, TrainingIgnoresTheSwitchAndALiveCollector) {
+  // 6 qubits x 6 QPUs x 40 epochs: long enough for the Collector thread
+  // to sample while the trainer's macro sites fire.
+  const data::BenchmarkCase bc{"wine", 6, 2};
+  const data::EncodedSplit split = data::prepare_case(bc, 42);
+  const qnn::QnnModel model(qnn::Backbone::kCRz, bc.num_qubits,
+                            bc.num_layers);
+  core::TrainConfig cfg;
+  cfg.epochs = 40;
+  const core::DistributedTrainer trainer(
+      model, device::table3_fleet_subset(6, bc.num_qubits), cfg);
+  const auto losses = [&] {
+    return trainer.train(core::Strategy::kArbiterQ, split).epoch_test_loss;
+  };
+
+  telemetry::set_telemetry_runtime_enabled(false);
+  const std::vector<double> off = losses();
+  telemetry::set_telemetry_runtime_enabled(true);
+  const std::vector<double> on = losses();
+  telemetry::TimeSeriesStore store;
+  telemetry::CollectorOptions co;
+  co.cadence_us = 50'000.0;
+  telemetry::Collector collector(store, telemetry::MetricsRegistry::global(),
+                                 co);
+  collector.start();
+  const std::vector<double> collected = losses();
+  collector.stop();
+
+  ASSERT_EQ(off.size(), 40u);
+  EXPECT_EQ(on, off);
+  EXPECT_EQ(collected, off);
+}
+
 TEST(Integration, SchedulerEmitsAssignmentRecords) {
   const data::BenchmarkCase bc{"iris", 2, 2};
   const data::EncodedSplit split = data::prepare_case(bc, 7);
@@ -467,9 +503,8 @@ TEST(Integration, SchedulerEmitsAssignmentRecords) {
   }
 }
 
-// The macro site behaviour differs by build flavor; everything above is
-// identical in both.
-TEST(BuildMode, MacrosMatchCompileTimeToggle) {
+TEST(Trace, MacroSitesRecordWhileTheSwitchIsOn) {
+  telemetry::set_telemetry_runtime_enabled(true);
   telemetry::TraceBuffer& buf = telemetry::TraceBuffer::global();
   buf.clear();
   const std::uint64_t before =
@@ -480,36 +515,12 @@ TEST(BuildMode, MacrosMatchCompileTimeToggle) {
     AQ_GAUGE_SET("t.mode.gauge", 1.0);
     AQ_HISTOGRAM_OBSERVE("t.mode.h", telemetry::latency_buckets_us(), 2.0);
   }
-#if ARBITERQ_TELEMETRY_ENABLED
   EXPECT_EQ(buf.size(), 1u);
   EXPECT_EQ(buf.snapshot()[0].name, "t.mode.span");
   EXPECT_EQ(
       telemetry::MetricsRegistry::global().counter("t.mode.counter").value(),
       before + 3);
-#else
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(
-      telemetry::MetricsRegistry::global().counter("t.mode.counter").value(),
-      before);
-#endif
   buf.clear();
 }
-
-#if !ARBITERQ_TELEMETRY_ENABLED
-TEST(BuildMode, InstrumentedHotPathStaysSilent) {
-  // A full compile + simulate pass through instrumented code must leave
-  // no ambient trace when the toggle is off.
-  telemetry::TraceBuffer::global().clear();
-  const qnn::QnnModel model(qnn::Backbone::kCRz, 2, 1);
-  const qnn::QnnExecutor ex(model, device::table3_fleet(2)[0]);
-  std::vector<double> features(2, 0.5);
-  std::vector<double> weights(static_cast<std::size_t>(model.num_weights()),
-                              0.3);
-  ex.probability(features, weights);
-  EXPECT_EQ(telemetry::TraceBuffer::global().size(), 0u);
-  EXPECT_TRUE(telemetry::MetricsRegistry::global().snapshot().counters.empty() ||
-              true);  // registry may hold test-local names; spans are the signal
-}
-#endif
 
 }  // namespace

@@ -283,6 +283,7 @@ TEST(TrafficGeneratorRuntime, OpenLoopDriveReplaysBitIdentically) {
   traffic.tenants[1].max_in_flight = 2;  // quota rejects must fire
   traffic.duration_s = 0.05;
   traffic.seed = 13;
+  traffic.feature_dim = 2;  // the 2-qubit model's encoding width
   TrafficGenerator gen(traffic);
   const auto arrivals = gen.generate_all();
   ASSERT_FALSE(arrivals.empty());
@@ -293,7 +294,6 @@ TEST(TrafficGeneratorRuntime, OpenLoopDriveReplaysBitIdentically) {
     cfg.queue_capacity = 4096;
     cfg.backoff_base_us = 0.0;
     cfg.num_shards = shards;
-    cfg.synthetic_execution = true;
     cfg.arbiter = ArbiterKind::kWeightedCredit;
     cfg.tenants = gen.tenant_specs();
     ServingRuntime runtime(trainer.executors(), weights,

@@ -101,8 +101,9 @@ TEST(Watchdog, NewestWindowIsNeverJudgedAndEachWindowJudgedOnce) {
 }
 
 TEST(Watchdog, QueueSaturationRampFlagsWithinTwoWindows) {
-  // Same shape as the bench_perf --serving-scale probe: steady depth,
-  // then the depth doubles every window starting at `ramp_start`.
+  // A queue-saturation ramp: steady depth, then the depth doubles every
+  // window starting at `ramp_start`; the watchdog must flag it within
+  // two windows of the ramp start.
   telemetry::TimeSeriesStore ts(test_config());
   AnomalyWatchdog dog;
   const int ramp_start = 6;
