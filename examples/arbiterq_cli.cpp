@@ -114,8 +114,8 @@ void usage() {
       "  --queue-cap N  serving admission bound in shot-batches\n"
       "              (default 1024)\n"
       "  --shards N  partition the serving fleet into N shards, each\n"
-      "              with its own bounded queue, workers and mailbox\n"
-      "              lanes (clamped to the fleet size; default 1).\n"
+      "              with its own bounded queue and workers\n"
+      "              (clamped to the fleet size; default 1).\n"
       "              Admitted results are bit-identical across N\n"
       "  --shard-workers N  worker threads per shard (each strides its\n"
       "              shard's QPU lanes; default 0 = one per QPU)\n"

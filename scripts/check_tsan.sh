@@ -4,14 +4,16 @@
 # the parallel-vs-serial equivalence suite, the statevector kernels
 # (including the SIMD dispatch state and the sample-batched register),
 # the distributed trainers, the fleet serving runtime (sharded
-# queues, mailbox lanes, workers, retry re-routing, per-lane tenant
-# arbiters and quota accounting), the open-loop traffic generator, and
+# queues that submit() and cross-shard reroutes push into directly,
+# workers, retry re-routing, per-lane tenant arbiters and quota
+# accounting), the open-loop traffic generator, and
 # the telemetry time-series layer (Collector thread sampling
 # concurrently with per-series writers, watchdog polls). Guards data-race
 # freedom — the determinism
 # contracts in arbiterq/exec/parallel.hpp and arbiterq/serve/runtime.hpp
 # are only meaningful if the disjoint-write claims actually hold under
-# TSan.
+# TSan. The sharded teardown tests then run 20 more times each: a
+# worker's cross-shard push_retry can race the destructor's abort().
 #
 # Usage: scripts/check_tsan.sh [build-dir]
 set -euo pipefail
@@ -35,5 +37,7 @@ export ARBITERQ_THREADS=4
 for t in "${targets[@]}"; do
   ctest --test-dir "${build_dir}" --output-on-failure -R "^${t}\$"
 done
+"${build_dir}/tests/test_shard" --gtest_repeat=20 \
+  --gtest_filter='ShardedServeFixture.TeardownWithoutDrainJoinsCleanly:ShardedServeFixture.CrossShardRerouteAfterDropout'
 
 echo "OK: parallel engine and serving runtime are TSan-clean (${targets[*]})"

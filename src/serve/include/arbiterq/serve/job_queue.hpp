@@ -92,14 +92,10 @@ class JobQueue {
   /// Atomic job admission: either every batch is enqueued or none is
   /// (false when the batches don't all fit, or the queue is closed).
   bool try_push_all(std::vector<ShotBatch> batches);
-  /// Admission path for capacity units reserved *outside* the queue
-  /// (the sharded runtime's front-end reserves per-shard capacity with
-  /// an atomic before the batch ever reaches the shard, so the queue
-  /// itself no longer gates; the reservation is released when the batch
-  /// is popped — see pop()'s `was_admitted`). Accepted even after
-  /// close(): the front-end stopped admitting first, so anything still
-  /// in a mailbox was admitted while the runtime was open.
-  void push_reserved(ShotBatch batch);
+  /// Whether `n` more admission-path batches fit right now (false once
+  /// closed). Exact for a caller that is the only admitter: pops only
+  /// free units, so a yes stays a yes until that caller pushes.
+  bool has_room(std::size_t n) const;
   /// Retry/re-route path for already-admitted work: always accepted,
   /// even above capacity or after close().
   void push_retry(ShotBatch batch);
@@ -109,17 +105,12 @@ class JobQueue {
   /// A successful pop marks the batch in flight; the worker must call
   /// task_done() exactly once after the batch reaches a terminal state
   /// (executed, expired, failed) or was re-routed via push_retry.
-  /// `was_admitted`, when non-null, reports whether the popped batch
-  /// occupied an admission-capacity unit (try_push/try_push_all/
-  /// push_reserved) as opposed to riding above the bound (push_retry) —
-  /// the sharded runtime uses it to release its reservation counter.
-  bool pop(std::size_t lane, ShotBatch* out,
-           bool* was_admitted = nullptr);
+  /// Popping an admission-path batch frees its capacity unit.
+  bool pop(std::size_t lane, ShotBatch* out);
   /// Like pop() but over a fixed set of lanes (a worker that owns
   /// several QPU lanes): scans priorities high -> low across the lanes
   /// in the given order, blocking until any of them yields.
-  bool pop_any(const std::vector<std::size_t>& lanes, ShotBatch* out,
-               bool* was_admitted = nullptr);
+  bool pop_any(const std::vector<std::size_t>& lanes, ShotBatch* out);
   /// Balance a successful pop once the popped batch is finished with.
   void task_done();
 
@@ -143,8 +134,7 @@ class JobQueue {
   /// Lock-contention accounting: cumulative nanoseconds callers spent
   /// blocked acquiring the queue mutex (only contended acquisitions are
   /// timed — the uncontended fast path is a try_lock), and how many
-  /// acquisitions were contended. This is what makes the sharded bench's
-  /// flat-contention claim a measurement instead of an assertion.
+  /// acquisitions were contended; surfaced per shard in ShardStats.
   std::uint64_t lock_wait_ns() const {
     return lock_wait_ns_.load(std::memory_order_relaxed);
   }
@@ -196,7 +186,7 @@ class JobQueue {
   std::unique_lock<std::mutex> lock_timed() const;
   bool pop_locked(std::unique_lock<std::mutex>& lock,
                   const std::size_t* lanes, std::size_t n_lanes,
-                  ShotBatch* out, bool* was_admitted);
+                  ShotBatch* out);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -126,7 +126,7 @@ struct ServeConfig {
   double gauge_cadence_us = 1000.0;
   /// Shards the fleet is partitioned into (clamped to the fleet size).
   /// Shard s owns the contiguous QPU block [s*n/S, (s+1)*n/S) with its
-  /// own bounded JobQueue, worker set and mailbox lanes; queue_capacity
+  /// own bounded JobQueue and worker set; queue_capacity
   /// is divided evenly across the shards. Routing stays global (the
   /// submit-side torus pick and shot split are shard-agnostic), so the
   /// admitted jobs' results are bit-identical across shard counts.
@@ -251,7 +251,7 @@ struct ServingReport {
   std::vector<double> qpu_busy_us;  ///< modeled busy time per QPU
   double wall_seconds = 0.0;        ///< first submit -> drain complete
   double throughput_jobs_per_s = 0.0;
-  /// Per-shard queue/mailbox accounting (one row per shard).
+  /// Per-shard queue accounting (one row per shard).
   std::vector<ShardStats> shards;
   /// Per-tenant accounting (configured tenants then the catch-all slot;
   /// empty when no tenant table is configured).
@@ -280,9 +280,12 @@ class ServingRuntime {
 
   /// Spawn the per-QPU workers (idempotent; no-op after drain()).
   void start();
-  /// Route + admit one job. Returns the job id, or std::nullopt when
-  /// admission control rejected it (the rejection still occupies a
-  /// results() row). Thread-safe.
+  /// Route + admit one job: its batches land in the owning shards'
+  /// queues before this returns. Returns the job id, or std::nullopt
+  /// when admission control rejected it (the rejection still occupies a
+  /// results() row). Throws std::invalid_argument, before any state
+  /// moves, when spec.features does not match the model's width.
+  /// Thread-safe.
   std::optional<std::uint64_t> submit(const JobSpec& spec);
   /// Stop admissions, finish every admitted job, join the workers.
   /// Idempotent.
@@ -433,8 +436,9 @@ class ServingRuntime {
   monitor::SloEngine* slo_;
   math::Rng root_;
   /// The sharded data plane: each shard owns a private bounded queue
-  /// plus the mailbox lanes feeding it (see shard.hpp). unique_ptr for
-  /// stable addresses (Shard is immovable: mutexes, threads, atomics).
+  /// that submit() and cross-shard reroutes push into directly (see
+  /// shard.hpp). unique_ptr for stable addresses (Shard is immovable:
+  /// its queue's mutex and the atomic counters).
   std::vector<std::unique_ptr<Shard>> shards_;
   /// QPU -> owning shard, derived from the constructed blocks (the
   /// inverse shard_of() serves from).

@@ -1,50 +1,29 @@
 #pragma once
 // Serving shard: one slice of the fleet with a private bounded JobQueue
-// and worker set, fed exclusively through bounded SPSC mailbox lanes so
-// shards never contend on a shared queue lock.
+// and worker set, so a shard's workers contend only on their own queue
+// lock.
 //
-//   admission   front-end --route lock--> Mailbox<AdmitMsg> --dispatcher
-//               (one producer: whoever holds the runtime's routing lock)
-//   reroutes    sibling shard workers --ticket mutex--> Mailbox<ShotBatch>
-//               per source shard --dispatcher (guaranteed delivery:
-//               producers spin-yield on a full lane, the dispatcher is
-//               always draining)
+//   admission   front-end --route lock--> has_room() on every touched
+//               shard, then push_admitted() each slice into its queue
+//   reroutes    a worker of shard A --push_cross()--> shard B's queue
+//               (push_retry: above capacity, accepted even after close)
 //
-// Capacity is enforced *outside* the queue: the front-end reserves
-// admission units against the shard's atomic counter before anything is
-// mailed (all-or-nothing across the shards a job's split touches, with
-// rollback), so a saturated shard rejects synchronously at submit()
-// while the mailbox/dispatcher hop stays off the admission decision
-// path. The reservation is released when a worker pops the batch — the
-// same lifetime the unsharded queue gave its admitted_depth_ bound.
-//
-// The dispatcher is the queue's only mailbox-side producer: it drains
-// the admission lane and every inbound reroute lane into the JobQueue,
-// then parks on a Doorbell (timed backstop, see mailbox.hpp). It is
-// deliberately dumb — ordering and determinism are owned by the routing
-// front-end; the dispatcher just moves batches, so a dropout or
-// repartition on one shard never stalls its siblings' dispatchers.
+// The queue's admitted-batch bound is the one capacity bound. Only the
+// routing-lock holder adds admitted units and pops only free them, so
+// "check room on every touched shard, then push every slice" under that
+// lock cannot be overtaken: a job's split is admitted all-or-nothing
+// across shards, and a saturated shard rejects synchronously at
+// submit(). Lock order is routing lock, then queue mutex — never the
+// reverse.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "arbiterq/serve/job_queue.hpp"
-#include "arbiterq/serve/mailbox.hpp"
 
 namespace arbiterq::serve {
-
-/// One admitted job's batches bound for a single shard (slot order
-/// preserved). Capacity for every batch was reserved before the message
-/// was mailed.
-struct AdmitMsg {
-  std::vector<ShotBatch> batches;
-};
 
 /// Point-in-time per-shard accounting, surfaced through
 /// ServingReport::shards.
@@ -53,13 +32,13 @@ struct ShardStats {
   std::size_t first_qpu = 0;
   std::size_t num_qpus = 0;
   std::size_t capacity = 0;
-  std::uint64_t admitted_batches = 0;   ///< batches dispatched into the queue
-  std::uint64_t reserve_rejects = 0;    ///< failed admission reservations
+  std::uint64_t admitted_batches = 0;   ///< admitted batches pushed
+  std::uint64_t reserve_rejects = 0;    ///< batches refused for room
   std::uint64_t cross_shard_in = 0;     ///< reroute batches received
   std::uint64_t cross_shard_out = 0;    ///< reroute batches sent to siblings
-  std::uint64_t mailbox_full_spins = 0; ///< producer yields on a full lane
-  std::uint64_t doorbell_wakeups = 0;   ///< dispatcher parks ended by a ring
-  std::uint64_t doorbell_backstops = 0; ///< parks ended by the 200us timeout
+  /// Always 0; kept because the end-to-end benchmark still reads both.
+  std::uint64_t doorbell_wakeups = 0;
+  std::uint64_t doorbell_backstops = 0;  ///< always 0, as above
   std::uint64_t lock_wait_ns = 0;       ///< queue-mutex contention (JobQueue)
   std::uint64_t lock_contentions = 0;
 };
@@ -67,106 +46,47 @@ struct ShardStats {
 class Shard {
  public:
   /// Shard `index` of `num_shards`, owning the contiguous QPU block
-  /// [first_qpu, first_qpu + num_qpus). `capacity` bounds the admission
-  /// units resident in this shard (mailed or queued); it also sizes the
-  /// admission mailbox, so a successful reservation can never meet a
-  /// full admission lane. `num_tenants`/`arbiter` configure the queue's
-  /// per-tenant FIFOs and per-lane dequeue arbiters (see job_queue.hpp).
+  /// [first_qpu, first_qpu + num_qpus). `capacity` bounds the admitted
+  /// batches resident in this shard's queue. `num_tenants`/`arbiter`
+  /// configure the queue's per-tenant FIFOs and per-lane dequeue
+  /// arbiters (see job_queue.hpp).
   Shard(std::size_t index, std::size_t first_qpu, std::size_t num_qpus,
         std::size_t capacity, std::size_t num_shards,
         std::size_t num_tenants = 1, const ArbiterConfig& arbiter = {});
-  ~Shard();
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  std::size_t index() const noexcept { return index_; }
-  std::size_t first_qpu() const noexcept { return first_qpu_; }
   std::size_t num_qpus() const noexcept { return num_qpus_; }
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool owns(int qpu) const noexcept {
-    const auto q = static_cast<std::size_t>(qpu);
-    return q >= first_qpu_ && q < first_qpu_ + num_qpus_;
-  }
 
   JobQueue& queue() noexcept { return queue_; }
   const JobQueue& queue() const noexcept { return queue_; }
 
-  /// Reserve `n` admission units; false (and nothing reserved) when the
-  /// shard is saturated. Lock-free CAS on the reservation counter.
-  bool try_reserve(std::size_t n);
-  /// Release units previously reserved (rollback, or batch popped).
-  void release(std::size_t n);
-
-  /// Mail an admitted job's batches. Producer must be serialized by the
-  /// runtime's routing lock (the lane is SPSC); capacity was reserved,
-  /// so a full lane is transient (dispatcher mid-drain) and the push
-  /// spin-yields instead of failing.
-  void admit(AdmitMsg msg);
-
-  /// Mail a reroute/retry batch from shard `from` to shard `to`
-  /// (from != to). Serialized per source shard by `from`'s ticket
-  /// mutex so the SPSC lane contract holds with many workers sending;
-  /// spin-yields on a full lane (guaranteed delivery — retries of
-  /// admitted work are never dropped while the runtime is live). Once
-  /// `to` is abandoned the batch is dropped instead: nothing drains the
-  /// lane anymore, and teardown is discarding pending work anyway.
-  static void send_retry(Shard& from, Shard& to, ShotBatch batch);
-
-  /// Teardown-without-drain mode (runtime destructor): senders
-  /// targeting this shard stop spinning on full lanes and drop their
-  /// batches so worker threads can be joined. Irreversible.
-  void abandon() noexcept {
-    abandoned_.store(true, std::memory_order_release);
-  }
-
-  /// Spawn / stop the dispatcher thread. stop_dispatch() flushes both
-  /// lanes into the queue before returning so no mailed batch is ever
-  /// stranded; both are idempotent.
-  void start_dispatch();
-  void stop_dispatch();
-
-  /// Synchronously drain everything already mailed into the queue. The
-  /// caller must ensure the dispatcher is not running — it is the only
-  /// other mailbox consumer. Used by the runtime to pre-saturate the
-  /// queue before the workers start, so a staged (autostart=false)
-  /// replay's dequeue arbiters see the full backlog from the first pop
-  /// instead of racing the dispatcher's drain.
-  void flush_pending() { drain_lanes(); }
+  /// True when `n` more admitted batches fit; otherwise counts `n`
+  /// reserve rejects. Caller holds the runtime's routing lock, which is
+  /// what keeps the answer valid until push_admitted().
+  bool has_room(std::size_t n);
+  /// Push one admitted job's slice (slot order preserved) after
+  /// has_room() said yes under the same routing-lock hold.
+  void push_admitted(std::vector<ShotBatch> batches);
+  /// Reroute a batch from shard `from` to its sibling `to` (from != to)
+  /// straight into `to`'s queue as a retry.
+  static void push_cross(Shard& from, Shard& to, ShotBatch batch);
 
   ShardStats stats() const;
 
  private:
-  void dispatch_main();
-  /// Drain both lane kinds into the queue; true when anything moved.
-  bool drain_lanes();
-
   const std::size_t index_;
   const std::size_t first_qpu_;
   const std::size_t num_qpus_;
   const std::size_t capacity_;
 
   JobQueue queue_;
-  Mailbox<AdmitMsg> admission_;
-  /// Inbound reroute lanes, one per source shard (self slot unused).
-  std::vector<std::unique_ptr<Mailbox<ShotBatch>>> inbound_;
-  Doorbell doorbell_;
-  /// Ticket mutex serializing this shard's *outgoing* reroute sends.
-  std::mutex out_mu_;
-
-  std::atomic<std::size_t> reserved_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> abandoned_{false};
-  std::thread dispatcher_;
-  bool dispatching_ = false;
 
   std::atomic<std::uint64_t> admitted_batches_{0};
   std::atomic<std::uint64_t> reserve_rejects_{0};
   std::atomic<std::uint64_t> cross_in_{0};
   std::atomic<std::uint64_t> cross_out_{0};
-  std::atomic<std::uint64_t> full_spins_{0};
-  std::atomic<std::uint64_t> doorbell_wakeups_{0};
-  std::atomic<std::uint64_t> doorbell_backstops_{0};
 };
 
 }  // namespace arbiterq::serve

@@ -148,15 +148,19 @@ class TrafficGenerator {
 ///    flood=5,flood_from=0.2,flood_until=0.8"
 ///
 /// `class` accepts latency_bound|throughput_bound|best_effort (or the
-/// shorts latency|throughput|best). Throws std::invalid_argument on an
-/// unknown key, malformed field, or duplicate tenant name.
+/// shorts latency|throughput|best); `shots` and `max_in_flight` take a
+/// whole non-negative integer that fits the field. Throws
+/// std::invalid_argument on an unknown key, malformed or out-of-range
+/// field, or duplicate tenant name.
 std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec);
 
 /// Parse a traffic-shape string: "<pattern>[,key=value...]" with keys
 /// duration, seed, dim, period, amplitude, cycle, duty, mult, idle —
-/// e.g. "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". The
-/// returned config has an empty tenant mix; fill it from
-/// parse_tenant_profiles or adversarial_mix.
+/// e.g. "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". `seed`
+/// and `dim` take a whole non-negative integer; a malformed or
+/// out-of-range field throws std::invalid_argument. The returned config
+/// has an empty tenant mix; fill it from parse_tenant_profiles or
+/// adversarial_mix.
 TrafficConfig parse_traffic_spec(const std::string& spec);
 
 /// Canned adversarial scenario scaled to a fleet that completes

@@ -113,15 +113,9 @@ bool JobQueue::try_push_all(std::vector<ShotBatch> batches) {
   return true;
 }
 
-void JobQueue::push_reserved(ShotBatch batch) {
-  const std::size_t lane = lane_of(batch);
+bool JobQueue::has_room(std::size_t n) const {
   std::unique_lock<std::mutex> lock = lock_timed();
-  if (lane * kPriorities * num_tenants_ >= lanes_.size()) {
-    throw std::out_of_range("JobQueue::push_reserved: bad lane");
-  }
-  enqueue_locked(std::move(batch), /*admitted=*/true);
-  note_depth_locked();
-  cv_.notify_all();
+  return !closed_ && admitted_depth_ + n <= capacity_;
 }
 
 void JobQueue::push_retry(ShotBatch batch) {
@@ -137,7 +131,7 @@ void JobQueue::push_retry(ShotBatch batch) {
 
 bool JobQueue::pop_locked(std::unique_lock<std::mutex>& lock,
                           const std::size_t* lanes, std::size_t n_lanes,
-                          ShotBatch* out, bool* was_admitted) {
+                          ShotBatch* out) {
   for (std::size_t i = 0; i < n_lanes; ++i) {
     if (lanes[i] * kPriorities * num_tenants_ >= lanes_.size()) {
       throw std::out_of_range("JobQueue::pop: bad lane");
@@ -174,7 +168,6 @@ bool JobQueue::pop_locked(std::unique_lock<std::mutex>& lock,
         Entry e = std::move(q->front());
         q->pop_front();
         *out = std::move(e.batch);
-        if (was_admitted != nullptr) *was_admitted = e.admitted;
         --tenant_depth_[num_tenants_ == 1 ? 0 : tenant];
         --total_depth_;
         if (e.admitted) --admitted_depth_;
@@ -188,18 +181,18 @@ bool JobQueue::pop_locked(std::unique_lock<std::mutex>& lock,
   }
 }
 
-bool JobQueue::pop(std::size_t lane, ShotBatch* out, bool* was_admitted) {
+bool JobQueue::pop(std::size_t lane, ShotBatch* out) {
   std::unique_lock<std::mutex> lock = lock_timed();
-  return pop_locked(lock, &lane, 1, out, was_admitted);
+  return pop_locked(lock, &lane, 1, out);
 }
 
-bool JobQueue::pop_any(const std::vector<std::size_t>& lanes, ShotBatch* out,
-                       bool* was_admitted) {
+bool JobQueue::pop_any(const std::vector<std::size_t>& lanes,
+                       ShotBatch* out) {
   if (lanes.empty()) {
     throw std::invalid_argument("JobQueue::pop_any: no lanes");
   }
   std::unique_lock<std::mutex> lock = lock_timed();
-  return pop_locked(lock, lanes.data(), lanes.size(), out, was_admitted);
+  return pop_locked(lock, lanes.data(), lanes.size(), out);
 }
 
 void JobQueue::task_done() {

@@ -215,18 +215,14 @@ ServingRuntime::ServingRuntime(
 ServingRuntime::~ServingRuntime() {
   if (started_ && !drained_) {
     {
-      // Under the routing lock: an in-flight submit finishes mailing
+      // Under the routing lock: an in-flight submit finishes pushing
       // before the flag flips, and later submits reject cleanly.
       std::lock_guard<std::mutex> lock(route_mu_);
       accepting_.store(false, std::memory_order_release);
     }
-    // Abandon mode before the dispatchers stop: a worker spinning in
-    // send_retry on a full inter-shard lane must drop its batch once
-    // nothing drains that lane, or the worker joins below would hang.
-    for (auto& shard : shards_) shard->abandon();
-    // Dispatchers flush their mailboxes into the queues on stop; abort
-    // then wakes every popper and abandons what remains.
-    for (auto& shard : shards_) shard->stop_dispatch();
+    // abort() wakes every popper and abandons what remains. A worker
+    // mid-reroute may still push_retry into an aborted queue: that push
+    // never blocks, and nothing pops it, so every join below returns.
     for (auto& shard : shards_) shard->queue().abort();
     for (std::thread& t : workers_) {
       if (t.joinable()) t.join();
@@ -238,14 +234,9 @@ ServingRuntime::~ServingRuntime() {
 void ServingRuntime::start() {
   if (started_ || drained_) return;
   started_ = true;
-  for (auto& shard : shards_) {
-    // Jobs staged before start() (autostart=false) are still sitting in
-    // the admission mailbox; land them in the queue before any worker or
-    // dispatcher runs so the per-lane arbiters grant over the complete
-    // backlog — the saturated-replay determinism contract.
-    shard->flush_pending();
-    shard->start_dispatch();
-  }
+  // Jobs staged before start() (autostart=false) already sit in the
+  // queues, so the per-lane arbiters grant over the complete backlog
+  // from the first pop — the saturated-replay determinism contract.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::size_t lanes = shards_[s]->num_qpus();
     const std::size_t per_shard =
@@ -262,6 +253,16 @@ void ServingRuntime::start() {
 }
 
 std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
+  // A wrong feature width would otherwise throw on a worker thread,
+  // where nothing catches it; refuse it before any routing state moves.
+  const auto width =
+      static_cast<std::size_t>(executors_.front().model().num_qubits());
+  if (spec.features.size() != width) {
+    throw std::invalid_argument(
+        "ServingRuntime::submit: job has " +
+        std::to_string(spec.features.size()) + " features, the fleet's model "
+        "expects " + std::to_string(width));
+  }
   std::unique_lock<std::mutex> route(route_mu_);
   const std::uint64_t id = next_job_++;
   const bool traced =
@@ -385,7 +386,7 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
   job->submit_wall_us = wall_now_us();
 
   // Tenant quotas, evaluated on the modeled admission clock *before*
-  // capacity reservation: both decisions are pure functions of the
+  // the capacity check: both decisions are pure functions of the
   // arrival sequence (unlike the live-occupancy capacity check), so the
   // quota-admitted set is bit-identical across runs and shard counts.
   if (qos) {
@@ -460,9 +461,10 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
     batch_shard.push_back(shard_of(split[s].first));
   }
 
-  // All-or-nothing admission: reserve capacity on every shard the split
-  // touches; any refusal rolls the rest back and rejects the job
-  // synchronously — backpressure never leaves submit().
+  // All-or-nothing admission: every shard the split touches must have
+  // room, or the job is rejected synchronously — backpressure never
+  // leaves submit(). Only this routing-lock holder adds admitted units
+  // and pops only free them, so the answer holds until the pushes below.
   std::vector<std::pair<std::size_t, std::size_t>> need;  // (shard, count)
   for (std::size_t s : batch_shard) {
     bool found = false;
@@ -475,21 +477,11 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
     }
     if (!found) need.emplace_back(s, 1);
   }
-  bool reserved = accepting_.load(std::memory_order_acquire);
-  std::size_t reserved_upto = 0;
-  if (reserved) {
-    for (; reserved_upto < need.size(); ++reserved_upto) {
-      if (!shards_[need[reserved_upto].first]->try_reserve(
-              need[reserved_upto].second)) {
-        reserved = false;
-        break;
-      }
-    }
+  bool room = accepting_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; room && i < need.size(); ++i) {
+    room = shards_[need[i].first]->has_room(need[i].second);
   }
-  if (!reserved) {
-    for (std::size_t i = 0; i < reserved_upto; ++i) {
-      shards_[need[i].first]->release(need[i].second);
-    }
+  if (!room) {
     route.unlock();
     job->status = JobStatus::kRejected;
     job->pending.store(0, std::memory_order_release);
@@ -522,7 +514,7 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
   job->admit_virtual_us = admit_clock_us_;
   if (qos) {
     // Consume quota only for actually-admitted jobs: a capacity reject
-    // below this point cannot happen (reservation succeeded), so the
+    // below this point cannot happen (every shard had room), so the
     // consumed state stays a pure function of the arrival sequence.
     const TenantSpec& tspec = tenants_[tenant_id];
     TenantQos& tq = tenant_qos_[tenant_id];
@@ -560,16 +552,15 @@ std::optional<std::uint64_t> ServingRuntime::submit(const JobSpec& spec) {
     for (ShotBatch& b : batches) b.enqueue_ns = now;
   }
 
-  // Mail each shard its slice, slot order preserved, while still
-  // holding the routing lock — that lock is what makes this thread the
-  // admission lanes' single producer (SPSC, see mailbox.hpp).
+  // Push each shard its slice, slot order preserved, while still
+  // holding the routing lock (lock order: routing lock, then queue).
   for (const auto& [shard, count] : need) {
-    AdmitMsg msg;
-    msg.batches.reserve(count);
+    std::vector<ShotBatch> slice;
+    slice.reserve(count);
     for (std::size_t i = 0; i < batches.size(); ++i) {
-      if (batch_shard[i] == shard) msg.batches.push_back(std::move(batches[i]));
+      if (batch_shard[i] == shard) slice.push_back(std::move(batches[i]));
     }
-    shards_[shard]->admit(std::move(msg));
+    shards_[shard]->push_admitted(std::move(slice));
   }
   route.unlock();
   AQ_COUNTER_ADD("serve.jobs.admitted", 1);
@@ -666,11 +657,7 @@ void ServingRuntime::worker_main(std::size_t shard_index, std::size_t worker,
     lanes.push_back(l);
   }
   ShotBatch batch;
-  bool was_admitted = false;
-  while (shard.queue().pop_any(lanes, &batch, &was_admitted)) {
-    // An admitted batch frees its shard reservation the moment it is
-    // popped — the same lifetime the queue's own admission bound had.
-    if (was_admitted) shard.release(1);
+  while (shard.queue().pop_any(lanes, &batch)) {
     const int qpu = batch.qpu;
     std::atomic<int>& inflight = inflight_[static_cast<std::size_t>(qpu)];
     inflight.fetch_add(1, std::memory_order_relaxed);
@@ -880,17 +867,15 @@ void ServingRuntime::reroute(JobState& job, ShotBatch batch, int failed_qpu,
   job.retries.fetch_add(1, std::memory_order_relaxed);
   AQ_COUNTER_ADD("serve.retries", 1);
   if (job.traced) batch.enqueue_ns = telemetry::trace_now_ns();
-  // Same shard: straight into the queue (this worker is already on the
-  // shard's lock). Sibling shard: over the bounded inter-shard lane —
-  // the failed shard's congestion never touches the target's queue lock
-  // from under the routing path.
+  // Straight into the target shard's queue; this worker holds no lock
+  // here, so the push keeps the routing-then-queue lock order.
   const std::size_t from = shard_of(failed_qpu);
   const std::size_t to = shard_of(target);
   if (to == from) {
     shards_[to]->queue().push_retry(std::move(batch));
   } else {
     AQ_COUNTER_ADD("serve.shard.cross_sends", 1);
-    Shard::send_retry(*shards_[from], *shards_[to], std::move(batch));
+    Shard::push_cross(*shards_[from], *shards_[to], std::move(batch));
   }
 }
 
@@ -1099,23 +1084,22 @@ void ServingRuntime::drain() {
   if (!started_) start();
   {
     // Serialize with in-flight submits: submit() checks accepting_ and
-    // mails its batches (bumping outstanding_) all under the routing
+    // pushes its batches (bumping outstanding_) all under the routing
     // lock, so flipping the flag under the same lock means every
     // admitted job is visible to the outstanding_ wait below — no
-    // batch can be mailed after the dispatchers' final flush.
+    // batch can be pushed after the queues close.
     std::lock_guard<std::mutex> lock(route_mu_);
     accepting_.store(false, std::memory_order_release);
   }
   // Wait for every admitted slot to reach a terminal outcome — that
-  // covers batches still sitting in mailboxes, queues, retry chains and
-  // backoff sleeps. Progress is entirely worker-driven, so this is a
+  // covers batches still sitting in queues, retry chains and backoff
+  // sleeps. Progress is entirely worker-driven, so this is a
   // pure wait, not a handshake.
   while (outstanding_.load(std::memory_order_acquire) != 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  // Mailboxes are empty now; retire the dispatchers, then close the
-  // queues so the workers' blocked pops observe the drain and exit.
-  for (auto& shard : shards_) shard->stop_dispatch();
+  // Close the queues so the workers' blocked pops observe the drain
+  // and exit.
   for (auto& shard : shards_) shard->queue().close();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
@@ -1158,10 +1142,6 @@ void ServingRuntime::publish_shard_metrics() {
         .add(cur.cross_shard_in - prev.cross_shard_in);
     reg.counter(p + "cross_shard_out")
         .add(cur.cross_shard_out - prev.cross_shard_out);
-    reg.counter(p + "doorbell_wakeups")
-        .add(cur.doorbell_wakeups - prev.doorbell_wakeups);
-    reg.counter(p + "doorbell_backstops")
-        .add(cur.doorbell_backstops - prev.doorbell_backstops);
     reg.gauge(p + "queue_depth")
         .set(static_cast<double>(shards_[s]->queue().depth()));
     published_[s] = cur;

@@ -1,19 +1,12 @@
 #include "arbiterq/serve/shard.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "arbiterq/telemetry/metrics.hpp"
 
 namespace arbiterq::serve {
-
-namespace {
-/// Dispatcher park backstop: lanes are doorbell-signalled, so this only
-/// bounds the advertise/park race window (see mailbox.hpp).
-constexpr std::chrono::microseconds kDispatchParkBackstop{200};
-}  // namespace
 
 Shard::Shard(std::size_t index, std::size_t first_qpu, std::size_t num_qpus,
              std::size_t capacity, std::size_t num_shards,
@@ -26,122 +19,34 @@ Shard::Shard(std::size_t index, std::size_t first_qpu, std::size_t num_qpus,
              num_shards <= 1
                  ? std::string("serve.queue.depth")
                  : "serve.queue.depth.shard" + std::to_string(index),
-             first_qpu, num_tenants, arbiter),
-      admission_(capacity == 0 ? 1 : capacity) {
+             first_qpu, num_tenants, arbiter) {
   if (num_qpus_ == 0) {
     throw std::invalid_argument("Shard: no QPUs");
   }
   if (capacity_ == 0) {
     throw std::invalid_argument("Shard: zero capacity");
   }
-  inbound_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    // Retry traffic rides above the admission bound, so the lanes are
-    // sized generously; producers spin-yield in the (rare) full case.
-    inbound_.push_back(
-        std::make_unique<Mailbox<ShotBatch>>(std::max<std::size_t>(
-            64, capacity_)));
+}
+
+bool Shard::has_room(std::size_t n) {
+  if (queue_.has_room(n)) return true;
+  reserve_rejects_.fetch_add(n, std::memory_order_relaxed);
+  AQ_COUNTER_ADD("serve.shard.reserve_rejects", n);
+  return false;
+}
+
+void Shard::push_admitted(std::vector<ShotBatch> batches) {
+  const std::size_t n = batches.size();
+  if (!queue_.try_push_all(std::move(batches))) {
+    throw std::logic_error("Shard::push_admitted: no room after has_room");
   }
+  admitted_batches_.fetch_add(n, std::memory_order_relaxed);
 }
 
-Shard::~Shard() { stop_dispatch(); }
-
-bool Shard::try_reserve(std::size_t n) {
-  std::size_t cur = reserved_.load(std::memory_order_relaxed);
-  do {
-    if (cur + n > capacity_) {
-      reserve_rejects_.fetch_add(n, std::memory_order_relaxed);
-      AQ_COUNTER_ADD("serve.shard.reserve_rejects", n);
-      return false;
-    }
-  } while (!reserved_.compare_exchange_weak(cur, cur + n,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed));
-  return true;
-}
-
-void Shard::release(std::size_t n) {
-  reserved_.fetch_sub(n, std::memory_order_release);
-}
-
-void Shard::admit(AdmitMsg msg) {
-  // Reservation succeeded, so the lane has room modulo a dispatcher
-  // mid-drain; yield until the push lands rather than failing.
-  while (!admission_.try_push(std::move(msg))) {
-    full_spins_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
-  }
-  doorbell_.ring();
-}
-
-void Shard::send_retry(Shard& from, Shard& to, ShotBatch batch) {
-  Mailbox<ShotBatch>& lane = *to.inbound_[from.index_];
-  {
-    std::lock_guard<std::mutex> ticket(from.out_mu_);
-    while (!lane.try_push(std::move(batch))) {
-      // Full lane with the target abandoned (teardown without drain):
-      // its dispatcher will never empty it, so drop the batch rather
-      // than spin this worker past the destructor's join.
-      if (to.abandoned_.load(std::memory_order_acquire)) return;
-      to.full_spins_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-  }
+void Shard::push_cross(Shard& from, Shard& to, ShotBatch batch) {
+  to.queue_.push_retry(std::move(batch));
   from.cross_out_.fetch_add(1, std::memory_order_relaxed);
   to.cross_in_.fetch_add(1, std::memory_order_relaxed);
-  to.doorbell_.ring();
-}
-
-void Shard::start_dispatch() {
-  if (dispatching_) return;
-  stop_.store(false, std::memory_order_release);
-  dispatcher_ = std::thread(&Shard::dispatch_main, this);
-  dispatching_ = true;
-}
-
-void Shard::stop_dispatch() {
-  if (!dispatching_) return;
-  stop_.store(true, std::memory_order_release);
-  doorbell_.ring();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  dispatching_ = false;
-  // Anything mailed after the dispatcher saw stop_ still lands.
-  drain_lanes();
-}
-
-bool Shard::drain_lanes() {
-  bool moved = false;
-  AdmitMsg msg;
-  while (admission_.try_pop(&msg)) {
-    for (ShotBatch& b : msg.batches) {
-      queue_.push_reserved(std::move(b));
-      admitted_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    moved = true;
-  }
-  ShotBatch batch;
-  for (auto& lane : inbound_) {
-    while (lane->try_pop(&batch)) {
-      queue_.push_retry(std::move(batch));
-      moved = true;
-    }
-  }
-  return moved;
-}
-
-void Shard::dispatch_main() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (!drain_lanes()) {
-      if (doorbell_.wait(kDispatchParkBackstop)) {
-        doorbell_wakeups_.fetch_add(1, std::memory_order_relaxed);
-        AQ_COUNTER_ADD("serve.shard.doorbell_wakeups", 1);
-      } else {
-        doorbell_backstops_.fetch_add(1, std::memory_order_relaxed);
-        AQ_COUNTER_ADD("serve.shard.doorbell_backstops", 1);
-      }
-    }
-  }
-  drain_lanes();
 }
 
 ShardStats Shard::stats() const {
@@ -154,9 +59,6 @@ ShardStats Shard::stats() const {
   s.reserve_rejects = reserve_rejects_.load(std::memory_order_relaxed);
   s.cross_shard_in = cross_in_.load(std::memory_order_relaxed);
   s.cross_shard_out = cross_out_.load(std::memory_order_relaxed);
-  s.mailbox_full_spins = full_spins_.load(std::memory_order_relaxed);
-  s.doorbell_wakeups = doorbell_wakeups_.load(std::memory_order_relaxed);
-  s.doorbell_backstops = doorbell_backstops_.load(std::memory_order_relaxed);
   s.lock_wait_ns = queue_.lock_wait_ns();
   s.lock_contentions = queue_.lock_contentions();
   return s;

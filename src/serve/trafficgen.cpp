@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -58,6 +60,21 @@ double parse_double(const std::string& key, const std::string& value) {
     throw std::invalid_argument("trafficgen: bad numeric value '" + value +
                                 "' for key '" + key + "'");
   }
+}
+
+/// A whole field as one non-negative integer that fits T: no sign, no
+/// exponent or fraction, nothing after the digits.
+template <typename T>
+T parse_count(const std::string& key, const std::string& value) {
+  std::uint64_t v = 0;
+  const char* const end = value.data() + value.size();
+  const auto [stop, ec] = std::from_chars(value.data(), end, v);
+  if (value.empty() || ec != std::errc() || stop != end ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw std::invalid_argument("trafficgen: bad integer value '" + value +
+                                "' for key '" + key + "'");
+  }
+  return static_cast<T>(v);
 }
 
 /// Split "key=value"; throws when '=' is missing.
@@ -283,12 +300,11 @@ std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec) {
       } else if (key == "weight") {
         t.weight = parse_double(key, value);
       } else if (key == "shots") {
-        t.shots = static_cast<int>(parse_double(key, value));
+        t.shots = parse_count<int>(key, value);
       } else if (key == "deadline_us") {
         t.deadline_us = parse_double(key, value);
       } else if (key == "max_in_flight") {
-        t.max_in_flight =
-            static_cast<std::size_t>(parse_double(key, value));
+        t.max_in_flight = parse_count<std::size_t>(key, value);
       } else if (key == "admit_rate") {
         t.admit_rate_per_s = parse_double(key, value);
       } else if (key == "admit_burst") {
@@ -324,9 +340,9 @@ TrafficConfig parse_traffic_spec(const std::string& spec) {
     if (key == "duration") {
       cfg.duration_s = parse_double(key, value);
     } else if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(parse_double(key, value));
+      cfg.seed = parse_count<std::uint64_t>(key, value);
     } else if (key == "dim") {
-      cfg.feature_dim = static_cast<std::size_t>(parse_double(key, value));
+      cfg.feature_dim = parse_count<std::size_t>(key, value);
     } else if (key == "period") {
       cfg.diurnal_period_s = parse_double(key, value);
     } else if (key == "amplitude") {

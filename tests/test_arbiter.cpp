@@ -312,11 +312,11 @@ TEST_F(TenantServeFixture, AdmittedSetBitIdenticalAcrossShardsPerArbiter) {
 }
 
 TEST_F(TenantServeFixture, StagedReplayWaitInclusiveLatencyBitIdentical) {
-  // Regression: start() must land every staged batch in the arbitrated
-  // queue before any worker runs. Without the pre-start flush a worker
-  // could pop a lane while the dispatcher was still draining the
-  // admission mailbox, so set-sensitive arbiters granted over a partial
-  // backlog and the wait-inclusive latencies varied run to run.
+  // Regression: every staged batch must sit in the arbitrated queue
+  // before any worker runs. If a worker could pop a lane while staged
+  // batches were still on their way into the queue, set-sensitive
+  // arbiters would grant over a partial backlog and the wait-inclusive
+  // latencies would vary run to run.
   std::vector<TenantSpec> tenants(3);
   tenants[0] = {"alpha", 4.0, 0, 0.0, 1.0};
   tenants[1] = {"beta", 1.0, 0, 0.0, 1.0};
@@ -457,10 +457,23 @@ TEST_F(TenantServeFixture, PerTenantDepthGaugesAndLiveDepthProbe) {
   ServingRuntime runtime(trainer_->executors(), weights_,
                          trainer_->behavioral_vectors(), cfg);
   for (const JobSpec& spec : make_jobs(8, {"up", "down"})) {
-    runtime.submit(spec);
+    ASSERT_TRUE(runtime.submit(spec).has_value());
   }
-  // Admission lanes drain into queues on start(); before that the
-  // resident depth is still zero (batches sit in mailboxes).
+  // submit() lands each admitted batch in its shard's queue, so before
+  // start() the live depth is the whole staged backlog, split by tenant.
+  std::size_t up = 0;
+  std::size_t down = 0;
+  for (const JobResult& r : runtime.results()) {
+    (r.tenant == "up" ? up : down) += static_cast<std::size_t>(r.batches);
+  }
+  EXPECT_GT(up, 0U);
+  EXPECT_GT(down, 0U);
+  EXPECT_EQ(runtime.queue_depth(), up + down);
+  const std::vector<std::size_t> live = runtime.tenant_queue_depths();
+  ASSERT_EQ(live.size(), 3U);  // up, down, other
+  EXPECT_EQ(live[0], up);
+  EXPECT_EQ(live[1], down);
+  EXPECT_EQ(live[2], 0U);
   runtime.start();
   runtime.drain();
   const std::vector<std::size_t> depths = runtime.tenant_queue_depths();

@@ -275,6 +275,31 @@ TEST_F(ServeFixture, ConstructorValidation) {
                std::invalid_argument);
 }
 
+TEST_F(ServeFixture, SubmitRejectsAFeatureWidthMismatch) {
+  ServeConfig cfg;
+  cfg.shots_per_job = 32;
+  cfg.trajectories = 2;
+  ServingRuntime runtime(trainer_->executors(), weights_,
+                         trainer_->behavioral_vectors(), cfg);
+  JobSpec wide = make_jobs(1)[0];
+  wide.features = {0.1, 0.2, 0.3, 0.4};  // the fleet runs 2 qubits
+  try {
+    runtime.submit(wide);
+    FAIL() << "a 4-angle job was admitted to a 2-qubit fleet";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("expects 2"), std::string::npos)
+        << e.what();
+  }
+  // The refused job took no id and left no row: the next job is id 0.
+  const std::optional<std::uint64_t> id = runtime.submit(make_jobs(1)[0]);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, 0U);
+  runtime.drain();
+  const ServingReport rep = runtime.report();
+  EXPECT_EQ(rep.submitted, 1U);
+  EXPECT_EQ(rep.completed, 1U);
+}
+
 TEST_F(ServeFixture, FaultFreeRunCompletesEveryJob) {
   ServeConfig cfg;
   cfg.shots_per_job = 64;

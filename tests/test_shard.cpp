@@ -1,14 +1,13 @@
-// Sharded serving-plane tests: SPSC mailbox lanes, doorbell wakeups, the
-// JobQueue reservation/retry API that shards lean on, scoped torus
-// repartition, and the end-to-end sharded ServingRuntime guarantees —
-// cross-shard reroute after a dropout, synchronous backpressure, and
-// bit-identical admitted results across shard counts.
+// Sharded serving-plane tests: the JobQueue admission/retry API that
+// shards lean on, scoped torus repartition, and the end-to-end sharded
+// ServingRuntime guarantees — cross-shard reroute after a dropout,
+// synchronous backpressure, and bit-identical admitted results across
+// shard counts.
 
 #include "arbiterq/serve/shard.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -17,112 +16,42 @@
 #include "arbiterq/core/trainers.hpp"
 #include "arbiterq/device/presets.hpp"
 #include "arbiterq/serve/fault_injector.hpp"
-#include "arbiterq/serve/mailbox.hpp"
 #include "arbiterq/serve/runtime.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 
 namespace arbiterq::serve {
 namespace {
 
-// ----------------------------------------------------------------- Mailbox
-
-TEST(Mailbox, FifoAndFullEmptySemantics) {
-  Mailbox<int> box(3);
-  EXPECT_TRUE(box.empty());
-  EXPECT_EQ(box.capacity(), 3U);
-  EXPECT_TRUE(box.try_push(1));
-  EXPECT_TRUE(box.try_push(2));
-  EXPECT_TRUE(box.try_push(3));
-  EXPECT_EQ(box.size(), 3U);
-  int overflow = 4;
-  EXPECT_FALSE(box.try_push(overflow));  // full lane is backpressure
-  EXPECT_EQ(overflow, 4);                // value stays with the caller
-  int out = 0;
-  ASSERT_TRUE(box.try_pop(&out));
-  EXPECT_EQ(out, 1);
-  ASSERT_TRUE(box.try_pop(&out));
-  EXPECT_EQ(out, 2);
-  EXPECT_TRUE(box.try_push(overflow));  // slot vacated
-  ASSERT_TRUE(box.try_pop(&out));
-  EXPECT_EQ(out, 3);
-  ASSERT_TRUE(box.try_pop(&out));
-  EXPECT_EQ(out, 4);
-  EXPECT_FALSE(box.try_pop(&out));
-  EXPECT_TRUE(box.empty());
-}
-
-TEST(Mailbox, MovesPayloadsThroughTheRing) {
-  Mailbox<std::unique_ptr<int>> box(2);
-  EXPECT_TRUE(box.try_push(std::make_unique<int>(7)));
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(box.try_pop(&out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 7);
-}
-
-TEST(Mailbox, SpscStressPreservesOrder) {
-  constexpr int kItems = 20000;
-  Mailbox<int> box(16);
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) {
-      while (!box.try_push(int(i))) std::this_thread::yield();
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int out = -1;
-    if (box.try_pop(&out)) {
-      ASSERT_EQ(out, expected);  // strict FIFO across threads
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(box.empty());
-}
-
-TEST(Doorbell, RingWakesAParkedConsumer) {
-  Doorbell bell;
-  std::atomic<bool> woke{false};
-  std::thread consumer([&] {
-    // A generous backstop: the test passes fast only if ring() works.
-    bell.wait(std::chrono::seconds(5));
-    woke.store(true);
-  });
-  // Ring until the consumer has actually parked and been released.
-  while (!woke.load()) {
-    bell.ring();
-    std::this_thread::yield();
-  }
-  consumer.join();
-}
-
 // ------------------------------------------------- JobQueue sharding API
 
-TEST(JobQueueShardApi, PushReservedBypassesCapacityAndClose) {
+TEST(JobQueueShardApi, RetriesRideAboveCapacityAndAfterClose) {
   JobQueue q(1, 1);
   ShotBatch admitted;
+  admitted.job = 1;
   ASSERT_TRUE(q.try_push(admitted));
-  // Reservation-path batches were bounded elsewhere: always accepted.
-  ShotBatch reserved;
-  q.push_reserved(reserved);
+  EXPECT_FALSE(q.has_room(1));
+  ShotBatch over;
+  EXPECT_FALSE(q.try_push(over));  // admission is bounded...
+  ShotBatch retry;
+  retry.job = 2;
+  q.push_retry(retry);             // ...retries of admitted work are not
   q.close();
+  EXPECT_FALSE(q.has_room(0));     // a closed queue admits nothing
   ShotBatch late;
-  q.push_reserved(late);  // mailed before close, delivered after: lands
+  late.job = 3;
+  q.push_retry(late);              // but still takes retries
   EXPECT_EQ(q.depth(), 3U);
   ShotBatch out;
-  bool was_admitted = false;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop(0, &out, &was_admitted));
-    EXPECT_TRUE(was_admitted);  // all three occupy admission units
+  for (std::uint64_t job = 1; job <= 3; ++job) {
+    ASSERT_TRUE(q.pop(0, &out));
+    EXPECT_EQ(out.job, job);
     q.task_done();
   }
   EXPECT_FALSE(q.pop(0, &out));
 }
 
-TEST(JobQueueShardApi, PopReportsRetryVersusAdmitted) {
-  JobQueue q(1, 4);
+TEST(JobQueueShardApi, PoppingAnAdmittedBatchFreesOneUnit) {
+  JobQueue q(1, 2);
   ShotBatch a;
   a.job = 1;
   ASSERT_TRUE(q.try_push(a));
@@ -130,15 +59,19 @@ TEST(JobQueueShardApi, PopReportsRetryVersusAdmitted) {
   r.job = 2;
   r.priority = JobPriority::kHigh;
   q.push_retry(r);
+  ShotBatch b;
+  b.job = 3;
+  ASSERT_TRUE(q.try_push(b));   // the retry holds no admission unit
+  EXPECT_FALSE(q.has_room(1));
   ShotBatch out;
-  bool was_admitted = true;
-  ASSERT_TRUE(q.pop(0, &out, &was_admitted));
+  ASSERT_TRUE(q.pop(0, &out));
   EXPECT_EQ(out.job, 2U);       // retry rides the high-priority lane
-  EXPECT_FALSE(was_admitted);   // ...and does not hold an admission unit
+  EXPECT_FALSE(q.has_room(1));  // popping it frees nothing
   q.task_done();
-  ASSERT_TRUE(q.pop(0, &out, &was_admitted));
+  ASSERT_TRUE(q.pop(0, &out));
   EXPECT_EQ(out.job, 1U);
-  EXPECT_TRUE(was_admitted);
+  EXPECT_TRUE(q.has_room(1));   // popping an admitted batch frees one
+  EXPECT_FALSE(q.has_room(2));
   q.task_done();
 }
 
@@ -409,7 +342,7 @@ TEST_F(ShardedServeFixture, ShardLayoutCoversTheFleetContiguously) {
     EXPECT_GE(s, prev_shard);  // contiguous, monotone blocks
     prev_shard = s;
     // shard_of(q) must name the shard whose block actually contains q —
-    // this is the mapping reserve/admit/reroute all route by.
+    // this is the mapping admission and reroute both route by.
     ASSERT_LT(s, shards.size());
     EXPECT_GE(static_cast<std::size_t>(q), shards[s].first_qpu)
         << "qpu " << q;
@@ -482,7 +415,7 @@ TEST_F(ShardedServeFixture, CrossShardRerouteAfterDropout) {
     cross_out += s.cross_shard_out;
     cross_in += s.cross_shard_in;
   }
-  // The dead QPU's batches travelled over inter-shard lanes...
+  // The dead QPU's batches were pushed into sibling shards' queues...
   EXPECT_GT(cross_out, 0U);
   EXPECT_EQ(cross_out, cross_in);
   // ...and the victim shard sent them (shard 1 owns only QPU 1).
@@ -495,8 +428,8 @@ TEST_F(ShardedServeFixture, CrossShardRerouteAfterDropout) {
 TEST_F(ShardedServeFixture, TeardownWithoutDrainJoinsCleanly) {
   // Destructor path: no drain(). Workers may be mid-execution or even
   // mid-cross-shard-reroute (one QPU per shard + a dropout forces
-  // inter-shard lanes); teardown must abandon the pending work and
-  // join every thread instead of hanging on a full lane.
+  // pushes into sibling queues, possibly after their abort()); teardown
+  // must abandon the pending work and join every thread.
   const FaultInjector faults(6, FaultInjector::parse("kill:1@8,lag:8"));
   ServeConfig cfg = base_config(6);
   ServingRuntime runtime(trainer_->executors(), weights_,

@@ -216,6 +216,22 @@ TEST(TrafficParsers, RejectMalformedTenantSpecs) {
   EXPECT_THROW(parse_tenant_profiles("rate=5"), std::invalid_argument);
 }
 
+TEST(TrafficParsers, TenantIntegerKeysRejectWhatACastCannotHold) {
+  // Integer keys are read over the whole field as one non-negative
+  // integer: no exponent, fraction, sign, NaN or out-of-range value
+  // reaches a cast.
+  for (const char* spec :
+       {"a,shots=1e20", "a,shots=2147483648", "a,shots=-1", "a,shots=nan",
+        "a,shots=12.5", "a,shots=", "a,max_in_flight=-1",
+        "a,max_in_flight=inf", "a,max_in_flight=1e30",
+        "a,max_in_flight=18446744073709551616", "a,max_in_flight=4x"}) {
+    EXPECT_THROW(parse_tenant_profiles(spec), std::invalid_argument) << spec;
+  }
+  const auto t = parse_tenant_profiles("a,shots=2147483647,max_in_flight=0");
+  EXPECT_EQ(t[0].shots, 2147483647);
+  EXPECT_EQ(t[0].max_in_flight, 0U);
+}
+
 TEST(TrafficParsers, TrafficSpecParsesPatternAndKeys) {
   const TrafficConfig cfg = parse_traffic_spec(
       "diurnal,duration=2,seed=9,dim=6,period=0.5,amplitude=0.7");
@@ -227,6 +243,20 @@ TEST(TrafficParsers, TrafficSpecParsesPatternAndKeys) {
   EXPECT_EQ(cfg.diurnal_amplitude, 0.7);
   EXPECT_THROW(parse_traffic_spec(""), std::invalid_argument);
   EXPECT_THROW(parse_traffic_spec("steady,warp=9"), std::invalid_argument);
+}
+
+TEST(TrafficParsers, TrafficIntegerKeysRejectWhatACastCannotHold) {
+  for (const char* spec :
+       {"steady,seed=nan", "steady,seed=-1", "steady,seed=1e20",
+        "steady,seed=18446744073709551616", "steady,seed=0x10",
+        "steady,dim=-3", "steady,dim=inf", "steady,dim=2.5",
+        "steady,dim= "}) {
+    EXPECT_THROW(parse_traffic_spec(spec), std::invalid_argument) << spec;
+  }
+  const TrafficConfig cfg =
+      parse_traffic_spec("steady,seed=18446744073709551615,dim=3");
+  EXPECT_EQ(cfg.seed, 18446744073709551615ULL);
+  EXPECT_EQ(cfg.feature_dim, 3U);
 }
 
 TEST(TrafficParsers, AdversarialMixScalesToFleetCapacity) {
