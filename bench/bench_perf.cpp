@@ -124,8 +124,8 @@ void BM_PlanAdjointGradient(benchmark::State& state) {
   sim::Workspace ws;
   std::vector<double> grad(params.size());
   for (auto _ : state) {
-    sim::adjoint_gradient_z_batched(plan, params.data(), params.size(), 1, 0,
-                                    ws, grad.data());
+    plan.bind_block(params.data(), params.size(), 1, ws, /*adjoint=*/true);
+    sim::adjoint_gradient_z_bound(plan, 0, ws, grad.data());
     benchmark::DoNotOptimize(grad.data());
   }
 }
@@ -459,11 +459,12 @@ double now_seconds() {
 // Plan A/B mode (`--plan-ab`): the production executor on both kernel
 // arms (portable scalar, SIMD) against the naive circuit walk. For each
 // benchmark circuit size, every column of one dataset block's
-// expectation_z_batched and adjoint_gradient_z_batched is first checked
-// bitwise against StatevectorSimulator::expectation_z and the circuit
-// adjoint on the executor's compiled circuit and noise model, on both
-// arms, and the executor's loss and gradient must not depend on the arm
-// (default strict-reproducibility arm; exit code 2 on any divergence).
+// expectation_z_bound and adjoint_gradient_z_bound (one bind_block) is
+// first checked bitwise against StatevectorSimulator::expectation_z and
+// the circuit adjoint on the executor's compiled circuit and noise
+// model, on both arms, and the executor's loss and gradient must not
+// depend on the arm (default strict-reproducibility arm; exit code 2 on
+// any divergence).
 // Then each arm's dataset_loss and loss_gradient are clocked (median of
 // `kAbReps` repetitions), with the naive walk — the reference engines'
 // per-sample forward and forward+adjoint over the same samples, SIMD
@@ -586,10 +587,9 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   std::vector<double> grads(cols.size() * np);
   for (const bool simd : {false, true}) {
     set_arm(simd);
-    plan.expectation_z_batched(packed.data(), np, cols.size(), q, bws,
-                               zs.data());
-    sim::adjoint_gradient_z_batched(plan, packed.data(), np, cols.size(), q,
-                                    bws, grads.data());
+    plan.bind_block(packed.data(), np, cols.size(), bws, /*adjoint=*/true);
+    plan.expectation_z_bound(q, bws, zs.data());
+    sim::adjoint_gradient_z_bound(plan, q, bws, grads.data());
     for (std::size_t b = 0; b < cols.size(); ++b) {
       p.identical &= zs[b] == ref_z[b];
       p.identical &= std::equal(ref_grad[b].begin(), ref_grad[b].end(),

@@ -470,11 +470,9 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "--traffic requires --tenants\n");
           return 1;
         }
-        serve::TrafficConfig tc = serve::parse_traffic_spec(opts.traffic);
+        serve::TrafficConfig tc = serve::parse_traffic_spec(
+            opts.traffic, static_cast<std::size_t>(model.num_qubits()));
         tc.tenants = std::move(profiles);
-        tc.feature_dim = split.test_features.empty()
-                             ? 4
-                             : split.test_features.front().size();
         traffic = std::make_unique<serve::TrafficGenerator>(tc);
         sc.tenants = traffic->tenant_specs();
         // Staged replay: stage the whole arrival stream before the

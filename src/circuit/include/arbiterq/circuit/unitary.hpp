@@ -46,10 +46,29 @@ Mat2 d_gate_matrix_1q(GateKind kind, const std::array<double, 3>& params,
 /// the inner rotation's derivative on the control=1 block).
 Mat4 d_gate_matrix_2q(GateKind kind, const std::array<double, 3>& params);
 
-/// Named constructors used across the transpiler.
+/// The transcendentals a parameterized gate's matrix and derivatives are
+/// built from. RX, RY and U3 (and CRX, CRY) read c = cos(p0 / 2) and s =
+/// sin(p0 / 2); RZ and CRZ read e0 = exp(-i p0 / 2) and e1 = exp(i p0 /
+/// 2); U3 also reads e0 = exp(i p2), e1 = exp(i p1) and e2 = exp(i (p1 +
+/// p2)). The angle builders above evaluate it themselves, so a caller
+/// that needs a gate's matrix and its derivatives evaluates it once and
+/// gets from the _of builders below bitwise the same matrices.
+struct GateTrig {
+  double c = 0.0;
+  double s = 0.0;
+  Complex e0{};
+  Complex e1{};
+  Complex e2{};
+};
+GateTrig gate_trig(GateKind kind, const std::array<double, 3>& params);
+Mat2 gate_matrix_1q_of(GateKind kind, const GateTrig& trig);
+Mat4 gate_matrix_2q_of(GateKind kind, const GateTrig& trig);
+Mat2 d_gate_matrix_1q_of(GateKind kind, const GateTrig& trig, int slot);
+Mat4 d_gate_matrix_2q_of(GateKind kind, const GateTrig& trig);
+
+/// Named constructors: gate_matrix_1q of one rotation.
 Mat2 matrix_rx(double theta) noexcept;
 Mat2 matrix_ry(double theta) noexcept;
-Mat2 matrix_rz(double theta) noexcept;
 Mat2 matrix_u3(double theta, double phi, double lambda) noexcept;
 
 /// Dense 2^n x 2^n unitary of a circuit under a parameter binding.

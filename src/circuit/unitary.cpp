@@ -74,31 +74,74 @@ bool mat4_is_unitary(const Mat4& a, double tol) noexcept {
   return true;
 }
 
+namespace {
+
+/// The rotation a controlled rotation controls.
+GateKind inner_rotation(GateKind kind) {
+  switch (kind) {
+    case GateKind::kCRX:
+      return GateKind::kRX;
+    case GateKind::kCRY:
+      return GateKind::kRY;
+    case GateKind::kCRZ:
+      return GateKind::kRZ;
+    default:
+      return kind;
+  }
+}
+
+}  // namespace
+
 Mat2 matrix_rx(double theta) noexcept {
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  return {Complex{c, 0.0}, -kI * s, -kI * s, Complex{c, 0.0}};
+  return gate_matrix_1q(GateKind::kRX, {theta, 0.0, 0.0});
 }
 
 Mat2 matrix_ry(double theta) noexcept {
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  return {Complex{c, 0.0}, Complex{-s, 0.0}, Complex{s, 0.0}, Complex{c, 0.0}};
-}
-
-Mat2 matrix_rz(double theta) noexcept {
-  return {std::exp(-kI * (theta / 2.0)), Complex{0.0, 0.0}, Complex{0.0, 0.0},
-          std::exp(kI * (theta / 2.0))};
+  return gate_matrix_1q(GateKind::kRY, {theta, 0.0, 0.0});
 }
 
 Mat2 matrix_u3(double theta, double phi, double lambda) noexcept {
-  const double c = std::cos(theta / 2.0);
-  const double s = std::sin(theta / 2.0);
-  return {Complex{c, 0.0}, -std::exp(kI * lambda) * s,
-          std::exp(kI * phi) * s, std::exp(kI * (phi + lambda)) * c};
+  return gate_matrix_1q(GateKind::kU3, {theta, phi, lambda});
+}
+
+GateTrig gate_trig(GateKind kind, const std::array<double, 3>& p) {
+  GateTrig t;
+  switch (inner_rotation(kind)) {
+    case GateKind::kRX:
+    case GateKind::kRY:
+      t.c = std::cos(p[0] / 2.0);
+      t.s = std::sin(p[0] / 2.0);
+      break;
+    case GateKind::kRZ: {
+      // exp(-+i h) has a zero real exponent, which cexp scales by
+      // exp(+-0) = 1: the values are (cos h, -+sin h), one sincos
+      // instead of two cexp calls (pinned bitwise against std::exp by
+      // GateMatrices.RzTrigIsTheComplexExponential).
+      const double h = p[0] / 2.0;
+      const double c = std::cos(h);
+      const double s = std::sin(h);
+      t.e0 = Complex{c, -s};
+      t.e1 = Complex{c, s};
+      break;
+    }
+    case GateKind::kU3:
+      t.c = std::cos(p[0] / 2.0);
+      t.s = std::sin(p[0] / 2.0);
+      t.e0 = std::exp(kI * p[2]);
+      t.e1 = std::exp(kI * p[1]);
+      t.e2 = std::exp(kI * (p[1] + p[2]));
+      break;
+    default:
+      break;
+  }
+  return t;
 }
 
 Mat2 gate_matrix_1q(GateKind kind, const std::array<double, 3>& p) {
+  return gate_matrix_1q_of(kind, gate_trig(kind, p));
+}
+
+Mat2 gate_matrix_1q_of(GateKind kind, const GateTrig& t) {
   const double inv_sqrt2 = 1.0 / std::numbers::sqrt2;
   switch (kind) {
     case GateKind::kI:
@@ -119,30 +162,33 @@ Mat2 gate_matrix_1q(GateKind kind, const std::array<double, 3>& p) {
       return {Complex{0.5, 0.5}, Complex{0.5, -0.5}, Complex{0.5, -0.5},
               Complex{0.5, 0.5}};
     case GateKind::kRX:
-      return matrix_rx(p[0]);
+      return {Complex{t.c, 0.0}, -kI * t.s, -kI * t.s, Complex{t.c, 0.0}};
     case GateKind::kRY:
-      return matrix_ry(p[0]);
+      return {Complex{t.c, 0.0}, Complex{-t.s, 0.0}, Complex{t.s, 0.0},
+              Complex{t.c, 0.0}};
     case GateKind::kRZ:
-      return matrix_rz(p[0]);
+      return {t.e0, Complex{0.0, 0.0}, Complex{0.0, 0.0}, t.e1};
     case GateKind::kU3:
-      return matrix_u3(p[0], p[1], p[2]);
+      return {Complex{t.c, 0.0}, -t.e0 * t.s, t.e1 * t.s, t.e2 * t.c};
     default:
       throw std::invalid_argument("gate_matrix_1q: not a one-qubit gate");
   }
 }
 
 Mat4 gate_matrix_2q(GateKind kind, const std::array<double, 3>& p) {
+  return gate_matrix_2q_of(kind, gate_trig(kind, p));
+}
+
+Mat4 gate_matrix_2q_of(GateKind kind, const GateTrig& t) {
   switch (kind) {
     case GateKind::kCX:
-      return controlled(gate_matrix_1q(GateKind::kX, {}));
+      return controlled(gate_matrix_1q_of(GateKind::kX, t));
     case GateKind::kCZ:
-      return controlled(gate_matrix_1q(GateKind::kZ, {}));
+      return controlled(gate_matrix_1q_of(GateKind::kZ, t));
     case GateKind::kCRX:
-      return controlled(matrix_rx(p[0]));
     case GateKind::kCRY:
-      return controlled(matrix_ry(p[0]));
     case GateKind::kCRZ:
-      return controlled(matrix_rz(p[0]));
+      return controlled(gate_matrix_1q_of(inner_rotation(kind), t));
     case GateKind::kSwap: {
       Mat4 m{};
       m[0 * 4 + 0] = 1.0;
@@ -158,8 +204,12 @@ Mat4 gate_matrix_2q(GateKind kind, const std::array<double, 3>& p) {
 
 Mat2 d_gate_matrix_1q(GateKind kind, const std::array<double, 3>& p,
                       int slot) {
-  const double c = std::cos(p[0] / 2.0);
-  const double s = std::sin(p[0] / 2.0);
+  return d_gate_matrix_1q_of(kind, gate_trig(kind, p), slot);
+}
+
+Mat2 d_gate_matrix_1q_of(GateKind kind, const GateTrig& t, int slot) {
+  const double c = t.c;
+  const double s = t.s;
   switch (kind) {
     case GateKind::kRX:
       return {Complex{-s / 2, 0}, -kI * (c / 2), -kI * (c / 2),
@@ -168,12 +218,12 @@ Mat2 d_gate_matrix_1q(GateKind kind, const std::array<double, 3>& p,
       return {Complex{-s / 2, 0}, Complex{-c / 2, 0}, Complex{c / 2, 0},
               Complex{-s / 2, 0}};
     case GateKind::kRZ:
-      return {-kI * 0.5 * std::exp(-kI * (p[0] / 2.0)), Complex{0, 0},
-              Complex{0, 0}, kI * 0.5 * std::exp(kI * (p[0] / 2.0))};
+      return {-kI * 0.5 * t.e0, Complex{0, 0}, Complex{0, 0},
+              kI * 0.5 * t.e1};
     case GateKind::kU3: {
-      const Complex el = std::exp(kI * p[2]);
-      const Complex ep = std::exp(kI * p[1]);
-      const Complex epl = std::exp(kI * (p[1] + p[2]));
+      const Complex el = t.e0;
+      const Complex ep = t.e1;
+      const Complex epl = t.e2;
       switch (slot) {
         case 0:
           return {Complex{-s / 2, 0}, -el * (c / 2), ep * (c / 2),
@@ -193,21 +243,15 @@ Mat2 d_gate_matrix_1q(GateKind kind, const std::array<double, 3>& p,
 }
 
 Mat4 d_gate_matrix_2q(GateKind kind, const std::array<double, 3>& p) {
-  GateKind inner;
-  switch (kind) {
-    case GateKind::kCRX:
-      inner = GateKind::kRX;
-      break;
-    case GateKind::kCRY:
-      inner = GateKind::kRY;
-      break;
-    case GateKind::kCRZ:
-      inner = GateKind::kRZ;
-      break;
-    default:
-      throw std::logic_error("d_gate_matrix_2q: gate is not parameterized");
+  return d_gate_matrix_2q_of(kind, gate_trig(kind, p));
+}
+
+Mat4 d_gate_matrix_2q_of(GateKind kind, const GateTrig& t) {
+  const GateKind inner = inner_rotation(kind);
+  if (inner == kind) {
+    throw std::logic_error("d_gate_matrix_2q: gate is not parameterized");
   }
-  const Mat2 d = d_gate_matrix_1q(inner, p, 0);
+  const Mat2 d = d_gate_matrix_1q_of(inner, t, 0);
   Mat4 m{};
   m[2 * 4 + 2] = d[0];
   m[2 * 4 + 3] = d[1];

@@ -57,7 +57,7 @@ double QnnExecutor::readout_probability(double z) const {
 void QnnExecutor::block_probabilities(
     const std::vector<std::vector<double>>& features,
     const std::vector<double>& weights, std::size_t b0, std::size_t count,
-    sim::Workspace& ws) const {
+    bool adjoint, sim::Workspace& ws) const {
   const auto np = static_cast<std::size_t>(plan_->num_params());
   const auto nq = static_cast<std::size_t>(model_.num_qubits());
   ws.params.resize(count * np);
@@ -75,8 +75,8 @@ void QnnExecutor::block_probabilities(
   ws.values.resize(count);
   AQ_COUNTER_ADD("qnn.forward.calls", static_cast<std::uint64_t>(count));
   AQ_COUNTER_ADD("qnn.plan.cache_hits", static_cast<std::uint64_t>(count));
-  plan_->expectation_z_batched(ws.params.data(), np, count, readout_qubit_,
-                               ws, ws.values.data());
+  plan_->bind_block(ws.params.data(), np, count, ws, adjoint);
+  plan_->expectation_z_bound(readout_qubit_, ws, ws.values.data());
   for (double& v : ws.values) v = readout_probability(v);
 }
 
@@ -131,7 +131,7 @@ double QnnExecutor::dataset_loss(
         auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-          block_probabilities(features, weights, b0, count, *ws);
+          block_probabilities(features, weights, b0, count, false, *ws);
           for (std::size_t b = 0; b < count; ++b) {
             per_sample[b0 + b] =
                 loss_value(kind, ws->values[b], labels[b0 + b]);
@@ -174,17 +174,17 @@ std::vector<double> QnnExecutor::loss_gradient(
   exec::parallel_for(
       options_.exec, 0, features.size(),
       [&](std::size_t lo, std::size_t hi) {
-        // Per block: pack once, then the batched forward walk yields p
-        // for the loss derivative (the walk the loss reports) and the
-        // adjoint runs its forward and reverse sweeps over the block.
+        // Per block: pack and bind once, then the fused forward walk
+        // yields p for the loss derivative (the walk the loss reports)
+        // and the adjoint runs its forward and reverse sweeps over the
+        // same bind.
         auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-          block_probabilities(features, weights, b0, count, *ws);
+          block_probabilities(features, weights, b0, count, true, *ws);
           ws->grads.resize(count * np);
-          sim::adjoint_gradient_z_batched(*plan_, ws->params.data(), np,
-                                          count, readout_qubit_, *ws,
-                                          ws->grads.data());
+          sim::adjoint_gradient_z_bound(*plan_, readout_qubit_, *ws,
+                                        ws->grads.data());
           for (std::size_t b = 0; b < count; ++b) {
             const std::size_t i = b0 + b;
             // p_raw = (1 - <Z>)/2, then the readout contraction scales

@@ -13,7 +13,7 @@
 // carries across priorities; priorities themselves still scan strictly
 // high -> low.
 //
-// Admission control: try_push enforces a global capacity across all
+// Admission control: try_push_all enforces a global capacity across all
 // lanes and fails (backpressure) when the runtime is saturated — the
 // caller turns that into a rejected job. Retries and re-routes of
 // *already admitted* work go through push_retry, which bypasses the
@@ -87,10 +87,10 @@ class JobQueue {
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Admission path. False when the queue is full or closed.
-  bool try_push(ShotBatch batch);
-  /// Atomic job admission: either every batch is enqueued or none is
-  /// (false when the batches don't all fit, or the queue is closed).
+  /// The admission path, atomic per job: either every batch is enqueued
+  /// or none is (false when the batches don't all fit, or the queue is
+  /// closed; std::out_of_range, enqueuing none, when one names a lane
+  /// the queue does not hold).
   bool try_push_all(std::vector<ShotBatch> batches);
   /// Whether `n` more admission-path batches fit right now (false once
   /// closed). Exact for a caller that is the only admitter: pops only
@@ -127,7 +127,6 @@ class JobQueue {
   /// Batches resident for tenant slot `tenant` across all lanes.
   std::size_t tenant_depth(std::size_t tenant) const;
   std::size_t num_tenants() const noexcept { return num_tenants_; }
-  std::size_t rejected() const;
   /// Arbiter grants issued so far (pops that consulted an arbiter).
   std::uint64_t arbiter_grants() const;
 
@@ -206,7 +205,6 @@ class JobQueue {
   std::size_t admitted_depth_ = 0;  ///< admission batches still resident
   std::size_t total_depth_ = 0;
   std::size_t in_flight_ = 0;
-  std::size_t rejected_ = 0;
   bool closed_ = false;
   bool aborted_ = false;
   mutable std::atomic<std::uint64_t> lock_wait_ns_{0};

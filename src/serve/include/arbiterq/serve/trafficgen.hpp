@@ -155,13 +155,16 @@ class TrafficGenerator {
 std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec);
 
 /// Parse a traffic-shape string: "<pattern>[,key=value...]" with keys
-/// duration, seed, dim, period, amplitude, cycle, duty, mult, idle —
-/// e.g. "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". `seed`
-/// and `dim` take a whole non-negative integer; a malformed or
-/// out-of-range field throws std::invalid_argument. The returned config
-/// has an empty tenant mix; fill it from parse_tenant_profiles or
-/// adversarial_mix.
-TrafficConfig parse_traffic_spec(const std::string& spec);
+/// duration, seed, period, amplitude, cycle, duty, mult, idle — e.g.
+/// "diurnal,duration=2,seed=7,period=0.5,amplitude=0.8". `seed` takes a
+/// whole non-negative integer; a malformed or out-of-range field throws
+/// std::invalid_argument. Jobs carry the serving model's encoding width,
+/// `feature_dim`, which the returned config takes; the spec has no say
+/// in it, and a `dim` key throws std::invalid_argument naming the
+/// model's width. The returned config has an empty tenant mix; fill it
+/// from parse_tenant_profiles or adversarial_mix.
+TrafficConfig parse_traffic_spec(const std::string& spec,
+                                 std::size_t feature_dim);
 
 /// Canned adversarial scenario scaled to a fleet that completes
 /// `fleet_jobs_per_s` jobs per modeled second: one best-effort "flood"

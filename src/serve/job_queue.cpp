@@ -77,35 +77,15 @@ void JobQueue::enqueue_locked(ShotBatch batch, bool admitted) {
   ++total_depth_;
 }
 
-bool JobQueue::try_push(ShotBatch batch) {
-  const std::size_t lane = lane_of(batch);
-  std::unique_lock<std::mutex> lock = lock_timed();
-  if (lane * kPriorities * num_tenants_ >= lanes_.size()) {
-    throw std::out_of_range("JobQueue::try_push: bad lane");
-  }
-  if (closed_ || admitted_depth_ >= capacity_) {
-    ++rejected_;
-    AQ_COUNTER_ADD("serve.queue.rejected", 1);
-    return false;
-  }
-  enqueue_locked(std::move(batch), /*admitted=*/true);
-  note_depth_locked();
-  cv_.notify_all();
-  return true;
-}
-
 bool JobQueue::try_push_all(std::vector<ShotBatch> batches) {
   std::unique_lock<std::mutex> lock = lock_timed();
-  if (closed_ || admitted_depth_ + batches.size() > capacity_) {
-    rejected_ += batches.size();
-    AQ_COUNTER_ADD("serve.queue.rejected", batches.size());
-    return false;
-  }
-  for (ShotBatch& batch : batches) {
-    const std::size_t lane = lane_of(batch);
-    if (lane * kPriorities * num_tenants_ >= lanes_.size()) {
+  if (closed_ || admitted_depth_ + batches.size() > capacity_) return false;
+  for (const ShotBatch& batch : batches) {
+    if (lane_of(batch) * kPriorities * num_tenants_ >= lanes_.size()) {
       throw std::out_of_range("JobQueue::try_push_all: bad lane");
     }
+  }
+  for (ShotBatch& batch : batches) {
     enqueue_locked(std::move(batch), /*admitted=*/true);
   }
   note_depth_locked();
@@ -241,11 +221,6 @@ std::size_t JobQueue::lane_depth(std::size_t lane) const {
 std::size_t JobQueue::tenant_depth(std::size_t tenant) const {
   std::unique_lock<std::mutex> lock = lock_timed();
   return tenant < tenant_depth_.size() ? tenant_depth_[tenant] : 0;
-}
-
-std::size_t JobQueue::rejected() const {
-  std::unique_lock<std::mutex> lock = lock_timed();
-  return rejected_;
 }
 
 std::uint64_t JobQueue::arbiter_grants() const {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace arbiterq::serve {
@@ -328,12 +329,14 @@ std::vector<TenantProfile> parse_tenant_profiles(const std::string& spec) {
   return out;
 }
 
-TrafficConfig parse_traffic_spec(const std::string& spec) {
+TrafficConfig parse_traffic_spec(const std::string& spec,
+                                 std::size_t feature_dim) {
   const std::vector<std::string> fields = split_on(spec, ',');
   if (fields.empty() || trimmed(fields[0]).empty()) {
     throw std::invalid_argument("trafficgen: empty traffic spec");
   }
   TrafficConfig cfg;
+  cfg.feature_dim = feature_dim;
   cfg.pattern = traffic_pattern_from_string(trimmed(fields[0]));
   for (std::size_t f = 1; f < fields.size(); ++f) {
     const auto [key, value] = parse_kv(trimmed(fields[f]));
@@ -342,7 +345,9 @@ TrafficConfig parse_traffic_spec(const std::string& spec) {
     } else if (key == "seed") {
       cfg.seed = parse_count<std::uint64_t>(key, value);
     } else if (key == "dim") {
-      cfg.feature_dim = parse_count<std::size_t>(key, value);
+      throw std::invalid_argument(
+          "trafficgen: 'dim' is not a traffic key: jobs carry the model's "
+          "feature width, " + std::to_string(feature_dim));
     } else if (key == "period") {
       cfg.diurnal_period_s = parse_double(key, value);
     } else if (key == "amplitude") {

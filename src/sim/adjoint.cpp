@@ -202,101 +202,19 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
   return grad;
 }
 
-void ExecPlan::bind_gates_batched(const double* params, std::size_t stride,
-                                  std::size_t batch,
-                                  Workspace& ws) const {
-  if (batch == 0) {
-    throw std::invalid_argument("bind_gates_batched: batch must be > 0");
+void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
+                              double* grads) {
+  const Workspace::Block& g = ws.block;
+  if (g.plan_id != plan.plan_id() || !g.adjoint) {
+    throw std::logic_error(
+        "adjoint_gradient_z_bound: no block of this plan is bound with its "
+        "adjoint companions");
   }
-  if (stride < static_cast<std::size_t>(num_params_)) {
-    throw std::invalid_argument("bind_gates_batched: stride < num_params");
-  }
-  Workspace::GateBlock& g = ws.gate_block;
-  if (g.plan_id != plan_id_ || g.batch != batch) {
-    const auto n1 = static_cast<std::size_t>(n_dyn1q_) * batch;
-    const auto n2 = static_cast<std::size_t>(n_dyn2q_) * batch;
-    const auto nd1 = static_cast<std::size_t>(n_grad1q_) * batch;
-    const auto nd2 = static_cast<std::size_t>(n_grad2q_) * batch;
-    g.uniform.resize(static_cast<std::size_t>(n_dyn_));
-    g.angles.resize(static_cast<std::size_t>(n_dyn_) * batch);
-    g.m1.resize(n1);
-    g.adj1.resize(n1);
-    g.shape1.resize(n1);
-    g.adj_shape1.resize(n1);
-    g.d1.resize(nd1);
-    g.d_shape1.resize(nd1);
-    g.m2.resize(n2);
-    g.adj2.resize(n2);
-    g.shape2.resize(n2);
-    g.adj_shape2.resize(n2);
-    g.d2.resize(nd2);
-    g.d_shape2.resize(nd2);
-    g.plan_id = plan_id_;
-    g.batch = batch;
-  }
-  const auto np = static_cast<std::size_t>(num_params_);
-  for (const GateEntry& e : table_) {
-    if (!e.dynamic) continue;
-    const auto bi = static_cast<std::size_t>(e.bound_index);
-    std::array<double, 3>* const ang = g.angles.data() + bi * batch;
-    bool uniform = true;
-    for (std::size_t b = 0; b < batch; ++b) {
-      ang[b] = e.spec.bound(std::span<const double>(params + b * stride, np),
-                            noisy_);
-      if (ang[b] != ang[0]) uniform = false;
-    }
-    g.uniform[bi] = uniform ? 1 : 0;
-    // A uniform entry is built once, into column 0; otherwise a column
-    // whose angles equal its predecessor's copies its matrices.
-    const std::size_t base = static_cast<std::size_t>(e.index) * batch;
-    for (std::size_t b = 0; b < (uniform ? 1 : batch); ++b) {
-      const bool same = b > 0 && ang[b] == ang[b - 1];
-      const std::size_t at = base + b;
-      if (e.arity == 1) {
-        g.m1[at] =
-            same ? g.m1[at - 1] : circuit::gate_matrix_1q(e.kind, ang[b]);
-        g.shape1[at] = kernels::classify(g.m1[at]);
-        g.adj1[at] = circuit::mat2_adjoint(g.m1[at]);
-        g.adj_shape1[at] = kernels::classify(g.adj1[at]);
-        for (const GateEntry::GradTerm& t : e.grads) {
-          const std::size_t d = static_cast<std::size_t>(t.dindex) * batch + b;
-          g.d1[d] = same ? g.d1[d - 1]
-                         : circuit::d_gate_matrix_1q(e.kind, ang[b], t.slot);
-          g.d_shape1[d] = kernels::classify(g.d1[d]);
-        }
-      } else {
-        g.m2[at] =
-            same ? g.m2[at - 1] : circuit::gate_matrix_2q(e.kind, ang[b]);
-        g.shape2[at] = kernels::classify(g.m2[at]);
-        g.adj2[at] = circuit::mat4_adjoint(g.m2[at]);
-        g.adj_shape2[at] = kernels::classify(g.adj2[at]);
-        for (const GateEntry::GradTerm& t : e.grads) {
-          const std::size_t d = static_cast<std::size_t>(t.dindex) * batch + b;
-          g.d2[d] =
-              same ? g.d2[d - 1] : circuit::d_gate_matrix_2q(e.kind, ang[b]);
-          g.d_shape2[d] = kernels::classify(g.d2[d]);
-        }
-      }
-    }
-  }
-}
-
-void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
-                                std::size_t stride, std::size_t batch,
-                                int qubit, Workspace& ws,
-                                double* grads) {
+  const std::size_t batch = g.batch;
   const auto np = static_cast<std::size_t>(plan.num_params());
-  if (stride < np) {
-    throw std::invalid_argument("adjoint_gradient_z_batched: stride < params");
-  }
-  if (batch == 0) return;
   AQ_COUNTER_ADD("sim.adjoint.calls", static_cast<std::uint64_t>(batch));
   AQ_COUNTER_ADD("sim.plan.adjoint.batched_calls", 1);
 
-  // One gate-table bind for the block: weight entries (angles equal
-  // across the block) are built once, feature entries per column.
-  plan.bind_gates_batched(params, stride, batch, ws);
-  const Workspace::GateBlock& g = ws.gate_block;
   // The kernel arm, resolved once for both sweeps.
   const kernels::KernelTable& kern = kernels::kernel_table();
   // A dynamic entry's matrices step by one column, unless it is uniform.

@@ -43,57 +43,6 @@ const Mat2& pauli_matrix(int pauli) {
   return kPaulis[static_cast<std::size_t>(pauli - 1)];
 }
 
-/// out = fac * in for the n columns of bind_batched's split fold
-/// buffers (entry e's real parts at [2e * n, + n), imaginary parts at
-/// [(2e + 1) * n, + n)): per column, mat2_multiply(fac, in)'s
-/// operations. Entry (r, c) of the product is a[r][0] * b[0][c] +
-/// a[r][1] * b[1][c], each complex product (xr * yr - xi * yi, xr * yi
-/// + xi * yr) as GCC lowers std::complex multiplication for finite
-/// values. PerColumn: fac is laid out as `in`; otherwise it is one
-/// matrix's eight doubles, [re, im] per entry, for every column. The
-/// column loops are straight lines over contiguous arrays, so they
-/// vectorize.
-template <bool PerColumn>
-void fold_columns(const double* in, double* out, const double* fac,
-                  std::size_t n) {
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t c = 0; c < 2; ++c) {
-      const std::size_t x0 = 2 * r;  // a[r][0]; a[r][1] is x0 + 1
-      const std::size_t y0 = c;      // b[0][c]
-      const std::size_t y1 = 2 + c;  // b[1][c]
-      const double* const b0r = in + 2 * y0 * n;
-      const double* const b0i = b0r + n;
-      const double* const b1r = in + 2 * y1 * n;
-      const double* const b1i = b1r + n;
-      double* const outr = out + 2 * (x0 + c) * n;
-      double* const outi = outr + n;
-      if constexpr (PerColumn) {
-        const double* const a0r = fac + 2 * x0 * n;
-        const double* const a0i = a0r + n;
-        const double* const a1r = a0i + n;
-        const double* const a1i = a1r + n;
-        for (std::size_t k = 0; k < n; ++k) {
-          outr[k] = (a0r[k] * b0r[k] - a0i[k] * b0i[k]) +
-                    (a1r[k] * b1r[k] - a1i[k] * b1i[k]);
-          outi[k] = (a0r[k] * b0i[k] + a0i[k] * b0r[k]) +
-                    (a1r[k] * b1i[k] + a1i[k] * b1r[k]);
-        }
-      } else {
-        const double a0r = fac[2 * x0];
-        const double a0i = fac[2 * x0 + 1];
-        const double a1r = fac[2 * x0 + 2];
-        const double a1i = fac[2 * x0 + 3];
-        for (std::size_t k = 0; k < n; ++k) {
-          outr[k] = (a0r * b0r[k] - a0i * b0i[k]) +
-                    (a1r * b1r[k] - a1i * b1i[k]);
-          outi[k] = (a0r * b0i[k] + a0i * b0r[k]) +
-                    (a1r * b1i[k] + a1i * b1r[k]);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -235,190 +184,47 @@ void BatchedStatevector::probability_of_one_all(int q, double* out) const {
 // ---------------------------------------------------------------------------
 // ExecPlan batched execution
 
-void ExecPlan::bind_batched(const double* params, std::size_t stride,
-                            std::size_t batch, Workspace& ws) const {
-  if (batch == 0) {
-    throw std::invalid_argument("bind_batched: batch must be > 0");
+BatchedStatevector& ExecPlan::run_bound(Workspace& ws) const {
+  const Workspace::Block& k = ws.block;
+  if (k.plan_id != plan_id_) {
+    throw std::logic_error("run_bound: no block of this plan is bound");
   }
-  if (stride < static_cast<std::size_t>(num_params_)) {
-    throw std::invalid_argument("bind_batched: stride < num_params");
-  }
-  AQ_COUNTER_ADD("sim.plan.batched_binds", 1);
-  if (ws.plan_id != plan_id_ || ws.batch != batch) {
-    ws.bound1q_cols.resize(bound1q_.size() * batch);
-    ws.bound2q_cols.resize(bound2q_.size() * batch);
-    ws.bound1q_shapes.resize(bound1q_.size() * batch);
-    ws.bound2q_shapes.resize(bound2q_.size() * batch);
-    ws.uniform1q.resize(bound1q_.size());
-    ws.uniform2q.resize(bound2q_.size());
-    ws.plan_id = plan_id_;
-    ws.batch = batch;
-  }
-  const auto np = static_cast<std::size_t>(num_params_);
-  auto col_params = [&](std::size_t b) {
-    return std::span<const double>(params + b * stride, np);
-  };
-  // Per column this is run_biased's fold with that column's params, done
-  // once per block rather than once per column. Only column 0 and the
-  // columns whose dynamic angles differ from their predecessor's are
-  // folded (a copy of the predecessor's matrix is bitwise the same
-  // fold), and a slot where only column 0 folds is flagged uniform so
-  // run_batched can stream the broadcast kernel. A folded column's shape
-  // is classified once, here; a copied column copies it. Each dynamic op's
-  // matrix is built once per run of equal angles among the folded
-  // columns, so weight gates are built once per block. The folded
-  // columns then step through the tail together: split real and
-  // imaginary parts, and per column mat2_multiply(m, acc)'s exact
-  // operations (this file is built without -mfma and without FP
-  // contraction, so every product and sum rounds as std::complex's).
-  for (std::size_t i = 0; i < bound1q_.size(); ++i) {
-    const Bound1qSlot& slot = bound1q_[i];
-    std::size_t n_dyn = 0;
-    for (const FoldOp& op : slot.tail) {
-      if (op.dynamic) ++n_dyn;
-    }
-    ws.angles.resize(n_dyn * batch);
-    std::array<double, 3>* const ang = ws.angles.data();
-    std::size_t j = 0;
-    for (const FoldOp& op : slot.tail) {
-      if (!op.dynamic) continue;
-      for (std::size_t b = 0; b < batch; ++b) {
-        ang[j * batch + b] = op.bound(col_params(b), noisy_);
-      }
-      ++j;
-    }
-    ws.fold_cols.clear();
-    for (std::size_t b = 0; b < batch; ++b) {
-      bool fresh = b == 0;
-      for (j = 0; j < n_dyn && !fresh; ++j) {
-        fresh = ang[j * batch + b] != ang[j * batch + b - 1];
-      }
-      if (fresh) ws.fold_cols.push_back(static_cast<std::uint32_t>(b));
-    }
-    const std::uint32_t* const fc = ws.fold_cols.data();
-    const std::size_t nf = ws.fold_cols.size();
-    // The accumulator (entry e's real parts at [2e * nf, + nf),
-    // imaginary parts after them), its next value, and a per-column
-    // factor, laid out alike.
-    ws.fold.resize(24 * nf);
-    double* acc = ws.fold.data();
-    double* next = acc + 8 * nf;
-    double* const fac = next + 8 * nf;
-    auto put = [nf](double* dst, std::size_t k, const Mat2& m) {
-      for (std::size_t e = 0; e < 4; ++e) {
-        dst[2 * e * nf + k] = m[e].real();
-        dst[(2 * e + 1) * nf + k] = m[e].imag();
-      }
-    };
-    for (std::size_t k = 0; k < nf; ++k) put(acc, k, slot.prefix);
-    auto doubles = [](const Mat2& m) {
-      return reinterpret_cast<const double*>(m.data());
-    };
-    j = 0;
-    for (const FoldOp& op : slot.tail) {
-      if (!op.dynamic) {
-        fold_columns<false>(acc, next, doubles(op.constant), nf);
-        std::swap(acc, next);
-        continue;
-      }
-      const std::array<double, 3>* const a = ang + j++ * batch;
-      Mat2 m = circuit::gate_matrix_1q(op.kind, a[fc[0]]);
-      bool shared = true;
-      for (std::size_t k = 1; k < nf && shared; ++k) {
-        shared = a[fc[k]] == a[fc[0]];
-      }
-      if (shared) {
-        fold_columns<false>(acc, next, doubles(m), nf);
-        std::swap(acc, next);
-        continue;
-      }
-      for (std::size_t k = 0; k < nf; ++k) {
-        if (k > 0 && a[fc[k]] != a[fc[k - 1]]) {
-          m = circuit::gate_matrix_1q(op.kind, a[fc[k]]);
-        }
-        put(fac, k, m);
-      }
-      fold_columns<true>(acc, next, fac, nf);
-      std::swap(acc, next);
-    }
-    Mat2* const cols = ws.bound1q_cols.data() + i * batch;
-    MatShape<2>* const shapes = ws.bound1q_shapes.data() + i * batch;
-    std::size_t k = 0;
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (k + 1 < nf && fc[k + 1] == b) {
-        ++k;
-      } else if (b > 0) {
-        cols[b] = cols[b - 1];
-        shapes[b] = shapes[b - 1];
-        continue;
-      }
-      for (std::size_t e = 0; e < 4; ++e) {
-        cols[b][e] = Complex{acc[2 * e * nf + k], acc[(2 * e + 1) * nf + k]};
-      }
-      shapes[b] = kernels::classify(cols[b]);
-    }
-    ws.uniform1q[i] = nf == 1 ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < bound2q_.size(); ++i) {
-    const FoldOp& spec = bound2q_[i].spec;
-    Mat4* const cols = ws.bound2q_cols.data() + i * batch;
-    MatShape<4>* const shapes = ws.bound2q_shapes.data() + i * batch;
-    std::array<double, 3> prev{};
-    bool uniform = true;
-    for (std::size_t b = 0; b < batch; ++b) {
-      const std::array<double, 3> bound = spec.bound(col_params(b), noisy_);
-      if (b > 0 && bound == prev) {
-        cols[b] = cols[b - 1];
-        shapes[b] = shapes[b - 1];
-      } else {
-        if (b > 0) uniform = false;
-        cols[b] = circuit::gate_matrix_2q(spec.kind, bound);
-        shapes[b] = kernels::classify(cols[b]);
-      }
-      prev = bound;
-    }
-    ws.uniform2q[i] = uniform ? 1 : 0;
-  }
-}
-
-BatchedStatevector& ExecPlan::run_batched(const double* params,
-                                          std::size_t stride,
-                                          std::size_t batch,
-                                          Workspace& ws) const {
+  const std::size_t batch = k.batch;
   AQ_COUNTER_ADD("sim.plan.batched_runs", 1);
   AQ_COUNTER_ADD("sim.plan.batched_columns",
                  static_cast<std::uint64_t>(batch));
-  bind_batched(params, stride, batch, ws);
-  const kernels::KernelTable& k = kernels::kernel_table();
+  const kernels::KernelTable& kern = kernels::kernel_table();
   BatchedStatevector& st = ws.state();
   st.configure(num_qubits_, batch);
   for (const StreamOp& op : stream_) {
     const auto idx = static_cast<std::size_t>(op.index);
     switch (op.kind) {
       case StreamOp::Kind::kConst1q:
-        st.apply_mat2_all(k, const1q_[idx], const1q_shape_[idx], op.q0);
+        st.apply_mat2_all(kern, const1q_[idx], const1q_shape_[idx], op.q0);
         break;
       case StreamOp::Kind::kBound1q: {
-        const Mat2* const m = ws.bound1q_cols.data() + idx * batch;
-        const MatShape<2>* const shape = ws.bound1q_shapes.data() + idx * batch;
-        if (ws.uniform1q[idx] != 0) {
-          st.apply_mat2_all(k, *m, *shape, op.q0);
+        const Mat2* const m = k.fused.data() + idx * batch;
+        const MatShape<2>* const shape = k.fused_shape.data() + idx * batch;
+        if (k.fused_uniform[idx] != 0) {
+          st.apply_mat2_all(kern, *m, *shape, op.q0);
         } else {
-          st.apply_mat2_each(k, m, shape, op.q0);
+          st.apply_mat2_each(kern, m, shape, op.q0);
         }
         break;
       }
       case StreamOp::Kind::kConst2q:
-        st.apply_mat4_all(k, table2q_[idx], table2q_shape_[idx], op.q0,
+        st.apply_mat4_all(kern, table2q_[idx], table2q_shape_[idx], op.q0,
                           op.q1);
         break;
       case StreamOp::Kind::kBound2q: {
-        const Mat4* const m = ws.bound2q_cols.data() + idx * batch;
-        const MatShape<4>* const shape = ws.bound2q_shapes.data() + idx * batch;
-        if (ws.uniform2q[idx] != 0) {
-          st.apply_mat4_all(k, *m, *shape, op.q0, op.q1);
+        const GateEntry& e = table_[idx];
+        const std::size_t at = static_cast<std::size_t>(e.index) * batch;
+        const Mat4* const m = k.m2.data() + at;
+        const MatShape<4>* const shape = k.shape2.data() + at;
+        if (k.uniform[static_cast<std::size_t>(e.bound_index)] != 0) {
+          st.apply_mat4_all(kern, *m, *shape, op.q0, op.q1);
         } else {
-          st.apply_mat4_each(k, m, shape, op.q0, op.q1);
+          st.apply_mat4_each(kern, m, shape, op.q0, op.q1);
         }
         break;
       }
@@ -427,13 +233,11 @@ BatchedStatevector& ExecPlan::run_batched(const double* params,
   return st;
 }
 
-void ExecPlan::expectation_z_batched(const double* params, std::size_t stride,
-                                     std::size_t batch, int qubit,
-                                     Workspace& ws,
-                                     double* out) const {
-  const BatchedStatevector& st = run_batched(params, stride, batch, ws);
+void ExecPlan::expectation_z_bound(int qubit, Workspace& ws,
+                                   double* out) const {
+  const BatchedStatevector& st = run_bound(ws);
   st.probability_of_one_all(qubit, out);
-  for (std::size_t b = 0; b < batch; ++b) {
+  for (std::size_t b = 0; b < st.batch(); ++b) {
     out[b] = survival_ * (1.0 - 2.0 * out[b]);
   }
 }

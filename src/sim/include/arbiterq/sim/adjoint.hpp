@@ -48,20 +48,18 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
                                        int qubit, const NoiseModel* noise,
                                        double survival);
 
-/// Sample-batched plan gradient: sample b's parameter binding starts at
-/// params + b * stride (stride >= num_params) and its gradient is
-/// written to grads + b * num_params. The gate table is bound once for
-/// the block (ExecPlan::bind_gates_batched: shared-angle entries once,
-/// feature entries per column); the forward walk runs as one batched
-/// mini-GEMM sweep, and the reverse sweep walks batched psi and lambda
-/// registers in lockstep with per-column bracket sums, on the kernel arm
-/// in force when the call starts. Per column every
-/// step is the circuit walk's arithmetic on every kernel arm, so each
-/// sample's gradient is bit-identical to the circuit overload above on
-/// the plan's circuit and noise model, at every batch size.
-void adjoint_gradient_z_batched(const ExecPlan& plan, const double* params,
-                                std::size_t stride, std::size_t batch,
-                                int qubit, Workspace& ws,
-                                double* grads);
+/// Sample-batched plan gradient of the block last bound into ws by
+/// plan.bind_block with `adjoint` set (std::logic_error otherwise), so
+/// one bind serves this walk and the block's fused forward: column b's
+/// gradient is written to grads + b * num_params. The forward
+/// walk runs as one batched mini-GEMM sweep over the gate table, and the
+/// reverse sweep walks batched psi and lambda registers in lockstep with
+/// per-column bracket sums, on the kernel arm in force when the call
+/// starts. Per column every step is the circuit walk's arithmetic on
+/// every kernel arm, so each sample's gradient is bit-identical to the
+/// circuit overload above on the plan's circuit and noise model, at
+/// every batch size.
+void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
+                              double* grads);
 
 }  // namespace arbiterq::sim

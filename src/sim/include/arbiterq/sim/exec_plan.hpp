@@ -39,18 +39,13 @@
 
 namespace arbiterq::sim {
 
-/// One step of a fused 1q run's left-multiply fold: either a constant
-/// matrix (a static gate that sits after a parameterized one) or a
-/// parameterized gate whose matrix is rebuilt at bind time.
-struct FoldOp {
-  bool dynamic = false;
-  circuit::Mat2 constant{};
-  circuit::GateKind kind = circuit::GateKind::kI;
+/// A parameterized gate's angles at bind time: its parameter
+/// expressions plus, when the plan is noisy, the target qubit's coherent
+/// calibration offset on the polar angle (exactly mirroring
+/// NoiseModel::biased_params).
+struct AngleSpec {
   int param_count = 0;
   std::array<circuit::ParamExpr, 3> params{};
-  /// Coherent calibration offset of the target qubit, added to the polar
-  /// angle at bind time when the plan is noisy (exactly mirroring
-  /// NoiseModel::biased_params).
   double bias = 0.0;
 
   std::array<double, 3> bound(std::span<const double> p, bool noisy) const {
@@ -64,18 +59,24 @@ struct FoldOp {
   }
 };
 
+/// One step of a fused 1q run's left-multiply fold: a constant matrix (a
+/// static gate that sits after a parameterized one) or the bound matrix
+/// of a dynamic gate-table entry.
+struct FoldOp {
+  int gate = -1;  ///< the dynamic entry's gate-table position; -1: constant
+  circuit::Mat2 constant{};
+};
+
 /// A fused 1q run containing at least one parameterized gate: the static
 /// prefix is pre-folded into one constant; the tail replays the
 /// remaining fold steps at bind time in the original order.
 struct Bound1qSlot {
   circuit::Mat2 prefix{};  ///< identity if the run starts parameterized
   std::vector<FoldOp> tail;
+  /// The parameters the tail's dynamic gates read, ascending. Two
+  /// bindings that agree on them fold to the same matrix.
+  std::vector<int> reads;
   int qubit = 0;
-};
-
-/// A parameterized 2q gate slot (CRX/CRY/CRZ with a live parameter).
-struct Bound2qSlot {
-  FoldOp spec;  ///< dynamic == true; constant unused
 };
 
 /// The compiled op-stream: each op applies one matrix to the register.
@@ -85,8 +86,8 @@ struct StreamOp {
   int q0 = 0;
   int q1 = 0;
   /// kConst1q: into the fused constants; kConst2q: into the gate
-  /// table's static 2q matrices; bound kinds: into the workspace's bound
-  /// slots.
+  /// table's static 2q matrices; kBound1q: into the fused bound slots;
+  /// kBound2q: the gate-table position of the dynamic 2q gate.
   int index = 0;
 };
 
@@ -101,20 +102,22 @@ struct GateEntry {
   /// Static: index into the plan's const pools (matrix, its adjoint and
   /// its kernel shape).
   /// Dynamic: index into the workspace dyn1q/dyn2q arrays (and, times
-  /// the batch, into GateBlock's per-column arrays).
+  /// the batch, into the bound block's per-column m1/m2 arrays).
   int index = 0;
-  /// Dynamic only: index into Workspace::dyn_bound and
-  /// GateBlock::uniform (the bound angles and whether they match across
-  /// a block).
+  /// Dynamic only: index into Workspace::dyn_bound and the bound block's
+  /// uniform flags.
   int bound_index = 0;
-  FoldOp spec;  ///< dynamic only
+  AngleSpec spec;  ///< dynamic only
+  /// Dynamic only: the parameters its angles read, ascending. Two
+  /// bindings that agree on them bind the same matrices.
+  std::vector<int> reads;
   /// Non-constant parameter slots, for gradient accumulation.
   struct GradTerm {
     int slot = 0;
     int param_index = 0;
     double coeff = 1.0;
     /// Derivative index: the term's matrices sit at [dindex * batch, +
-    /// batch) of GateBlock::d1 (arity 1) or d2 (arity 2).
+    /// batch) of the bound block's d1 (arity 1) or d2 (arity 2).
     int dindex = 0;
   };
   std::vector<GradTerm> grads;
@@ -231,26 +234,49 @@ class Workspace {
   std::vector<double> grads;
   std::vector<double> partials;
 
-  /// Filled by ExecPlan::bind_batched — slot-major bound matrices and
-  /// their kernel shapes (slot s, column b at [s * batch + b]) plus a
-  /// per-slot flag telling run_batched the whole batch shares one matrix
-  /// (broadcast kernel).
-  std::vector<circuit::Mat2> bound1q_cols;
-  std::vector<circuit::Mat4> bound2q_cols;
-  std::vector<kernels::MatShape<2>> bound1q_shapes;
-  std::vector<kernels::MatShape<4>> bound2q_shapes;
-  std::vector<std::uint8_t> uniform1q;
-  std::vector<std::uint8_t> uniform2q;
-  /// bind_batched's scratch: a slot's dynamic angles ([op * batch + b]),
-  /// the columns it folds, and the lockstep fold's split real and
-  /// imaginary parts (accumulator and factor, entry-major).
-  std::vector<std::array<double, 3>> angles;
-  std::vector<std::uint32_t> fold_cols;
-  std::vector<double> fold;
-  /// Shape stamp: plan identity and batch width the buffers above were
-  /// last sized for.
-  std::uint64_t plan_id = 0;
-  std::size_t batch = 0;
+  /// Filled by ExecPlan::bind_block for a block of `batch` parameter
+  /// bindings: what the block's forward walk (run_bound) reads and, when
+  /// bound with them, the adjoint companions the batched adjoint walk
+  /// reads. Per-column arrays are item-major: item i's column b sits at
+  /// [i * batch + b]. A uniform item (its matrices match across the
+  /// block) holds column 0's only, which the walks broadcast.
+  struct Block {
+    /// Per dynamic gate-table entry (GateEntry::bound_index): whether
+    /// every column agrees on the parameters it reads.
+    std::vector<std::uint8_t> uniform;
+    /// Per dynamic entry (GateEntry::index): the forward matrix; the 2q
+    /// forward shapes; with the companions, the 1q forward shapes and
+    /// the adjoints and their shapes.
+    std::vector<circuit::Mat2> m1;
+    std::vector<kernels::MatShape<2>> shape1;
+    std::vector<circuit::Mat2> adj1;
+    std::vector<kernels::MatShape<2>> adj_shape1;
+    std::vector<circuit::Mat4> m2;
+    std::vector<kernels::MatShape<4>> shape2;
+    std::vector<circuit::Mat4> adj2;
+    std::vector<kernels::MatShape<4>> adj_shape2;
+    /// With the companions, per gradient term (GradTerm::dindex): the
+    /// derivative matrix and its shape.
+    std::vector<circuit::Mat2> d1;
+    std::vector<kernels::MatShape<2>> d_shape1;
+    std::vector<circuit::Mat4> d2;
+    std::vector<kernels::MatShape<4>> d_shape2;
+    /// Per fused 1q slot (StreamOp::index of a kBound1q op): the folded
+    /// matrix, its shape, and whether only column 0 was folded (every
+    /// column reads the slot's parameters alike).
+    std::vector<circuit::Mat2> fused;
+    std::vector<kernels::MatShape<2>> fused_shape;
+    std::vector<std::uint8_t> fused_uniform;
+    /// Scratch: the columns a slot folds.
+    std::vector<std::uint32_t> fresh;
+    /// The bound block's plan identity (0 = nothing bound) and width,
+    /// and whether its companions are bound. The arrays above grow to
+    /// fit a plan and width and never shrink.
+    std::uint64_t plan_id = 0;
+    std::size_t batch = 0;
+    bool adjoint = false;
+  };
+  Block block;
 
   /// Filled by ExecPlan::bind_gates_forward for the trajectory sampler,
   /// which applies the gate table's forward matrices one gate at a time:
@@ -265,33 +291,6 @@ class Workspace {
   std::vector<kernels::MatShape<4>> dyn2q_shape;
   std::vector<std::array<double, 3>> dyn_bound;
   std::uint64_t gates_plan_id = 0;
-
-  /// ExecPlan::bind_gates_batched's gate table for one block. Per
-  /// dynamic entry (GateEntry::index) the forward matrix, its adjoint
-  /// and their shapes sit at [index * batch + b]; per gradient term
-  /// (GradTerm::dindex) the derivative matrix and its shape at [dindex *
-  /// batch + b]. An entry flagged uniform (by bound_index) holds column
-  /// 0's only: its angles match across the block.
-  struct GateBlock {
-    std::vector<std::uint8_t> uniform;
-    std::vector<std::array<double, 3>> angles;
-    std::vector<circuit::Mat2> m1;
-    std::vector<circuit::Mat2> adj1;
-    std::vector<kernels::MatShape<2>> shape1;
-    std::vector<kernels::MatShape<2>> adj_shape1;
-    std::vector<circuit::Mat2> d1;
-    std::vector<kernels::MatShape<2>> d_shape1;
-    std::vector<circuit::Mat4> m2;
-    std::vector<circuit::Mat4> adj2;
-    std::vector<kernels::MatShape<4>> shape2;
-    std::vector<kernels::MatShape<4>> adj_shape2;
-    std::vector<circuit::Mat4> d2;
-    std::vector<kernels::MatShape<4>> d_shape2;
-    /// Shape stamp, as above.
-    std::uint64_t plan_id = 0;
-    std::size_t batch = 0;
-  };
-  GateBlock gate_block;
 
   /// Trajectory-sampler scratch (StatevectorSimulator::
   /// sample_marginal_ones on a plan), reused so a steady-state call
@@ -390,11 +389,12 @@ class ExecPlan {
   /// Gates whose matrix work was fully hoisted to compile time.
   std::size_t fused_gate_count() const noexcept { return fused_gates_; }
   std::size_t bound_slot_count() const noexcept {
-    return bound1q_.size() + bound2q_.size();
+    return bound1q_.size() + static_cast<std::size_t>(n_dyn2q_);
   }
 
-  /// survival() * <Z_qubit> for one binding: expectation_z_batched at
-  /// batch 1, bit-identical to StatevectorSimulator::expectation_z.
+  /// survival() * <Z_qubit> for one binding: bind_block and
+  /// expectation_z_bound at batch 1, bit-identical to
+  /// StatevectorSimulator::expectation_z.
   /// Throws std::invalid_argument when `params` is shorter than
   /// num_params().
   double expectation_z(std::span<const double> params, int qubit,
@@ -405,34 +405,37 @@ class ExecPlan {
   /// matrices (the trajectory sampler).
   void bind_gates_forward(std::span<const double> params,
                           Workspace& ws) const;
-  /// Bind the gate table for a block of `batch` parameter bindings
-  /// (sample b's at params + b * stride) into ws.gate_block, with every
-  /// dynamic entry's adjoint and derivative matrices, for the batched
-  /// adjoint walk (adjoint.cpp). An entry whose angles match across the
-  /// block is built once; the others are built per run of equal angles.
-  /// Every matrix is built by the calls the circuit adjoint makes, so it
-  /// is bitwise that one.
-  void bind_gates_batched(const double* params, std::size_t stride,
-                          std::size_t batch, Workspace& ws) const;
+  /// Bind a block of `batch` parameter bindings (sample b's at [b *
+  /// stride, + num_params()), stride >= num_params()) into ws.block, once
+  /// for every walk over the block: the fused forward (run_bound) and,
+  /// with `adjoint`, the batched adjoint (adjoint_gradient_z_bound).
+  ///
+  /// Each dynamic gate binds its angles and evaluates its
+  /// transcendentals (circuit::gate_trig) once per run of columns that
+  /// agree on its parameters (GateEntry::reads), and builds its matrix
+  /// and, with `adjoint`, its adjoint and derivatives from that one
+  /// evaluation by the calls the circuit adjoint makes; a gate every
+  /// column reads alike is built once. Each fused 1q slot folds only its
+  /// fresh columns: column 0 and every column whose values of the slot's
+  /// parameters (Bound1qSlot::reads) differ from the previous column's;
+  /// the others copy their predecessor's matrix, which is bitwise the
+  /// same fold. The fold steps the fresh
+  /// columns together through the kernel table's fold_mat2, per column
+  /// run_biased's fold for that binding, so every column is bit-identical
+  /// to a width-1 bind of its own binding. A slot that folds column 0
+  /// alone is uniform and stores that one matrix. Every stored matrix is
+  /// classified once, here.
+  void bind_block(const double* params, std::size_t stride,
+                  std::size_t batch, Workspace& ws,
+                  bool adjoint = false) const;
 
-  /// Sample-batched forward (batched.hpp / batched.cpp). `params` holds
-  /// `batch` parameter bindings, sample b's at [b * stride, + num
-  /// params). bind_batched gives each column, bit for bit, the fold
-  /// run_biased performs for its binding, doing the parameter work once
-  /// per block (each dynamic op's matrix once per run of equal angles,
-  /// the distinct columns' folds in lockstep), so results are
-  /// bit-identical across batch sizes; it classifies each bound matrix
-  /// once. A slot whose bound matrices coincide across the batch is
-  /// flagged uniform and run_batched streams it through the broadcast
-  /// mini-GEMM kernel. run_batched resolves the kernel arm once per call.
-  void bind_batched(const double* params, std::size_t stride,
-                    std::size_t batch, Workspace& ws) const;
-  BatchedStatevector& run_batched(const double* params, std::size_t stride,
-                                  std::size_t batch, Workspace& ws) const;
-  /// out[b] = survival() * <Z_qubit> of column b.
-  void expectation_z_batched(const double* params, std::size_t stride,
-                             std::size_t batch, int qubit, Workspace& ws,
-                             double* out) const;
+  /// Sample-batched forward (batched.hpp / batched.cpp) of the block
+  /// last bound into ws: a uniform slot streams through the broadcast
+  /// mini-GEMM kernel, the others through the per-column ones. Resolves
+  /// the kernel arm once per call.
+  BatchedStatevector& run_bound(Workspace& ws) const;
+  /// out[b] = survival() * <Z_qubit> of column b of the bound block.
+  void expectation_z_bound(int qubit, Workspace& ws, double* out) const;
 
   const std::vector<GateEntry>& gate_table() const noexcept { return table_; }
   /// Every noise site of the gate table, in gate order (gate, then q0
@@ -515,7 +518,6 @@ class ExecPlan {
   std::vector<circuit::Mat2> const1q_;  ///< fully static fused runs
   std::vector<kernels::MatShape<2>> const1q_shape_;
   std::vector<Bound1qSlot> bound1q_;
-  std::vector<Bound2qSlot> bound2q_;
 
   std::vector<GateEntry> table_;
   std::vector<NoiseSite> sites_;

@@ -3,8 +3,9 @@
 //
 // Every statevector butterfly (1q/2q, diagonal and permutation fast
 // paths, the adjoint bracket reductions, and the sample-batched
-// register gates) funnels through a KernelTable (below), one per arm;
-// kernel_table() returns the table of the arm the dispatch flags select:
+// register gates) and the plan bind's fold step funnel through a
+// KernelTable (below), one per arm; kernel_table() returns the table of
+// the arm the dispatch flags select:
 //
 //  * scalar    — portable reference loops, the exact arithmetic the
 //                simulator has always used. Always compiled.
@@ -17,7 +18,9 @@
 //                complex multiply, so results differ from scalar by
 //                ≤ 2 ULP per arithmetic step (tested in
 //                test_kernels.cpp). Enabled only when strict
-//                reproducibility is turned off.
+//                reproducibility is turned off. Its fold step is the
+//                strict arm's: no arm fuses there, so bound matrices are
+//                the same on all three arms.
 //
 // Within an arm an amplitude's arithmetic does not depend on where a
 // walk puts it: range-edge groups and the odd column of a batched row
@@ -303,6 +306,19 @@ struct KernelTable {
                                        std::size_t count, const Mat2* md,
                                        const Mat2* dm, std::size_t step, int q,
                                        Complex* out);
+
+  /// One step of a fused 1q run's fold over a block's fresh columns (the
+  /// plan bind, ExecPlan::bind_block): for k in [0, n) and column c =
+  /// cols[k], acc[c] = fac[c * step] * acc[c] (step 0: one factor for
+  /// every column), with circuit::mat2_multiply's operations for finite
+  /// values: per entry two complex products, each four rounded multiplies
+  /// then one subtract and one add, summed. No arm fuses a multiply into
+  /// an add, the AVX2+FMA arm included, so a folded matrix is bitwise
+  /// run_biased's on every arm. The AVX2 arms hold a column's four
+  /// entries in two 256-bit rows; the scalar arm is straight-line code
+  /// per column.
+  void (*fold_mat2)(Mat2* acc, const Mat2* fac, std::size_t step,
+                    const std::uint32_t* cols, std::size_t n);
 };
 
 /// The table of active_arch(): one read of the dispatch flags.

@@ -407,6 +407,27 @@ void batched_adjoint_step_diag_1q_scalar(Complex* lam, Complex* psi,
   }
 }
 
+void fold_mat2_scalar(Mat2* acc, const Mat2* fac, std::size_t step,
+                      const std::uint32_t* cols, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t c = cols[k];
+    const auto* const x = reinterpret_cast<const double*>(fac[c * step].data());
+    auto* const y = reinterpret_cast<double*>(acc[c].data());
+    double out[8];
+    for (std::size_t r = 0; r < 2; ++r) {
+      const double* const x0 = x + 4 * r;  // fac[r][0]; fac[r][1] at x0 + 2
+      for (std::size_t j = 0; j < 2; ++j) {
+        const double* const y0 = y + 2 * j;  // acc[0][j]; acc[1][j] at y0 + 4
+        out[4 * r + 2 * j] = (x0[0] * y0[0] - x0[1] * y0[1]) +
+                             (x0[2] * y0[4] - x0[3] * y0[5]);
+        out[4 * r + 2 * j + 1] = (x0[0] * y0[1] + x0[1] * y0[0]) +
+                                 (x0[2] * y0[5] + x0[3] * y0[4]);
+      }
+    }
+    std::copy_n(out, 8, y);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -591,6 +612,7 @@ constexpr KernelTable kScalarTable = {
     .batched_bracket_1q = &batched_bracket_1q_scalar,
     .batched_bracket_2q = &batched_bracket_2q_scalar,
     .batched_adjoint_step_diag_1q = &batched_adjoint_step_diag_1q_scalar,
+    .fold_mat2 = &fold_mat2_scalar,
 };
 
 #if defined(ARBITERQ_SIMD_AVX2)
@@ -614,6 +636,7 @@ constexpr KernelTable kAvx2Table = {
     .batched_bracket_2q = &detail::batched_bracket_2q_avx2<Fma>,
     .batched_adjoint_step_diag_1q =
         &detail::batched_adjoint_step_diag_1q_avx2<Fma>,
+    .fold_mat2 = &detail::fold_mat2_avx2,
 };
 #endif
 

@@ -1079,6 +1079,54 @@ void batched_adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi,
 }
 
 // ---------------------------------------------------------------------------
+namespace {
+
+/// A Mat2's entries splatted: r[e] and i[e] hold entry e's real and
+/// imaginary part in every lane.
+struct Splat2 {
+  __m256d r[4];
+  __m256d i[4];
+};
+
+inline Splat2 splat2(const Mat2& m) noexcept {
+  Splat2 s;
+  for (std::size_t e = 0; e < 4; ++e) {
+    s.r[e] = bc(m[e].real());
+    s.i[e] = bc(m[e].imag());
+  }
+  return s;
+}
+
+/// acc = f * acc on one column: output row r is f[r][0] * (acc row 0) +
+/// f[r][1] * (acc row 1), each acc row two complex lanes. cmul<false>
+/// is the strict product, so the step is mat2_multiply's.
+inline void fold_column(Mat2& acc, const Splat2& f) noexcept {
+  auto* const a = reinterpret_cast<double*>(acc.data());
+  const __m256d y0 = _mm256_loadu_pd(a);
+  const __m256d y1 = _mm256_loadu_pd(a + 4);
+  const __m256d row0 = _mm256_add_pd(cmul<false>(f.r[0], f.i[0], y0),
+                                     cmul<false>(f.r[1], f.i[1], y1));
+  const __m256d row1 = _mm256_add_pd(cmul<false>(f.r[2], f.i[2], y0),
+                                     cmul<false>(f.r[3], f.i[3], y1));
+  _mm256_storeu_pd(a, row0);
+  _mm256_storeu_pd(a + 4, row1);
+}
+
+}  // namespace
+
+void fold_mat2_avx2(Mat2* acc, const Mat2* fac, std::size_t step,
+                    const std::uint32_t* cols, std::size_t n) {
+  if (step == 0) {
+    const Splat2 f = splat2(*fac);
+    for (std::size_t k = 0; k < n; ++k) fold_column(acc[cols[k]], f);
+    return;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t c = cols[k];
+    fold_column(acc[c], splat2(fac[c * step]));
+  }
+}
+
 // Explicit instantiations: Fma = false is the strict (bit-identical)
 // arm, Fma = true the fast arm.
 

@@ -6,6 +6,7 @@
 // strict, bit-identical arm) and Fma = true (the fast arm).
 
 #include <cstddef>
+#include <cstdint>
 
 #include "arbiterq/sim/kernels.hpp"
 
@@ -128,6 +129,11 @@ void batched_adjoint_step_diag_1q_avx2(Complex* lam, Complex* psi,
                                        std::size_t count, const Mat2* md,
                                        const Mat2* dm, std::size_t step, int q,
                                        Complex* out);
+
+/// The fold step of both AVX2 tables: it never fuses, so one function
+/// serves the strict and the FMA arm.
+void fold_mat2_avx2(Mat2* acc, const Mat2* fac, std::size_t step,
+                    const std::uint32_t* cols, std::size_t n);
 
 #endif  // ARBITERQ_SIMD_AVX2
 

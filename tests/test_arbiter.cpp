@@ -154,10 +154,10 @@ TEST(JobQueueTenants, RoundRobinArbiterInterleavesTenantSubQueues) {
   ArbiterConfig arb;
   arb.kind = ArbiterKind::kRoundRobin;
   JobQueue q(1, 16, "serve.queue.depth.test_rr", 0, 2, arb);
-  ASSERT_TRUE(q.try_push(tenant_batch(0, 0)));
-  ASSERT_TRUE(q.try_push(tenant_batch(1, 0)));
-  ASSERT_TRUE(q.try_push(tenant_batch(2, 1)));
-  ASSERT_TRUE(q.try_push(tenant_batch(3, 1)));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(0, 0)}));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(1, 0)}));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(2, 1)}));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(3, 1)}));
   EXPECT_EQ(q.tenant_depth(0), 2U);
   EXPECT_EQ(q.tenant_depth(1), 2U);
   q.close();  // popping dry blocks otherwise
@@ -178,7 +178,7 @@ TEST(JobQueueTenants, FifoArbiterReproducesLegacyGlobalOrder) {
   ArbiterConfig arb;  // kFifo
   JobQueue q(1, 16, "serve.queue.depth.test_fifo", 0, 3, arb);
   for (std::uint64_t j = 0; j < 6; ++j) {
-    ASSERT_TRUE(q.try_push(tenant_batch(j, j % 3)));
+    ASSERT_TRUE(q.try_push_all({tenant_batch(j, j % 3)}));
   }
   ShotBatch out;
   for (std::uint64_t j = 0; j < 6; ++j) {
@@ -193,8 +193,8 @@ TEST(JobQueueTenants, PriorityStillOutranksArbitration) {
   arb.kind = ArbiterKind::kWeightedCredit;
   arb.weights = {100.0, 1.0};
   JobQueue q(1, 16, "serve.queue.depth.test_pri", 0, 2, arb);
-  ASSERT_TRUE(q.try_push(tenant_batch(0, 0)));
-  ASSERT_TRUE(q.try_push(tenant_batch(1, 1, JobPriority::kHigh)));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(0, 0)}));
+  ASSERT_TRUE(q.try_push_all({tenant_batch(1, 1, JobPriority::kHigh)}));
   ShotBatch out;
   ASSERT_TRUE(q.pop(0, &out));
   // Priority lanes are scanned first; the arbiter only orders tenants

@@ -25,6 +25,7 @@
 #include "arbiterq/sim/exec_plan.hpp"
 #include "arbiterq/sim/kernels.hpp"
 #include "arbiterq/sim/simulator.hpp"
+#include "arbiterq/telemetry/metrics.hpp"
 
 namespace arbiterq::sim {
 namespace {
@@ -110,12 +111,11 @@ TEST_P(BatchedPlan, RunMatchesUnbatchedPerColumnBitwise) {
        {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{40}}) {
     for (const bool repeat : {false, true}) {
       const auto params = batch_params(c.num_params(), batch, rng, repeat);
-      BatchedStatevector& st =
-          plan.run_batched(params.data(), np, batch, bws);
+      plan.bind_block(params.data(), np, batch, bws);
+      BatchedStatevector& st = plan.run_bound(bws);
       ASSERT_EQ(st.batch(), batch);
       std::vector<double> zs(batch);
-      plan.expectation_z_batched(params.data(), np, batch, 1, bws,
-                                 zs.data());
+      plan.expectation_z_bound(1, bws, zs.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
         const Statevector ref = sim.run_biased(c, col);
@@ -141,12 +141,13 @@ TEST_P(BatchedPlan, ColumnsInvariantAcrossBatchSizes) {
   math::Rng rng(22);
   const auto params = batch_params(c.num_params(), 40, rng);
   std::vector<double> wide(40);
-  plan.expectation_z_batched(params.data(), np, 40, 0, bws, wide.data());
+  plan.bind_block(params.data(), np, 40, bws);
+  plan.expectation_z_bound(0, bws, wide.data());
   for (const std::size_t batch : {std::size_t{1}, std::size_t{7}}) {
     for (std::size_t start = 0; start + batch <= 40; start += 13) {
       std::vector<double> zs(batch);
-      plan.expectation_z_batched(params.data() + start * np, np, batch, 0,
-                                 bws, zs.data());
+      plan.bind_block(params.data() + start * np, np, batch, bws);
+      plan.expectation_z_bound(0, bws, zs.data());
       for (std::size_t b = 0; b < batch; ++b) {
         EXPECT_EQ(zs[b], wide[start + b]) << "batch " << batch << " col "
                                           << start + b;
@@ -171,8 +172,8 @@ TEST_P(BatchedPlan, AdjointGradientMatchesCircuitAdjointBitwise) {
     for (const bool repeat : {false, true}) {
       const auto params = batch_params(c.num_params(), batch, rng, repeat);
       std::vector<double> grads(batch * np);
-      adjoint_gradient_z_batched(plan, params.data(), np, batch, 1, bws,
-                                 grads.data());
+      plan.bind_block(params.data(), np, batch, bws, /*adjoint=*/true);
+      adjoint_gradient_z_bound(plan, 1, bws, grads.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
         const auto ref = adjoint_gradient_z(c, col, 1, noise_ptr);
@@ -190,8 +191,8 @@ INSTANTIATE_TEST_SUITE_P(NoiseOnOff, BatchedPlan, ::testing::Values(false, true)
                            return info.param ? "noisy" : "ideal";
                          });
 
-/// The block walks (bind_batched's lockstep fold, the batched adjoint's
-/// block bind and lockstep reverse sweep) against one-column references,
+/// The block walks (bind_block's lockstep fold and gate builds, the
+/// batched adjoint's lockstep reverse sweep) against one-column references,
 /// on the strict arm (true) and the FMA arm (false: strict
 /// reproducibility off, which is the scalar arm on hosts without
 /// AVX2+FMA).
@@ -266,10 +267,12 @@ class BlockWalks : public ::testing::TestWithParam<bool> {
   bool was_strict_ = true;
 };
 
-TEST_P(BlockWalks, BindBatchedMatchesBindPerColumn) {
+TEST_P(BlockWalks, BindBlockMatchesBindPerColumn) {
   // Each column of a width-w bind equals the width-1 bind of its own
   // binding (which the naive engine covers end to end: BatchedPlan and
-  // ExecPlan.*BitIdentical*), matrix and classified shape alike.
+  // ExecPlan.*BitIdentical*), matrix and classified shape alike: every
+  // column of a non-uniform fused slot or 2q gate, and the one matrix a
+  // uniform one stores, which the walks broadcast to every column.
   const Circuit c = walk_circuit();
   const NoiseModel noise = rich_noise(2);
   for (const bool noisy : {true, false}) {
@@ -281,40 +284,99 @@ TEST_P(BlockWalks, BindBatchedMatchesBindPerColumn) {
     for (const std::size_t width : kWidths) {
       for (const Block kind : kBlocks) {
         const auto params = block(np, width, kind, noise);
-        plan.bind_batched(params.data(), np, width, bws);
+        plan.bind_block(params.data(), np, width, bws);
+        const Workspace::Block& wide = bws.block;
         for (std::size_t b = 0; b < width; ++b) {
-          plan.bind_batched(params.data() + b * np, np, 1, ws);
-          ASSERT_EQ(bws.bound1q_cols.size(), ws.bound1q_cols.size() * width);
-          for (std::size_t i = 0; i < ws.bound1q_cols.size(); ++i) {
-            const std::size_t at = i * width + b;
-            EXPECT_EQ(bws.bound1q_cols[at], ws.bound1q_cols[i])
+          plan.bind_block(params.data() + b * np, np, 1, ws);
+          const Workspace::Block& one = ws.block;
+          const std::size_t slots = one.fused_uniform.size();
+          ASSERT_EQ(wide.fused_uniform.size(), slots);
+          ASSERT_GE(wide.fused.size(), slots * width);
+          for (std::size_t i = 0; i < slots; ++i) {
+            const std::size_t at =
+                i * width + (wide.fused_uniform[i] != 0 ? 0 : b);
+            EXPECT_EQ(wide.fused[at], one.fused[i])
                 << "noisy " << noisy << " width " << width << " block "
                 << static_cast<int>(kind) << " col " << b << " slot " << i;
-            EXPECT_EQ(bws.bound1q_shapes[at], ws.bound1q_shapes[i]);
-            EXPECT_EQ(bws.bound1q_shapes[at],
-                      kernels::classify(bws.bound1q_cols[at]));
-            if (bws.uniform1q[i] != 0) {
-              EXPECT_EQ(bws.bound1q_cols[at], bws.bound1q_cols[i * width]);
-            }
+            EXPECT_EQ(wide.fused_shape[at], one.fused_shape[i]);
+            EXPECT_EQ(wide.fused_shape[at], kernels::classify(wide.fused[at]));
           }
-          for (std::size_t i = 0; i < ws.bound2q_cols.size(); ++i) {
-            const std::size_t at = i * width + b;
-            EXPECT_EQ(bws.bound2q_cols[at], ws.bound2q_cols[i])
+          for (const GateEntry& e : plan.gate_table()) {
+            if (!e.dynamic || e.arity != 2) continue;
+            const auto bi = static_cast<std::size_t>(e.bound_index);
+            const auto i = static_cast<std::size_t>(e.index);
+            const std::size_t at = i * width + (wide.uniform[bi] != 0 ? 0 : b);
+            EXPECT_EQ(wide.m2[at], one.m2[i])
                 << "noisy " << noisy << " width " << width << " col " << b
-                << " 2q slot " << i;
-            EXPECT_EQ(bws.bound2q_shapes[at], ws.bound2q_shapes[i]);
-            EXPECT_EQ(bws.bound2q_shapes[at],
-                      kernels::classify(bws.bound2q_cols[at]));
+                << " 2q entry " << i;
+            EXPECT_EQ(wide.shape2[at], one.shape2[i]);
+            EXPECT_EQ(wide.shape2[at], kernels::classify(wide.m2[at]));
           }
         }
         if (kind == Block::kEqual) {
-          for (std::size_t i = 0; i < bws.uniform1q.size(); ++i) {
-            EXPECT_EQ(bws.uniform1q[i], 1) << "slot " << i;
+          for (std::size_t i = 0; i < wide.fused_uniform.size(); ++i) {
+            EXPECT_EQ(wide.fused_uniform[i], 1) << "slot " << i;
           }
         }
       }
     }
   }
+}
+
+TEST_P(BlockWalks, IdenticalColumnsFoldAndBuildOnce) {
+  // A block of 20 identical columns folds each fused slot once and
+  // builds each dynamic gate once, as a width-1 bind does, and stores
+  // the width-1 bind's matrices; the counters are inert with telemetry
+  // off.
+  const Circuit c = walk_circuit();
+  const NoiseModel noise = rich_noise(2);
+  const ExecPlan plan = StatevectorSimulator(noise).make_plan(c);
+  const auto np = static_cast<std::size_t>(c.num_params());
+  const auto params = block(np, 20, Block::kEqual, noise);
+  auto& reg = telemetry::MetricsRegistry::global();
+  telemetry::Counter& builds = reg.counter("sim.plan.bind.matrix_builds");
+  telemetry::Counter& folds = reg.counter("sim.plan.bind.fold_columns");
+  const bool was_enabled = telemetry::telemetry_runtime_enabled();
+  telemetry::set_telemetry_runtime_enabled(true);
+  std::uint64_t dynamic = 0;
+  for (const GateEntry& e : plan.gate_table()) dynamic += e.dynamic ? 1 : 0;
+  Workspace one;
+  Workspace wide;
+  for (const bool adjoint : {false, true}) {
+    const std::uint64_t builds0 = builds.value();
+    const std::uint64_t folds0 = folds.value();
+    plan.bind_block(params.data(), np, 1, one, adjoint);
+    EXPECT_EQ(builds.value() - builds0, dynamic);
+    const std::uint64_t slots = folds.value() - folds0;
+    EXPECT_GT(slots, 0U);
+    plan.bind_block(params.data(), np, 20, wide, adjoint);
+    EXPECT_EQ(builds.value() - builds0, 2 * dynamic) << "adjoint " << adjoint;
+    EXPECT_EQ(folds.value() - folds0, 2 * slots) << "adjoint " << adjoint;
+    ASSERT_EQ(wide.block.fused_uniform.size(), one.block.fused_uniform.size());
+    for (std::size_t i = 0; i < one.block.fused_uniform.size(); ++i) {
+      EXPECT_EQ(wide.block.fused_uniform[i], 1);
+      EXPECT_EQ(wide.block.fused[i * 20], one.block.fused[i]);
+      EXPECT_EQ(wide.block.fused_shape[i * 20], one.block.fused_shape[i]);
+    }
+    for (const GateEntry& e : plan.gate_table()) {
+      if (!e.dynamic) continue;
+      EXPECT_EQ(wide.block.uniform[static_cast<std::size_t>(e.bound_index)],
+                1);
+      const auto i = static_cast<std::size_t>(e.index);
+      if (e.arity == 1) {
+        EXPECT_EQ(wide.block.m1[i * 20], one.block.m1[i]);
+      } else {
+        EXPECT_EQ(wide.block.m2[i * 20], one.block.m2[i]);
+      }
+    }
+  }
+  telemetry::set_telemetry_runtime_enabled(false);
+  const std::uint64_t builds0 = builds.value();
+  const std::uint64_t folds0 = folds.value();
+  plan.bind_block(params.data(), np, 20, wide, true);
+  EXPECT_EQ(builds.value(), builds0);
+  EXPECT_EQ(folds.value(), folds0);
+  telemetry::set_telemetry_runtime_enabled(was_enabled);
 }
 
 TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
@@ -331,8 +393,8 @@ TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
         const auto params = block(np, width, kind, noise);
         for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
           std::vector<double> grads(width * np);
-          adjoint_gradient_z_batched(plan, params.data(), np, width, qubit,
-                                     bws, grads.data());
+          plan.bind_block(params.data(), np, width, bws, /*adjoint=*/true);
+          adjoint_gradient_z_bound(plan, qubit, bws, grads.data());
           for (std::size_t b = 0; b < width; ++b) {
             const auto want = adjoint_gradient_z(
                 c, std::span<const double>(params.data() + b * np, np), qubit,

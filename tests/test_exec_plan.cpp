@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
 #include "arbiterq/data/pipeline.hpp"
@@ -147,8 +148,8 @@ std::vector<std::vector<double>> batched_gradients(
   std::vector<double> packed;
   for (const auto& p : cols) packed.insert(packed.end(), p.begin(), p.end());
   std::vector<double> grads(cols.size() * np);
-  adjoint_gradient_z_batched(plan, packed.data(), np, cols.size(), qubit, ws,
-                             grads.data());
+  plan.bind_block(packed.data(), np, cols.size(), ws, /*adjoint=*/true);
+  adjoint_gradient_z_bound(plan, qubit, ws, grads.data());
   std::vector<std::vector<double>> out;
   for (std::size_t b = 0; b < cols.size(); ++b) {
     out.emplace_back(grads.begin() + static_cast<std::ptrdiff_t>(b * np),
@@ -165,8 +166,8 @@ void expect_plan_matches_naive(const StatevectorSimulator& sim,
   const Statevector naive = sim.run_biased(c, params);
   const ExecPlan plan = sim.make_plan(c);
   Workspace ws;
-  const BatchedStatevector& planned =
-      plan.run_batched(params.data(), params.size(), 1, ws);
+  plan.bind_block(params.data(), params.size(), 1, ws);
+  const BatchedStatevector& planned = plan.run_bound(ws);
   ASSERT_EQ(planned.dim(), naive.dim());
   ASSERT_EQ(planned.batch(), 1U);
   for (std::size_t i = 0; i < naive.dim(); ++i) {
@@ -243,10 +244,8 @@ TEST(ExecPlan, ParamsTooShortThrows) {
   const std::vector<double> short_params(2, 0.0);
   EXPECT_THROW(plan.expectation_z(short_params, 0, ws),
                std::invalid_argument);
-  std::vector<double> grads(static_cast<std::size_t>(c.num_params()));
-  EXPECT_THROW(adjoint_gradient_z_batched(plan, short_params.data(),
-                                          short_params.size(), 1, 0, ws,
-                                          grads.data()),
+  EXPECT_THROW(plan.bind_block(short_params.data(), short_params.size(), 1,
+                               ws, /*adjoint=*/true),
                std::invalid_argument);
 }
 
@@ -320,8 +319,8 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
     std::vector<double> block = params;
     block.insert(block.end(), params.begin(), params.end());
     block[np] += 0.5;
-    plan.bind_gates_batched(block.data(), np, 2, bws);
-    const Workspace::GateBlock& g = bws.gate_block;
+    plan.bind_block(block.data(), np, 2, bws, /*adjoint=*/true);
+    const Workspace::Block& g = bws.block;
     for (const GateEntry& e : plan.gate_table()) {
       if (e.arity == 1) {
         EXPECT_EQ(plan.shape2(e, fwd), kernels::classify(plan.mat2(e, fwd)));
@@ -359,6 +358,31 @@ TEST(ExecPlanBind, ShapesAreTheClassifierAnswers) {
       }
     }
   }
+}
+
+TEST(ExecPlanBind, WalksRefuseABlockTheyWereNotBoundFor) {
+  // The bound walks read the block bind in the workspace: with nothing
+  // bound, a forward-only bind (no adjoint companions) or another
+  // plan's bind, they throw instead of reading stale matrices.
+  const Circuit c = full_gate_circuit();
+  const StatevectorSimulator sim(rich_noise(3));
+  const ExecPlan plan = sim.make_plan(c);
+  const ExecPlan other = sim.make_plan(c);
+  math::Rng rng(59);
+  const auto params = some_params(c.num_params(), rng);
+  const auto np = static_cast<std::size_t>(c.num_params());
+  std::vector<double> grads(np);
+  Workspace ws;
+  EXPECT_THROW(plan.run_bound(ws), std::logic_error);
+  plan.bind_block(params.data(), np, 1, ws);
+  EXPECT_THROW(adjoint_gradient_z_bound(plan, 0, ws, grads.data()),
+               std::logic_error);
+  plan.bind_block(params.data(), np, 1, ws, /*adjoint=*/true);
+  EXPECT_THROW(other.run_bound(ws), std::logic_error);
+  EXPECT_THROW(adjoint_gradient_z_bound(other, 0, ws, grads.data()),
+               std::logic_error);
+  adjoint_gradient_z_bound(plan, 0, ws, grads.data());
+  EXPECT_EQ(grads, adjoint_gradient_z(c, params, 0, &sim.noise()));
 }
 
 TEST(ExecPlanBind, ForwardOnlyBindNeverLeavesStaleCompanions) {
@@ -526,8 +550,8 @@ TEST(ExecPlanWorkspace, SteadyStateAdjointIsAllocationFree) {
         params[b * np] = 0.05 * static_cast<double>(i) +
                          0.1 * static_cast<double>(b);
       }
-      adjoint_gradient_z_batched(plan, params.data(), np, batch, 0, ws,
-                                 grads.data());
+      plan.bind_block(params.data(), np, batch, ws, /*adjoint=*/true);
+      adjoint_gradient_z_bound(plan, 0, ws, grads.data());
     };
     for (int i = 0; i < 3; ++i) call(i);
 

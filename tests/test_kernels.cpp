@@ -16,6 +16,8 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
@@ -750,6 +752,52 @@ TEST_P(KernelEquivalence, BatchedBracketsMatchUnbatched) {
               }
             }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelEquivalence, FoldMatchesScalarArmAndMat2Multiply) {
+  // The bind's fold step on the active arm against the scalar arm and
+  // against circuit::mat2_multiply(fac, acc), bitwise on every arm (the
+  // fold never fuses, the FMA arm included), at widths 1-33 with one
+  // factor per column or one shared (step 0), folding every column or
+  // only the odd ones (a ragged subset: gaps, an odd count, and a last
+  // column that is not the block's last).
+  math::Rng rng(131);
+  for (std::size_t width = 1; width <= 33; ++width) {
+    for (const std::size_t step : {std::size_t{0}, std::size_t{1}}) {
+      for (const bool all : {true, false}) {
+        std::vector<Mat2> acc(width);
+        std::vector<Mat2> fac(width);
+        for (std::size_t b = 0; b < width; ++b) {
+          acc[b] = random_mat<Mat2>(rng);
+          fac[b] = random_mat<Mat2>(rng);
+        }
+        std::vector<std::uint32_t> cols;
+        for (std::size_t b = all ? 0 : 1; b < width; b += all ? 1 : 2) {
+          cols.push_back(static_cast<std::uint32_t>(b));
+        }
+        std::vector<Mat2> got = acc;
+        arm().fold_mat2(got.data(), fac.data(), step, cols.data(),
+                        cols.size());
+        std::vector<Mat2> scalar = acc;
+        kernels::set_simd_runtime_enabled(false);
+        arm().fold_mat2(scalar.data(), fac.data(), step, cols.data(),
+                        cols.size());
+        kernels::set_simd_runtime_enabled(true);
+        std::size_t k = 0;
+        for (std::size_t b = 0; b < width; ++b) {
+          const bool folded = k < cols.size() && cols[k] == b;
+          const Mat2 want =
+              folded ? circuit::mat2_multiply(fac[b * step], acc[b]) : acc[b];
+          k += folded ? 1 : 0;
+          EXPECT_EQ(std::memcmp(got[b].data(), want.data(), sizeof(Mat2)), 0)
+              << "width " << width << " step " << step << " col " << b;
+          EXPECT_EQ(
+              std::memcmp(scalar[b].data(), want.data(), sizeof(Mat2)), 0)
+              << "scalar width " << width << " step " << step << " col " << b;
         }
       }
     }

@@ -37,9 +37,9 @@ TEST(JobQueue, PriorityOrderWithinLane) {
   ShotBatch normal;
   normal.job = 3;
   normal.priority = JobPriority::kNormal;
-  ASSERT_TRUE(q.try_push(low));
-  ASSERT_TRUE(q.try_push(normal));
-  ASSERT_TRUE(q.try_push(high));
+  ASSERT_TRUE(q.try_push_all({low}));
+  ASSERT_TRUE(q.try_push_all({normal}));
+  ASSERT_TRUE(q.try_push_all({high}));
   ShotBatch out;
   ASSERT_TRUE(q.pop(0, &out));
   EXPECT_EQ(out.job, 2U);  // high first
@@ -54,10 +54,9 @@ TEST(JobQueue, PriorityOrderWithinLane) {
 
 TEST(JobQueue, CapacityBackpressureAndRetryBypass) {
   JobQueue q(1, 2);
-  ASSERT_TRUE(q.try_push({}));
-  ASSERT_TRUE(q.try_push({}));
-  EXPECT_FALSE(q.try_push({}));  // admission bound hit
-  EXPECT_EQ(q.rejected(), 1U);
+  ASSERT_TRUE(q.try_push_all({ShotBatch{}}));
+  ASSERT_TRUE(q.try_push_all({ShotBatch{}}));
+  EXPECT_FALSE(q.try_push_all({ShotBatch{}}));  // admission bound hit
   q.push_retry({});  // retries ride above the bound
   EXPECT_EQ(q.depth(), 3U);
 }
@@ -68,7 +67,10 @@ TEST(JobQueue, TryPushAllIsAtomic) {
   four[1].qpu = 1;
   EXPECT_FALSE(q.try_push_all(four));  // 4 > capacity: nothing enqueued
   EXPECT_EQ(q.depth(), 0U);
-  EXPECT_EQ(q.rejected(), 4U);
+  std::vector<ShotBatch> stray(2);
+  stray[1].qpu = 2;  // no such lane: nothing enqueued either
+  EXPECT_THROW(q.try_push_all(stray), std::out_of_range);
+  EXPECT_EQ(q.depth(), 0U);
   std::vector<ShotBatch> three(3);
   three[2].qpu = 1;
   EXPECT_TRUE(q.try_push_all(three));
@@ -79,9 +81,9 @@ TEST(JobQueue, TryPushAllIsAtomic) {
 
 TEST(JobQueue, CloseStopsAdmissionThenDrains) {
   JobQueue q(1, 4);
-  ASSERT_TRUE(q.try_push({}));
+  ASSERT_TRUE(q.try_push_all({ShotBatch{}}));
   q.close();
-  EXPECT_FALSE(q.try_push({}));
+  EXPECT_FALSE(q.try_push_all({ShotBatch{}}));
   ShotBatch out;
   ASSERT_TRUE(q.pop(0, &out));  // pending work still pops after close
   q.task_done();

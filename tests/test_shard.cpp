@@ -28,10 +28,10 @@ TEST(JobQueueShardApi, RetriesRideAboveCapacityAndAfterClose) {
   JobQueue q(1, 1);
   ShotBatch admitted;
   admitted.job = 1;
-  ASSERT_TRUE(q.try_push(admitted));
+  ASSERT_TRUE(q.try_push_all({admitted}));
   EXPECT_FALSE(q.has_room(1));
   ShotBatch over;
-  EXPECT_FALSE(q.try_push(over));  // admission is bounded...
+  EXPECT_FALSE(q.try_push_all({over}));  // admission is bounded...
   ShotBatch retry;
   retry.job = 2;
   q.push_retry(retry);             // ...retries of admitted work are not
@@ -54,14 +54,14 @@ TEST(JobQueueShardApi, PoppingAnAdmittedBatchFreesOneUnit) {
   JobQueue q(1, 2);
   ShotBatch a;
   a.job = 1;
-  ASSERT_TRUE(q.try_push(a));
+  ASSERT_TRUE(q.try_push_all({a}));
   ShotBatch r;
   r.job = 2;
   r.priority = JobPriority::kHigh;
   q.push_retry(r);
   ShotBatch b;
   b.job = 3;
-  ASSERT_TRUE(q.try_push(b));   // the retry holds no admission unit
+  ASSERT_TRUE(q.try_push_all({b}));   // the retry holds no admission unit
   EXPECT_FALSE(q.has_room(1));
   ShotBatch out;
   ASSERT_TRUE(q.pop(0, &out));
@@ -80,12 +80,12 @@ TEST(JobQueueShardApi, PopAnyScansPrioritiesAcrossOwnedLanes) {
   ShotBatch normal;
   normal.job = 1;
   normal.qpu = 0;
-  ASSERT_TRUE(q.try_push(normal));
+  ASSERT_TRUE(q.try_push_all({normal}));
   ShotBatch high;
   high.job = 2;
   high.qpu = 2;
   high.priority = JobPriority::kHigh;
-  ASSERT_TRUE(q.try_push(high));
+  ASSERT_TRUE(q.try_push_all({high}));
   ShotBatch out;
   const std::vector<std::size_t> lanes = {0, 2};
   ASSERT_TRUE(q.pop_any(lanes, &out));
@@ -103,7 +103,7 @@ TEST(JobQueueShardApi, LaneBaseRebasesGlobalQpusToLocalLanes) {
   ShotBatch b;
   b.job = 7;
   b.qpu = 5;
-  ASSERT_TRUE(q.try_push(b));
+  ASSERT_TRUE(q.try_push_all({b}));
   EXPECT_EQ(q.lane_depth(1), 1U);
   ShotBatch out;
   ASSERT_TRUE(q.pop(1, &out));
@@ -112,7 +112,7 @@ TEST(JobQueueShardApi, LaneBaseRebasesGlobalQpusToLocalLanes) {
   q.task_done();
   ShotBatch oob;
   oob.qpu = 6;  // beyond the owned block
-  EXPECT_THROW(q.try_push(oob), std::out_of_range);
+  EXPECT_THROW(q.try_push_all({oob}), std::out_of_range);
 }
 
 TEST(JobQueueShardApi, LockContentionCountersAccumulate) {

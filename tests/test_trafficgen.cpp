@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "arbiterq/core/trainers.hpp"
@@ -234,29 +235,44 @@ TEST(TrafficParsers, TenantIntegerKeysRejectWhatACastCannotHold) {
 
 TEST(TrafficParsers, TrafficSpecParsesPatternAndKeys) {
   const TrafficConfig cfg = parse_traffic_spec(
-      "diurnal,duration=2,seed=9,dim=6,period=0.5,amplitude=0.7");
+      "diurnal,duration=2,seed=9,period=0.5,amplitude=0.7", 6);
   EXPECT_EQ(cfg.pattern, TrafficPattern::kDiurnal);
   EXPECT_EQ(cfg.duration_s, 2.0);
   EXPECT_EQ(cfg.seed, 9U);
   EXPECT_EQ(cfg.feature_dim, 6U);
   EXPECT_EQ(cfg.diurnal_period_s, 0.5);
   EXPECT_EQ(cfg.diurnal_amplitude, 0.7);
-  EXPECT_THROW(parse_traffic_spec(""), std::invalid_argument);
-  EXPECT_THROW(parse_traffic_spec("steady,warp=9"), std::invalid_argument);
+  EXPECT_THROW(parse_traffic_spec("", 2), std::invalid_argument);
+  EXPECT_THROW(parse_traffic_spec("steady,warp=9", 2), std::invalid_argument);
 }
 
 TEST(TrafficParsers, TrafficIntegerKeysRejectWhatACastCannotHold) {
   for (const char* spec :
        {"steady,seed=nan", "steady,seed=-1", "steady,seed=1e20",
         "steady,seed=18446744073709551616", "steady,seed=0x10",
-        "steady,dim=-3", "steady,dim=inf", "steady,dim=2.5",
-        "steady,dim= "}) {
-    EXPECT_THROW(parse_traffic_spec(spec), std::invalid_argument) << spec;
+        "steady,seed= "}) {
+    EXPECT_THROW(parse_traffic_spec(spec, 2), std::invalid_argument) << spec;
   }
   const TrafficConfig cfg =
-      parse_traffic_spec("steady,seed=18446744073709551615,dim=3");
+      parse_traffic_spec("steady,seed=18446744073709551615", 3);
   EXPECT_EQ(cfg.seed, 18446744073709551615ULL);
   EXPECT_EQ(cfg.feature_dim, 3U);
+}
+
+TEST(TrafficParsers, FeatureWidthIsTheModelsNotTheSpecs) {
+  // Every job must carry the serving model's encoding width, so the
+  // spec cannot set it: a dim key, even one that agrees, is rejected
+  // with the model's width in the message.
+  for (const char* spec : {"steady,dim=7", "steady,dim=2", "bursty,dim=x"}) {
+    try {
+      parse_traffic_spec(spec, 2);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("feature width, 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TrafficParsers, AdversarialMixScalesToFleetCapacity) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 namespace arbiterq::circuit {
 namespace {
@@ -78,6 +82,32 @@ TEST(GateMatrices, RotationsAtZeroAreIdentity) {
     EXPECT_NEAR(std::abs(m[1]), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(m[2]), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(m[3] - 1.0), 0.0, 1e-12);
+  }
+}
+
+TEST(GateMatrices, RzTrigIsTheComplexExponential) {
+  // gate_trig evaluates RZ's exp(-+i theta / 2) with one sincos; the
+  // matrices and derivatives must stay bitwise the complex exponentials
+  // (and the -+i/2 products of them) they were defined by, on this
+  // platform's libm, for angles across the range training reaches and
+  // the edges (signed zeros, subnormals, huge angles).
+  const Complex i{0.0, 1.0};
+  std::vector<double> angles = {0.0, -0.0, 1e-310, -1e-310, 1e-20, kPi,
+                                -kPi, 2 * kPi, 1e6, -1e6, 1e300};
+  for (int k = -20000; k <= 20000; ++k) angles.push_back(k * 1.37e-3);
+  for (const double theta : angles) {
+    const Complex e0 = std::exp(-i * (theta / 2.0));
+    const Complex e1 = std::exp(i * (theta / 2.0));
+    const Mat2 m = gate_matrix_1q(GateKind::kRZ, {theta, 0.0, 0.0});
+    const Mat2 d = d_gate_matrix_1q(GateKind::kRZ, {theta, 0.0, 0.0}, 0);
+    const auto bits = [](const Complex& z) {
+      return std::array<std::uint64_t, 2>{std::bit_cast<std::uint64_t>(z.real()),
+                                          std::bit_cast<std::uint64_t>(z.imag())};
+    };
+    EXPECT_EQ(bits(m[0]), bits(e0)) << theta;
+    EXPECT_EQ(bits(m[3]), bits(e1)) << theta;
+    EXPECT_EQ(bits(d[0]), bits(-i * 0.5 * e0)) << theta;
+    EXPECT_EQ(bits(d[3]), bits(i * 0.5 * e1)) << theta;
   }
 }
 
