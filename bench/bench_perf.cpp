@@ -123,9 +123,10 @@ void BM_PlanAdjointGradient(benchmark::State& state) {
   const sim::ExecPlan plan(m.circuit(), sim::NoiseModel{});
   sim::Workspace ws;
   std::vector<double> grad(params.size());
+  double z = 0.0;
   for (auto _ : state) {
     plan.bind_block(params.data(), params.size(), 1, ws, /*adjoint=*/true);
-    sim::adjoint_gradient_z_bound(plan, 0, ws, grad.data());
+    sim::adjoint_gradient_z_bound(plan, 0, ws, &z, grad.data());
     benchmark::DoNotOptimize(grad.data());
   }
 }
@@ -459,7 +460,7 @@ double now_seconds() {
 // Plan A/B mode (`--plan-ab`): the production executor on both kernel
 // arms (portable scalar, SIMD) against the naive circuit walk. For each
 // benchmark circuit size, every column of one dataset block's
-// expectation_z_bound and adjoint_gradient_z_bound (one bind_block) is
+// adjoint_gradient_z_bound (one bind_block; its <Z> and its gradient) is
 // first checked bitwise against StatevectorSimulator::expectation_z and
 // the circuit adjoint on the executor's compiled circuit and noise
 // model, on both arms, and the executor's loss and gradient must not
@@ -555,7 +556,9 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
     return ex.loss_gradient(qnn::LossKind::kMse, feats, labels, weights);
   };
   // The naive walk's per-sample engine work for the same loss and
-  // gradient (the scalar loss algebra around it is negligible).
+  // gradient (the scalar loss algebra around it is negligible): the
+  // gradient takes p from expectation_z, as the circuit adjoint reports
+  // no <Z>, then the circuit adjoint's own forward and reverse sweep.
   const auto naive_loss = [&] {
     double z = 0.0;
     for (const auto& col : cols) {
@@ -588,8 +591,7 @@ PlanAbPoint measure_plan_ab(int qubits, int forward_iters,
   for (const bool simd : {false, true}) {
     set_arm(simd);
     plan.bind_block(packed.data(), np, cols.size(), bws, /*adjoint=*/true);
-    plan.expectation_z_bound(q, bws, zs.data());
-    sim::adjoint_gradient_z_bound(plan, q, bws, grads.data());
+    sim::adjoint_gradient_z_bound(plan, q, bws, zs.data(), grads.data());
     for (std::size_t b = 0; b < cols.size(); ++b) {
       p.identical &= zs[b] == ref_z[b];
       p.identical &= std::equal(ref_grad[b].begin(), ref_grad[b].end(),

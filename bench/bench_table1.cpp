@@ -6,7 +6,10 @@
 // Shape targets (paper): ArbiterQ converges in the fewest epochs and to
 // the lowest loss on every row; all-sharing/EQC sit between; the speedup
 // and loss-reduction columns are measured against EQC, like the paper's
-// headline 4.03x / 7.87%.
+// headline 4.03x / 7.87%. The process exits 1 unless the mean loss
+// reduction against EQC is above 0 (the claim that holds at every seed
+// probed; the per-row "lowest loss" shape does not, so it is printed,
+// not checked).
 //
 // Runtime notes: per-row epoch budgets are sized so every strategy
 // plateaus; the HMDB51 row (10 qubits, 200 weights) evaluates the
@@ -111,5 +114,9 @@ int main(int argc, char** argv) {
                                static_cast<double>(row_count));
   std::printf("(paper reports 4.03x speedup and 7.87%% loss reduction "
               "vs EQC)\n");
-  return 0;
+  // The mean is above 0 exactly when the sum is.
+  const bool holds = reduction_sum > 0.0;
+  std::printf("check: mean loss reduction vs EQC %s 0: %s\n",
+              holds ? ">" : "<=", holds ? "pass" : "FAIL");
+  return holds ? 0 : 1;
 }

@@ -80,6 +80,13 @@ struct Gate {
 
   int arity() const noexcept { return gate_arity(kind); }
   int param_count() const noexcept { return gate_param_count(kind); }
+  /// Whether every angle is a constant (no parameter is read).
+  bool is_static() const noexcept {
+    for (int i = 0; i < param_count(); ++i) {
+      if (!params[static_cast<std::size_t>(i)].is_constant()) return false;
+    }
+    return true;
+  }
 
   /// Bound angle values under a parameter vector.
   std::array<double, 3> bound_params(std::span<const double> params) const;

@@ -54,7 +54,7 @@ double QnnExecutor::readout_probability(double z) const {
   return p_one * (1.0 - p10) + (1.0 - p_one) * p01;
 }
 
-void QnnExecutor::block_probabilities(
+void QnnExecutor::bind_samples(
     const std::vector<std::vector<double>>& features,
     const std::vector<double>& weights, std::size_t b0, std::size_t count,
     bool adjoint, sim::Workspace& ws) const {
@@ -64,7 +64,7 @@ void QnnExecutor::block_probabilities(
   for (std::size_t b = 0; b < count; ++b) {
     const std::vector<double>& f = features[b0 + b];
     if (f.size() != nq || weights.size() != np - nq) {
-      throw std::invalid_argument("block_probabilities: size mismatch");
+      throw std::invalid_argument("bind_samples: size mismatch");
     }
     // pack_params_into's layout: [features | weights], one binding per
     // column at stride np.
@@ -76,8 +76,6 @@ void QnnExecutor::block_probabilities(
   AQ_COUNTER_ADD("qnn.forward.calls", static_cast<std::uint64_t>(count));
   AQ_COUNTER_ADD("qnn.plan.cache_hits", static_cast<std::uint64_t>(count));
   plan_->bind_block(ws.params.data(), np, count, ws, adjoint);
-  plan_->expectation_z_bound(readout_qubit_, ws, ws.values.data());
-  for (double& v : ws.values) v = readout_probability(v);
 }
 
 double QnnExecutor::probability(const std::vector<double>& features,
@@ -131,10 +129,11 @@ double QnnExecutor::dataset_loss(
         auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-          block_probabilities(features, weights, b0, count, false, *ws);
+          bind_samples(features, weights, b0, count, false, *ws);
+          plan_->expectation_z_bound(readout_qubit_, *ws, ws->values.data());
           for (std::size_t b = 0; b < count; ++b) {
-            per_sample[b0 + b] =
-                loss_value(kind, ws->values[b], labels[b0 + b]);
+            per_sample[b0 + b] = loss_value(
+                kind, readout_probability(ws->values[b]), labels[b0 + b]);
           }
         }
       });
@@ -174,23 +173,22 @@ std::vector<double> QnnExecutor::loss_gradient(
   exec::parallel_for(
       options_.exec, 0, features.size(),
       [&](std::size_t lo, std::size_t hi) {
-        // Per block: pack and bind once, then the fused forward walk
-        // yields p for the loss derivative (the walk the loss reports)
-        // and the adjoint runs its forward and reverse sweeps over the
-        // same bind.
+        // Per block: pack and bind once, then the adjoint's fused
+        // forward gives each sample's <Z> (the walk the loss reports)
+        // for the loss derivative, and its reverse sweep the gradient.
         auto ws = workspaces_.acquire();
         for (std::size_t b0 = lo; b0 < hi; b0 += sim::kBatchBlock) {
           const std::size_t count = std::min(sim::kBatchBlock, hi - b0);
-          block_probabilities(features, weights, b0, count, true, *ws);
+          bind_samples(features, weights, b0, count, true, *ws);
           ws->grads.resize(count * np);
           sim::adjoint_gradient_z_bound(*plan_, readout_qubit_, *ws,
-                                        ws->grads.data());
+                                        ws->values.data(), ws->grads.data());
           for (std::size_t b = 0; b < count; ++b) {
             const std::size_t i = b0 + b;
             // p_raw = (1 - <Z>)/2, then the readout contraction scales
             // dp/dw.
-            const double dl_dp =
-                loss_derivative(kind, ws->values[b], labels[i]);
+            const double dl_dp = loss_derivative(
+                kind, readout_probability(ws->values[b]), labels[i]);
             const double chain = dl_dp * contraction * -0.5;
             const double* const g = ws->grads.data() + b * np;
             double* const row = partials.data() + i * w_count;

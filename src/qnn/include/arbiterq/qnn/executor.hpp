@@ -124,15 +124,15 @@ class QnnExecutor {
   double readout_probability(double z) const;
   /// (Re)compile the plan against the simulator's current noise model.
   void rebuild_plan();
-  /// One batched forward block: packs samples [b0, b0 + count) as
-  /// [features | weights] bindings into ws.params (stride num_params),
-  /// binds them once (with the adjoint companions when `adjoint`, so the
-  /// batched adjoint can walk the same bind) and writes each one's
-  /// readout_probability to ws.values[0, count). count <= kBatchBlock.
-  void block_probabilities(const std::vector<std::vector<double>>& features,
-                           const std::vector<double>& weights, std::size_t b0,
-                           std::size_t count, bool adjoint,
-                           sim::Workspace& ws) const;
+  /// One batched block: packs samples [b0, b0 + count) as [features |
+  /// weights] bindings into ws.params (stride num_params), binds them
+  /// once (with the adjoint companions when `adjoint`, for the batched
+  /// adjoint) and sizes ws.values to count for the block's <Z>.
+  /// count <= kBatchBlock.
+  void bind_samples(const std::vector<std::vector<double>>& features,
+                    const std::vector<double>& weights, std::size_t b0,
+                    std::size_t count, bool adjoint,
+                    sim::Workspace& ws) const;
 
   QnnModel model_;
   device::Qpu qpu_;

@@ -6,6 +6,7 @@
 #include "arbiterq/circuit/unitary.hpp"
 #include "arbiterq/sim/batched.hpp"
 #include "arbiterq/sim/kernels.hpp"
+#include "arbiterq/sim/simulator.hpp"
 #include "arbiterq/sim/statevector.hpp"
 #include "arbiterq/telemetry/metrics.hpp"
 #include "arbiterq/telemetry/trace.hpp"
@@ -145,17 +146,50 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
     return noisy ? noise->biased_params(g, params) : g.bound_params(params);
   };
 
-  // Forward pass.
-  Statevector psi(c.num_qubits());
-  for (const Gate& g : c.gates()) {
-    const auto bound = bound_of(g);
-    if (g.arity() == 1) {
-      psi.apply_mat2(circuit::gate_matrix_1q(g.kind, bound), g.qubits[0]);
-    } else {
-      psi.apply_mat4(circuit::gate_matrix_2q(g.kind, bound), g.qubits[0],
-                     g.qubits[1]);
+  // Forward half: run_biased's fused fold, the state expectation_z reads.
+  Statevector psi =
+      StatevectorSimulator(noisy ? *noise : NoiseModel{}).run_biased(c,
+                                                                    params);
+
+  // The reverse sweep's ops, recorded in gate order: every dynamic or 2q
+  // gate, and each maximal run of static 1q gates on a qubit as the
+  // adjoint of the run's product (left-multiplied gate by gate from
+  // identity, as run_biased folds), recorded just before the gate that
+  // ends it (control, then target) or at the circuit's end in qubit
+  // order. ExecPlan's adjoint stream is this list, reversed.
+  struct Op {
+    int gate = -1;  ///< -1: a static run on `qubit`
+    int qubit = 0;
+    Mat2 run_adjoint{};
+  };
+  const auto nq = static_cast<std::size_t>(c.num_qubits());
+  constexpr Mat2 kIdentity{Complex{1, 0}, Complex{0, 0}, Complex{0, 0},
+                           Complex{1, 0}};
+  std::vector<Mat2> run(nq, kIdentity);
+  std::vector<bool> open(nq, false);
+  std::vector<Op> ops;
+  auto flush = [&](int q) {
+    const auto uq = static_cast<std::size_t>(q);
+    if (!open[uq]) return;
+    ops.push_back({-1, q, circuit::mat2_adjoint(run[uq])});
+    run[uq] = kIdentity;
+    open[uq] = false;
+  };
+  const auto& gates = c.gates();
+  for (std::size_t k = 0; k < gates.size(); ++k) {
+    const Gate& g = gates[k];
+    if (g.arity() == 1 && g.is_static()) {
+      const auto uq = static_cast<std::size_t>(g.qubits[0]);
+      run[uq] = circuit::mat2_multiply(
+          circuit::gate_matrix_1q(g.kind, bound_of(g)), run[uq]);
+      open[uq] = true;
+      continue;
     }
+    flush(g.qubits[0]);
+    if (g.arity() == 2) flush(g.qubits[1]);
+    ops.push_back({static_cast<int>(k), 0, {}});
   }
+  for (int q = 0; q < c.num_qubits(); ++q) flush(q);
 
   // lambda = Z_qubit psi.
   Statevector lambda = psi;
@@ -163,9 +197,14 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
 
   std::vector<double> grad(static_cast<std::size_t>(c.num_params()), 0.0);
 
-  const auto& gates = c.gates();
-  for (std::size_t k = gates.size(); k-- > 0;) {
-    const Gate& g = gates[k];
+  for (std::size_t k = ops.size(); k-- > 0;) {
+    const Op& op = ops[k];
+    if (op.gate < 0) {
+      psi.apply_mat2(op.run_adjoint, op.qubit);
+      lambda.apply_mat2(op.run_adjoint, op.qubit);
+      continue;
+    }
+    const Gate& g = gates[static_cast<std::size_t>(op.gate)];
     const auto bound = bound_of(g);
     if (g.arity() == 1) {
       const Mat2 m = circuit::gate_matrix_1q(g.kind, bound);
@@ -203,7 +242,7 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
 }
 
 void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
-                              double* grads) {
+                              double* z, double* grads) {
   const Workspace::Block& g = ws.block;
   if (g.plan_id != plan.plan_id() || !g.adjoint) {
     throw std::logic_error(
@@ -212,10 +251,17 @@ void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
   }
   const std::size_t batch = g.batch;
   const auto np = static_cast<std::size_t>(plan.num_params());
+  const std::vector<AdjointOp>& stream = plan.adjoint_stream();
   AQ_COUNTER_ADD("sim.adjoint.calls", static_cast<std::uint64_t>(batch));
   AQ_COUNTER_ADD("sim.plan.adjoint.batched_calls", 1);
+  AQ_COUNTER_ADD("sim.plan.adjoint.reverse_ops",
+                 static_cast<std::uint64_t>(stream.size()));
 
-  // The kernel arm, resolved once for both sweeps.
+  // Forward half: the block's fused forward, which leaves psi in
+  // ws.state() and gives each column's <Z>.
+  plan.expectation_z_bound(qubit, ws, z);
+
+  // The kernel arm, resolved once for the reverse sweep.
   const kernels::KernelTable& kern = kernels::kernel_table();
   // A dynamic entry's matrices step by one column, unless it is uniform.
   const auto step = [&](const GateEntry& e) {
@@ -226,23 +272,7 @@ void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
   const auto at = [&](const GateEntry& e) {
     return static_cast<std::size_t>(e.index) * batch;
   };
-  const auto forward2 = [&](const GateEntry& e) -> BlockMats2 {
-    if (!e.dynamic) {
-      return {&plan.table_mat2(e.index), &plan.table_shape2(e.index), 0};
-    }
-    return {g.m1.data() + at(e), g.shape1.data() + at(e), step(e)};
-  };
-  const auto forward4 = [&](const GateEntry& e) -> BlockMats4 {
-    if (!e.dynamic) {
-      return {&plan.table_mat4(e.index), &plan.table_shape4(e.index), 0};
-    }
-    return {g.m2.data() + at(e), g.shape2.data() + at(e), step(e)};
-  };
   const auto adjoint2 = [&](const GateEntry& e) -> BlockMats2 {
-    if (!e.dynamic) {
-      return {&plan.table_mat2_adjoint(e.index),
-              &plan.table_shape2_adjoint(e.index), 0};
-    }
     return {g.adj1.data() + at(e), g.adj_shape1.data() + at(e), step(e)};
   };
   const auto adjoint4 = [&](const GateEntry& e) -> BlockMats4 {
@@ -261,24 +291,11 @@ void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
     return BlockMats4{g.d2.data() + d, g.d_shape2.data() + d, step(e)};
   };
 
-  // Forward over the unfused gate table: a shared matrix takes the
-  // broadcast kernel, per-column ones the _each kernels, every one with
-  // the shape its plan or bind classified.
+  // Reverse half over the adjoint stream, psi and lambda = Z_qubit psi
+  // in lockstep: every op one batched kernel call per register, every
+  // bracket one per-column sum. Per column each step is the circuit
+  // adjoint's step, so each column's gradient carries its bits.
   BatchedStatevector& psi = ws.state();
-  psi.configure(plan.num_qubits(), batch);
-  const std::vector<GateEntry>& table = plan.gate_table();
-  for (const GateEntry& e : table) {
-    if (e.arity == 1) {
-      apply(kern, psi, forward2(e), e.q0);
-    } else {
-      apply(kern, psi, forward4(e), e.q0, e.q1);
-    }
-  }
-
-  // Reverse half in lockstep: psi and lambda = Z_qubit psi are batched
-  // registers, every gate one batched kernel call, every bracket one
-  // per-column sum. Per column each step is the unbatched step, so each
-  // column's gradient carries the circuit adjoint's bits.
   BatchedStatevector& lam = ws.lambda();
   lam = psi;
   static const Mat2 kZ = circuit::gate_matrix_1q(GateKind::kZ, {});
@@ -293,9 +310,18 @@ void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
           2.0 * t.coeff * ip[b].real();
     }
   };
-  for (std::size_t k = table.size(); k-- > 0;) {
-    const GateEntry& e = table[k];
+  const std::vector<GateEntry>& table = plan.gate_table();
+  for (const AdjointOp& op : stream) {
+    if (op.gate < 0) {
+      const BlockMats2 md{&plan.run_adjoint(op.run),
+                          &plan.run_adjoint_shape(op.run), 0};
+      apply(kern, psi, md, op.qubit);
+      apply(kern, lam, md, op.qubit);
+      continue;
+    }
+    const GateEntry& e = table[static_cast<std::size_t>(op.gate)];
     if (e.arity == 1) {
+      // A 1q entry in the stream is dynamic.
       const BlockMats2 md = adjoint2(e);
       if (e.grads.size() == 1 && md.all_diagonal(batch) &&
           deriv2(e, e.grads.front()).all_diagonal(batch)) {

@@ -23,13 +23,6 @@ using kernels::MatShape;
 constexpr Mat2 kIdentity2{Complex{1, 0}, Complex{0, 0}, Complex{0, 0},
                           Complex{1, 0}};
 
-bool gate_is_static(const Gate& g) {
-  for (int i = 0; i < g.param_count(); ++i) {
-    if (!g.params[static_cast<std::size_t>(i)].is_constant()) return false;
-  }
-  return true;
-}
-
 /// Ids start at 1 so a zero-initialized Workspace stamp is always cold.
 std::uint64_t next_plan_id() {
   static std::atomic<std::uint64_t> counter{0};
@@ -251,6 +244,24 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
     run = PendingRun{};
   };
 
+  // The adjoint stream, recorded in gate order and reversed at the end:
+  // a static 1q run on a qubit is flushed, as one op, just before the
+  // dynamic or 2q gate that ends it (control, then target) and at the
+  // circuit's end in qubit order.
+  std::vector<Mat2> run_product(static_cast<std::size_t>(num_qubits_),
+                                kIdentity2);
+  std::vector<std::uint8_t> run_open(static_cast<std::size_t>(num_qubits_),
+                                     0);
+  auto flush_run = [&](int q) {
+    const auto uq = static_cast<std::size_t>(q);
+    if (run_open[uq] == 0) return;
+    adjoint_stream_.push_back({-1, static_cast<int>(run_adj_.size()), q});
+    run_adj_.push_back(circuit::mat2_adjoint(run_product[uq]));
+    run_adj_shape_.push_back(kernels::classify(run_adj_.back()));
+    run_product[uq] = kIdentity2;
+    run_open[uq] = 0;
+  };
+
   int n_dyn = 0;
   for (const Gate& g : c.gates()) {
     // Gate-table entry (per-gate view for adjoint/trajectory walks).
@@ -259,7 +270,7 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
     entry.q0 = g.qubits[0];
     entry.q1 = g.qubits[1];
     entry.arity = g.arity();
-    entry.dynamic = !gate_is_static(g);
+    entry.dynamic = !g.is_static();
     entry.error = noisy_ ? noise.gate_error(g) : 0.0;
     if (entry.dynamic) {
       entry.spec = make_spec(g);
@@ -274,6 +285,11 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
       sort_unique(entry.reads);
     }
 
+    if (entry.dynamic || g.arity() == 2) {
+      flush_run(g.qubits[0]);
+      if (g.arity() == 2) flush_run(g.qubits[1]);
+      adjoint_stream_.push_back({static_cast<int>(table_.size()), 0, 0});
+    }
     if (g.arity() == 1) {
       auto& run = pending[static_cast<std::size_t>(g.qubits[0])];
       run.any = true;
@@ -286,9 +302,10 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
         const Mat2 m = circuit::gate_matrix_1q(g.kind, static_bound(g));
         entry.index = static_cast<int>(table1q_.size());
         table1q_.push_back(m);
-        table1q_adj_.push_back(circuit::mat2_adjoint(m));
         table1q_shape_.push_back(kernels::classify(m));
-        table1q_adj_shape_.push_back(kernels::classify(table1q_adj_.back()));
+        const auto uq = static_cast<std::size_t>(g.qubits[0]);
+        run_product[uq] = circuit::mat2_multiply(m, run_product[uq]);
+        run_open[uq] = 1;
         ++run.static_count;
         if (run.tail.empty()) {
           run.prefix = circuit::mat2_multiply(m, run.prefix);
@@ -325,7 +342,11 @@ ExecPlan::ExecPlan(const circuit::Circuit& c, const NoiseModel& noise)
     }
     table_.push_back(std::move(entry));
   }
-  for (int q = 0; q < num_qubits_; ++q) flush(q);
+  for (int q = 0; q < num_qubits_; ++q) {
+    flush(q);
+    flush_run(q);
+  }
+  std::reverse(adjoint_stream_.begin(), adjoint_stream_.end());
   n_dyn_ = n_dyn;
   std::vector<double> site_error;
   for (const NoiseSite& site : sites_) site_error.push_back(site.error);

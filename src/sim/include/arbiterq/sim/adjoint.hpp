@@ -16,6 +16,15 @@
 //     grad_p += 2 Re <lambda| dG_k/dp |psi>   for each bound parameter
 //     lambda <- G_k^dagger lambda
 //
+// psi is run_biased's fused forward state, and the reverse sweep
+// unapplies each maximal run of static 1q gates on a qubit at once,
+// through the adjoint of the run's product folded as run_biased folds
+// (left-multiplied gate by gate from identity). Such a run is ended by a
+// parameterized or 2q gate on its qubit, or by the circuit's end; the
+// sweep unapplies it right after the gate that ends it, and the runs
+// the end closes first, in descending qubit order. Those gates act on
+// other qubits than the run's, so moving it changes no bracket's value.
+//
 // Two entry points: the circuit walk re-derives every gate matrix per
 // call and is the independent reference; the sample-batched ExecPlan
 // walk reuses precompiled matrices and workspace registers, is what
@@ -49,17 +58,17 @@ std::vector<double> adjoint_gradient_z(const circuit::Circuit& c,
                                        double survival);
 
 /// Sample-batched plan gradient of the block last bound into ws by
-/// plan.bind_block with `adjoint` set (std::logic_error otherwise), so
-/// one bind serves this walk and the block's fused forward: column b's
-/// gradient is written to grads + b * num_params. The forward
-/// walk runs as one batched mini-GEMM sweep over the gate table, and the
-/// reverse sweep walks batched psi and lambda registers in lockstep with
-/// per-column bracket sums, on the kernel arm in force when the call
+/// plan.bind_block with `adjoint` set (std::logic_error otherwise): the
+/// block's one fused forward (plan.expectation_z_bound, whose values it
+/// writes to z[0, batch)) and one reverse sweep over the plan's adjoint
+/// stream, which walks batched psi and lambda registers in lockstep with
+/// per-column bracket sums. Column b's gradient is written to grads + b *
+/// num_params. Both halves run on the kernel arm in force when the call
 /// starts. Per column every step is the circuit walk's arithmetic on
 /// every kernel arm, so each sample's gradient is bit-identical to the
 /// circuit overload above on the plan's circuit and noise model, at
 /// every batch size.
 void adjoint_gradient_z_bound(const ExecPlan& plan, int qubit, Workspace& ws,
-                              double* grads);
+                              double* z, double* grads);
 
 }  // namespace arbiterq::sim

@@ -19,7 +19,10 @@
 // path makes per evaluation, and only the *leading* static segment of a
 // run is pre-folded — a static matrix that follows a parameterized gate
 // is applied as its own fold step, because re-associating the product
-// would change the floating-point result.
+// would change the floating-point result. The adjoint stream folds each
+// maximal run of static 1q gates on a qubit the same way (left-multiply
+// from identity, in gate order) and stores the product's adjoint, which
+// the circuit adjoint (adjoint.hpp) computes alike.
 
 #include <algorithm>
 #include <array>
@@ -91,16 +94,28 @@ struct StreamOp {
   int index = 0;
 };
 
+/// One op of the adjoint stream, the reverse sweep of
+/// adjoint_gradient_z_bound, in sweep order (the circuit's end first).
+struct AdjointOp {
+  /// The gate-table position of a dynamic or 2q entry, which the sweep
+  /// unapplies and brackets gate by gate; -1 for a maximal run of
+  /// static 1q gates on `qubit`, which it unapplies at once through the
+  /// adjoint of the run's product (ExecPlan::run_adjoint(run)).
+  int gate = -1;
+  int run = 0;
+  int qubit = 0;
+};
+
 /// Gate-table entry: the unfused per-gate view used by walks that need
-/// every gate individually (adjoint differentiation, trajectories).
+/// every gate individually (the adjoint stream, trajectories).
 struct GateEntry {
   circuit::GateKind kind = circuit::GateKind::kI;
   int q0 = 0;
   int q1 = 0;
   int arity = 1;
   bool dynamic = false;
-  /// Static: index into the plan's const pools (matrix, its adjoint and
-  /// its kernel shape).
+  /// Static: index into the plan's const pools (matrix and kernel
+  /// shape; for a 2q entry also its adjoint and the adjoint's shape).
   /// Dynamic: index into the workspace dyn1q/dyn2q arrays (and, times
   /// the batch, into the bound block's per-column m1/m2 arrays).
   int index = 0;
@@ -448,29 +463,21 @@ class ExecPlan {
   const SurvivalTable& survival_table() const noexcept {
     return survival_table_;
   }
-  const circuit::Mat2& table_mat2_adjoint(int i) const {
-    return table1q_adj_[static_cast<std::size_t>(i)];
+  /// The adjoint stream (AdjointOp), and static run i's adjoint and
+  /// its kernel shape, classified once at compile time.
+  const std::vector<AdjointOp>& adjoint_stream() const noexcept {
+    return adjoint_stream_;
   }
+  const circuit::Mat2& run_adjoint(int i) const {
+    return run_adj_[static_cast<std::size_t>(i)];
+  }
+  const kernels::MatShape<2>& run_adjoint_shape(int i) const {
+    return run_adj_shape_[static_cast<std::size_t>(i)];
+  }
+  /// Static 2q entry i's adjoint and its shape, classified once at
+  /// compile time.
   const circuit::Mat4& table_mat4_adjoint(int i) const {
     return table2q_adj_[static_cast<std::size_t>(i)];
-  }
-
-  /// Static entry i's forward matrix and shape, and its adjoint's shape,
-  /// each classified once at compile time.
-  const circuit::Mat2& table_mat2(int i) const {
-    return table1q_[static_cast<std::size_t>(i)];
-  }
-  const circuit::Mat4& table_mat4(int i) const {
-    return table2q_[static_cast<std::size_t>(i)];
-  }
-  const kernels::MatShape<2>& table_shape2(int i) const {
-    return table1q_shape_[static_cast<std::size_t>(i)];
-  }
-  const kernels::MatShape<4>& table_shape4(int i) const {
-    return table2q_shape_[static_cast<std::size_t>(i)];
-  }
-  const kernels::MatShape<2>& table_shape2_adjoint(int i) const {
-    return table1q_adj_shape_[static_cast<std::size_t>(i)];
   }
   const kernels::MatShape<4>& table_shape4_adjoint(int i) const {
     return table2q_adj_shape_[static_cast<std::size_t>(i)];
@@ -523,13 +530,14 @@ class ExecPlan {
   std::vector<NoiseSite> sites_;
   SurvivalTable survival_table_;
   std::vector<circuit::Mat2> table1q_;
-  std::vector<circuit::Mat2> table1q_adj_;
   std::vector<kernels::MatShape<2>> table1q_shape_;
-  std::vector<kernels::MatShape<2>> table1q_adj_shape_;
   std::vector<circuit::Mat4> table2q_;
   std::vector<circuit::Mat4> table2q_adj_;
   std::vector<kernels::MatShape<4>> table2q_shape_;
   std::vector<kernels::MatShape<4>> table2q_adj_shape_;
+  std::vector<AdjointOp> adjoint_stream_;
+  std::vector<circuit::Mat2> run_adj_;
+  std::vector<kernels::MatShape<2>> run_adj_shape_;
 };
 
 }  // namespace arbiterq::sim

@@ -172,8 +172,9 @@ TEST_P(BatchedPlan, AdjointGradientMatchesCircuitAdjointBitwise) {
     for (const bool repeat : {false, true}) {
       const auto params = batch_params(c.num_params(), batch, rng, repeat);
       std::vector<double> grads(batch * np);
+      std::vector<double> zs(batch);
       plan.bind_block(params.data(), np, batch, bws, /*adjoint=*/true);
-      adjoint_gradient_z_bound(plan, 1, bws, grads.data());
+      adjoint_gradient_z_bound(plan, 1, bws, zs.data(), grads.data());
       for (std::size_t b = 0; b < batch; ++b) {
         const std::span<const double> col(params.data() + b * np, np);
         const auto ref = adjoint_gradient_z(c, col, 1, noise_ptr);
@@ -393,8 +394,9 @@ TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
         const auto params = block(np, width, kind, noise);
         for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
           std::vector<double> grads(width * np);
+          std::vector<double> zs(width);
           plan.bind_block(params.data(), np, width, bws, /*adjoint=*/true);
-          adjoint_gradient_z_bound(plan, qubit, bws, grads.data());
+          adjoint_gradient_z_bound(plan, qubit, bws, zs.data(), grads.data());
           for (std::size_t b = 0; b < width; ++b) {
             const auto want = adjoint_gradient_z(
                 c, std::span<const double>(params.data() + b * np, np), qubit,
@@ -406,6 +408,41 @@ TEST_P(BlockWalks, BatchedAdjointMatchesCircuitAdjoint) {
                 << c.num_qubits() << "q width " << width << " block "
                 << static_cast<int>(kind) << " qubit " << qubit << " col "
                 << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BlockWalks, AdjointReportsTheFusedForwardZ) {
+  // The <Z> adjoint_gradient_z_bound reports comes from its own fused
+  // forward: bitwise expectation_z_bound's on the same bind, on a noisy
+  // and a noiseless plan, both circuits and every readout qubit.
+  const NoiseModel none;
+  for (const Circuit& c : {walk_circuit(), full_gate_circuit()}) {
+    const NoiseModel noise = rich_noise(c.num_qubits());
+    for (const NoiseModel* model : {&noise, &none}) {
+      const ExecPlan plan = StatevectorSimulator(*model).make_plan(c);
+      const auto np = static_cast<std::size_t>(c.num_params());
+      Workspace bws;
+      for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                      kBatchBlock}) {
+        for (const Block kind : kBlocks) {
+          const auto params = block(np, width, kind, noise);
+          for (int qubit = 0; qubit < c.num_qubits(); ++qubit) {
+            std::vector<double> want(width);
+            plan.bind_block(params.data(), np, width, bws);
+            plan.expectation_z_bound(qubit, bws, want.data());
+            std::vector<double> got(width);
+            std::vector<double> grads(width * np);
+            plan.bind_block(params.data(), np, width, bws, /*adjoint=*/true);
+            adjoint_gradient_z_bound(plan, qubit, bws, got.data(),
+                                     grads.data());
+            EXPECT_EQ(got, want)
+                << c.num_qubits() << "q noisy " << model->enabled()
+                << " width " << width << " block " << static_cast<int>(kind)
+                << " qubit " << qubit;
           }
         }
       }
